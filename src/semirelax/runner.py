@@ -121,7 +121,9 @@ class _RunContext:
     def radial_traj(self) -> RadialTrajectory:
         if self._radial is None:
             sc = self.scenario
-            self._radial = wave_evolve(sc.initial_profile(), sc.p, sc.dt, sc.T)
+            self._radial = wave_evolve(
+                sc.initial_profile(), sc.p, sc.dt, sc.T, nonlinear=sc.nonlinear
+            )
         return self._radial
 
     @property

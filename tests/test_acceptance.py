@@ -45,6 +45,8 @@ from semirelax.runner import spectral_vs_wave_disagreement
 from semirelax.scenarios import load_config
 from conftest import random_field
 
+THREADS_AT_IMPORT = os.environ.get("SEMIRELAX_THREADS")
+
 
 def _report(num, name):
     print(f"[PASS] criterion {num}: {name}")
@@ -85,20 +87,21 @@ def radial_cross_check():
     level.  Joint refinement doubles the resolutions and the truncation
     domains (same dx, dr), halving dt, so the box-image error floor of the
     nonlocal operator shrinks along with the discretization error."""
-    if "SEMIRELAX_THREADS" not in os.environ:
-        os.environ["SEMIRELAX_THREADS"] = "2"
     amp = 0.0357  # H^1 norm of the gaussian data ~ 0.1
     out = {}
-    for label, (N, L, M, R, dt) in {
-        "coarse": (64, 20.0, 512, 20.0, 4e-3),
-        "refined": (128, 40.0, 1024, 40.0, 2e-3),
-    }.items():
-        g = make_grid(3, N, L)
-        u0 = gaussian_field(g, amp)
-        traj = evolve(u0, StepperConfig(p=3.0, dt=dt, T=1.0, snapshot_stride=50))
-        prof = profile_from_function(lambda r: amp * np.exp(-(r**2)), R=R, M=M)
-        rtraj = wave_evolve(prof, 3.0, dt=dt, T=1.0)
-        out[label] = spectral_vs_wave_disagreement(traj, rtraj)
+    with pytest.MonkeyPatch.context() as mp:
+        if "SEMIRELAX_THREADS" not in os.environ:
+            mp.setenv("SEMIRELAX_THREADS", "2")
+        for label, (N, L, M, R, dt) in {
+            "coarse": (64, 20.0, 512, 20.0, 4e-3),
+            "refined": (128, 40.0, 1024, 40.0, 2e-3),
+        }.items():
+            g = make_grid(3, N, L)
+            u0 = gaussian_field(g, amp)
+            traj = evolve(u0, StepperConfig(p=3.0, dt=dt, T=1.0, snapshot_stride=50))
+            prof = profile_from_function(lambda r: amp * np.exp(-(r**2)), R=R, M=M)
+            rtraj = wave_evolve(prof, 3.0, dt=dt, T=1.0)
+            out[label] = spectral_vs_wave_disagreement(traj, rtraj)
     return out
 
 
@@ -195,6 +198,11 @@ def test_criterion_6_radial_equivalence(radial_cross_check):
     assert coarse < 1e-2
     assert refined < coarse
     _report(6, f"wave-form vs spectral: {coarse:.2e} coarse, {refined:.2e} refined")
+
+
+def test_radial_cross_check_keeps_thread_count(radial_cross_check):
+    # the fixture's worker count must not leak into the tests run after it
+    assert os.environ.get("SEMIRELAX_THREADS") == THREADS_AT_IMPORT
 
 
 # --- criterion 7: kernel identities -------------------------------------------

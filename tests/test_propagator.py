@@ -1,8 +1,12 @@
+import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semirelax import (
     Field,
@@ -14,6 +18,7 @@ from semirelax import (
     gaussian_field,
     half_laplacian,
     l2_norm,
+    lie_step,
     linear_step,
     load_trajectory,
     make_grid,
@@ -23,6 +28,7 @@ from semirelax import (
     sobolev_norm,
     strang_step,
     to_physical,
+    to_spectral,
 )
 from semirelax.plotting import fit_order
 from conftest import random_field
@@ -39,6 +45,34 @@ def amplitude_ode_oracle(rho0: float, p: float, tau: float) -> float:
         dense_output=True,
     )
     return float(sol.y[0, -1])
+
+
+def reference_step(u, cfg):
+    """One split step as the plain composition U(a) -> nonlinear flow over
+    dt -> 2/3 truncation -> U(dt - a), with a = dt/2 for Strang, 0 for Lie;
+    the fused stepper in evolve must reproduce it to roundoff."""
+    if not cfg.nonlinear:
+        return to_physical(linear_step(u, cfg.dt))
+    lead = cfg.dt / 2.0 if cfg.scheme == "strang" else 0.0
+    u = nonlinear_step(linear_step(u, lead), cfg.dt, cfg.p)
+    if cfg.dealias_active:
+        g = u.grid
+        keep = np.abs(np.fft.fftfreq(g.N, d=1.0 / g.N)) <= g.N // 3
+        axes = np.meshgrid(*([keep] * g.n), indexing="ij", sparse=True)
+        mask = functools.reduce(np.logical_and, axes)
+        u = Field(g, to_spectral(u).values * mask, "spectral")
+    return to_physical(linear_step(u, cfg.dt - lead))
+
+
+def reference_evolve(u0, cfg):
+    """Snapshots of reference_step marched to T, every snapshot_stride steps."""
+    u = to_physical(u0)
+    snaps = [u]
+    for k in range(1, round(cfg.T / cfg.dt) + 1):
+        u = reference_step(u, cfg)
+        if k % cfg.snapshot_stride == 0:
+            snaps.append(u)
+    return snaps
 
 
 class TestLinearStep:
@@ -222,6 +256,68 @@ class TestEvolve:
             StepperConfig(p=3.0, dt=2.0, T=1.0)
         with pytest.raises(ValueError):
             StepperConfig(p=3.0, dt=0.1, T=1.0, scheme="rk4")
+
+
+class TestFusedStepper:
+    """evolve against the step-by-step reference composition."""
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 32), (3, 16)])
+    @pytest.mark.parametrize("scheme", ["strang", "lie"])
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_matches_reference(self, n, N, scheme, dealias, nonlinear, rng):
+        g = make_grid(n, N, 8.0)
+        # unsmoothed data keeps energy outside the 2/3 band, so truncating
+        # at the wrong point of the step would show
+        u0 = Field(g, 0.8 * random_field(g, rng, spectral_decay=False).values)
+        cfg = StepperConfig(
+            p=3.0, dt=0.05, T=0.6, scheme=scheme, snapshot_stride=3,
+            nonlinear=nonlinear, dealias=dealias,
+        )
+        traj = evolve(u0, cfg)
+        ref = reference_evolve(u0, cfg)
+        assert len(traj.snapshots) == len(ref) == 5
+        for got, want in zip(traj.snapshots, ref):
+            scale = np.max(np.abs(want.values))
+            assert np.max(np.abs(got.values - want.values)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("p", [2.5, 5.0])
+    def test_matches_reference_default_dealias(self, p, grid_2d):
+        u0 = gaussian_field(grid_2d, 1.5, width=0.7)
+        cfg = StepperConfig(p=p, dt=0.02, T=1.0, snapshot_stride=7)
+        traj = evolve(u0, cfg)
+        for got, want in zip(traj.snapshots, reference_evolve(u0, cfg)):
+            scale = np.max(np.abs(want.values))
+            assert np.max(np.abs(got.values - want.values)) <= 1e-12 * scale
+
+    def test_single_steps_are_one_step_runs(self, grid_2d, rng):
+        f = random_field(grid_2d, rng)
+        for step, scheme in ((strang_step, "strang"), (lie_step, "lie")):
+            cfg = StepperConfig(p=3.0, dt=0.1, T=1.0, scheme=scheme)
+            got, want = step(f, cfg), reference_step(f, cfg)
+            assert got.is_physical
+            assert np.max(np.abs(got.values - want.values)) <= 1e-12 * np.max(
+                np.abs(want.values)
+            )
+
+    @given(
+        n=st.sampled_from([1, 2]),
+        amplitude=st.floats(0.05, 5.0),
+        dt=st.floats(1e-3, 0.5),
+        p=st.floats(1.0, 6.0, exclude_min=True),
+        scheme=st.sampled_from(["strang", "lie"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_l2_never_increases(self, n, amplitude, dt, p, scheme):
+        g = make_grid(n, 32 if n == 1 else 16, 10.0)
+        u0 = gaussian_field(g, amplitude)
+        cfg = StepperConfig(p=p, dt=dt, T=10 * dt, scheme=scheme)
+        norms = [l2_norm(u) for u in evolve(u0, cfg).snapshots]
+        assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
+        free = evolve(u0, replace(cfg, nonlinear=False)).snapshots
+        assert all(
+            abs(l2_norm(u) - norms[0]) <= 1e-12 * norms[0] for u in free
+        )
 
 
 class TestDuhamelResidual:
