@@ -9,7 +9,6 @@ reduction with its averaging-kernel machinery, and a scenario runner.
 
 from .diagnostics import (
     BoundReport,
-    DiagnosticsRecord,
     IdentityResidual,
     check_h1_identity,
     check_h2_inequality,

@@ -1,10 +1,15 @@
 """Residuals and ratio probes for the a priori structure of the flow.
 
-Each checker consumes trajectories or fields read-only and reports either an
-IdentityResidual (for exact balance laws) or a BoundReport (for one-sided
-estimates, where only an empirical constant and its refinement stability are
-meaningful).  Space derivatives are always spectral multipliers, never
-finite differences, so the residuals isolate time-discretization error.
+The CSV, the balance laws and the H^s growth bound read one per-snapshot
+table stored on the trajectory, built with one forward transform of each
+snapshot (and of |u|^2 when the flow dissipates).  A linear trajectory
+dissipates nothing: its balance laws are conservation of ||u||^2, ||grad u||^2.
+
+Each checker reports either an IdentityResidual (for exact balance laws) or
+a BoundReport (for one-sided estimates, where only an empirical constant and
+its refinement stability are meaningful).  Space derivatives are always
+spectral multipliers, never finite differences, so the residuals isolate
+time-discretization error.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Field, gradient, second_derivative, to_physical
+from .fields import Field, gradient, second_derivative, to_physical, to_spectral
 from .grids import make_grid
 from .norms import (
     SobolevSpec,
@@ -25,14 +30,20 @@ from .norms import (
     weighted_norm,
 )
 from .propagator import Trajectory
-from .radial import JEvaluator, RadialProfile, radial_sobolev_norm
+from .radial import (
+    REGULARIZATION_EPS,
+    JEvaluator,
+    RadialProfile,
+    modulus_power,
+    radial_sobolev_norm,
+)
 
 __all__ = [
     "IdentityResidual",
     "BoundReport",
-    "DiagnosticsRecord",
     "diagnostics_table",
     "write_diagnostics_csv",
+    "TABLE_COLUMNS",
     "CSV_HEADER",
     "check_l2_identity",
     "check_h1_identity",
@@ -44,9 +55,6 @@ __all__ = [
     "hardy_time_derivative_check",
     "gradient_squared_modulus",
 ]
-
-_EPS = 1e-30
-REGULARIZATION_EPS = 1e-30
 
 
 @dataclass(frozen=True)
@@ -62,7 +70,7 @@ class IdentityResidual:
 
     @property
     def relative(self) -> float:
-        return self.residual / max(self.lhs, self.rhs, _EPS)
+        return self.residual / max(self.lhs, self.rhs, REGULARIZATION_EPS)
 
     def as_dict(self) -> dict:
         return {
@@ -88,7 +96,7 @@ class BoundReport:
 
     @property
     def relative(self) -> float:
-        return self.residual / max(self.lhs, self.rhs, _EPS)
+        return self.residual / max(self.lhs, self.rhs, REGULARIZATION_EPS)
 
     @property
     def slack(self) -> float:
@@ -107,20 +115,9 @@ class BoundReport:
         return out
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    """Norms of one snapshot: L^2, homogeneous H^1/H^2/H^s, L^inf and the
-    instantaneous (p+1)-power dissipation density."""
-
-    time: float
-    l2: float
-    h1dot: float
-    h2dot: float
-    hs: float
-    linf: float
-    lpp1: float
-
-
+TABLE_COLUMNS = (
+    "t", "l2", "h1dot", "h2dot", "hs", "linf", "lpp1", "grad_term", "modulus_term",
+)
 CSV_HEADER = "t,l2,h1dot,h2dot,hs,linf,lpp1_budget,res_prop21,res_prop22"
 
 
@@ -132,50 +129,68 @@ def _snapshot_index(traj: Trajectory, t: float) -> int:
     return idx
 
 
-def diagnostics_table(traj: Trajectory, s: float = 1.0) -> list[DiagnosticsRecord]:
-    p = traj.config.p
-    records = []
+def diagnostics_table(traj: Trajectory, s: float = 1.0) -> dict[str, np.ndarray]:
+    """Per-snapshot scalars of ``traj``, one array per TABLE_COLUMNS entry,
+    built on first use and stored on the trajectory under s: the time t, the
+    norms l2, h1dot, h2dot, hs (homogeneous, index s), linf and lpp1 (L^(p+1)),
+    and the two dissipation integrands of check_h1_identity, grad_term and
+    modulus_term, which are zero for a linear trajectory."""
+    if s in traj.tables:
+        return traj.tables[s]
+    p, dV = traj.config.p, traj.grid.cell_volume
+    specs = [SobolevSpec(r, homogeneous=True) for r in (1.0, 2.0, s)]
+    rows = []
     for t, u in zip(traj.times, traj.snapshots):
-        records.append(
-            DiagnosticsRecord(
-                time=float(t),
-                l2=l2_norm(u),
-                h1dot=sobolev_norm(u, SobolevSpec(1.0, homogeneous=True)),
-                h2dot=sobolev_norm(u, SobolevSpec(2.0, homogeneous=True)),
-                hs=sobolev_norm(u, SobolevSpec(s, homogeneous=True)),
-                linf=lp_norm(u, math.inf),
-                lpp1=lp_norm(u, p + 1.0) ** (p + 1.0),
-            )
-        )
-    return records
+        phys, coeffs = to_physical(u), to_spectral(u)
+        grad_term = modulus_term = 0.0
+        if not traj.linear:
+            absu = np.abs(phys.values)
+            mod2 = to_spectral(Field(traj.grid, absu**2, "physical"))
+            density = absu ** (p - 1.0) * _gradient_square(coeffs)
+            grad_term = 2.0 * float(np.sum(density) * dV)
+            density = modulus_power(absu, p - 3.0) * _gradient_square(mod2)
+            modulus_term = 0.5 * (p - 1.0) * float(np.sum(density) * dV)
+        rows.append([
+            t, l2_norm(u), *(sobolev_norm(coeffs, spec) for spec in specs),
+            lp_norm(phys, math.inf), lp_norm(phys, p + 1.0), grad_term, modulus_term,
+        ])
+    # contiguous columns: numpy's vectorised power may round strided input differently
+    traj.tables[s] = dict(zip(TABLE_COLUMNS, np.array(rows, dtype=float).T.copy()))
+    return traj.tables[s]
+
+
+def _any_table(traj: Trajectory) -> dict[str, np.ndarray]:
+    """A stored table of any s (only hs depends on it), else one at s = 1."""
+    return diagnostics_table(traj, next(iter(traj.tables), 1.0))
+
+
+def _gradient_square(f: Field) -> np.ndarray:
+    """sum_j |d_j f|^2 in physical space."""
+    return sum(np.abs(to_physical(g).values) ** 2 for g in gradient(f))
 
 
 def write_diagnostics_csv(traj: Trajectory, path, s: float = 1.0) -> None:
     """Write the per-snapshot norm table plus running identity residuals.
 
     lpp1_budget is the accumulated dissipation 2 * int_0^t ||u||^(p+1) dt'
-    (trapezoid), res_prop21 / res_prop22 the relative residuals of the
-    L^2 and gradient balance laws over [0, t].
+    (trapezoid; zero for a linear trajectory), res_prop21 / res_prop22 the
+    relative residuals of the L^2 and gradient balance laws over [0, t].
     """
-    records = diagnostics_table(traj, s=s)
-    times = np.asarray(traj.times)
-    lpp1 = np.array([rec.lpp1 for rec in records])
-    budget = 2.0 * _cumtrapz(lpp1, times)
-    res21 = np.zeros(len(records))
-    res22 = np.zeros(len(records))
-    h1_terms = _h1_dissipation_terms(traj)
-    for i in range(1, len(records)):
-        res21[i] = IdentityResidual(
-            lhs=records[i].l2 ** 2 + budget[i], rhs=records[0].l2 ** 2
-        ).relative
-        res22[i] = _h1_identity_from_terms(traj, h1_terms, 0, i).relative
+    table = diagnostics_table(traj, s)
+    # float powers, not numpy's vectorised power: the two round differently
+    l2sq = [v**2 for v in table["l2"].tolist()]
+    budget = np.zeros(len(l2sq))
+    if not traj.linear:
+        q = traj.config.p + 1.0
+        density = np.array([v**q for v in table["lpp1"].tolist()])
+        budget = 2.0 * _cumtrapz(density, table["t"])
+    columns = [table[name] for name in CSV_HEADER.split(",")[:6]]
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
-        for i, rec in enumerate(records):
-            row = [
-                rec.time, rec.l2, rec.h1dot, rec.h2dot, rec.hs, rec.linf,
-                budget[i], res21[i], res22[i],
-            ]
+        for i in range(len(l2sq)):
+            res21 = IdentityResidual(lhs=l2sq[i] + budget[i], rhs=l2sq[0]).relative
+            res22 = _h1_identity(table, 0, i).relative
+            row = [*(col[i] for col in columns), budget[i], res21, res22]
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
@@ -194,14 +209,17 @@ def check_l2_identity(traj: Trajectory, t1: float, t2: float) -> IdentityResidua
     The stated balance uses open endpoints 0 < t1; the checker also accepts
     t1 = 0 since the discrete solution is defined there (flagged by the
     runner when used).  The relative residual decays at second order in dt.
+    On a linear trajectory the check is mass conservation.
     """
     i1, i2 = _validate_window(traj, t1, t2)
-    p = traj.config.p
-    window = (traj.times[i1 : i2 + 1], traj.snapshots[i1 : i2 + 1])
-    budget = space_time_norm(window, p + 1.0, lambda u: lp_norm(u, p + 1.0))
-    lhs = l2_norm(traj.snapshots[i2]) ** 2 + 2.0 * budget ** (p + 1.0)
-    rhs = l2_norm(traj.snapshots[i1]) ** 2
-    return IdentityResidual(lhs=lhs, rhs=rhs)
+    table = _any_table(traj)
+    lhs = float(table["l2"][i2]) ** 2
+    if not traj.linear:
+        q = traj.config.p + 1.0
+        window = slice(i1, i2 + 1)
+        lpp1 = space_time_norm((table["t"][window], table["lpp1"][window]), q, float)
+        lhs += 2.0 * lpp1**q
+    return IdentityResidual(lhs=lhs, rhs=float(table["l2"][i1]) ** 2)
 
 
 def _validate_window(traj: Trajectory, t1: float, t2: float) -> tuple[int, int]:
@@ -212,43 +230,16 @@ def _validate_window(traj: Trajectory, t1: float, t2: float) -> tuple[int, int]:
 
 def gradient_squared_modulus(u: Field) -> list[np.ndarray]:
     """Spectral gradient of |u|^2, one physical-space array per axis."""
-    phys = to_physical(u)
-    mod2 = Field(u.grid, np.abs(phys.values) ** 2, "physical")
+    mod2 = to_spectral(Field(u.grid, np.abs(to_physical(u).values) ** 2, "physical"))
     return [to_physical(g).values for g in gradient(mod2)]
 
 
-def _h1_dissipation_terms(traj: Trajectory) -> np.ndarray:
-    """Per-snapshot values of the two gradient dissipation integrands:
-    2 || |u|^((p-1)/2) grad u ||^2  and  ((p-1)/2) || |u|^((p-3)/2) grad |u|^2 ||^2."""
-    p = traj.config.p
-    dV = traj.grid.cell_volume
-    out = np.zeros((len(traj.snapshots), 2))
-    for i, u in enumerate(traj.snapshots):
-        phys = to_physical(u)
-        absu = np.abs(phys.values)
-        grads = [to_physical(g).values for g in gradient(phys)]
-        grad_sq = sum(np.abs(g) ** 2 for g in grads)
-        out[i, 0] = 2.0 * float(np.sum(absu ** (p - 1.0) * grad_sq) * dV)
-        weight = (
-            absu ** (p - 3.0)
-            if p >= 3
-            else (absu**2 + REGULARIZATION_EPS) ** ((p - 3.0) / 2.0)
-        )
-        gm2 = gradient_squared_modulus(phys)
-        gm2_sq = sum(np.abs(g) ** 2 for g in gm2)
-        out[i, 1] = 0.5 * (p - 1.0) * float(np.sum(weight * gm2_sq) * dV)
-    return out
-
-
-def _h1_identity_from_terms(
-    traj: Trajectory, terms: np.ndarray, i1: int, i2: int
-) -> IdentityResidual:
-    times = np.asarray(traj.times[i1 : i2 + 1])
-    h1dot = lambda u: sobolev_norm(u, SobolevSpec(1.0, homogeneous=True))
-    integral = float(np.trapezoid(terms[i1 : i2 + 1].sum(axis=1), times))
-    lhs = h1dot(traj.snapshots[i2]) ** 2 + integral
-    rhs = h1dot(traj.snapshots[i1]) ** 2
-    return IdentityResidual(lhs=lhs, rhs=rhs)
+def _h1_identity(table: dict[str, np.ndarray], i1: int, i2: int) -> IdentityResidual:
+    window = slice(i1, i2 + 1)
+    dissipation = table["grad_term"][window] + table["modulus_term"][window]
+    integral = float(np.trapezoid(dissipation, table["t"][window]))
+    lhs = float(table["h1dot"][i2]) ** 2 + integral
+    return IdentityResidual(lhs=lhs, rhs=float(table["h1dot"][i1]) ** 2)
 
 
 def check_h1_identity(traj: Trajectory, t1: float, t2: float) -> IdentityResidual:
@@ -260,10 +251,11 @@ def check_h1_identity(traj: Trajectory, t1: float, t2: float) -> IdentityResidua
 
     Both dissipation integrands are pointwise nonnegative, so the gradient
     norm is nonincreasing.  For p < 3 the singular modulus power is
-    regularized by (|u|^2 + 1e-30)^((p-3)/4) inside the square.
+    regularized by (|u|^2 + 1e-30)^((p-3)/4) inside the square.  On a
+    linear trajectory the check is conservation of the gradient norm.
     """
     i1, i2 = _validate_window(traj, t1, t2)
-    return _h1_identity_from_terms(traj, _h1_dissipation_terms(traj), i1, i2)
+    return _h1_identity(_any_table(traj), i1, i2)
 
 
 def check_hs_growth(traj: Trajectory, s: float, C: float) -> BoundReport:
@@ -283,18 +275,15 @@ def check_hs_growth(traj: Trajectory, s: float, C: float) -> BoundReport:
         raise ValueError(
             f"growth bound requires n/2 < s < min(2, p); got s={s} with n={n}, p={p}"
         )
-    spec = SobolevSpec(s, homogeneous=True)
-    hs_sq = np.array([sobolev_norm(u, spec) ** 2 for u in traj.snapshots])
-    linf = np.array([lp_norm(u, math.inf) for u in traj.snapshots])
-    integrand = linf ** (p - 1.0) * hs_sq
-    cum = _cumtrapz(integrand, np.asarray(traj.times))
+    table = diagnostics_table(traj, s)
+    hs_sq = np.array([v**2 for v in table["hs"].tolist()])
+    integrand = table["linf"] ** (p - 1.0) * hs_sq
+    cum = _cumtrapz(integrand, table["t"])
     c_star = 0.0
-    for i in range(len(hs_sq)):
-        for j in range(i + 1, len(hs_sq)):
-            gain = hs_sq[j] - hs_sq[i]
-            slack_int = cum[j] - cum[i]
-            if gain > 0 and slack_int > 0:
-                c_star = max(c_star, gain / slack_int)
+    for i in range(len(hs_sq) - 1):
+        gain, slack_int = hs_sq[i + 1 :] - hs_sq[i], cum[i + 1 :] - cum[i]
+        ok = (gain > 0) & (slack_int > 0)
+        c_star = max(c_star, float(np.max(gain[ok] / slack_int[ok], initial=0.0)))
     lhs = float(hs_sq[-1])
     rhs = float(hs_sq[0] + C * cum[-1])
     return BoundReport(
@@ -321,27 +310,22 @@ def check_h2_inequality(traj: Trajectory, t1: float, t2: float) -> BoundReport:
     i1, i2 = _validate_window(traj, t1, t2)
     n = traj.grid.n
     dV = traj.grid.cell_volume
-    times = np.asarray(traj.times[i1 : i2 + 1])
-    h1 = SobolevSpec(1.0, homogeneous=True)
-    h2 = SobolevSpec(2.0, homogeneous=True)
+    window = slice(i1, i2 + 1)
+    table = _any_table(traj)
+    times = table["t"][window]
+    h1, h2 = table["h1dot"][window].tolist(), table["h2dot"][window].tolist()
     cross = np.zeros(len(times))
-    majorant = np.zeros(len(times))
-    for m, u in enumerate(traj.snapshots[i1 : i2 + 1]):
-        phys = to_physical(u)
+    for m, u in enumerate(traj.snapshots[window]):
+        phys, coeffs = to_physical(u), to_spectral(u)
         total = 0.0
         for j in range(n):
             for k in range(n):
-                djk = to_physical(second_derivative(phys, j, k)).values
+                djk = to_physical(second_derivative(coeffs, j, k)).values
                 total += float(np.sum(np.abs(phys.values * djk) ** 2) * dV)
         cross[m] = total
-        majorant[m] = (
-            sobolev_norm(u, h1) ** (4.0 - n) * sobolev_norm(u, h2) ** float(n)
-        )
-    u1, u2 = traj.snapshots[i1], traj.snapshots[i2]
-    lhs = sobolev_norm(u2, h2) ** 2 + 2.0 * float(np.trapezoid(cross, times))
-    rhs = sobolev_norm(u1, h2) ** 2 + 2.0 * n**2 * (n + 1) * float(
-        np.trapezoid(majorant, times)
-    )
+    majorant = np.array([a ** (4.0 - n) * b ** float(n) for a, b in zip(h1, h2)])
+    lhs = h2[-1] ** 2 + 2.0 * float(np.trapezoid(cross, times))
+    rhs = h2[0] ** 2 + 2.0 * n**2 * (n + 1) * float(np.trapezoid(majorant, times))
     return BoundReport(
         lhs=lhs,
         rhs=rhs,

@@ -170,7 +170,7 @@ def apply_multiplier(f: Field, symbol: Symbol, representation: str | None = None
 def _multiply_spectral(f: Field, arr: np.ndarray, even: bool,
                        representation: str) -> Field:
     """Multiplier application with evenness already established; symbols of
-    known parity (the propagator phase, |xi|) skip the detection pass."""
+    known parity (the propagator phase, |xi|, derivatives) skip detection."""
     spec = to_spectral(f)
     coeffs = spec.values
     if not even:
@@ -188,19 +188,18 @@ def half_laplacian(f: Field) -> Field:
 
 
 def gradient(f: Field) -> tuple[Field, ...]:
-    """Spectral gradient, one Field per axis (multiplier i*xi_j)."""
-    out = []
-    for j in range(f.grid.n):
-        kj = np.broadcast_to(f.grid.wavenumber_arrays[j], f.grid.shape)
-        out.append(apply_multiplier(f, 1j * kj, representation=f.representation))
-    return tuple(out)
+    """Spectral gradient, one Field per axis (multiplier i*xi_j, odd in xi)."""
+    return tuple(
+        _multiply_spectral(f, 1j * k, even=False, representation=f.representation)
+        for k in f.grid.wavenumber_arrays
+    )
 
 
 def second_derivative(f: Field, j: int, k: int) -> Field:
-    """Spectral second derivative d_j d_k (multiplier -xi_j xi_k)."""
-    kj = np.broadcast_to(f.grid.wavenumber_arrays[j], f.grid.shape)
-    kk = np.broadcast_to(f.grid.wavenumber_arrays[k], f.grid.shape)
-    return apply_multiplier(f, -(kj * kk), representation=f.representation)
+    """Spectral second derivative d_j d_k (multiplier -xi_j xi_k); even only for
+    j = k, as xi -> -xi fixes xi_j on the Nyquist row but flips xi_k."""
+    symbol = -(f.grid.wavenumber_arrays[j] * f.grid.wavenumber_arrays[k])
+    return _multiply_spectral(f, symbol, even=j == k, representation=f.representation)
 
 
 def gaussian_field(grid: Grid, amplitude: complex = 1.0, width: float = 1.0,

@@ -98,11 +98,13 @@ class StepperConfig:
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled (time, Field) snapshots from one evolution."""
+    """Uniformly sampled (time, Field) snapshots from one evolution; ``tables``
+    caches diagnostics.diagnostics_table by Sobolev index."""
 
     config: StepperConfig
     times: np.ndarray
     snapshots: list[Field] = field(default_factory=list)
+    tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def grid(self):
@@ -187,8 +189,9 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
     multiply by U(dt) with the 2/3 mask folded in; the linear flow needs no
     FFT at all.  For Strang the two half-steps U(dt/2) of adjacent steps are
     merged into that U(dt): the run opens with a half-step, and a stored
-    snapshot closes one with a single extra inverse FFT.  The multipliers
-    are built once per run.
+    snapshot closes one with a single extra inverse FFT; a stored Lie
+    snapshot is ifftn(c), which the next step reuses.  Multipliers are
+    built once per run.
 
     The discrete L^2 norm is checked to be nonincreasing after every step
     (tolerance 1e-10 relative to the initial norm, by Parseval on the
@@ -216,13 +219,16 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
     times = [0.0]
     snaps = [u]
     prev_norm = norm0
+    v = None  # ifftn(c), when a stored Lie snapshot already holds it
     for k in range(1, n_steps + 1):
         w = c
         if cfg.nonlinear:
-            v = scipy.fft.ifftn(c, workers=workers, overwrite_x=True)
+            if v is None:
+                v = scipy.fft.ifftn(c, workers=workers, overwrite_x=True)
             v = nonlinear_step(Field(grid, v, "physical"), cfg.dt, cfg.p).values
             w = scipy.fft.fftn(v, workers=workers, overwrite_x=True)
         c = w * full
+        v = None
         norm = math.sqrt(parseval * _sum_squares(c))
         if not math.isfinite(norm):
             raise FloatingPointError(
@@ -238,6 +244,7 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
             times.append(k * cfg.dt)
             vals = scipy.fft.ifftn(w * close if split else c, workers=workers)
             snaps.append(Field(grid, vals, "physical"))
+            v = None if split else vals  # stored: never handed to overwrite_x
     return Trajectory(config=cfg, times=np.asarray(times), snapshots=snaps)
 
 

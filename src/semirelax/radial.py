@@ -236,8 +236,9 @@ def dJ_dt(f: RadialProfile, t: float, r):
     return complex(out[0]) if np.isscalar(r) or np.ndim(r) == 0 else out
 
 
-def _power_law(u: np.ndarray, exponent: float) -> np.ndarray:
-    """|u|^exponent with the singular range regularized near |u| = 0."""
+def modulus_power(u: np.ndarray, exponent: float) -> np.ndarray:
+    """|u|^exponent; a negative exponent is regularized near |u| = 0 as
+    (|u|^2 + REGULARIZATION_EPS)^(exponent/2)."""
     if exponent >= 0:
         return np.abs(u) ** exponent
     return (np.abs(u) ** 2 + REGULARIZATION_EPS) ** (exponent / 2.0)
@@ -265,7 +266,7 @@ def F_p_source(u: RadialProfile, p: float) -> RadialProfile:
     d_nl = _halfwave_multiplier(RadialProfile(u.R, nl), 1.0).values
     out = (
         0.5j * (p + 1.0) * np.abs(vals) ** (p - 1.0) * du
-        - 0.5j * (p - 1.0) * _power_law(vals, p - 3.0) * vals**2 * np.conj(du)
+        - 0.5j * (p - 1.0) * modulus_power(vals, p - 3.0) * vals**2 * np.conj(du)
         + 1j * d_nl
         + p * np.abs(vals) ** (2.0 * p - 2.0) * vals
     )
@@ -285,7 +286,7 @@ def F_p_expanded(u: RadialProfile, p: float) -> RadialProfile:
     w = du - 1j * nl
     out = (
         0.5j * (p + 1.0) * np.abs(vals) ** (p - 1.0) * w
-        - 0.5j * (p - 1.0) * _power_law(vals, p - 3.0) * vals**2 * np.conj(w)
+        - 0.5j * (p - 1.0) * modulus_power(vals, p - 3.0) * vals**2 * np.conj(w)
         + 1j * d_nl
     )
     return RadialProfile(u.R, out)

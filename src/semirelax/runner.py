@@ -151,15 +151,12 @@ def _dt_scaled(tol: float, dt: float) -> float:
 def _check_regime(ctx: _RunContext, name: str) -> CheckResult:
     """Regime markers: the run completed, stayed finite and mass-monotone
     (instability would have aborted the solver)."""
-    traj = ctx.traj if ctx.scenario.solver != "radial-wave" else None
-    data = {}
-    if traj is not None:
-        norms = [l2_norm(u) for u in traj.snapshots]
-        data = {"initial_l2": norms[0], "final_l2": norms[-1]}
-        ok = all(np.isfinite(norms)) and norms[-1] <= norms[0] * (1 + 1e-10)
-    else:
+    if ctx.scenario.solver == "radial-wave":
         ok = np.isfinite(ctx.radial_traj.profiles[-1].values).all()
-    return CheckResult(name, bool(ok), data)
+        return CheckResult(name, bool(ok))
+    norms = diag.diagnostics_table(ctx.traj, ctx.scenario.s)["l2"].tolist()
+    ok = all(np.isfinite(norms)) and norms[-1] <= norms[0] * (1 + 1e-10)
+    return CheckResult(name, ok, {"initial_l2": norms[0], "final_l2": norms[-1]})
 
 
 def _check_prop21(ctx: _RunContext, name: str) -> CheckResult:

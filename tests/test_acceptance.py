@@ -22,6 +22,7 @@ from semirelax import (
     check_l2_identity,
     check_scaling_law,
     critical_power,
+    diagnostics_table,
     embedding_exponent_check,
     evolve,
     gaussian_field,
@@ -38,7 +39,6 @@ from semirelax import (
     wave_evolve,
     weighted_strichartz_ratio,
 )
-from semirelax.diagnostics import _h1_dissipation_terms
 from semirelax.plotting import fit_order
 from semirelax.radial import J_kernel, cumulative_mass, dJ_dt, maximal_function
 from semirelax.runner import spectral_vs_wave_disagreement
@@ -146,8 +146,8 @@ def test_criterion_3_h1_identity(p11_runs):
     order = fit_order(P11_DTS, [residuals[dt] for dt in P11_DTS])
     assert 1.8 <= order <= 2.2
     traj = p11_runs[1e-3]
-    terms = _h1_dissipation_terms(traj)
-    assert np.all(terms >= 0)
+    table = diagnostics_table(traj)
+    assert np.all(table["grad_term"] >= 0) and np.all(table["modulus_term"] >= 0)
     spec = SobolevSpec(1.0, homogeneous=True)
     grads = [sobolev_norm(u, spec) for u in traj.snapshots]
     assert all(b <= a * (1 + 1e-8) for a, b in zip(grads, grads[1:]))

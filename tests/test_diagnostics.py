@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from semirelax import (
     Field,
     SobolevSpec,
     StepperConfig,
+    Trajectory,
     check_h1_identity,
     check_h2_inequality,
     check_hs_growth,
@@ -16,16 +18,50 @@ from semirelax import (
     diagnostics_table,
     evolve,
     gaussian_field,
+    gradient,
     hardy_time_derivative_check,
+    l2_norm,
+    lp_norm,
     make_grid,
     mode_field,
     sobolev_norm,
     strauss_ratio,
+    to_physical,
     weighted_strichartz_ratio,
     write_diagnostics_csv,
 )
-from semirelax.diagnostics import CSV_HEADER, gradient_squared_modulus
+from semirelax.diagnostics import CSV_HEADER, TABLE_COLUMNS, gradient_squared_modulus
 from semirelax.radial import profile_from_function
+
+
+def reference_dissipation_terms(traj):
+    """The two gradient-dissipation integrands snapshot by snapshot, one
+    gradient call per field; the table's columns must equal them bit for bit."""
+    p, dV = traj.config.p, traj.grid.cell_volume
+    out = np.zeros((len(traj.snapshots), 2))
+    for i, u in enumerate(traj.snapshots):
+        phys = to_physical(u)
+        absu = np.abs(phys.values)
+        grad_sq = sum(np.abs(to_physical(g).values) ** 2 for g in gradient(phys))
+        out[i, 0] = 2.0 * float(np.sum(absu ** (p - 1.0) * grad_sq) * dV)
+        if p >= 3:
+            weight = absu ** (p - 3.0)
+        else:
+            weight = (absu**2 + 1e-30) ** ((p - 3.0) / 2.0)
+        gm2_sq = sum(np.abs(g) ** 2 for g in gradient_squared_modulus(phys))
+        out[i, 1] = 0.5 * (p - 1.0) * float(np.sum(weight * gm2_sq) * dV)
+    return out
+
+
+def reference_c_star(hs_sq, cum):
+    """Smallest growth constant over every snapshot pair, pair by pair."""
+    c_star = 0.0
+    for i in range(len(hs_sq)):
+        for j in range(i + 1, len(hs_sq)):
+            gain, slack_int = hs_sq[j] - hs_sq[i], cum[j] - cum[i]
+            if gain > 0 and slack_int > 0:
+                c_star = max(c_star, gain / slack_int)
+    return c_star
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +138,21 @@ class TestH1Identity:
 
 
 class TestHsGrowth:
+    def test_c_star_matches_pairwise_reference(self):
+        # snapshots whose H^s norm rises and falls, so many pairs count
+        g = make_grid(2, 16, 10.0)
+        snaps = [gaussian_field(g, 0.5, width=w) for w in (1.0, 0.8, 1.1, 0.7, 0.9, 0.6)]
+        cfg = StepperConfig(p=3.0, dt=0.1, T=0.5)
+        traj = Trajectory(cfg, 0.1 * np.arange(len(snaps)), snaps)
+        report = check_hs_growth(traj, 1.5, C=1.0)
+        assert report.empirical_constant > 0
+        table = diagnostics_table(traj, s=1.5)
+        hs_sq = np.array([v**2 for v in table["hs"].tolist()])
+        integrand = table["linf"] ** 2.0 * hs_sq
+        seg = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(table["t"])
+        cum = np.concatenate([[0.0], np.cumsum(seg)])
+        assert report.empirical_constant == reference_c_star(hs_sq, cum)
+
     def test_zero_trajectory_c_star_zero(self):
         g = make_grid(2, 16, 10.0)
         traj = evolve(constant_field(g, 0.0), StepperConfig(p=3.0, dt=0.05, T=0.15))
@@ -313,12 +364,67 @@ class TestHardyCheck:
         assert np.max(np.abs(fd - cf)) < 1e-6
 
 
+class TestSnapshotTable:
+    @pytest.mark.parametrize("nonlinear,per_snapshot", [(True, 2), (False, 1)])
+    def test_one_transform_per_snapshot(
+        self, tmp_path, monkeypatch, nonlinear, per_snapshot
+    ):
+        # the CSV and the checks share one table: u once per snapshot, and
+        # |u|^2 once more when the flow dissipates
+        g = make_grid(2, 16, 10.0)
+        cfg = StepperConfig(p=3.0, dt=0.02, T=0.2, nonlinear=nonlinear)
+        traj = evolve(gaussian_field(g, 0.5), cfg)
+        calls = []
+        fftn = scipy.fft.fftn
+        monkeypatch.setattr(
+            scipy.fft, "fftn", lambda *a, **kw: calls.append(1) or fftn(*a, **kw)
+        )
+        write_diagnostics_csv(traj, tmp_path / "diag.csv", s=1.5)
+        check_l2_identity(traj, 0.0, 0.2)
+        check_h1_identity(traj, 0.0, 0.2)
+        check_hs_growth(traj, 1.5, C=1.0)
+        assert len(calls) == per_snapshot * len(traj.snapshots) == per_snapshot * 11
+
+    def test_columns_match_norm_functions(self, cubic_1d_trajectory):
+        traj = cubic_1d_trajectory
+        table = diagnostics_table(traj, s=0.75)
+        p = traj.config.p
+        h1, h2 = (SobolevSpec(r, homogeneous=True) for r in (1.0, 2.0))
+        for i in (0, len(traj.snapshots) - 1):
+            u = traj.snapshots[i]
+            assert table["t"][i] == traj.times[i]
+            assert table["l2"][i] == l2_norm(u)
+            assert table["h1dot"][i] == sobolev_norm(u, h1)
+            assert table["hs"][i] == sobolev_norm(u, SobolevSpec(0.75, homogeneous=True))
+            assert table["h2dot"][i] == sobolev_norm(u, h2)
+            assert table["linf"][i] == lp_norm(u, math.inf)
+            assert table["lpp1"][i] == lp_norm(u, p + 1.0)
+        assert tuple(table) == TABLE_COLUMNS
+        assert diagnostics_table(traj, s=0.75) is table
+
+    @pytest.mark.parametrize("n,p", [(1, 3.0), (2, 3.0), (1, 2.0), (2, 4.0)])
+    def test_dissipation_columns_match_reference(self, n, p):
+        g = make_grid(n, 64 if n == 1 else 16, 10.0)
+        traj = evolve(gaussian_field(g, 0.6), StepperConfig(p=p, dt=0.01, T=0.05))
+        table = diagnostics_table(traj)
+        ref = reference_dissipation_terms(traj)
+        assert np.array_equal(table["grad_term"], ref[:, 0])
+        assert np.array_equal(table["modulus_term"], ref[:, 1])
+
+    def test_linear_trajectory_has_no_dissipation(self):
+        g = make_grid(1, 64, 20.0)
+        cfg = StepperConfig(p=3.0, dt=0.05, T=0.5, nonlinear=False)
+        table = diagnostics_table(evolve(gaussian_field(g, 0.5), cfg))
+        assert not np.any(table["grad_term"]) and not np.any(table["modulus_term"])
+        assert np.all(table["lpp1"] > 0)
+
+
 class TestDiagnosticsOutput:
     def test_table_fields(self, cubic_1d_trajectory):
-        records = diagnostics_table(cubic_1d_trajectory, s=1.5)
-        assert len(records) == len(cubic_1d_trajectory.snapshots)
-        first = records[0]
-        for value in (first.l2, first.h1dot, first.h2dot, first.hs, first.linf, first.lpp1):
+        table = diagnostics_table(cubic_1d_trajectory, s=1.5)
+        assert len(table["l2"]) == len(cubic_1d_trajectory.snapshots)
+        for name in ("l2", "h1dot", "h2dot", "hs", "linf", "lpp1"):
+            value = table[name][0]
             assert math.isfinite(value) and value >= 0
 
     def test_csv_format(self, tmp_path, cubic_1d_trajectory):

@@ -112,6 +112,25 @@ class TestMultipliers:
         dxy = to_physical(second_derivative(f, 0, 1))
         assert np.max(np.abs(dxy.values - 6.0 * f.values)) < 1e-10
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_known_parity_matches_detection(self, n, rng):
+        # derivatives skip the parity detection of apply_multiplier; the
+        # parity they assume (d_j odd, d_j d_k even only for j = k) must
+        # reproduce the detecting path bit for bit on even-N grids
+        from semirelax import gradient, second_derivative
+
+        g = make_grid(n, 16, 7.0)
+        f = random_field(g, rng, spectral_decay=False)
+        for h in (f, to_spectral(f)):
+            grads = gradient(h)
+            for j in range(n):
+                detected = apply_multiplier(h, lambda xi: 1j * xi[j])
+                assert np.array_equal(grads[j].values, detected.values)
+                for k in range(n):
+                    detected = apply_multiplier(h, lambda xi: -(xi[j] * xi[k]))
+                    got = second_derivative(h, j, k)
+                    assert np.array_equal(got.values, detected.values)
+
     def test_non_finite_symbol_names_the_mode(self, grid_1d):
         f = constant_field(grid_1d)
         with np.errstate(divide="ignore"):

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -299,6 +300,25 @@ class TestFusedStepper:
             assert np.max(np.abs(got.values - want.values)) <= 1e-12 * np.max(
                 np.abs(want.values)
             )
+
+    def test_lie_reuses_stored_snapshot(self, grid_2d, rng, monkeypatch):
+        # a stored Lie snapshot is ifftn of the state the next step starts
+        # from, so 10 steps at stride 1 take 1 + 10 inverse transforms
+        u0 = random_field(grid_2d, rng)
+        cfg = StepperConfig(p=3.0, dt=0.05, T=0.5, scheme="lie")
+        calls = []
+        ifftn = scipy.fft.ifftn
+        monkeypatch.setattr(
+            scipy.fft, "ifftn", lambda *a, **kw: calls.append(1) or ifftn(*a, **kw)
+        )
+        traj = evolve(u0, cfg)
+        monkeypatch.undo()
+        assert len(calls) == 11
+        ref = reference_evolve(u0, cfg)
+        assert len(traj.snapshots) == len(ref) == 11
+        for got, want in zip(traj.snapshots, ref):
+            scale = np.max(np.abs(want.values))
+            assert np.max(np.abs(got.values - want.values)) <= 1e-12 * scale
 
     @given(
         n=st.sampled_from([1, 2]),

@@ -79,6 +79,21 @@ initial = gaussian(1.0, 1.0, 0.0)
 checks = lemma35
 """
 
+LINEAR_1D = """
+[scenario.linear_1d]
+n = 1
+p = 3
+s = 1.5
+solver = spectral
+N = 256
+L = 40
+dt = 1e-2
+T = 1
+nonlinear = false
+initial = gaussian(0.5, 1.0, 0.0)
+checks = prop21, prop22
+"""
+
 
 class TestRun:
     def test_fast_scenario_passes(self, tmp_path):
@@ -112,6 +127,20 @@ class TestRun:
         report = run(sc, tmp_path / "out")
         assert report.checks["lemma35"]["relative_linf"] < LEMMA35_TOL
         assert report.all_passed, report.checks
+
+    def test_linear_balance_laws_are_conservation(self, tmp_path):
+        # the free flow dissipates nothing: the budget column is zero and
+        # both balance laws reduce to conservation of ||u||^2, ||grad u||^2
+        (sc,) = load_config(write_config(tmp_path, LINEAR_1D))
+        report = run(sc, tmp_path / "out")
+        assert report.checks["prop21"]["passed"], report.checks
+        assert report.checks["prop22"]["passed"], report.checks
+        csv = tmp_path / "out" / "linear_1d" / "diagnostics.csv"
+        lines = csv.read_text().splitlines()[1:]
+        rows = [[float(v) for v in line.split(",")] for line in lines]
+        assert len(rows) == 101
+        assert all(row[6] == 0.0 for row in rows)
+        assert max(max(row[7], row[8]) for row in rows) <= 1e-12
 
     def test_bound_report_fields(self, tmp_path):
         (sc,) = load_config(write_config(tmp_path, RADIAL))
