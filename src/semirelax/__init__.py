@@ -8,8 +8,6 @@ reduction with its averaging-kernel machinery, and a scenario runner.
 """
 
 from .diagnostics import (
-    BoundReport,
-    IdentityResidual,
     check_h1_identity,
     check_h2_inequality,
     check_hs_growth,
@@ -67,12 +65,12 @@ from .propagator import (
     strang_step,
 )
 from .radial import (
-    F_p_expanded,
     F_p_source,
     J_kernel,
     JEvaluator,
     RadialProfile,
     RadialTrajectory,
+    Report,
     dJ_dt,
     duhamel_maximal_bound_check,
     load_profile,

@@ -6,8 +6,10 @@
                   [--out <dir>] [--deterministic]
     semirelax check-exponents --n <n> --p <p> [--s <s>]
 
-Exit code is 0 iff every requested check passed.  The environment variable
-SEMIRELAX_THREADS caps FFT and sweep concurrency (default 1).
+Exit code is 0 iff every requested check passed, 2 for a configuration
+error (including a bad --vary key or value).  The environment variable
+SEMIRELAX_THREADS sets the FFT workers of each run and the number of sweep
+members run at once (default 1); --deterministic runs one worker.
 """
 
 from __future__ import annotations

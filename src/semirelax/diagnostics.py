@@ -5,17 +5,16 @@ table stored on the trajectory, built with one forward transform of each
 snapshot (and of |u|^2 when the flow dissipates).  A linear trajectory
 dissipates nothing: its balance laws are conservation of ||u||^2, ||grad u||^2.
 
-Each checker reports either an IdentityResidual (for exact balance laws) or
-a BoundReport (for one-sided estimates, where only an empirical constant and
-its refinement stability are meaningful).  Space derivatives are always
-spectral multipliers, never finite differences, so the residuals isolate
-time-discretization error.
+Each checker returns a radial.Report: for an exact balance law its two
+sides and their mismatch; for a one-sided estimate also the empirical
+constant (only it and its refinement stability are meaningful) and notes.
+Space derivatives are always spectral multipliers, never finite
+differences, so the residuals isolate time-discretization error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,17 +29,9 @@ from .norms import (
     weighted_norm,
 )
 from .propagator import Trajectory
-from .radial import (
-    REGULARIZATION_EPS,
-    JEvaluator,
-    RadialProfile,
-    modulus_power,
-    radial_sobolev_norm,
-)
+from .radial import JEvaluator, RadialProfile, Report, modulus_power, radial_sobolev_norm
 
 __all__ = [
-    "IdentityResidual",
-    "BoundReport",
     "diagnostics_table",
     "write_diagnostics_csv",
     "TABLE_COLUMNS",
@@ -55,64 +46,6 @@ __all__ = [
     "hardy_time_derivative_check",
     "gradient_squared_modulus",
 ]
-
-
-@dataclass(frozen=True)
-class IdentityResidual:
-    """Two sides of an identity and their absolute/relative mismatch."""
-
-    lhs: float
-    rhs: float
-
-    @property
-    def residual(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-    @property
-    def relative(self) -> float:
-        return self.residual / max(self.lhs, self.rhs, REGULARIZATION_EPS)
-
-    def as_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-            "relative": self.relative,
-        }
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One-sided estimate report: lhs <= C * rhs with the empirical C."""
-
-    lhs: float
-    rhs: float
-    empirical_constant: float
-    notes: dict = field(default_factory=dict)
-
-    @property
-    def residual(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-    @property
-    def relative(self) -> float:
-        return self.residual / max(self.lhs, self.rhs, REGULARIZATION_EPS)
-
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
-
-    def as_dict(self) -> dict:
-        out = {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-            "relative": self.relative,
-            "empirical_constant": self.empirical_constant,
-        }
-        if self.notes:
-            out["notes"] = dict(self.notes)
-        return out
 
 
 TABLE_COLUMNS = (
@@ -188,7 +121,7 @@ def write_diagnostics_csv(traj: Trajectory, path, s: float = 1.0) -> None:
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for i in range(len(l2sq)):
-            res21 = IdentityResidual(lhs=l2sq[i] + budget[i], rhs=l2sq[0]).relative
+            res21 = Report(lhs=l2sq[i] + budget[i], rhs=l2sq[0]).relative
             res22 = _h1_identity(table, 0, i).relative
             row = [*(col[i] for col in columns), budget[i], res21, res22]
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
@@ -202,7 +135,7 @@ def _cumtrapz(vals: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_l2_identity(traj: Trajectory, t1: float, t2: float) -> IdentityResidual:
+def check_l2_identity(traj: Trajectory, t1: float, t2: float) -> Report:
     """Mass balance:  ||u(t2)||^2 + 2 ||u||^(p+1)_{L^(p+1)((t1,t2) x R^n)}
     against ||u(t1)||^2.
 
@@ -219,7 +152,7 @@ def check_l2_identity(traj: Trajectory, t1: float, t2: float) -> IdentityResidua
         window = slice(i1, i2 + 1)
         lpp1 = space_time_norm((table["t"][window], table["lpp1"][window]), q, float)
         lhs += 2.0 * lpp1**q
-    return IdentityResidual(lhs=lhs, rhs=float(table["l2"][i1]) ** 2)
+    return Report(lhs=lhs, rhs=float(table["l2"][i1]) ** 2)
 
 
 def _validate_window(traj: Trajectory, t1: float, t2: float) -> tuple[int, int]:
@@ -234,15 +167,15 @@ def gradient_squared_modulus(u: Field) -> list[np.ndarray]:
     return [to_physical(g).values for g in gradient(mod2)]
 
 
-def _h1_identity(table: dict[str, np.ndarray], i1: int, i2: int) -> IdentityResidual:
+def _h1_identity(table: dict[str, np.ndarray], i1: int, i2: int) -> Report:
     window = slice(i1, i2 + 1)
     dissipation = table["grad_term"][window] + table["modulus_term"][window]
     integral = float(np.trapezoid(dissipation, table["t"][window]))
     lhs = float(table["h1dot"][i2]) ** 2 + integral
-    return IdentityResidual(lhs=lhs, rhs=float(table["h1dot"][i1]) ** 2)
+    return Report(lhs=lhs, rhs=float(table["h1dot"][i1]) ** 2)
 
 
-def check_h1_identity(traj: Trajectory, t1: float, t2: float) -> IdentityResidual:
+def check_h1_identity(traj: Trajectory, t1: float, t2: float) -> Report:
     """Gradient balance:
 
         ||grad u(t2)||^2 + 2 int || |u|^((p-1)/2) grad u ||^2
@@ -258,7 +191,7 @@ def check_h1_identity(traj: Trajectory, t1: float, t2: float) -> IdentityResidua
     return _h1_identity(_any_table(traj), i1, i2)
 
 
-def check_hs_growth(traj: Trajectory, s: float, C: float) -> BoundReport:
+def check_hs_growth(traj: Trajectory, s: float, C: float) -> Report:
     """Gronwall-type growth control of the homogeneous H^s norm:
 
         ||u(t2)||^2 <= ||u(t1)||^2 + C int ||u||_Linf^(p-1) ||u||_Hs^2 dt,
@@ -286,7 +219,7 @@ def check_hs_growth(traj: Trajectory, s: float, C: float) -> BoundReport:
         c_star = max(c_star, float(np.max(gain[ok] / slack_int[ok], initial=0.0)))
     lhs = float(hs_sq[-1])
     rhs = float(hs_sq[0] + C * cum[-1])
-    return BoundReport(
+    return Report(
         lhs=lhs,
         rhs=rhs,
         empirical_constant=c_star,
@@ -294,7 +227,7 @@ def check_hs_growth(traj: Trajectory, s: float, C: float) -> BoundReport:
     )
 
 
-def check_h2_inequality(traj: Trajectory, t1: float, t2: float) -> BoundReport:
+def check_h2_inequality(traj: Trajectory, t1: float, t2: float) -> Report:
     """Curvature inequality for the cubic flow (p = 3):
 
         ||u(t2)||_{H2dot}^2 + 2 sum_{j,k} int || u d_j d_k u ||^2
@@ -326,7 +259,7 @@ def check_h2_inequality(traj: Trajectory, t1: float, t2: float) -> BoundReport:
     majorant = np.array([a ** (4.0 - n) * b ** float(n) for a, b in zip(h1, h2)])
     lhs = h2[-1] ** 2 + 2.0 * float(np.trapezoid(cross, times))
     rhs = h2[0] ** 2 + 2.0 * n**2 * (n + 1) * float(np.trapezoid(majorant, times))
-    return BoundReport(
+    return Report(
         lhs=lhs,
         rhs=rhs,
         empirical_constant=lhs / rhs if rhs > 0 else 0.0,
@@ -334,7 +267,7 @@ def check_h2_inequality(traj: Trajectory, t1: float, t2: float) -> BoundReport:
     )
 
 
-def check_scaling_law(u0: Field, sigma: float, s: float, p: float) -> IdentityResidual:
+def check_scaling_law(u0: Field, sigma: float, s: float, p: float) -> Report:
     """Rescaling invariance of homogeneous norms.
 
     Builds u_sigma(x) = sigma^(1/(p-1)) u0(sigma x) on the grid with period
@@ -354,7 +287,7 @@ def check_scaling_law(u0: Field, sigma: float, s: float, p: float) -> IdentityRe
     exponent = 1.0 / (p - 1.0) + s - grid.n / 2.0
     lhs = sobolev_norm(u_sigma, spec)
     rhs = sigma**exponent * sobolev_norm(u0, spec)
-    return IdentityResidual(lhs=lhs, rhs=rhs)
+    return Report(lhs=lhs, rhs=rhs)
 
 
 def strauss_ratio(f, n: int | None = None, s: float = 1.0) -> float:
@@ -410,7 +343,7 @@ def weighted_strichartz_ratio(
 
 def hardy_time_derivative_check(
     f: RadialProfile, T: float | None = None, n_t: int | None = None
-) -> BoundReport:
+) -> Report:
     """Hardy-type probe for the time derivative of the radial average:
 
         || d/dt (1/2r) int_{|r-t|}^{r+t} lambda f(lambda) d lambda ||_{L^2_t L^inf_r}
@@ -430,7 +363,7 @@ def hardy_time_derivative_check(
     notes = {}
     if rhs <= 1e-14 * max(1.0, float(np.max(np.abs(f.values)))):
         notes["out_of_space"] = True
-    return BoundReport(
+    return Report(
         lhs=lhs,
         rhs=rhs,
         empirical_constant=lhs / rhs if rhs > 0 else math.inf,

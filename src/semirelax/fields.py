@@ -9,7 +9,6 @@ Parseval then reads  sum |f|^2 dx^n = sum |f_hat|^2 / L^n.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
 
@@ -33,26 +32,12 @@ __all__ = [
     "constant_field",
     "save_field",
     "load_field",
-    "fft_workers",
 ]
 
 PHYSICAL = "physical"
 SPECTRAL = "spectral"
 
 Symbol = Union[np.ndarray, Callable[[Sequence[np.ndarray]], np.ndarray]]
-
-
-def fft_workers() -> int:
-    """Worker count for FFT internals, capped by SEMIRELAX_THREADS.
-
-    Results are bitwise deterministic for a fixed worker count; setting
-    SEMIRELAX_THREADS=1 (the default) forces serial transforms.
-    """
-    raw = os.environ.get("SEMIRELAX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -95,7 +80,7 @@ def to_spectral(f: Field) -> Field:
     """Forward transform; no-op if already spectral."""
     if f.is_spectral:
         return f
-    coeffs = scipy.fft.fftn(f.values, workers=fft_workers()) * f.grid.cell_volume
+    coeffs = scipy.fft.fftn(f.values) * f.grid.cell_volume
     return Field(f.grid, coeffs, SPECTRAL)
 
 
@@ -103,7 +88,7 @@ def to_physical(f: Field) -> Field:
     """Inverse transform; no-op if already physical."""
     if f.is_physical:
         return f
-    vals = scipy.fft.ifftn(f.values, workers=fft_workers()) / f.grid.cell_volume
+    vals = scipy.fft.ifftn(f.values) / f.grid.cell_volume
     return Field(f.grid, vals, PHYSICAL)
 
 
@@ -222,28 +207,42 @@ def constant_field(grid: Grid, value: complex = 1.0) -> Field:
     return Field(grid, np.full(grid.shape, value, dtype=np.complex128), PHYSICAL)
 
 
+def _write_samples(path, header: str, values: np.ndarray) -> None:
+    """Write the sample-file format: the header line, then one 're im' line
+    per value (17 significant digits, row-major order)."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for v in values.reshape(-1):
+            fh.write(f"{v.real:.17g} {v.imag:.17g}\n")
+
+
+def _read_samples(path, what: str, header_len: int, count) -> tuple[list, np.ndarray]:
+    """Read a file written by _write_samples: the header tokens and the
+    values as a flat complex array.  ``count`` maps the header tokens to
+    the number of values the file must hold."""
+    with open(path) as fh:
+        header = fh.readline().split()
+        if len(header) != header_len:
+            raise ValueError(f"malformed {what} header in {path}")
+        expected = count(header)
+        data = np.loadtxt(fh, dtype=float, ndmin=2)
+    if data.shape != (expected, 2):
+        raise ValueError(
+            f"expected {expected} 're im' lines in {path}, got {data.shape[0]}"
+        )
+    # a view, not re + 1j * im, which turns an imaginary -0.0 into +0.0
+    return header, data.view(np.complex128)[:, 0]
+
+
 def save_field(f: Field, path) -> None:
     """Write a field snapshot: header 'n N L representation', then one
     're im' line per value (17 significant digits, row-major order)."""
-    vals = f.values.reshape(-1)
-    with open(path, "w") as fh:
-        fh.write(f"{f.grid.n} {f.grid.N} {f.grid.L:.17g} {f.representation}\n")
-        for v in vals:
-            fh.write(f"{v.real:.17g} {v.imag:.17g}\n")
+    header = f"{f.grid.n} {f.grid.N} {f.grid.L:.17g} {f.representation}"
+    _write_samples(path, header, f.values)
 
 
 def load_field(path) -> Field:
     """Read a field snapshot written by save_field."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 4:
-            raise ValueError(f"malformed field header in {path}")
-        n, N, L, rep = int(header[0]), int(header[1]), float(header[2]), header[3]
-        grid = make_grid(n, N, L)
-        data = np.loadtxt(fh, dtype=float, ndmin=2)
-    if data.shape != (grid.size, 2):
-        raise ValueError(
-            f"expected {grid.size} 're im' lines in {path}, got {data.shape[0]}"
-        )
-    vals = (data[:, 0] + 1j * data[:, 1]).reshape(grid.shape)
-    return Field(grid, vals, rep)
+    header, vals = _read_samples(path, "field", 4, lambda h: int(h[1]) ** int(h[0]))
+    grid = make_grid(int(header[0]), int(header[1]), float(header[2]))
+    return Field(grid, vals.reshape(grid.shape), header[3])

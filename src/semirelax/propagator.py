@@ -30,7 +30,6 @@ import scipy.fft
 from .fields import (
     Field,
     _multiply_spectral,
-    fft_workers,
     load_field,
     save_field,
     to_physical,
@@ -200,7 +199,7 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
     """
     n_steps = int(math.ceil(cfg.T / cfg.dt - 1e-12)) if cfg.T > 0 else 0
     u = to_physical(u0)
-    grid, workers = u.grid, fft_workers()
+    grid = u.grid
     split = cfg.nonlinear and cfg.scheme == "strang"
     mask = _dealias_mask(grid) if cfg.nonlinear and cfg.dealias_active else True
     if split:
@@ -209,7 +208,7 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
         full = close * half
     else:
         full = np.exp(-1j * cfg.dt * grid.xi_norm) * mask
-    c = scipy.fft.fftn(u.values, workers=workers)
+    c = scipy.fft.fftn(u.values)
     if split:
         c *= half
     # Parseval: ||u||^2 = cell_volume / N^n * sum |fftn(u)|^2
@@ -224,9 +223,9 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
         w = c
         if cfg.nonlinear:
             if v is None:
-                v = scipy.fft.ifftn(c, workers=workers, overwrite_x=True)
+                v = scipy.fft.ifftn(c, overwrite_x=True)
             v = nonlinear_step(Field(grid, v, "physical"), cfg.dt, cfg.p).values
-            w = scipy.fft.fftn(v, workers=workers, overwrite_x=True)
+            w = scipy.fft.fftn(v, overwrite_x=True)
         c = w * full
         v = None
         norm = math.sqrt(parseval * _sum_squares(c))
@@ -242,7 +241,7 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
         prev_norm = norm
         if k % cfg.snapshot_stride == 0:
             times.append(k * cfg.dt)
-            vals = scipy.fft.ifftn(w * close if split else c, workers=workers)
+            vals = scipy.fft.ifftn(w * close if split else c)
             snaps.append(Field(grid, vals, "physical"))
             v = None if split else vals  # stored: never handed to overwrite_x
     return Trajectory(config=cfg, times=np.asarray(times), snapshots=snaps)

@@ -12,6 +12,9 @@ is evaluated through a cubic-spline antiderivative of lambda f~(lambda), so
 profiles that sample a polynomial of degree <= 3 are integrated exactly; in
 particular J[1](t, r) = t to machine precision wherever the window stays
 inside the sampled range (the profile is extended by zero beyond it).
+
+Report, the result type of every estimate check in the package, is defined
+here next to the REGULARIZATION_EPS that its relative mismatch uses.
 """
 
 from __future__ import annotations
@@ -19,26 +22,27 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 import scipy.fft
 from scipy.interpolate import CubicSpline
 
+from .fields import _read_samples, _write_samples
+
 __all__ = [
+    "Report",
     "RadialProfile",
     "RadialTrajectory",
     "profile_from_function",
     "radial_l2_norm",
     "radial_sobolev_norm",
-    "radial_inner_product",
     "J_kernel",
     "dJ_dt",
     "JEvaluator",
     "radial_halfwave_operator",
     "F_p_source",
-    "F_p_expanded",
     "wave_evolve",
     "cumulative_mass",
     "maximal_function",
@@ -52,6 +56,44 @@ __all__ = [
 
 REGULARIZATION_EPS = 1e-30
 DECAY_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class Report:
+    """The two sides of an a priori estimate: an identity lhs = rhs, or a
+    one-sided bound lhs <= C rhs with its empirical constant C, plus notes."""
+
+    lhs: float
+    rhs: float
+    empirical_constant: float | None = None
+    notes: dict = field(default_factory=dict)
+
+    @property
+    def residual(self) -> float:
+        return abs(self.lhs - self.rhs)
+
+    @property
+    def relative(self) -> float:
+        return self.residual / max(self.lhs, self.rhs, REGULARIZATION_EPS)
+
+    @property
+    def slack(self) -> float:
+        return self.rhs - self.lhs
+
+    def as_dict(self) -> dict:
+        """lhs, rhs, residual and relative, plus empirical_constant when set
+        and notes when not empty."""
+        out = {
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "residual": self.residual,
+            "relative": self.relative,
+        }
+        if self.empirical_constant is not None:
+            out["empirical_constant"] = self.empirical_constant
+        if self.notes:
+            out["notes"] = dict(self.notes)
+        return out
 
 
 @dataclass
@@ -106,10 +148,6 @@ def profile_from_function(func, R: float, M: int) -> RadialProfile:
 def radial_l2_norm(f: RadialProfile) -> float:
     """L^2 norm of the associated 3-d field: (int |u~|^2 4 pi r^2 dr)^(1/2)."""
     return float(np.sqrt(np.sum(np.abs(f.values) ** 2 * 4.0 * np.pi * f.r**2) * f.dr))
-
-
-def radial_inner_product(f: RadialProfile, g: RadialProfile) -> complex:
-    return complex(np.sum(f.values * np.conj(g.values) * 4.0 * np.pi * f.r**2) * f.dr)
 
 
 def _sine_modes(f: RadialProfile) -> np.ndarray:
@@ -273,25 +311,6 @@ def F_p_source(u: RadialProfile, p: float) -> RadialProfile:
     return RadialProfile(u.R, out)
 
 
-def F_p_expanded(u: RadialProfile, p: float) -> RadialProfile:
-    """Alternative arithmetic route to F_p: the same contributions grouped
-    through w = D u - i |u|^(p-1) u (which equals i du/dt), kept as an
-    independent consistency cross-check of F_p_source."""
-    if not p > 1:
-        raise ValueError(f"nonlinearity power must exceed 1, got {p}")
-    du = _halfwave_multiplier(u, 1.0).values
-    vals = u.values
-    nl = np.abs(vals) ** (p - 1.0) * vals
-    d_nl = _halfwave_multiplier(RadialProfile(u.R, nl), 1.0).values
-    w = du - 1j * nl
-    out = (
-        0.5j * (p + 1.0) * np.abs(vals) ** (p - 1.0) * w
-        - 0.5j * (p - 1.0) * modulus_power(vals, p - 3.0) * vals**2 * np.conj(w)
-        + 1j * d_nl
-    )
-    return RadialProfile(u.R, out)
-
-
 def wave_evolve(
     u0: RadialProfile, p: float, dt: float, T: float, nonlinear: bool = True
 ) -> RadialTrajectory:
@@ -386,23 +405,20 @@ def maximal_function(x: np.ndarray, values: np.ndarray, t: float) -> float:
     return best
 
 
-def maximal_bound_check(f: RadialProfile, T: float, n_t: int | None = None) -> dict:
-    """Ratio probe for || J[f] ||_{L^2(0,T;L^inf)} <= C ||f||_{L^2, radial}.
-
-    Returns a report dict with lhs, rhs, residual, relative and the
-    empirical constant lhs/rhs.
-    """
+def maximal_bound_check(f: RadialProfile, T: float, n_t: int | None = None) -> Report:
+    """Ratio probe for || J[f] ||_{L^2(0,T;L^inf)} <= C ||f||_{L^2, radial},
+    reported with the empirical constant lhs/rhs."""
     ev = JEvaluator(f)
     ts = np.linspace(0.0, T, (n_t or f.M // 2) + 1)
     sup = np.array([0.0] + [np.max(np.abs(ev.j(t, f.r))) for t in ts[1:]])
     lhs = float(np.sqrt(np.trapezoid(sup**2, ts)))
     rhs = radial_l2_norm(f)
-    return _bound_report(lhs, rhs)
+    return Report(lhs, rhs, lhs / rhs if rhs > 0 else 0.0)
 
 
 def duhamel_maximal_bound_check(
     f: RadialProfile, T: float, phi=None, n_t: int | None = None
-) -> dict:
+) -> Report:
     """Time-convolved variant: with h(t) = phi(t) f, probes
     || int_0^t J[h(s)](t - s) ds ||_{L^2(0,T;L^inf)} <= C ||h||_{L^1(0,T;L^2)}."""
     if phi is None:
@@ -421,27 +437,12 @@ def duhamel_maximal_bound_check(
         sup.append(np.max(np.abs(acc)))
     lhs = float(np.sqrt(np.trapezoid(np.asarray(sup) ** 2, ts)))
     rhs = float(np.trapezoid(np.abs(phi(ts)), ts)) * radial_l2_norm(f)
-    return _bound_report(lhs, rhs)
-
-
-def _bound_report(lhs: float, rhs: float) -> dict:
-    residual = abs(lhs - rhs)
-    denom = max(lhs, rhs, 1e-30)
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "residual": residual,
-        "relative": residual / denom,
-        "empirical_constant": lhs / rhs if rhs > 0 else 0.0,
-    }
+    return Report(lhs, rhs, lhs / rhs if rhs > 0 else 0.0)
 
 
 def save_profile(f: RadialProfile, path) -> None:
     """Write a radial profile: header 'M R', then one 're im' line per node."""
-    with open(path, "w") as fh:
-        fh.write(f"{f.M} {f.R:.17g}\n")
-        for v in f.values:
-            fh.write(f"{v.real:.17g} {v.imag:.17g}\n")
+    _write_samples(path, f"{f.M} {f.R:.17g}", f.values)
 
 
 def save_radial_trajectory(traj: RadialTrajectory, outdir) -> None:
@@ -471,12 +472,6 @@ def load_radial_trajectory(indir) -> RadialTrajectory:
 
 
 def load_profile(path) -> RadialProfile:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"malformed radial profile header in {path}")
-        M, R = int(header[0]), float(header[1])
-        data = np.loadtxt(fh, dtype=float, ndmin=2)
-    if data.shape != (M, 2):
-        raise ValueError(f"expected {M} 're im' lines in {path}, got {data.shape[0]}")
-    return RadialProfile(R, data[:, 0] + 1j * data[:, 1])
+    """Read a radial profile written by save_profile."""
+    header, vals = _read_samples(path, "radial profile", 2, lambda h: int(h[0]))
+    return RadialProfile(float(header[1]), vals)

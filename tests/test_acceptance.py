@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from semirelax import (
     SobolevSpec,
@@ -89,9 +90,7 @@ def radial_cross_check():
     nonlocal operator shrinks along with the discretization error."""
     amp = 0.0357  # H^1 norm of the gaussian data ~ 0.1
     out = {}
-    with pytest.MonkeyPatch.context() as mp:
-        if "SEMIRELAX_THREADS" not in os.environ:
-            mp.setenv("SEMIRELAX_THREADS", "2")
+    with scipy.fft.set_workers(2):
         for label, (N, L, M, R, dt) in {
             "coarse": (64, 20.0, 512, 20.0, 4e-3),
             "refined": (128, 40.0, 1024, 40.0, 2e-3),
@@ -203,6 +202,7 @@ def test_criterion_6_radial_equivalence(radial_cross_check):
 def test_radial_cross_check_keeps_thread_count(radial_cross_check):
     # the fixture's worker count must not leak into the tests run after it
     assert os.environ.get("SEMIRELAX_THREADS") == THREADS_AT_IMPORT
+    assert scipy.fft.get_workers() == 1
 
 
 # --- criterion 7: kernel identities -------------------------------------------
@@ -265,7 +265,7 @@ def _probe_family(level):
     )
     out["weighted_strichartz"] = weighted_strichartz_ratio(traj, 0.5, 4.0)
     prof = profile_from_function(lambda r: np.exp(-(r**2)), R=16.0, M=M)
-    out["cor37"] = maximal_bound_check(prof, T=4.0, n_t=256)["empirical_constant"]
+    out["cor37"] = maximal_bound_check(prof, T=4.0, n_t=256).empirical_constant
     out["cor39"] = hardy_time_derivative_check(prof, T=12.0, n_t=256).empirical_constant
     return out
 

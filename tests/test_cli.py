@@ -83,6 +83,15 @@ class TestSweepCommand:
         ])
         assert code == 2
 
+    def test_non_numeric_value_is_a_config_error(self, tmp_path, config, capsys):
+        code = main([
+            "sweep", "--config", str(config), "--scenario", "cli_demo",
+            "--vary", "dt=4e-3,fast", "--out", str(tmp_path / "sweep"),
+        ])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
 
 class TestCheckExponents:
     def test_critical_pairing(self, capsys):

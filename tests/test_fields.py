@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from semirelax import (
     Field,
@@ -172,3 +175,35 @@ class TestSnapshotFormat:
         path.write_text("1 8 2.5 physical\n1 0\n")
         with pytest.raises(ValueError, match="expected 8"):
             load_field(path)
+
+    def test_literal_bytes(self, tmp_path):
+        vals = np.array([0.1 + 0.2j, -1 / 3, 1e-300j, 2.5, 0, 1e16, 0.5 - 0.5j, 7j])
+        vals.real[4] = -0.0
+        save_field(Field(make_grid(1, 8, 2.5), vals, "spectral"), tmp_path / "f.txt")
+        assert (tmp_path / "f.txt").read_bytes() == (
+            b"1 8 2.5 spectral\n"
+            b"0.10000000000000001 0.20000000000000001\n"
+            b"-0.33333333333333331 0\n"
+            b"0 1e-300\n"
+            b"2.5 0\n"
+            b"-0 0\n"
+            b"10000000000000000 0\n"
+            b"0.5 -0.5\n"
+            b"0 7\n"
+        )
+
+    @given(data=st.data(), n=st.integers(1, 3), spectral=st.booleans(),
+           L=st.floats(1e-3, 1e3))
+    @settings(max_examples=25, deadline=None)
+    def test_round_trip_is_bitwise(self, tmp_path_factory, data, n, spectral, L):
+        N = data.draw(st.sampled_from([8, 16] if n < 3 else [8]))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        parts = data.draw(hnp.arrays(np.float64, (2,) + (N,) * n, elements=finite))
+        vals = np.empty((N,) * n, dtype=np.complex128)
+        vals.real, vals.imag = parts
+        f = Field(make_grid(n, N, L), vals, "spectral" if spectral else "physical")
+        path = tmp_path_factory.getbasetemp() / "field_round_trip.txt"
+        save_field(f, path)
+        g = load_field(path)
+        assert g.grid == f.grid and g.representation == f.representation
+        assert np.array_equal(g.values.view(np.uint64), f.values.view(np.uint64))

@@ -1,8 +1,10 @@
 import json
+import os
 
 import pytest
+import scipy.fft
 
-from semirelax import load_config, run, sweep
+from semirelax import ScenarioError, load_config, run, sweep
 from semirelax.runner import (
     LEMMA35_TOL,
     maximal_domination_gap,
@@ -166,6 +168,26 @@ class TestRun:
             assert a == b, rel
 
 
+class TestThreads:
+    @pytest.mark.parametrize("deterministic, workers", [(True, 1), (False, 2)])
+    def test_run_scopes_fft_workers(self, tmp_path, monkeypatch, deterministic, workers):
+        # the worker count reaches every transform without rewriting the
+        # environment, which other threads of the process share
+        monkeypatch.setenv("SEMIRELAX_THREADS", "2")
+        fftn, seen = scipy.fft.fftn, []
+
+        def spy(*args, **kwargs):
+            used = kwargs.get("workers") or scipy.fft.get_workers()
+            seen.append((used, os.environ["SEMIRELAX_THREADS"]))
+            return fftn(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "fftn", spy)
+        (sc,) = load_config(write_config(tmp_path, FAST))
+        run(sc, tmp_path / "out", deterministic=deterministic)
+        assert seen and set(seen) == {(workers, "2")}
+        assert scipy.fft.get_workers() == 1
+
+
 class TestSweep:
     def test_singleton_grid_matches_run(self, tmp_path):
         (sc,) = load_config(write_config(tmp_path, FAST))
@@ -206,6 +228,24 @@ class TestSweep:
         with pytest.raises(ValueError, match="sweep over"):
             sweep(sc, {"width": ["1.0"]}, tmp_path / "sweep")
 
+    @pytest.mark.parametrize("vary", [
+        {"amplitude": ["0.1", "0.2"]},
+        {"width": ["1.0"]},
+        {"dt": ["2e-3", "fast"]},
+    ])
+    def test_rejected_before_any_member_runs(self, tmp_path, vary):
+        from semirelax import gaussian_field, make_grid, save_field
+
+        # file data has no amplitude to vary; each case must fail up front
+        save_field(gaussian_field(make_grid(1, 64, 20.0), 0.3), tmp_path / "u0.txt")
+        body = FAST.replace(
+            "initial = gaussian(0.3, 1.0, 0.0)", f"initial = file({tmp_path}/u0.txt)"
+        )
+        (sc,) = load_config(write_config(tmp_path, body))
+        with pytest.raises(ScenarioError):
+            sweep(sc, vary, tmp_path / "sweep")
+        assert not (tmp_path / "sweep").exists()
+
 
 class TestErrorSurfacing:
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -227,6 +267,31 @@ class TestErrorSurfacing:
             run(sc, tmp_path / "out")
 
 
+_REGIME_KEYS = {"final_l2", "initial_l2", "passed"}
+_BALANCE_KEYS = {
+    "lhs", "passed", "relative", "residual", "rhs", "t1_zero_extension", "tolerance",
+}
+_BOUND_KEYS = {"empirical_constant", "lhs", "passed", "relative", "residual", "rhs"}
+# the exact key set of each check JSON the shipped catalog writes
+CATALOG_CHECK_KEYS = {
+    "prop11": _REGIME_KEYS,
+    "prop12": _REGIME_KEYS,
+    "prop13": _REGIME_KEYS,
+    "prop14": _REGIME_KEYS,
+    "prop21": _BALANCE_KEYS,
+    "prop22": _BALANCE_KEYS,
+    "prop23": _BOUND_KEYS | {"notes"},
+    "prop24": _BOUND_KEYS | {"notes"},
+    "lemma33": {"passed", "ratio"},
+    "lemma34": {"passed", "ratio"},
+    "lemma35": {"passed", "relative_linf", "tolerance"},
+    "lemma36": {"passed", "worst_gap"},
+    "cor37": _BOUND_KEYS,
+    "cor39": _BOUND_KEYS,
+    "duhamel": {"passed", "relative", "residual"},
+}
+
+
 class TestShippedCatalog:
     def test_every_catalog_scenario_passes(self, tmp_path):
         from semirelax import default_catalog_path
@@ -235,6 +300,10 @@ class TestShippedCatalog:
             report = run(sc, tmp_path / "out")
             failed = [c for c, e in report.checks.items() if not e["passed"]]
             assert not failed, (sc.name, failed)
+            for check in sc.checks:
+                path = tmp_path / "out" / sc.name / "checks" / f"{check}.json"
+                keys = sorted(json.loads(path.read_text()))
+                assert keys == sorted(CATALOG_CHECK_KEYS[check]), (sc.name, check)
 
 
 class TestHelpers:
