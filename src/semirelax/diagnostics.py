@@ -2,7 +2,9 @@
 
 The CSV, the balance laws and the H^s growth bound read one per-snapshot
 table stored on the trajectory, built with one forward transform of each
-snapshot (and of |u|^2 when the flow dissipates).  A linear trajectory
+snapshot (and of |u|^2 when the flow dissipates).  The table and the H^2
+cross term run over Trajectory.blocks, stacks of snapshots transformed and
+reduced in one call each.  A linear trajectory
 dissipates nothing: its balance laws are conservation of ||u||^2, ||grad u||^2.
 
 Each checker returns a radial.Report: for an exact balance law its two
@@ -18,15 +20,24 @@ import math
 
 import numpy as np
 
-from .fields import Field, gradient, second_derivative, to_physical, to_spectral
+from .fields import (
+    Field,
+    _physical_stack,
+    _spectral_stack,
+    _stack_axes,
+    _zero_nyquist,
+    gradient,
+    to_physical,
+    to_spectral,
+)
 from .grids import make_grid
 from .norms import (
     SobolevSpec,
+    _sobolev_norms,
+    _weighted_l2,
     l2_norm,
-    lp_norm,
     sobolev_norm,
     space_time_norm,
-    weighted_norm,
 )
 from .propagator import Trajectory
 from .radial import JEvaluator, RadialProfile, Report, modulus_power, radial_sobolev_norm
@@ -67,29 +78,36 @@ def diagnostics_table(traj: Trajectory, s: float = 1.0) -> dict[str, np.ndarray]
     built on first use and stored on the trajectory under s: the time t, the
     norms l2, h1dot, h2dot, hs (homogeneous, index s), linf and lpp1 (L^(p+1)),
     and the two dissipation integrands of check_h1_identity, grad_term and
-    modulus_term, which are zero for a linear trajectory."""
+    modulus_term, which are zero for a linear trajectory.  The pass runs over
+    Trajectory.blocks: one transform and one reduction per block."""
     if s in traj.tables:
         return traj.tables[s]
-    p, dV = traj.config.p, traj.grid.cell_volume
-    specs = [SobolevSpec(r, homogeneous=True) for r in (1.0, 2.0, s)]
-    rows = []
-    for t, u in zip(traj.times, traj.snapshots):
-        phys, coeffs = to_physical(u), to_spectral(u)
-        grad_term = modulus_term = 0.0
-        if not traj.linear:
-            absu = np.abs(phys.values)
-            mod2 = to_spectral(Field(traj.grid, absu**2, "physical"))
-            density = absu ** (p - 1.0) * _gradient_square(coeffs)
-            grad_term = 2.0 * float(np.sum(density) * dV)
-            density = modulus_power(absu, p - 3.0) * _gradient_square(mod2)
-            modulus_term = 0.5 * (p - 1.0) * float(np.sum(density) * dV)
-        rows.append([
-            t, l2_norm(u), *(sobolev_norm(coeffs, spec) for spec in specs),
-            lp_norm(phys, math.inf), lp_norm(phys, p + 1.0), grad_term, modulus_term,
-        ])
-    # contiguous columns: numpy's vectorised power may round strided input differently
-    traj.tables[s] = dict(zip(TABLE_COLUMNS, np.array(rows, dtype=float).T.copy()))
-    return traj.tables[s]
+    grid, p = traj.grid, traj.config.p
+    dV, axes = grid.cell_volume, _stack_axes(grid)
+    table = {name: np.zeros(len(traj.snapshots)) for name in TABLE_COLUMNS}
+    table["t"][:] = traj.times
+    for i, phys in traj.blocks():
+        rows = slice(i, i + len(phys))
+        coeffs = _spectral_stack(phys, grid)
+        for name, r in (("h1dot", 1.0), ("h2dot", 2.0), ("hs", s)):
+            spec = SobolevSpec(r, homogeneous=True)
+            table[name][rows] = _sobolev_norms(coeffs, grid, spec)
+        absu = np.abs(phys)
+        table["l2"][rows] = np.sqrt(np.sum(absu**2, axis=axes) * dV)
+        table["linf"][rows] = np.max(absu, axis=axes)
+        # float powers, not numpy's vectorised power: the two round differently
+        sums = np.sum(absu ** (p + 1.0), axis=axes) * dV
+        table["lpp1"][rows] = [v ** (1.0 / (p + 1.0)) for v in sums.tolist()]
+        if traj.linear:
+            continue
+        density = absu ** (p - 1.0) * _gradient_square(coeffs, grid)
+        table["grad_term"][rows] = 2.0 * (np.sum(density, axis=axes) * dV)
+        mod2 = _spectral_stack((absu**2).astype(np.complex128), grid)
+        density = modulus_power(absu, p - 3.0) * _gradient_square(mod2, grid)
+        modulus_term = np.sum(density, axis=axes) * dV
+        table["modulus_term"][rows] = 0.5 * (p - 1.0) * modulus_term
+    traj.tables[s] = table
+    return table
 
 
 def _any_table(traj: Trajectory) -> dict[str, np.ndarray]:
@@ -97,9 +115,14 @@ def _any_table(traj: Trajectory) -> dict[str, np.ndarray]:
     return diagnostics_table(traj, next(iter(traj.tables), 1.0))
 
 
-def _gradient_square(f: Field) -> np.ndarray:
-    """sum_j |d_j f|^2 in physical space."""
-    return sum(np.abs(to_physical(g).values) ** 2 for g in gradient(f))
+def _gradient_square(coeffs: np.ndarray, grid) -> np.ndarray:
+    """sum_j |d_j f|^2 in physical space for each field of a coefficient stack
+    (the symbols i xi_j are odd: Nyquist planes zeroed as gradient does)."""
+    coeffs = _zero_nyquist(grid, coeffs)
+    return sum(
+        np.abs(_physical_stack(coeffs * (1j * k), grid)) ** 2
+        for k in grid.wavenumber_arrays
+    )
 
 
 def write_diagnostics_csv(traj: Trajectory, path, s: float = 1.0) -> None:
@@ -241,21 +264,24 @@ def check_h2_inequality(traj: Trajectory, t1: float, t2: float) -> Report:
             f"curvature inequality is stated for the cubic case p = 3, got p={traj.config.p}"
         )
     i1, i2 = _validate_window(traj, t1, t2)
-    n = traj.grid.n
-    dV = traj.grid.cell_volume
+    grid = traj.grid
+    n, dV, axes = grid.n, grid.cell_volume, _stack_axes(grid)
     window = slice(i1, i2 + 1)
     table = _any_table(traj)
     times = table["t"][window]
     h1, h2 = table["h1dot"][window].tolist(), table["h2dot"][window].tolist()
     cross = np.zeros(len(times))
-    for m, u in enumerate(traj.snapshots[window]):
-        phys, coeffs = to_physical(u), to_spectral(u)
-        total = 0.0
+    wk = grid.wavenumber_arrays
+    for i, phys in traj.blocks(i1, i2 + 1):
+        rows = slice(i - i1, i - i1 + len(phys))
+        coeffs = _spectral_stack(phys, grid)
+        # d_j d_k is odd for j != k: Nyquist planes zeroed, as second_derivative
+        odd = _zero_nyquist(grid, coeffs) if n > 1 else None
         for j in range(n):
             for k in range(n):
-                djk = to_physical(second_derivative(coeffs, j, k)).values
-                total += float(np.sum(np.abs(phys.values * djk) ** 2) * dV)
-        cross[m] = total
+                symbol = -(wk[j] * wk[k])
+                djk = _physical_stack((coeffs if j == k else odd) * symbol, grid)
+                cross[rows] += np.sum(np.abs(phys * djk) ** 2, axis=axes) * dV
     majorant = np.array([a ** (4.0 - n) * b ** float(n) for a, b in zip(h1, h2)])
     lhs = h2[-1] ** 2 + 2.0 * float(np.trapezoid(cross, times))
     rhs = h2[0] ** 2 + 2.0 * n**2 * (n + 1) * float(np.trapezoid(majorant, times))
@@ -335,9 +361,8 @@ def weighted_strichartz_ratio(
     denom = l2_norm(traj.snapshots[0])
     if denom == 0:
         return 0.0
-    num = space_time_norm(
-        traj, q1, lambda u: weighted_norm(u, delta, q1, sign=-1)
-    )
+    weighted = _weighted_l2(traj.snapshots[0], delta, q1, sign=-1)
+    num = space_time_norm(traj, q1, weighted)
     return num / denom
 
 

@@ -115,12 +115,33 @@ def _is_even_symbol(grid: Grid, arr: np.ndarray) -> bool:
 
 
 def _zero_nyquist(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """A copy with the Nyquist plane of every grid axis zeroed; the grid axes
+    are the trailing ones, so a stack of coefficient arrays works too."""
     out = coeffs.copy()
     ny = grid.N // 2
     for ax in range(grid.n):
         sl = [slice(None)] * grid.n
         sl[ax] = ny
-        out[tuple(sl)] = 0.0
+        out[(Ellipsis, *sl)] = 0.0
+    return out
+
+
+def _stack_axes(grid: Grid) -> tuple[int, ...]:
+    """The grid axes of a (B, *grid.shape) stack of fields."""
+    return tuple(range(1, grid.n + 1))
+
+
+def _spectral_stack(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """to_spectral of every field in a (B, *grid.shape) stack, one transform."""
+    out = scipy.fft.fftn(values, axes=_stack_axes(grid))
+    out *= grid.cell_volume
+    return out
+
+
+def _physical_stack(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """to_physical of every field in a (B, *grid.shape) stack, one transform."""
+    out = scipy.fft.ifftn(coeffs, axes=_stack_axes(grid))
+    out /= grid.cell_volume
     return out
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import Field, to_physical, to_spectral
+from .fields import Field, _stack_axes, to_physical, to_spectral
 from .grids import Grid
 
 __all__ = [
@@ -80,20 +80,32 @@ def sobolev_norm(f: Field, spec: SobolevSpec) -> float:
     The s = 0 inhomogeneous case coincides with the L^2 norm.  Homogeneous
     norms with s < 0 require the zero mode to vanish (relative 1e-12).
     """
-    spec_f = to_spectral(f)
-    coeffs = spec_f.values
+    return float(_sobolev_norms(to_spectral(f).values[None], f.grid, spec)[0])
+
+
+def _sobolev_norms(coeffs: np.ndarray, grid: Grid, spec: SobolevSpec) -> np.ndarray:
+    """sobolev_norm of each field of a (B, *grid.shape) coefficient stack."""
+    axes = _stack_axes(grid)
+    zero_mode = (slice(None),) + (0,) * grid.n
     if spec.homogeneous and spec.s < 0:
-        total = float(np.sqrt(np.sum(np.abs(coeffs) ** 2)))
-        zero = abs(coeffs[(0,) * f.grid.n])
-        if total > 0 and zero > _MEAN_MODE_TOL * total:
+        total = np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=axes))
+        zero = np.abs(coeffs[zero_mode])
+        bad = (total > 0) & (zero > _MEAN_MODE_TOL * total)
+        if bad.any():
+            i = int(np.argmax(bad))
             raise ValueError(
                 "homogeneous norm with s < 0 requires a mean-free field "
-                f"(zero-mode fraction {zero / total:.3e})"
+                f"(zero-mode fraction {zero[i] / total[i]:.3e})"
             )
         coeffs = coeffs.copy()
-        coeffs[(0,) * f.grid.n] = 0.0
-    m = spec.multiplier(f.grid)
-    return float(np.sqrt(np.sum((np.abs(m) * np.abs(coeffs)) ** 2) / f.grid.L**f.grid.n))
+        coeffs[zero_mode] = 0.0
+    m = np.abs(spec.multiplier(grid))
+    # in place: a (B, *shape) product with a grid-shaped factor gets no
+    # temporary reuse from numpy
+    weighted = np.abs(coeffs)
+    weighted *= m
+    weighted **= 2
+    return np.sqrt(np.sum(weighted, axis=axes) / grid.L**grid.n)
 
 
 class LittlewoodPaleyPartition:
@@ -212,6 +224,12 @@ def weighted_norm(f, delta: float, q: float, sign: int) -> float:
     the singular sign) are dropped; they carry zero measure in the
     continuum integral.
     """
+    return _weighted_l2(f, delta, q, sign)(f)
+
+
+def _weighted_l2(f, delta: float, q: float, sign: int) -> Callable:
+    """The map g -> weighted_norm(g, delta, q, sign) for every g sampled like
+    f (same grid, or same radii), with the weight built once."""
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if q < 1:
@@ -219,17 +237,24 @@ def weighted_norm(f, delta: float, q: float, sign: int) -> float:
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if isinstance(f, Field):
-        radii = f.grid.radii
-        vals = np.abs(to_physical(f).values)
-        measure = f.grid.cell_volume
+        radii, measure = f.grid.radii, f.grid.cell_volume
+
+        def samples(g):
+            return np.abs(to_physical(g).values)
     else:
-        radii = f.r
-        vals = np.abs(np.asarray(f.values))
-        measure = 4.0 * np.pi * radii**2 * f.dr
+        radii, measure = f.r, 4.0 * np.pi * f.r**2 * f.dr
+
+        def samples(g):
+            return np.abs(np.asarray(g.values))
     with np.errstate(divide="ignore", invalid="ignore"):
         w = weight_bracket(radii, delta) ** (sign / q)
-    w = np.broadcast_to(w, vals.shape)
     ok = np.isfinite(w)
-    integrand = np.zeros_like(vals)
-    integrand[ok] = (w[ok] * vals[ok]) ** 2
-    return float(np.sqrt(np.sum(integrand * measure)))
+    w = w[ok]
+
+    def norm(g) -> float:
+        vals = samples(g)
+        integrand = np.zeros_like(vals)
+        integrand[ok] = (w * vals[ok]) ** 2
+        return float(np.sqrt(np.sum(integrand * measure)))
+
+    return norm

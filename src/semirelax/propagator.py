@@ -30,6 +30,7 @@ import scipy.fft
 from .fields import (
     Field,
     _multiply_spectral,
+    _spectral_stack,
     load_field,
     save_field,
     to_physical,
@@ -95,6 +96,11 @@ class StepperConfig:
         return float(self.p).is_integer() and int(self.p) % 2 == 1 and self.p <= 5
 
 
+# snapshots stacked per block by Trajectory.blocks: one transform, one
+# reduction per block instead of per snapshot (a block of one if larger)
+_BLOCK_BYTES = 1 << 20
+
+
 @dataclass
 class Trajectory:
     """Uniformly sampled (time, Field) snapshots from one evolution; ``tables``
@@ -116,6 +122,17 @@ class Trajectory:
     @property
     def snapshot_dt(self) -> float:
         return self.config.dt * self.config.snapshot_stride
+
+    def blocks(self, start: int = 0, stop: int | None = None):
+        """Yield (i, values) over stored snapshots start..stop-1: the physical
+        samples of snapshots i, i+1, ... stacked into one (B, *grid.shape)
+        array of about _BLOCK_BYTES.  A one-snapshot block is a view of the
+        snapshot, so callers never write into a block."""
+        snaps = self.snapshots[start:stop]
+        size = max(1, _BLOCK_BYTES // snaps[0].values.nbytes)
+        for i in range(0, len(snaps), size):
+            chunk = [to_physical(u).values for u in snaps[i : i + size]]
+            yield start + i, chunk[0][None] if len(chunk) == 1 else np.stack(chunk)
 
 
 def linear_step(f: Field, tau: float) -> Field:
@@ -266,10 +283,14 @@ def duhamel_residual(traj: Trajectory) -> float:
         w = np.zeros(len(traj.snapshots))
         w[:-1] += h / 2.0
         w[1:] += h / 2.0
-        for k, (t_k, u_k) in enumerate(zip(traj.times, traj.snapshots)):
-            phys = to_physical(u_k).values
-            nl = Field(traj.grid, np.abs(phys) ** (p - 1.0) * phys, "physical")
-            acc += w[k] * linear_step(to_spectral(nl), t_final - float(t_k)).values
+        grid = traj.grid
+        for i, phys in traj.blocks():
+            terms = _spectral_stack(np.abs(phys) ** (p - 1.0) * phys, grid)
+            # U(t_final - t_k) of each snapshot in the block
+            z = [-1j * (t_final - float(t_k)) for t_k in traj.times[i : i + len(phys)]]
+            terms *= np.exp(np.reshape(z, (-1,) + (1,) * grid.n) * grid.xi_norm)
+            for k, term in enumerate(terms, start=i):
+                acc += w[k] * term
     return l2_norm(Field(traj.grid, acc, "spectral"))
 
 

@@ -286,11 +286,18 @@ def run(
     the wall-time field so repeated runs produce byte-identical CSV/JSON
     output.
     """
+    workers = 1 if deterministic else _threads()
+    return _run(scenario, outdir, deterministic, plots, workers)
+
+
+def _run(scenario: Scenario, outdir, deterministic: bool, plots: bool,
+         workers: int) -> RunReport:
+    """run with its transforms scoped to ``workers`` FFT workers."""
     t0 = time.perf_counter()
     run_dir = os.path.join(outdir, scenario.name)
     os.makedirs(run_dir, exist_ok=True)
     os.makedirs(os.path.join(run_dir, "checks"), exist_ok=True)
-    with scipy.fft.set_workers(1 if deterministic else _threads()):
+    with scipy.fft.set_workers(workers):
         ctx = _RunContext(scenario)
         csv_path = None
         if scenario.solver in ("spectral", "both"):
@@ -383,7 +390,8 @@ def sweep(
 ) -> dict:
     """Run a parameter sweep and aggregate convergence and stability data.
 
-    Members run concurrently (capped by SEMIRELAX_THREADS); failures are
+    Members run concurrently (capped by SEMIRELAX_THREADS), one FFT worker
+    each, so the sweep uses no more threads than that; failures are
     recorded and do not abort the sweep, but an unknown key, a non-numeric
     value or an amplitude sweep of file data raises ScenarioError before any
     member runs.  When dt is varied, residual-style checks get a fitted
@@ -400,15 +408,19 @@ def sweep(
         members = [_apply_variation(m, key, v) for m in members for v in values]
     results: list[RunReport | Exception] = [None] * len(members)
 
+    threads = 1 if deterministic else _threads()
+    concurrent = threads > 1 and len(members) > 1
+    # members running at once share the cores: one FFT worker each
+    workers = 1 if concurrent else threads
+
     def _one(i: int):
         try:
-            results[i] = run(members[i], outdir, deterministic=deterministic)
+            results[i] = _run(members[i], outdir, deterministic, False, workers)
         except Exception as exc:
             results[i] = exc
 
-    max_workers = _threads() if not deterministic else 1
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    if concurrent:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(_one, range(len(members))))
     else:
         for i in range(len(members)):

@@ -24,14 +24,19 @@ from semirelax import (
     lp_norm,
     make_grid,
     mode_field,
+    second_derivative,
     sobolev_norm,
     strauss_ratio,
     to_physical,
+    to_spectral,
     weighted_strichartz_ratio,
     write_diagnostics_csv,
 )
+from semirelax import propagator
 from semirelax.diagnostics import CSV_HEADER, TABLE_COLUMNS, gradient_squared_modulus
-from semirelax.radial import profile_from_function
+from semirelax.norms import space_time_norm, weighted_norm
+from semirelax.propagator import duhamel_residual, linear_step
+from semirelax.radial import Report, profile_from_function
 
 
 def reference_dissipation_terms(traj):
@@ -51,6 +56,66 @@ def reference_dissipation_terms(traj):
         gm2_sq = sum(np.abs(g) ** 2 for g in gradient_squared_modulus(phys))
         out[i, 1] = 0.5 * (p - 1.0) * float(np.sum(weight * gm2_sq) * dV)
     return out
+
+
+def reference_table(traj, s):
+    """The snapshot table one snapshot at a time: the norm functions, and the
+    dissipation integrands of reference_dissipation_terms when nonlinear."""
+    p = traj.config.p
+    specs = [SobolevSpec(r, homogeneous=True) for r in (1.0, 2.0, s)]
+    rows = [
+        [t, l2_norm(u), *(sobolev_norm(u, spec) for spec in specs),
+         lp_norm(u, math.inf), lp_norm(u, p + 1.0)]
+        for t, u in zip(traj.times, traj.snapshots)
+    ]
+    dissipation = np.zeros((len(rows), 2))
+    if not traj.linear:
+        dissipation = reference_dissipation_terms(traj)
+    columns = np.hstack([np.array(rows, dtype=float), dissipation]).T
+    return dict(zip(TABLE_COLUMNS, columns))
+
+
+def reference_h2_inequality(traj, i1, i2):
+    """check_h2_inequality over snapshots i1..i2 with the Hessian cross term
+    snapshot by snapshot, one second_derivative per (j, k)."""
+    n, dV = traj.grid.n, traj.grid.cell_volume
+    window = slice(i1, i2 + 1)
+    table = diagnostics_table(traj)
+    times = table["t"][window]
+    h1, h2 = table["h1dot"][window].tolist(), table["h2dot"][window].tolist()
+    cross = np.zeros(len(times))
+    for m, u in enumerate(traj.snapshots[window]):
+        phys, coeffs = to_physical(u), to_spectral(u)
+        total = 0.0
+        for j in range(n):
+            for k in range(n):
+                djk = to_physical(second_derivative(coeffs, j, k)).values
+                total += float(np.sum(np.abs(phys.values * djk) ** 2) * dV)
+        cross[m] = total
+    majorant = np.array([a ** (4.0 - n) * b ** float(n) for a, b in zip(h1, h2)])
+    lhs = h2[-1] ** 2 + 2.0 * float(np.trapezoid(cross, times))
+    rhs = h2[0] ** 2 + 2.0 * n**2 * (n + 1) * float(np.trapezoid(majorant, times))
+    return Report(lhs=lhs, rhs=rhs, empirical_constant=lhs / rhs if rhs > 0 else 0.0,
+                  notes={"slack": rhs - lhs})
+
+
+def reference_duhamel_residual(traj):
+    """duhamel_residual snapshot by snapshot: each nonlinear term transformed,
+    propagated by linear_step and added in snapshot order."""
+    p = traj.config.p
+    t_final = float(traj.times[-1])
+    acc = to_spectral(traj.snapshots[-1]).values.copy()
+    acc -= linear_step(to_spectral(traj.snapshots[0]), t_final).values
+    if traj.config.nonlinear:
+        h = np.diff(np.asarray(traj.times))
+        w = np.zeros(len(traj.snapshots))
+        w[:-1] += h / 2.0
+        w[1:] += h / 2.0
+        for k, (t_k, u_k) in enumerate(zip(traj.times, traj.snapshots)):
+            phys = to_physical(u_k).values
+            nl = Field(traj.grid, np.abs(phys) ** (p - 1.0) * phys, "physical")
+            acc += w[k] * linear_step(to_spectral(nl), t_final - float(t_k)).values
+    return l2_norm(Field(traj.grid, acc, "spectral"))
 
 
 def reference_c_star(hs_sq, cum):
@@ -327,6 +392,17 @@ class TestWeightedStrichartzRatio:
         b = weighted_strichartz_ratio(traj2, 0.5, 4.0)
         assert a == pytest.approx(b, rel=1e-10)
 
+    def test_matches_per_snapshot_weighted_norm(self):
+        # the weight is built once per call; the result is the per-snapshot
+        # weighted_norm, which rebuilds it every time, bit for bit
+        g = make_grid(3, 16, 12.0)
+        cfg = StepperConfig(p=3.0, dt=0.1, T=0.5, nonlinear=False)
+        traj = evolve(gaussian_field(g, 0.5), cfg)
+        ref = space_time_norm(
+            traj, 4.0, lambda u: weighted_norm(u, 0.5, 4.0, sign=-1)
+        ) / l2_norm(traj.snapshots[0])
+        assert weighted_strichartz_ratio(traj, 0.5, 4.0) == ref
+
     def test_rejects_nonlinear_trajectory(self):
         g = make_grid(3, 16, 12.0)
         traj = evolve(gaussian_field(g, 0.1), StepperConfig(p=3.0, dt=0.1, T=0.3))
@@ -370,20 +446,25 @@ class TestSnapshotTable:
         self, tmp_path, monkeypatch, nonlinear, per_snapshot
     ):
         # the CSV and the checks share one table: u once per snapshot, and
-        # |u|^2 once more when the flow dissipates
+        # |u|^2 once more when the flow dissipates; a call on a stack of
+        # snapshots transforms each of them
         g = make_grid(2, 16, 10.0)
         cfg = StepperConfig(p=3.0, dt=0.02, T=0.2, nonlinear=nonlinear)
         traj = evolve(gaussian_field(g, 0.5), cfg)
-        calls = []
+        transformed = []
         fftn = scipy.fft.fftn
-        monkeypatch.setattr(
-            scipy.fft, "fftn", lambda *a, **kw: calls.append(1) or fftn(*a, **kw)
-        )
+
+        def spy(x, *args, **kwargs):
+            transformed.append(math.prod(np.shape(x)[: np.ndim(x) - g.n]))
+            return fftn(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "fftn", spy)
         write_diagnostics_csv(traj, tmp_path / "diag.csv", s=1.5)
         check_l2_identity(traj, 0.0, 0.2)
         check_h1_identity(traj, 0.0, 0.2)
         check_hs_growth(traj, 1.5, C=1.0)
-        assert len(calls) == per_snapshot * len(traj.snapshots) == per_snapshot * 11
+        assert sum(transformed) == per_snapshot * len(traj.snapshots)
+        assert len(traj.snapshots) == 11
 
     def test_columns_match_norm_functions(self, cubic_1d_trajectory):
         traj = cubic_1d_trajectory
@@ -417,6 +498,42 @@ class TestSnapshotTable:
         table = diagnostics_table(evolve(gaussian_field(g, 0.5), cfg))
         assert not np.any(table["grad_term"]) and not np.any(table["modulus_term"])
         assert np.all(table["lpp1"] > 0)
+
+
+class TestBlockedPass:
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_block_size_does_not_change_results(self, monkeypatch, n, nonlinear):
+        g = make_grid(n, 64 if n == 1 else 16, 10.0)
+        cfg = StepperConfig(p=3.0, dt=0.01, T=0.13, nonlinear=nonlinear)
+        traj = evolve(gaussian_field(g, 0.8), cfg)
+        i1, i2 = 2, 11  # an interior window, split unevenly by blocks of 3
+        snapshot = traj.snapshots[0].values.nbytes
+        settings = {1: [1] * 14, 3 * snapshot: [3, 3, 3, 3, 2], 1 << 40: [14]}
+        results = []
+        for budget, sizes in settings.items():
+            monkeypatch.setattr(propagator, "_BLOCK_BYTES", budget)
+            assert [len(block) for _, block in traj.blocks()] == sizes
+            traj.tables.clear()
+            table = diagnostics_table(traj, 1.5)
+            report = check_h2_inequality(traj, traj.times[i1], traj.times[i2])
+            results.append((table, report, duhamel_residual(traj)))
+        ref_table = reference_table(traj, 1.5)
+        ref_report = reference_h2_inequality(traj, i1, i2)
+        ref_duhamel = reference_duhamel_residual(traj)
+        for table, report, duhamel in results:
+            for name in TABLE_COLUMNS:
+                assert np.array_equal(table[name], ref_table[name]), name
+            assert report == ref_report
+            assert duhamel == ref_duhamel
+
+    def test_single_snapshot_block_is_a_view(self, monkeypatch):
+        g = make_grid(2, 16, 10.0)
+        traj = evolve(gaussian_field(g, 0.5), StepperConfig(p=3.0, dt=0.05, T=0.1))
+        monkeypatch.setattr(propagator, "_BLOCK_BYTES", 1)
+        for i, block in traj.blocks(1):
+            assert block.shape == (1, *g.shape)
+            assert np.shares_memory(block, traj.snapshots[i].values)
 
 
 class TestDiagnosticsOutput:

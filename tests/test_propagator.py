@@ -104,6 +104,19 @@ class TestLinearStep:
                 l2_norm(f), rel=1e-12
             )
 
+    @given(
+        n=st.sampled_from([1, 2, 3]),
+        tau=st.floats(0.0, 100.0),
+        scale=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_l2_isometry_property(self, n, tau, scale, seed):
+        g = make_grid(n, 16 if n < 3 else 8, 5.0)
+        rng = np.random.default_rng(seed)
+        f = Field(g, scale * random_field(g, rng, spectral_decay=False).values)
+        assert l2_norm(linear_step(f, tau)) == pytest.approx(l2_norm(f), rel=1e-12)
+
     def test_preserves_sobolev_norms(self, grid_1d, rng):
         f = random_field(grid_1d, rng)
         spec = SobolevSpec(1.5, homogeneous=True)

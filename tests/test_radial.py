@@ -172,6 +172,26 @@ class TestJKernel:
         b = 2.0 * J_kernel(f, t, r) + 1j * J_kernel(g, t, r)
         assert np.max(np.abs(a - b)) < 1e-12
 
+    @given(
+        a=st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+        b=st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+        t=st.floats(0.0, 4.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_linear_in_profile_and_exact_on_constants(self, a, b, t, seed):
+        parts = np.random.default_rng(seed).standard_normal((2, 2, 256))
+        f, g = (RadialProfile(10.0, re + 1j * im) for re, im in parts)
+        r = f.r[f.r + t <= f.r[-1]]
+        jf, jg = JEvaluator(f).j(t, r), JEvaluator(g).j(t, r)
+        comb = JEvaluator(RadialProfile(10.0, a * f.values + b * g.values)).j(t, r)
+        # |J[f](t)| <= t max|f|; roundoff in the difference of antiderivatives
+        # does not shrink with t, hence max(t, 1) as for J[1]
+        scale = abs(a) * np.max(np.abs(f.values)) + abs(b) * np.max(np.abs(g.values))
+        assert np.max(np.abs(comb - (a * jf + b * jg))) <= 1e-13 * scale * max(t, 1.0)
+        ones = JEvaluator(RadialProfile(10.0, np.ones(256))).j(t, r)
+        assert np.max(np.abs(ones - t)) <= 1e-13 * max(t, 1.0)
+
     def test_rejects_nonpositive_radius(self):
         prof = gaussian_profile()
         with pytest.raises(ValueError, match="r > 0"):

@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 
 import pytest
 import scipy.fft
@@ -189,6 +190,28 @@ class TestThreads:
 
 
 class TestSweep:
+    def test_concurrent_members_use_one_fft_worker_each(self, tmp_path, monkeypatch):
+        # two members run at once on SEMIRELAX_THREADS=2 threads; with one
+        # FFT worker each the sweep asks for 2 workers in total, not 2 x 2
+        monkeypatch.setenv("SEMIRELAX_THREADS", "2")
+        fftn, seen = scipy.fft.fftn, set()
+
+        def spy(*args, **kwargs):
+            used = kwargs.get("workers") or scipy.fft.get_workers()
+            seen.add((threading.get_ident(), used))
+            return fftn(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "fftn", spy)
+        (sc,) = load_config(write_config(tmp_path, FAST))
+        aggregate = sweep(sc, {"dt": ["5e-3", "4e-3"]}, tmp_path / "sweep")
+        assert all("error" not in m for m in aggregate["members"])
+        per_thread = {}
+        for ident, used in seen:
+            per_thread[ident] = max(per_thread.get(ident, 0), used)
+        assert {used for _, used in seen} == {1}
+        assert sum(per_thread.values()) <= 2
+        assert threading.get_ident() not in per_thread
+
     def test_singleton_grid_matches_run(self, tmp_path):
         (sc,) = load_config(write_config(tmp_path, FAST))
         aggregate = sweep(sc, {"dt": ["5e-3"]}, tmp_path / "sweep")
