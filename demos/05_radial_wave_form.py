@@ -1,7 +1,7 @@
 """The 3-d radial wave form: averaging kernel, radial half-Laplacian, and
 the Volterra march cross-checked against the full 3-d spectral solver.
 
-Run:  python demos/05_radial_wave_form.py   (about a minute)
+Run:  python demos/05_radial_wave_form.py   (a few seconds)
 """
 
 import numpy as np

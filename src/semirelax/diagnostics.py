@@ -26,9 +26,7 @@ from .fields import (
     _spectral_stack,
     _stack_axes,
     _zero_nyquist,
-    gradient,
     to_physical,
-    to_spectral,
 )
 from .grids import make_grid
 from .norms import (
@@ -55,7 +53,6 @@ __all__ = [
     "strauss_ratio",
     "weighted_strichartz_ratio",
     "hardy_time_derivative_check",
-    "gradient_squared_modulus",
 ]
 
 
@@ -182,12 +179,6 @@ def _validate_window(traj: Trajectory, t1: float, t2: float) -> tuple[int, int]:
     if not (0 <= t1 < t2 <= float(traj.times[-1]) + 1e-12):
         raise ValueError(f"need 0 <= t1 < t2 <= T, got t1={t1}, t2={t2}")
     return _snapshot_index(traj, t1), _snapshot_index(traj, t2)
-
-
-def gradient_squared_modulus(u: Field) -> list[np.ndarray]:
-    """Spectral gradient of |u|^2, one physical-space array per axis."""
-    mod2 = to_spectral(Field(u.grid, np.abs(to_physical(u).values) ** 2, "physical"))
-    return [to_physical(g).values for g in gradient(mod2)]
 
 
 def _h1_identity(table: dict[str, np.ndarray], i1: int, i2: int) -> Report:

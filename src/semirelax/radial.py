@@ -13,6 +13,9 @@ profiles that sample a polynomial of degree <= 3 are integrated exactly; in
 particular J[1](t, r) = t to machine precision wherever the window stays
 inside the sampled range (the profile is extended by zero beyond it).
 
+D and the Volterra march use the type-II sine series of v = r u~, where by
+Kirchhoff's formula r J[f](t) = sin(t xi)/xi v and r dJ/dt[f](t) = cos(t xi) v.
+
 Report, the result type of every estimate check in the package, is defined
 here next to the REGULARIZATION_EPS that its relative mismatch uses.
 """
@@ -154,6 +157,16 @@ def _sine_modes(f: RadialProfile) -> np.ndarray:
     return np.pi * np.arange(1, f.M + 1) / f.R
 
 
+def _sine(f: RadialProfile) -> np.ndarray:
+    """Type-II sine coefficients of v = r u~ (orthonormal, complex)."""
+    return scipy.fft.dst(f.r * f.values, type=2, norm="ortho")
+
+
+def _from_sine(b: np.ndarray, f: RadialProfile) -> np.ndarray:
+    """Samples u~ = v / r on f's nodes of the v with sine coefficients b."""
+    return scipy.fft.idst(b, type=2, norm="ortho") / f.r
+
+
 def _halfwave_multiplier(f: RadialProfile, power: float = 1.0) -> RadialProfile:
     """Apply D^power on a radial profile through v = r u~ and a sine series.
 
@@ -162,23 +175,14 @@ def _halfwave_multiplier(f: RadialProfile, power: float = 1.0) -> RadialProfile:
     on the staggered grid that is a type-II sine transform with multiplier
     (m pi / R)^power.  No decay validation here; see radial_halfwave_operator.
     """
-    v = f.r * f.values
-    xi = _sine_modes(f) ** power
-    br = scipy.fft.dst(v.real, type=2, norm="ortho")
-    bi = scipy.fft.dst(v.imag, type=2, norm="ortho")
-    wr = scipy.fft.idst(br * xi, type=2, norm="ortho")
-    wi = scipy.fft.idst(bi * xi, type=2, norm="ortho")
-    return RadialProfile(f.R, (wr + 1j * wi) / f.r)
+    return RadialProfile(f.R, _from_sine(_sine(f) * _sine_modes(f) ** power, f))
 
 
 def radial_sobolev_norm(f: RadialProfile, s: float) -> float:
     """Homogeneous Sobolev norm of the associated radial 3-d field,
     computed from the sine-series coefficients of v = r u~."""
-    v = f.r * f.values
     xi = _sine_modes(f)
-    br = scipy.fft.dst(v.real, type=2, norm="ortho")
-    bi = scipy.fft.dst(v.imag, type=2, norm="ortho")
-    power = np.abs(br + 1j * bi) ** 2
+    power = np.abs(_sine(f)) ** 2
     return float(np.sqrt(4.0 * np.pi * np.sum(xi ** (2.0 * s) * power) * f.dr))
 
 
@@ -192,7 +196,7 @@ def radial_halfwave_operator(f: RadialProfile) -> RadialProfile:
     """
     scale = float(np.max(np.abs(f.values)))
     if scale > 0:
-        edge = abs(_spline_pair(f).raw_point(np.array([f.R]))[0])
+        edge = abs(_SplinePair(f).raw_point(np.array([f.R]))[0])
         if edge > DECAY_TOL * scale:
             raise ValueError(
                 "profile does not decay at the radial boundary "
@@ -234,15 +238,11 @@ class _SplinePair:
         return self._anti(b) - self._anti(a)
 
 
-def _spline_pair(f: RadialProfile) -> _SplinePair:
-    return _SplinePair(f)
-
-
 class JEvaluator:
     """Reusable evaluator of J[f] and dJ/dt for one fixed profile."""
 
     def __init__(self, f: RadialProfile):
-        self.spline = _spline_pair(f)
+        self.spline = _SplinePair(f)
 
     def j(self, t: float, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -322,7 +322,13 @@ def wave_evolve(
     by trapezoidal quadrature over previous steps.  Because J[g](0, r) = 0
     identically, the endpoint term of the trapezoid vanishes and the march
     is explicit; self-convergence is second order.  Finite propagation
-    requires T < R so the zero-extended data determine the solution.
+    requires T < R, and the sine series extends data oddly beyond R.
+
+    In the sine series of v = r u~, with b0 = DST(r u0), b1 = DST(r q0)/xi
+    and g_k = w_k DST(r F_p(u_k))/xi (w_k the trapezoid weights), the
+    addition formula gives b(t_m) = cos(t_m xi)(b0 - S_m) + sin(t_m xi)(b1 + C_m)
+    with running sums C_m, S_m of cos(t_k xi) g_k, sin(t_k xi) g_k over k < m:
+    a step costs one DST pair plus F_p_source.
 
     With ``nonlinear=False`` the source and the cubic data term are dropped
     and the march reduces to the exact free-wave representation
@@ -338,29 +344,30 @@ def wave_evolve(
             "the truncated data no longer determine the solution"
         )
     n_steps = int(math.ceil(T / dt - 1e-12)) if T > 0 else 0
-    r = u0.r
-    data0 = JEvaluator(u0)
-    du0 = _halfwave_multiplier(u0, 1.0).values
-    q0_vals = -1j * du0
+    xi = _sine_modes(u0)
+    q0_vals = -1j * _halfwave_multiplier(u0, 1.0).values
     if nonlinear:
         q0_vals = q0_vals - np.abs(u0.values) ** (p - 1.0) * u0.values
-    data1 = JEvaluator(RadialProfile(u0.R, q0_vals))
+    b0 = _sine(u0)
+    b1 = _sine(RadialProfile(u0.R, q0_vals)) / xi
+    cos_sum, sin_sum = np.zeros_like(b0), np.zeros_like(b0)
+    cos_k, sin_k = np.ones_like(xi), np.zeros_like(xi)  # at t_0 = 0
 
     profiles = [u0]
-    sources = [JEvaluator(F_p_source(u0, p))] if nonlinear else []
     times = [0.0]
     for m in range(1, n_steps + 1):
+        if nonlinear:
+            w = 0.5 * dt if m == 1 else dt
+            g = w * _sine(F_p_source(profiles[-1], p)) / xi
+            cos_sum += cos_k * g
+            sin_sum += sin_k * g
         t_m = m * dt
-        acc = data0.dj_dt(t_m, r) + data1.j(t_m, r)
-        for k in range(len(sources) if nonlinear else 0):
-            w = 0.5 * dt if k == 0 else dt
-            acc = acc + w * sources[k].j(t_m - k * dt, r)
-        u_m = RadialProfile(u0.R, acc)
+        cos_k, sin_k = np.cos(t_m * xi), np.sin(t_m * xi)
+        b = cos_k * (b0 - sin_sum) + sin_k * (b1 + cos_sum)
+        u_m = RadialProfile(u0.R, _from_sine(b, u0))
         if not np.isfinite(u_m.values).all():
             raise FloatingPointError(f"non-finite radial state at step {m}")
         profiles.append(u_m)
-        if nonlinear:
-            sources.append(JEvaluator(F_p_source(u_m, p)))
         times.append(t_m)
     return RadialTrajectory(p=p, dt=dt, times=np.asarray(times), profiles=profiles)
 

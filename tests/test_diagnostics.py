@@ -33,10 +33,16 @@ from semirelax import (
     write_diagnostics_csv,
 )
 from semirelax import propagator
-from semirelax.diagnostics import CSV_HEADER, TABLE_COLUMNS, gradient_squared_modulus
+from semirelax.diagnostics import CSV_HEADER, TABLE_COLUMNS
 from semirelax.norms import space_time_norm, weighted_norm
 from semirelax.propagator import duhamel_residual, linear_step
 from semirelax.radial import Report, profile_from_function
+
+
+def gradient_squared_modulus(u: Field) -> list[np.ndarray]:
+    """Spectral gradient of |u|^2, one physical-space array per axis."""
+    mod2 = to_spectral(Field(u.grid, np.abs(to_physical(u).values) ** 2, "physical"))
+    return [to_physical(g).values for g in gradient(mod2)]
 
 
 def reference_dissipation_terms(traj):
