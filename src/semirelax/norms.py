@@ -80,11 +80,15 @@ def sobolev_norm(f: Field, spec: SobolevSpec) -> float:
     The s = 0 inhomogeneous case coincides with the L^2 norm.  Homogeneous
     norms with s < 0 require the zero mode to vanish (relative 1e-12).
     """
-    return float(_sobolev_norms(to_spectral(f).values[None], f.grid, spec)[0])
+    m = np.abs(spec.multiplier(f.grid))
+    return float(_sobolev_norms(to_spectral(f).values[None], f.grid, spec, m)[0])
 
 
-def _sobolev_norms(coeffs: np.ndarray, grid: Grid, spec: SobolevSpec) -> np.ndarray:
-    """sobolev_norm of each field of a (B, *grid.shape) coefficient stack."""
+def _sobolev_norms(
+    coeffs: np.ndarray, grid: Grid, spec: SobolevSpec, m: np.ndarray
+) -> np.ndarray:
+    """sobolev_norm of each field of a (B, *grid.shape) coefficient stack,
+    with m = |spec.multiplier(grid)| built once by the caller."""
     axes = _stack_axes(grid)
     zero_mode = (slice(None),) + (0,) * grid.n
     if spec.homogeneous and spec.s < 0:
@@ -99,7 +103,6 @@ def _sobolev_norms(coeffs: np.ndarray, grid: Grid, spec: SobolevSpec) -> np.ndar
             )
         coeffs = coeffs.copy()
         coeffs[zero_mode] = 0.0
-    m = np.abs(spec.multiplier(grid))
     # in place: a (B, *shape) product with a grid-shaped factor gets no
     # temporary reuse from numpy
     weighted = np.abs(coeffs)

@@ -119,10 +119,6 @@ class Trajectory:
     def linear(self) -> bool:
         return not self.config.nonlinear
 
-    @property
-    def snapshot_dt(self) -> float:
-        return self.config.dt * self.config.snapshot_stride
-
     def blocks(self, start: int = 0, stop: int | None = None):
         """Yield (i, values) over stored snapshots start..stop-1: the physical
         samples of snapshots i, i+1, ... stacked into one (B, *grid.shape)

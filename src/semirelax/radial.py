@@ -8,10 +8,10 @@ factor away from the origin.  The kernel
 
     J[f](t, r) = (1/2r) * int_{|r-t|}^{r+t} lambda f~(lambda) d lambda
 
-is evaluated through a cubic-spline antiderivative of lambda f~(lambda), so
-profiles that sample a polynomial of degree <= 3 are integrated exactly; in
-particular J[1](t, r) = t to machine precision wherever the window stays
-inside the sampled range (the profile is extended by zero beyond it).
+is evaluated by JEvaluator from a cubic spline of f~ and the antiderivative
+of the spline of lambda f~, both zero beyond the last node; polynomials of
+degree <= 3 are integrated exactly, so J[1](t, r) = t to machine precision
+wherever the window stays inside the sampled range.
 
 D and the Volterra march use the type-II sine series of v = r u~, where by
 Kirchhoff's formula r J[f](t) = sin(t xi)/xi v and r dJ/dt[f](t) = cos(t xi) v.
@@ -196,7 +196,7 @@ def radial_halfwave_operator(f: RadialProfile) -> RadialProfile:
     """
     scale = float(np.max(np.abs(f.values)))
     if scale > 0:
-        edge = abs(_SplinePair(f).raw_point(np.array([f.R]))[0])
+        edge = abs(CubicSpline(f.r, f.values, bc_type="not-a-knot")(f.R))
         if edge > DECAY_TOL * scale:
             raise ValueError(
                 "profile does not decay at the radial boundary "
@@ -206,8 +206,10 @@ def radial_halfwave_operator(f: RadialProfile) -> RadialProfile:
     return _halfwave_multiplier(f, 1.0)
 
 
-class _SplinePair:
-    """Cubic interpolant of a profile plus the antiderivative of r u~."""
+class JEvaluator:
+    """J[f] and dJ/dt of one profile, from the splines of f~ and r f~ (both
+    zero beyond the last node).  t is a scalar or a column ts[:, None]; a
+    column adds a leading time axis to the result."""
 
     def __init__(self, f: RadialProfile):
         r = f.r
@@ -222,42 +224,28 @@ class _SplinePair:
         out = self._point(np.minimum(x, self.r_last))
         return np.where(x <= self.r_last, out, 0.0)
 
-    def raw_point(self, x: np.ndarray) -> np.ndarray:
-        """u~ with cubic extrapolation past the last node (no zero clamp)."""
-        return self._point(np.asarray(x, dtype=float))
-
     def point_derivative(self, x: np.ndarray) -> np.ndarray:
         """d/dr of the interpolated u~ at arbitrary radii."""
         return self._point.derivative()(np.asarray(x, dtype=float))
 
-    def mass(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """int_a^b lambda u~(lambda) d lambda with zero extension beyond
-        the last node (the integrand is clamped there)."""
-        a = np.minimum(np.asarray(a, dtype=float), self.r_last)
-        b = np.minimum(np.asarray(b, dtype=float), self.r_last)
-        return self._anti(b) - self._anti(a)
-
-
-class JEvaluator:
-    """Reusable evaluator of J[f] and dJ/dt for one fixed profile."""
-
-    def __init__(self, f: RadialProfile):
-        self.spline = _SplinePair(f)
-
-    def j(self, t: float, r: np.ndarray) -> np.ndarray:
+    def j(self, t: float | np.ndarray, r: np.ndarray) -> np.ndarray:
+        """J[f](t, r) as the antiderivative difference over [|r-t|, r+t]
+        (clamped at the last node), so J[f](0, r) is exactly 0."""
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0):
             raise ValueError("J[f](t, r) requires r > 0")
-        if t < 0:
+        if np.any(np.asarray(t) < 0):
             raise ValueError("J[f](t, r) requires t >= 0")
-        return self.spline.mass(np.abs(r - t), r + t) / (2.0 * r)
+        a = np.minimum(np.abs(r - t), self.r_last)
+        b = np.minimum(r + t, self.r_last)
+        return (self._anti(b) - self._anti(a)) / (2.0 * r)
 
-    def dj_dt(self, t: float, r: np.ndarray) -> np.ndarray:
+    def dj_dt(self, t: float | np.ndarray, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0):
             raise ValueError("dJ/dt requires r > 0")
-        up = (r + t) * self.spline.point(r + t)
-        down = (r - t) * self.spline.point(np.abs(r - t))
+        up = (r + t) * self.point(r + t)
+        down = (r - t) * self.point(np.abs(r - t))
         return (up + down) / (2.0 * r)
 
 
@@ -356,18 +344,23 @@ def wave_evolve(
     profiles = [u0]
     times = [0.0]
     for m in range(1, n_steps + 1):
+        t_m = m * dt
+        blow_up = f"non-finite radial state at step {m} (t = {t_m:.6g})"
         if nonlinear:
             w = 0.5 * dt if m == 1 else dt
-            g = w * _sine(F_p_source(profiles[-1], p)) / xi
+            try:
+                source = F_p_source(profiles[-1], p)
+            except ValueError as exc:  # the only one left: non-finite samples
+                raise FloatingPointError(blow_up) from exc
+            g = w * _sine(source) / xi
             cos_sum += cos_k * g
             sin_sum += sin_k * g
-        t_m = m * dt
         cos_k, sin_k = np.cos(t_m * xi), np.sin(t_m * xi)
         b = cos_k * (b0 - sin_sum) + sin_k * (b1 + cos_sum)
-        u_m = RadialProfile(u0.R, _from_sine(b, u0))
-        if not np.isfinite(u_m.values).all():
-            raise FloatingPointError(f"non-finite radial state at step {m}")
-        profiles.append(u_m)
+        vals = _from_sine(b, u0)
+        if not np.isfinite(vals).all():
+            raise FloatingPointError(blow_up)
+        profiles.append(RadialProfile(u0.R, vals))
         times.append(t_m)
     return RadialTrajectory(p=p, dt=dt, times=np.asarray(times), profiles=profiles)
 
@@ -415,9 +408,8 @@ def maximal_function(x: np.ndarray, values: np.ndarray, t: float) -> float:
 def maximal_bound_check(f: RadialProfile, T: float, n_t: int | None = None) -> Report:
     """Ratio probe for || J[f] ||_{L^2(0,T;L^inf)} <= C ||f||_{L^2, radial},
     reported with the empirical constant lhs/rhs."""
-    ev = JEvaluator(f)
     ts = np.linspace(0.0, T, (n_t or f.M // 2) + 1)
-    sup = np.array([0.0] + [np.max(np.abs(ev.j(t, f.r))) for t in ts[1:]])
+    sup = np.max(np.abs(JEvaluator(f).j(ts[:, None], f.r)), axis=1)
     lhs = float(np.sqrt(np.trapezoid(sup**2, ts)))
     rhs = radial_l2_norm(f)
     return Report(lhs, rhs, lhs / rhs if rhs > 0 else 0.0)
@@ -430,11 +422,9 @@ def duhamel_maximal_bound_check(
     || int_0^t J[h(s)](t - s) ds ||_{L^2(0,T;L^inf)} <= C ||h||_{L^1(0,T;L^2)}."""
     if phi is None:
         phi = lambda t: np.exp(-t)
-    ev = JEvaluator(f)
-    n_t = n_t or f.M // 2
-    ts = np.linspace(0.0, T, n_t + 1)
+    ts = np.linspace(0.0, T, (n_t or f.M // 2) + 1)
     dt = ts[1] - ts[0]
-    j_at = [np.zeros_like(f.r, dtype=complex)] + [ev.j(t, f.r) for t in ts[1:]]
+    j_at = JEvaluator(f).j(ts[:, None], f.r)
     sup = []
     for m in range(len(ts)):
         acc = np.zeros_like(f.r, dtype=complex)

@@ -14,6 +14,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.fft
@@ -80,42 +81,29 @@ class _RunContext:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self._traj: Trajectory | None = None
-        self._radial: RadialTrajectory | None = None
-        self._linear: Trajectory | None = None
 
-    @property
+    def _evolve(self, nonlinear: bool) -> Trajectory:
+        sc = self.scenario
+        cfg = StepperConfig(
+            p=sc.p, dt=sc.dt, T=sc.T,
+            snapshot_stride=sc.snapshot_stride, nonlinear=nonlinear,
+        )
+        return evolve(sc.initial_field(), cfg)
+
+    @cached_property
     def traj(self) -> Trajectory:
-        if self._traj is None:
-            sc = self.scenario
-            cfg = StepperConfig(
-                p=sc.p, dt=sc.dt, T=sc.T,
-                snapshot_stride=sc.snapshot_stride, nonlinear=sc.nonlinear,
-            )
-            self._traj = evolve(sc.initial_field(), cfg)
-        return self._traj
+        return self._evolve(self.scenario.nonlinear)
 
-    @property
+    @cached_property
     def radial_traj(self) -> RadialTrajectory:
-        if self._radial is None:
-            sc = self.scenario
-            self._radial = wave_evolve(
-                sc.initial_profile(), sc.p, sc.dt, sc.T, nonlinear=sc.nonlinear
-            )
-        return self._radial
+        sc = self.scenario
+        return wave_evolve(
+            sc.initial_profile(), sc.p, sc.dt, sc.T, nonlinear=sc.nonlinear
+        )
 
-    @property
+    @cached_property
     def linear_traj(self) -> Trajectory:
-        if self.scenario.nonlinear is False:
-            return self.traj
-        if self._linear is None:
-            sc = self.scenario
-            cfg = StepperConfig(
-                p=sc.p, dt=sc.dt, T=sc.T,
-                snapshot_stride=sc.snapshot_stride, nonlinear=False,
-            )
-            self._linear = evolve(sc.initial_field(), cfg)
-        return self._linear
+        return self._evolve(False) if self.scenario.nonlinear else self.traj
 
     @property
     def profile(self) -> RadialProfile:
@@ -243,7 +231,7 @@ def spectral_vs_wave_disagreement(traj: Trajectory, rtraj: RadialTrajectory) -> 
     radii = grid.axis[half + 1 :]
     prof = rtraj.profiles[-1]
     keep = radii <= prof.r[-1]
-    wave_vals = JEvaluator(prof).spline.point(radii[keep])
+    wave_vals = JEvaluator(prof).point(radii[keep])
     scale = float(np.max(np.abs(wave_vals)))
     if scale == 0:
         return float(np.max(np.abs(axis_vals[keep])))

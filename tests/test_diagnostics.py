@@ -533,6 +533,22 @@ class TestBlockedPass:
             assert report == ref_report
             assert duhamel == ref_duhamel
 
+    def test_multipliers_built_once_per_table(self, monkeypatch):
+        g = make_grid(1, 64, 10.0)
+        traj = evolve(gaussian_field(g, 0.5), StepperConfig(p=3.0, dt=0.01, T=0.13))
+        builds = []
+        multiplier = SobolevSpec.multiplier
+
+        def spy(spec, grid):
+            builds.append(spec.s)
+            return multiplier(spec, grid)
+
+        monkeypatch.setattr(SobolevSpec, "multiplier", spy)
+        monkeypatch.setattr(propagator, "_BLOCK_BYTES", 1)
+        assert len(list(traj.blocks())) == 14
+        diagnostics_table(traj, 1.5)
+        assert builds == [1.0, 2.0, 1.5]
+
     def test_single_snapshot_block_is_a_view(self, monkeypatch):
         g = make_grid(2, 16, 10.0)
         traj = evolve(gaussian_field(g, 0.5), StepperConfig(p=3.0, dt=0.05, T=0.1))

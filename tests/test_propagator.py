@@ -335,6 +335,35 @@ class TestFusedStepper:
 
     @given(
         n=st.sampled_from([1, 2]),
+        scheme=st.sampled_from(["strang", "lie"]),
+        dealias=st.sampled_from([True, False, None]),
+        nonlinear=st.booleans(),
+        p=st.floats(1.0, 6.0, exclude_min=True),
+        dt=st.floats(1e-3, 0.2),
+        amplitude=st.floats(0.05, 3.0),
+        stride=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_property(
+        self, n, scheme, dealias, nonlinear, p, dt, amplitude, stride, seed
+    ):
+        g = make_grid(n, 32 if n == 1 else 16, 8.0)
+        rng = np.random.default_rng(seed)
+        u0 = Field(g, amplitude * random_field(g, rng, spectral_decay=False).values)
+        cfg = StepperConfig(
+            p=p, dt=dt, T=8 * dt, scheme=scheme, snapshot_stride=stride,
+            nonlinear=nonlinear, dealias=dealias,
+        )
+        traj = evolve(u0, cfg)
+        ref = reference_evolve(u0, cfg)
+        assert len(traj.snapshots) == len(ref) == 1 + 8 // stride
+        for got, want in zip(traj.snapshots, ref):
+            scale = np.max(np.abs(want.values))
+            assert np.max(np.abs(got.values - want.values)) <= 1e-12 * scale
+
+    @given(
+        n=st.sampled_from([1, 2]),
         amplitude=st.floats(0.05, 5.0),
         dt=st.floats(1e-3, 0.5),
         p=st.floats(1.0, 6.0, exclude_min=True),

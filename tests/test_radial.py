@@ -25,9 +25,11 @@ from semirelax import (
     wave_evolve,
 )
 from semirelax import radial
+from semirelax.diagnostics import hardy_time_derivative_check
 from semirelax.radial import (
     JEvaluator,
     RadialTrajectory,
+    Report,
     _from_sine,
     _halfwave_multiplier,
     _sine,
@@ -101,6 +103,55 @@ def reference_wave_evolve(
             sources.append(JEvaluator(F_p_source(u_m, p)))
         times.append(t_m)
     return RadialTrajectory(p=p, dt=dt, times=np.asarray(times), profiles=profiles)
+
+
+def reference_maximal_bound_check(f: RadialProfile, T: float, n_t=None) -> Report:
+    """maximal_bound_check as one J call per time, t = 0 set to zero."""
+    ev = JEvaluator(f)
+    ts = np.linspace(0.0, T, (n_t or f.M // 2) + 1)
+    sup = np.array([0.0] + [np.max(np.abs(ev.j(t, f.r))) for t in ts[1:]])
+    lhs = float(np.sqrt(np.trapezoid(sup**2, ts)))
+    rhs = radial_l2_norm(f)
+    return Report(lhs, rhs, lhs / rhs if rhs > 0 else 0.0)
+
+
+def reference_duhamel_maximal_bound_check(f: RadialProfile, T: float, n_t=None) -> Report:
+    """duhamel_maximal_bound_check (phi = exp(-t)) from a list of per-time
+    J calls whose t = 0 entry is set to zero."""
+    ev = JEvaluator(f)
+    ts = np.linspace(0.0, T, (n_t or f.M // 2) + 1)
+    dt = ts[1] - ts[0]
+    j_at = [np.zeros_like(f.r, dtype=complex)] + [ev.j(t, f.r) for t in ts[1:]]
+    sup = []
+    for m in range(len(ts)):
+        acc = np.zeros_like(f.r, dtype=complex)
+        for k in range(m + 1):
+            w = dt if 0 < k < m else 0.5 * dt
+            acc += w * np.exp(-ts[k]) * j_at[m - k]
+        sup.append(np.max(np.abs(acc)))
+    lhs = float(np.sqrt(np.trapezoid(np.asarray(sup) ** 2, ts)))
+    rhs = float(np.trapezoid(np.abs(np.exp(-ts)), ts)) * radial_l2_norm(f)
+    return Report(lhs, rhs, lhs / rhs if rhs > 0 else 0.0)
+
+
+def reference_hardy_time_derivative_check(f: RadialProfile, T=None, n_t=None) -> Report:
+    """hardy_time_derivative_check as one dJ/dt call per time."""
+    ev = JEvaluator(f)
+    T = T or 0.9 * f.R
+    ts = np.linspace(0.0, T, (n_t or f.M // 2) + 1)
+    sup = np.array([np.max(np.abs(ev.dj_dt(t, f.r))) for t in ts])
+    lhs = float(np.sqrt(np.trapezoid(sup**2, ts)))
+    fprime = ev.point_derivative(f.r)
+    rhs = float(np.sqrt(np.sum(np.abs(f.r * fprime) ** 2) * f.dr))
+    notes = {}
+    if rhs <= 1e-14 * max(1.0, float(np.max(np.abs(f.values)))):
+        notes["out_of_space"] = True
+    return Report(lhs, rhs, lhs / rhs if rhs > 0 else math.inf, notes)
+
+
+def random_profile(seed: int, M: int = 128, R: float = 10.0) -> RadialProfile:
+    re, im = np.random.default_rng(seed).standard_normal((2, M))
+    return RadialProfile(R, re + 1j * im)
 
 
 def radial_split_step(u0: RadialProfile, p: float, dt: float, T: float) -> list:
@@ -262,8 +313,11 @@ class TestJKernel:
         jf, jg = JEvaluator(f).j(t, r), JEvaluator(g).j(t, r)
         comb = JEvaluator(RadialProfile(10.0, a * f.values + b * g.values)).j(t, r)
         # |J[f](t)| <= t max|f|; roundoff in the difference of antiderivatives
-        # does not shrink with t, hence max(t, 1) as for J[1]
+        # does not shrink with t, hence max(t, 1) as for J[1].  Below the
+        # smallest normal float the coefficients lose significant bits, so
+        # the relative bound is taken at that scale at least.
         scale = abs(a) * np.max(np.abs(f.values)) + abs(b) * np.max(np.abs(g.values))
+        scale = max(scale, np.finfo(float).tiny)
         assert np.max(np.abs(comb - (a * jf + b * jg))) <= 1e-13 * scale * max(t, 1.0)
         ones = JEvaluator(RadialProfile(10.0, np.ones(256))).j(t, r)
         assert np.max(np.abs(ones - t)) <= 1e-13 * max(t, 1.0)
@@ -272,6 +326,47 @@ class TestJKernel:
         prof = gaussian_profile()
         with pytest.raises(ValueError, match="r > 0"):
             J_kernel(prof, 0.5, 0.0)
+
+    def test_rejects_negative_time_in_a_column(self):
+        prof = gaussian_profile(M=64)
+        with pytest.raises(ValueError, match="t >= 0"):
+            JEvaluator(prof).j(np.array([[0.5], [-0.1]]), prof.r)
+
+
+class TestTimeColumn:
+    """j and dj_dt on a column of times against one scalar call per time."""
+
+    @pytest.mark.parametrize(
+        "prof",
+        [gaussian_profile(M=256), random_profile(0), random_profile(1, M=64, R=3.0)],
+        ids=["gaussian", "random", "random_short"],
+    )
+    def test_column_equals_scalar_calls(self, prof):
+        # times past R clamp both ends of the window at the last node
+        ts = np.concatenate([[0.0], np.linspace(0.01, 1.5 * prof.R, 23)])
+        ev = JEvaluator(prof)
+        for method in (ev.j, ev.dj_dt):
+            column = method(ts[:, None], prof.r)
+            assert column.shape == (ts.size, prof.M)
+            rows = np.array([method(t, prof.r) for t in ts])
+            assert np.array_equal(column, rows)
+        assert np.array_equal(ev.j(ts[:, None], prof.r)[0], np.zeros(prof.M))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_probes_equal_per_time_loops(self, seed):
+        prof = random_profile(seed, M=96 + 32 * seed)
+        T = 0.4 * prof.R
+        assert maximal_bound_check(prof, T) == reference_maximal_bound_check(prof, T)
+        assert duhamel_maximal_bound_check(
+            prof, T
+        ) == reference_duhamel_maximal_bound_check(prof, T)
+        assert hardy_time_derivative_check(prof) == reference_hardy_time_derivative_check(
+            prof
+        )
+        n_t = 17 + seed
+        assert hardy_time_derivative_check(
+            prof, T, n_t
+        ) == reference_hardy_time_derivative_check(prof, T, n_t)
 
 
 class TestDJdt:
@@ -327,7 +422,7 @@ class TestRadialHalfwave:
         prof = gaussian_profile(R=20.0, M=512)
         dprof = radial_halfwave_operator(prof)
         keep = radii <= prof.r[-1]
-        interp = JEvaluator(dprof).spline.point(radii[keep])
+        interp = JEvaluator(dprof).point(radii[keep])
         err = np.max(np.abs(axis_vals[keep] - interp)) / np.max(np.abs(interp))
         assert err < 1e-4
 
@@ -345,6 +440,17 @@ class TestRadialHalfwave:
         ones = profile_from_function(lambda r: np.ones_like(r), R=8.0, M=64)
         with pytest.raises(ValueError, match="decay"):
             radial_halfwave_operator(ones)
+
+    def test_decay_test_builds_one_spline(self, monkeypatch):
+        builds = []
+        spline = radial.CubicSpline
+        monkeypatch.setattr(
+            radial, "CubicSpline", lambda *a, **kw: builds.append(1) or spline(*a, **kw)
+        )
+        prof = gaussian_profile(M=128)
+        for calls in (1, 2, 3):
+            radial_halfwave_operator(prof)
+            assert len(builds) == calls
 
     def test_sobolev_norm_consistency(self):
         # s = 0 recovers the radial L^2 norm
@@ -389,6 +495,12 @@ class TestFpSource:
         out = F_p_source(prof, 2.0)
         assert np.isfinite(out.values).all()
 
+    def test_overflow_rejected_as_non_finite_profile(self):
+        prof = gaussian_profile(M=64, amp=1e100)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                F_p_source(prof, 3.0)
+
 
 class TestWaveEvolve:
     def test_zero_data(self):
@@ -406,6 +518,13 @@ class TestWaveEvolve:
         prof = gaussian_profile(R=5.0, M=128)
         with pytest.raises(ValueError, match="radial boundary"):
             wave_evolve(prof, 3.0, dt=0.1, T=5.0)
+
+    def test_blow_up_names_its_step(self):
+        # the source of step 3, F_p(u_2), overflows
+        prof = gaussian_profile(R=10.0, M=64, amp=1e3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match=r"at step 3 \(t = 1\.5\)"):
+                wave_evolve(prof, 3.0, dt=0.5, T=2.0)
 
     def test_rejects_supercubic(self):
         prof = gaussian_profile()
@@ -440,7 +559,7 @@ class TestWaveEvolve:
         axis_vals = lin3.values[half + 1 :, half, half]
         radii = g3.axis[half + 1 :]
         keep = radii <= rt.profiles[-1].r[-1]
-        wave_vals = JEvaluator(rt.profiles[-1]).spline.point(radii[keep])
+        wave_vals = JEvaluator(rt.profiles[-1]).point(radii[keep])
         err = np.max(np.abs(axis_vals[keep] - wave_vals)) / np.max(np.abs(wave_vals))
         assert err < 1e-3
 

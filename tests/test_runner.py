@@ -6,6 +6,7 @@ import pytest
 import scipy.fft
 
 from semirelax import ScenarioError, load_config, run, sweep
+from semirelax import runner
 from semirelax.runner import (
     LEMMA35_TOL,
     maximal_domination_gap,
@@ -144,6 +145,29 @@ class TestRun:
         assert len(rows) == 101
         assert all(row[6] == 0.0 for row in rows)
         assert max(max(row[7], row[8]) for row in rows) <= 1e-12
+
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_each_solver_runs_once(self, tmp_path, monkeypatch, nonlinear):
+        # lemma34 of a linear scenario reads traj instead of evolving again
+        calls = []
+        evolve, wave_evolve = runner.evolve, runner.wave_evolve
+
+        def spy_evolve(u0, cfg):
+            calls.append(cfg.nonlinear)
+            return evolve(u0, cfg)
+
+        def spy_wave_evolve(*args, **kwargs):
+            calls.append("wave")
+            return wave_evolve(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "evolve", spy_evolve)
+        monkeypatch.setattr(runner, "wave_evolve", spy_wave_evolve)
+        body = RADIAL
+        if not nonlinear:
+            body = RADIAL.replace("T = 0.2", "T = 0.2\nnonlinear = false")
+        (sc,) = load_config(write_config(tmp_path, body))
+        run(sc, tmp_path / "out")
+        assert calls == ([True, "wave", False] if nonlinear else [False, "wave"])
 
     def test_bound_report_fields(self, tmp_path):
         (sc,) = load_config(write_config(tmp_path, RADIAL))
