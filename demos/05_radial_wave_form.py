@@ -7,9 +7,8 @@ Run:  python demos/05_radial_wave_form.py   (a few seconds)
 import numpy as np
 
 from semirelax import (
-    J_kernel,
+    JEvaluator,
     StepperConfig,
-    dJ_dt,
     evolve,
     gaussian_field,
     hardy_time_derivative_check,
@@ -25,14 +24,15 @@ print("=== kernel identities ===")
 ones = profile_from_function(lambda r: np.ones_like(r), R=10.0, M=512)
 for t in (0.5, 2.0):
     nodes = ones.r[ones.r + t <= ones.r[-1]][::64]
-    vals = J_kernel(ones, t, nodes)
+    vals = JEvaluator(ones).j(t, nodes)
     print(f"J[1]({t}, r) = {np.real(vals).round(12)} (exactly t)")
 
 gauss = profile_from_function(lambda r: np.exp(-(r**2)), R=12.0, M=512)
 t, h = 0.7, 1e-5
 r_chk = gauss.r[100:105]
-fd = (J_kernel(gauss, t + h, r_chk) - J_kernel(gauss, t - h, r_chk)) / (2 * h)
-cf = dJ_dt(gauss, t, r_chk)
+ev = JEvaluator(gauss)
+fd = (ev.j(t + h, r_chk) - ev.j(t - h, r_chk)) / (2 * h)
+cf = ev.dj_dt(t, r_chk)
 print(f"dJ/dt closed form vs centered difference: {np.max(np.abs(fd - cf)):.2e}")
 
 print("\n=== radial half-Laplacian eigenmode ===")

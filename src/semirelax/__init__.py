@@ -66,12 +66,10 @@ from .propagator import (
 )
 from .radial import (
     F_p_source,
-    J_kernel,
     JEvaluator,
     RadialProfile,
     RadialTrajectory,
     Report,
-    dJ_dt,
     duhamel_maximal_bound_check,
     load_profile,
     load_radial_trajectory,

@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from .exponents import (
-    StrichartzExponents,
+    _admissible_r,
     critical_power,
     embedding_exponent_check,
     scaling_critical_exponent,
@@ -139,12 +139,9 @@ def _cmd_check_exponents(args) -> int:
     s = _parse_rational(args.s) if args.s is not None else s_crit
     print(f"admissible (q, r) samples for n = {n}:")
     for q in (math.inf, 4, 6, 8):
-        pair = _admissible_pair(n, q)
-        if pair is None:
-            continue
-        q_val, r_val = pair
-        ok = StrichartzExponents.is_admissible(n, q_val, r_val)
-        print(f"  q = {q_val}, r = {r_val}: admissible = {ok}")
+        r = _admissible_r(n, q)
+        if r is not None:
+            print(f"  q = {q}, r = {r}: admissible = True")
     print(f"L^inf embedding verdicts at s = {s}:")
     for r in (3, 4, 6, math.inf):
         try:
@@ -153,18 +150,6 @@ def _cmd_check_exponents(args) -> int:
             continue
         print(f"  r = {r}: s > 3/4 + 1/(2r) is {verdict}")
     return 0
-
-
-def _admissible_pair(n: int, q):
-    sigma = n - 1
-    if sigma == 0:
-        return (math.inf, 2) if math.isinf(q) else None
-    inv_q = Fraction(0) if math.isinf(q) else Fraction(1, q)
-    inv_r = Fraction(1, 2) - Fraction(2, sigma) * inv_q
-    if inv_r < 0 or (n == 3 and inv_r == 0):
-        return None
-    r = math.inf if inv_r == 0 else 1 / inv_r
-    return q, r
 
 
 def main(argv=None) -> int:

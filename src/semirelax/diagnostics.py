@@ -38,7 +38,9 @@ from .norms import (
     space_time_norm,
 )
 from .propagator import Trajectory
-from .radial import JEvaluator, RadialProfile, Report, modulus_power, radial_sobolev_norm
+from .radial import (
+    JEvaluator, RadialProfile, Report, _l2_sup, modulus_power, radial_sobolev_norm,
+)
 
 __all__ = [
     "diagnostics_table",
@@ -369,13 +371,12 @@ def hardy_time_derivative_check(
         <= C || r f'(r) ||_{L^2(0,inf)}.
 
     The derivative is evaluated in closed form; the right side by midpoint
-    quadrature of the spline derivative.  A vanishing right side (constant
-    f, not in the weighted space) is flagged instead of divided by.
+    quadrature of the spline derivative.  T defaults to 0.9 R.  A vanishing
+    right side (constant f, not in the weighted space) is flagged instead of
+    divided by.
     """
     ev = JEvaluator(f)
-    ts = np.linspace(0.0, T or 0.9 * f.R, (n_t or f.M // 2) + 1)
-    sup = np.max(np.abs(ev.dj_dt(ts[:, None], f.r)), axis=1)
-    lhs = float(np.sqrt(np.trapezoid(sup**2, ts)))
+    lhs = _l2_sup(ev.dj_dt, f, 0.9 * f.R if T is None else T, n_t)
     fprime = ev.point_derivative(f.r)
     rhs = float(np.sqrt(np.sum(np.abs(f.r * fprime) ** 2) * f.dr))
     notes = {}

@@ -67,6 +67,20 @@ def scaling_rate(n: int, p: Rational, s: Rational) -> Fraction:
     return 1 / (p - 1) + s - Fraction(n, 2)
 
 
+def _admissible_r(n: int, q: Rational):
+    """The r with (q, r) admissible in dimension n (see StrichartzExponents),
+    math.inf for the endpoint 1/r = 0, or None when no r is admissible."""
+    inv_q = _inv(q)
+    if inv_q < 0:
+        return None
+    if n == 1:
+        return 2 if inv_q == 0 else None
+    inv_r = Fraction(1, 2) - Fraction(2, n - 1) * inv_q
+    if not 0 <= inv_r <= Fraction(1, 2) or (n == 3 and inv_r == 0):
+        return None
+    return math.inf if inv_r == 0 else 1 / inv_r
+
+
 @dataclass(frozen=True)
 class StrichartzExponents:
     """An admissible space-time pair (q, r) for the half-wave propagator.
@@ -92,19 +106,8 @@ class StrichartzExponents:
 
     @staticmethod
     def is_admissible(n: int, q: Rational, r: Rational) -> bool:
-        inv_q, inv_r = _inv(q), _inv(r)
-        if inv_q < 0 or inv_r < 0:
-            return False
-        sigma = n - 1
-        if sigma == 0:
-            return inv_q == 0 and inv_r == Fraction(1, 2)
-        if inv_r != Fraction(1, 2) - Fraction(2, sigma) * inv_q:
-            return False
-        if inv_r > Fraction(1, 2):
-            return False
-        if n == 3 and inv_r == 0:
-            return False
-        return True
+        inv_r, r_adm = _inv(r), _admissible_r(n, q)
+        return r_adm is not None and inv_r == _inv(r_adm)
 
     @property
     def alpha(self) -> Fraction:

@@ -9,6 +9,8 @@ Parseval then reads  sum |f|^2 dx^n = sum |f_hat|^2 / L^n.
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
 
@@ -36,6 +38,9 @@ __all__ = [
 
 PHYSICAL = "physical"
 SPECTRAL = "spectral"
+
+# bytes per block of the blocked passes (stacked snapshots, radial probe times)
+_BLOCK_BYTES = 1 << 20
 
 Symbol = Union[np.ndarray, Callable[[Sequence[np.ndarray]], np.ndarray]]
 
@@ -253,6 +258,24 @@ def _read_samples(path, what: str, header_len: int, count) -> tuple[list, np.nda
         )
     # a view, not re + 1j * im, which turns an imaginary -0.0 into +0.0
     return header, data.view(np.complex128)[:, 0]
+
+
+def _save_series(outdir, meta: dict, key: str, items, save) -> None:
+    """Write meta.json (``meta`` plus the file names under ``key``, "snapshots"
+    -> snapshot_000000.txt, ...) and one file per item by ``save(item, path)``."""
+    os.makedirs(outdir, exist_ok=True)
+    names = [f"{key[:-1]}_{k:06d}.txt" for k in range(len(items))]
+    with open(os.path.join(outdir, "meta.json"), "w") as fh:
+        json.dump({**meta, key: names}, fh, indent=2, sort_keys=True)
+    for name, item in zip(names, items):
+        save(item, os.path.join(outdir, name))
+
+
+def _load_series(indir, key: str, load) -> tuple[dict, list]:
+    """Read a directory written by _save_series: its meta and its items."""
+    with open(os.path.join(indir, "meta.json")) as fh:
+        meta = json.load(fh)
+    return meta, [load(os.path.join(indir, name)) for name in meta[key]]
 
 
 def save_field(f: Field, path) -> None:

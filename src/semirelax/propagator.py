@@ -18,9 +18,7 @@ The per-step L^2 check uses Parseval on the coefficients.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
@@ -28,8 +26,11 @@ import numpy as np
 import scipy.fft
 
 from .fields import (
+    _BLOCK_BYTES,
     Field,
+    _load_series,
     _multiply_spectral,
+    _save_series,
     _spectral_stack,
     load_field,
     save_field,
@@ -90,15 +91,15 @@ class StepperConfig:
             raise ValueError("snapshot_stride must be a positive integer")
 
     @property
+    def n_steps(self) -> int:
+        """Steps to T; evolve stores t = 0 and every snapshot_stride-th step."""
+        return int(math.ceil(self.T / self.dt - 1e-12)) if self.T > 0 else 0
+
+    @property
     def dealias_active(self) -> bool:
         if self.dealias is not None:
             return self.dealias
         return float(self.p).is_integer() and int(self.p) % 2 == 1 and self.p <= 5
-
-
-# snapshots stacked per block by Trajectory.blocks: one transform, one
-# reduction per block instead of per snapshot (a block of one if larger)
-_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -210,7 +211,7 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
     coefficients); a NaN or Inf in the state aborts with the offending step
     index, which signals an excessively large dt.
     """
-    n_steps = int(math.ceil(cfg.T / cfg.dt - 1e-12)) if cfg.T > 0 else 0
+    n_steps = cfg.n_steps
     u = to_physical(u0)
     grid = u.grid
     split = cfg.nonlinear and cfg.scheme == "strang"
@@ -292,21 +293,11 @@ def duhamel_residual(traj: Trajectory) -> float:
 
 def save_trajectory(traj: Trajectory, outdir) -> None:
     """Export as a directory: meta.json plus one snapshot file per time."""
-    os.makedirs(outdir, exist_ok=True)
-    meta = {
-        "config": asdict(traj.config),
-        "times": [float(t) for t in traj.times],
-        "snapshots": [f"snapshot_{k:06d}.txt" for k in range(len(traj.times))],
-    }
-    with open(os.path.join(outdir, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-    for name, snap in zip(meta["snapshots"], traj.snapshots):
-        save_field(snap, os.path.join(outdir, name))
+    meta = {"config": asdict(traj.config), "times": [float(t) for t in traj.times]}
+    _save_series(outdir, meta, "snapshots", traj.snapshots, save_field)
 
 
 def load_trajectory(indir) -> Trajectory:
-    with open(os.path.join(indir, "meta.json")) as fh:
-        meta = json.load(fh)
+    meta, snaps = _load_series(indir, "snapshots", load_field)
     cfg = StepperConfig(**meta["config"])
-    snaps = [load_field(os.path.join(indir, name)) for name in meta["snapshots"]]
     return Trajectory(config=cfg, times=np.asarray(meta["times"]), snapshots=snaps)

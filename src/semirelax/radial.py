@@ -22,9 +22,7 @@ here next to the REGULARIZATION_EPS that its relative mismatch uses.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -32,7 +30,9 @@ import numpy as np
 import scipy.fft
 from scipy.interpolate import CubicSpline
 
-from .fields import _read_samples, _write_samples
+from .fields import (
+    _BLOCK_BYTES, _load_series, _read_samples, _save_series, _write_samples,
+)
 
 __all__ = [
     "Report",
@@ -41,8 +41,6 @@ __all__ = [
     "profile_from_function",
     "radial_l2_norm",
     "radial_sobolev_norm",
-    "J_kernel",
-    "dJ_dt",
     "JEvaluator",
     "radial_halfwave_operator",
     "F_p_source",
@@ -241,25 +239,15 @@ class JEvaluator:
         return (self._anti(b) - self._anti(a)) / (2.0 * r)
 
     def dj_dt(self, t: float | np.ndarray, r: np.ndarray) -> np.ndarray:
+        """dJ/dt[f](t, r) = [(r+t) f~(r+t) + (r-t) f~(|r-t|)] / (2r)."""
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0):
             raise ValueError("dJ/dt requires r > 0")
+        if np.any(np.asarray(t) < 0):
+            raise ValueError("dJ/dt requires t >= 0")
         up = (r + t) * self.point(r + t)
         down = (r - t) * self.point(np.abs(r - t))
         return (up + down) / (2.0 * r)
-
-
-def J_kernel(f: RadialProfile, t: float, r):
-    """The spherical-means kernel J[f](t, r); r may be a scalar or array."""
-    out = JEvaluator(f).j(t, np.atleast_1d(np.asarray(r, dtype=float)))
-    return complex(out[0]) if np.isscalar(r) or np.ndim(r) == 0 else out
-
-
-def dJ_dt(f: RadialProfile, t: float, r):
-    """Closed-form time derivative of J[f]:
-    [(r+t) f~(r+t) + (r-t) f~(|r-t|)] / (2r)."""
-    out = JEvaluator(f).dj_dt(t, np.atleast_1d(np.asarray(r, dtype=float)))
-    return complex(out[0]) if np.isscalar(r) or np.ndim(r) == 0 else out
 
 
 def modulus_power(u: np.ndarray, exponent: float) -> np.ndarray:
@@ -299,6 +287,20 @@ def F_p_source(u: RadialProfile, p: float) -> RadialProfile:
     return RadialProfile(u.R, out)
 
 
+def _wave_form_domain(p: float, dt: float, T: float, R: float) -> None:
+    """The hypotheses of wave_evolve: 1 < p <= 3, dt > 0 and 0 <= T < R
+    (finite propagation keeps the solution inside the sampled range)."""
+    if not 1 < p <= 3:
+        raise ValueError(f"wave form is implemented for 1 < p <= 3, got {p}")
+    if not dt > 0:
+        raise ValueError(f"time step must be positive, got {dt}")
+    if not 0 <= T < R:
+        raise ValueError(
+            f"final time T = {T} must satisfy 0 <= T < R = {R}: at the radial "
+            "boundary the truncated data no longer determine the solution"
+        )
+
+
 def wave_evolve(
     u0: RadialProfile, p: float, dt: float, T: float, nonlinear: bool = True
 ) -> RadialTrajectory:
@@ -322,15 +324,7 @@ def wave_evolve(
     and the march reduces to the exact free-wave representation
     u~(t) = dJ/dt[u0](t) + J[-i D u0](t).
     """
-    if not 1 < p <= 3:
-        raise ValueError(f"wave form is implemented for 1 < p <= 3, got {p}")
-    if not dt > 0:
-        raise ValueError(f"time step must be positive, got {dt}")
-    if T >= u0.R:
-        raise ValueError(
-            f"final time T = {T} reaches the radial boundary R = {u0.R}; "
-            "the truncated data no longer determine the solution"
-        )
+    _wave_form_domain(p, dt, T, u0.R)
     n_steps = int(math.ceil(T / dt - 1e-12)) if T > 0 else 0
     xi = _sine_modes(u0)
     q0_vals = -1j * _halfwave_multiplier(u0, 1.0).values
@@ -405,12 +399,30 @@ def maximal_function(x: np.ndarray, values: np.ndarray, t: float) -> float:
     return best
 
 
+def _probe_times(f: RadialProfile, T: float, n_t: int | None) -> np.ndarray:
+    """The n_t + 1 times on [0, T] of an L^2_t L^inf_r probe, n_t = M/2 if None."""
+    n_t = f.M // 2 if n_t is None else n_t
+    if T < 0 or n_t < 1:
+        raise ValueError(f"probe needs T >= 0 and n_t >= 1, got T = {T}, n_t = {n_t}")
+    return np.linspace(0.0, T, n_t + 1)
+
+
+def _l2_sup(kernel, f: RadialProfile, T: float, n_t: int | None) -> float:
+    """|| sup_r |kernel(t, r)| ||_{L^2(0,T)} on f's nodes and _probe_times,
+    with kernel(ts[i:j, None], r) on blocks of about _BLOCK_BYTES of times."""
+    ts = _probe_times(f, T, n_t)
+    size = max(1, _BLOCK_BYTES // (16 * f.M))
+    sup = np.concatenate([
+        np.max(np.abs(kernel(ts[i : i + size, None], f.r)), axis=1)
+        for i in range(0, ts.size, size)
+    ])
+    return float(np.sqrt(np.trapezoid(sup**2, ts)))
+
+
 def maximal_bound_check(f: RadialProfile, T: float, n_t: int | None = None) -> Report:
     """Ratio probe for || J[f] ||_{L^2(0,T;L^inf)} <= C ||f||_{L^2, radial},
     reported with the empirical constant lhs/rhs."""
-    ts = np.linspace(0.0, T, (n_t or f.M // 2) + 1)
-    sup = np.max(np.abs(JEvaluator(f).j(ts[:, None], f.r)), axis=1)
-    lhs = float(np.sqrt(np.trapezoid(sup**2, ts)))
+    lhs = _l2_sup(JEvaluator(f).j, f, T, n_t)
     rhs = radial_l2_norm(f)
     return Report(lhs, rhs, lhs / rhs if rhs > 0 else 0.0)
 
@@ -422,7 +434,7 @@ def duhamel_maximal_bound_check(
     || int_0^t J[h(s)](t - s) ds ||_{L^2(0,T;L^inf)} <= C ||h||_{L^1(0,T;L^2)}."""
     if phi is None:
         phi = lambda t: np.exp(-t)
-    ts = np.linspace(0.0, T, (n_t or f.M // 2) + 1)
+    ts = _probe_times(f, T, n_t)
     dt = ts[1] - ts[0]
     j_at = JEvaluator(f).j(ts[:, None], f.r)
     sup = []
@@ -445,24 +457,12 @@ def save_profile(f: RadialProfile, path) -> None:
 def save_radial_trajectory(traj: RadialTrajectory, outdir) -> None:
     """Export as a directory mirroring the field-trajectory layout:
     meta.json plus one profile file per stored time."""
-    os.makedirs(outdir, exist_ok=True)
-    names = [f"profile_{k:06d}.txt" for k in range(len(traj.times))]
-    meta = {
-        "p": traj.p,
-        "dt": traj.dt,
-        "times": [float(t) for t in traj.times],
-        "profiles": names,
-    }
-    with open(os.path.join(outdir, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-    for name, prof in zip(names, traj.profiles):
-        save_profile(prof, os.path.join(outdir, name))
+    meta = {"p": traj.p, "dt": traj.dt, "times": [float(t) for t in traj.times]}
+    _save_series(outdir, meta, "profiles", traj.profiles, save_profile)
 
 
 def load_radial_trajectory(indir) -> RadialTrajectory:
-    with open(os.path.join(indir, "meta.json")) as fh:
-        meta = json.load(fh)
-    profiles = [load_profile(os.path.join(indir, name)) for name in meta["profiles"]]
+    meta, profiles = _load_series(indir, "profiles", load_profile)
     return RadialTrajectory(
         p=meta["p"], dt=meta["dt"], times=np.asarray(meta["times"]), profiles=profiles
     )

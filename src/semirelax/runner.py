@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.fft
+from scipy.interpolate import CubicSpline
 
 from . import diagnostics as diag
 from .fields import to_physical
@@ -25,7 +26,6 @@ from .norms import l2_norm
 from .plotting import emit_plots, fit_order, refinement_chart_svg
 from .propagator import StepperConfig, Trajectory, duhamel_residual, evolve
 from .radial import (
-    JEvaluator,
     RadialProfile,
     RadialTrajectory,
     cumulative_mass,
@@ -231,7 +231,7 @@ def spectral_vs_wave_disagreement(traj: Trajectory, rtraj: RadialTrajectory) -> 
     radii = grid.axis[half + 1 :]
     prof = rtraj.profiles[-1]
     keep = radii <= prof.r[-1]
-    wave_vals = JEvaluator(prof).point(radii[keep])
+    wave_vals = CubicSpline(prof.r, prof.values, bc_type="not-a-knot")(radii[keep])
     scale = float(np.max(np.abs(wave_vals)))
     if scale == 0:
         return float(np.max(np.abs(axis_vals[keep])))
@@ -363,7 +363,8 @@ def _apply_variation(base: Scenario, key: str, raw) -> Scenario:
         args[_AMPLITUDE_ARG[kind]] = value
         sc.initial = f"{kind}({', '.join(repr(a) for a in args)})"
     elif key == "sigma":
-        sc.L = base.L / value
+        if base.L is not None:
+            sc.L = base.L / value
         if base.R is not None:
             sc.R = base.R / value
     sc.name = f"{base.name}__{key}_{raw}"

@@ -50,7 +50,8 @@ import numpy as np
 
 from .fields import Field, gaussian_field, load_field, mode_field
 from .grids import make_grid
-from .radial import RadialProfile, profile_from_function
+from .propagator import StepperConfig
+from .radial import RadialProfile, _wave_form_domain, profile_from_function
 
 __all__ = [
     "Scenario",
@@ -151,8 +152,6 @@ def _parse_initial(spec: str):
 def _validate(sc: Scenario) -> None:
     if sc.solver not in ("spectral", "radial-wave", "both"):
         raise ScenarioError(f"scenario {sc.name!r}: unknown solver {sc.solver!r}")
-    if sc.p <= 1:
-        raise ScenarioError(f"scenario {sc.name!r}: requires p > 1, got p={sc.p}")
     unknown = [c for c in sc.checks if c not in KNOWN_CHECKS]
     if unknown:
         raise ScenarioError(f"scenario {sc.name!r}: unknown checks {unknown}")
@@ -166,18 +165,21 @@ def _validate(sc: Scenario) -> None:
                 f"scenario {sc.name!r}: checks {bad} need the spectral solver "
                 "(use solver = spectral or both)"
             )
-    if sc.solver in ("radial-wave", "both"):
-        if sc.M is None or sc.R is None:
-            raise ScenarioError(f"scenario {sc.name!r}: radial solver needs M and R")
-        if sc.n != 3:
-            raise ScenarioError(
-                f"scenario {sc.name!r}: the wave form is a 3-d radial reduction, got n={sc.n}"
-            )
-        if sc.p > 3:
-            raise ScenarioError(
-                f"scenario {sc.name!r}: the wave form requires 1 < p <= 3, got p={sc.p}"
-            )
-        sc.initial_profile()  # validates radial form of the data
+    try:  # the solvers' own rules, checked by the code that enforces them
+        if sc.solver in ("spectral", "both"):
+            make_grid(sc.n, sc.N, sc.L)
+            StepperConfig(sc.p, sc.dt, sc.T, snapshot_stride=sc.snapshot_stride)
+        if sc.solver in ("radial-wave", "both"):
+            sc.initial_profile()  # M, R and the radial form of the data
+            if sc.n != 3:
+                raise ScenarioError(
+                    f"scenario {sc.name!r}: the wave form is a 3-d radial reduction, got n={sc.n}"
+                )
+            _wave_form_domain(sc.p, sc.dt, sc.T, sc.R)
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"scenario {sc.name!r}: {exc}") from exc
     kind, args = _parse_initial(sc.initial)
     for check in sc.checks:
         _validate_check(sc, check, kind, args)
@@ -220,6 +222,11 @@ def _validate_check(sc: Scenario, check: str, initial_kind: str, initial_args) -
             fail(f"the radial sup probe requires n >= 2, got n={sc.n}")
         if not (0.5 < sc.s < sc.n / 2.0):
             fail(f"requires 1/2 < s < n/2, got s={sc.s}")
+    if check in ("prop21", "prop22", "prop24", "duhamel"):
+        need = 3 if check == "duhamel" else 2  # the Duhamel trapezoid; a window [0, T]
+        stored = 1 + StepperConfig(sc.p, sc.dt, sc.T).n_steps // sc.snapshot_stride
+        if stored < need:
+            fail(f"needs {need} stored snapshots, got {stored} (from T, dt, snapshot_stride)")
     if check == "lemma35" and sc.solver != "both":
         fail("the cross-check needs solver = both")
     if check in RADIAL_CHECKS and (sc.M is None or sc.R is None):

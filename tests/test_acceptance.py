@@ -41,7 +41,7 @@ from semirelax import (
     weighted_strichartz_ratio,
 )
 from semirelax.plotting import fit_order
-from semirelax.radial import J_kernel, cumulative_mass, dJ_dt, maximal_function
+from semirelax.radial import JEvaluator, cumulative_mass, maximal_function
 from semirelax.runner import spectral_vs_wave_disagreement
 from semirelax.scenarios import load_config
 from conftest import random_field
@@ -211,17 +211,18 @@ def test_criterion_7_j_kernel_identities():
     ones = profile_from_function(lambda r: np.ones_like(r), R=10.0, M=512)
     for t in (0.0, 0.11, 1.0, 3.7):
         nodes = ones.r[ones.r + t <= ones.r[-1]]
-        vals = J_kernel(ones, t, nodes)
+        vals = JEvaluator(ones).j(t, nodes)
         assert np.max(np.abs(vals - t)) <= 1e-13 * max(1.0, t)
 
     prof = profile_from_function(lambda r: np.exp(-(r**2)), R=12.0, M=1024)
     t = 0.8
     nodes = prof.r[(prof.r > 0.3) & (prof.r + t + 0.1 <= prof.r[-1])]
     steps = (1e-2, 5e-3, 2.5e-3)
+    ev = JEvaluator(prof)
     errs = []
     for h in steps:
-        fd = (J_kernel(prof, t + h, nodes) - J_kernel(prof, t - h, nodes)) / (2 * h)
-        errs.append(np.max(np.abs(fd - dJ_dt(prof, t, nodes))))
+        fd = (ev.j(t + h, nodes) - ev.j(t - h, nodes)) / (2 * h)
+        errs.append(np.max(np.abs(fd - ev.dj_dt(t, nodes))))
     order = fit_order(steps, errs)
     assert 1.8 <= order <= 2.2
 

@@ -436,13 +436,14 @@ class TestHardyCheck:
         assert "out_of_space" not in report.notes
 
     def test_closed_form_matches_finite_difference(self):
-        from semirelax.radial import J_kernel, dJ_dt
+        from semirelax.radial import JEvaluator
 
         prof = profile_from_function(lambda r: np.exp(-(r**2)), R=12.0, M=1024)
         t, h = 0.9, 1e-5
         r = prof.r[(prof.r > 0.3) & (prof.r + t + h <= prof.r[-1])]
-        fd = (J_kernel(prof, t + h, r) - J_kernel(prof, t - h, r)) / (2 * h)
-        cf = dJ_dt(prof, t, r)
+        ev = JEvaluator(prof)
+        fd = (ev.j(t + h, r) - ev.j(t - h, r)) / (2 * h)
+        cf = ev.dj_dt(t, r)
         assert np.max(np.abs(fd - cf)) < 1e-6
 
 

@@ -85,6 +85,32 @@ class TestAdmissibility:
             StrichartzExponents(3, 2, math.inf)
 
 
+def reference_is_admissible(n, q, r) -> bool:
+    """The relation checked term by term, as is_admissible did before it
+    asked _admissible_r for the r that goes with q."""
+    inv = lambda x: Fraction(0) if x == math.inf else 1 / Fraction(x)
+    inv_q, inv_r = inv(q), inv(r)
+    if inv_q < 0 or inv_r < 0:
+        return False
+    if n == 1:
+        return inv_q == 0 and inv_r == Fraction(1, 2)
+    if inv_r != Fraction(1, 2) - Fraction(2, n - 1) * inv_q:
+        return False
+    return inv_r <= Fraction(1, 2) and not (n == 3 and inv_r == 0)
+
+
+VALUES = [math.inf, 1, 2, 3, 4, 6, 8, Fraction(8, 3), Fraction(10, 3), -4, 2.5, 4.0]
+
+
+class TestAdmissibleR:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_the_relation_term_by_term(self, n):
+        for q in VALUES:
+            for r in VALUES:
+                expected = reference_is_admissible(n, q, r)
+                assert StrichartzExponents.is_admissible(n, q, r) == expected, (q, r)
+
+
 class TestEmbeddingCheck:
     def test_known_values(self):
         assert embedding_exponent_check(1, 4) is True  # 7/8 < 1

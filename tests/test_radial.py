@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from semirelax import (
     F_p_source,
-    J_kernel,
     RadialProfile,
-    dJ_dt,
     duhamel_maximal_bound_check,
     load_profile,
     maximal_bound_check,
@@ -276,27 +275,27 @@ class TestJKernel:
         ones = profile_from_function(lambda r: np.ones_like(r), R=10.0, M=256)
         for t in (0.0, 0.37, 2.0, 4.5):
             r = ones.r[ones.r + t <= ones.r[-1]]
-            vals = J_kernel(ones, t, r)
+            vals = JEvaluator(ones).j(t, r)
             assert np.max(np.abs(vals - t)) < 1e-13 * max(t, 1.0)
 
     def test_t_zero_is_zero(self):
         prof = gaussian_profile()
-        assert abs(J_kernel(prof, 0.0, 1.0)) == 0.0
+        assert abs(JEvaluator(prof).j(0.0, 1.0)) == 0.0
 
     def test_linear_profile_closed_form(self):
         lin = profile_from_function(lambda r: r, R=10.0, M=256)
         t = 1.3
         r = lin.r[lin.r + t <= lin.r[-1]]
         expected = ((r + t) ** 3 - np.abs(r - t) ** 3) / (6.0 * r)
-        assert np.max(np.abs(J_kernel(lin, t, r) - expected)) < 1e-10
+        assert np.max(np.abs(JEvaluator(lin).j(t, r) - expected)) < 1e-10
 
     def test_linearity(self):
         f = gaussian_profile()
         g = profile_from_function(lambda r: np.exp(-((r - 2) ** 2)), R=10.0, M=512)
         comb = RadialProfile(f.R, 2.0 * f.values + 1j * g.values)
         t, r = 0.8, f.r[::7]
-        a = J_kernel(comb, t, r)
-        b = 2.0 * J_kernel(f, t, r) + 1j * J_kernel(g, t, r)
+        a = JEvaluator(comb).j(t, r)
+        b = 2.0 * JEvaluator(f).j(t, r) + 1j * JEvaluator(g).j(t, r)
         assert np.max(np.abs(a - b)) < 1e-12
 
     @given(
@@ -325,12 +324,14 @@ class TestJKernel:
     def test_rejects_nonpositive_radius(self):
         prof = gaussian_profile()
         with pytest.raises(ValueError, match="r > 0"):
-            J_kernel(prof, 0.5, 0.0)
+            JEvaluator(prof).j(0.5, 0.0)
 
     def test_rejects_negative_time_in_a_column(self):
         prof = gaussian_profile(M=64)
-        with pytest.raises(ValueError, match="t >= 0"):
-            JEvaluator(prof).j(np.array([[0.5], [-0.1]]), prof.r)
+        ev = JEvaluator(prof)
+        for method in (ev.j, ev.dj_dt):
+            with pytest.raises(ValueError, match="t >= 0"):
+                method(np.array([[0.5], [-0.1]]), prof.r)
 
 
 class TestTimeColumn:
@@ -369,6 +370,43 @@ class TestTimeColumn:
         ) == reference_hardy_time_derivative_check(prof, T, n_t)
 
 
+    def test_block_size_does_not_change_the_probes(self, monkeypatch):
+        prof = random_profile(3, M=96)
+        before = maximal_bound_check(prof, 4.0), hardy_time_derivative_check(prof)
+        monkeypatch.setattr(radial, "_BLOCK_BYTES", 1)  # one time per block
+        after = maximal_bound_check(prof, 4.0), hardy_time_derivative_check(prof)
+        assert before == after
+
+
+class TestProbeHorizons:
+    @pytest.mark.parametrize("probe", ["cor37", "cor39"])
+    def test_peak_memory_is_linear_in_m(self, probe):
+        # unit-ball indicator at M = 2048, T = 4: a whole (n_t + 1) x M
+        # column of times is about 128 MiB
+        prof = profile_from_function(lambda r: (r <= 1.0).astype(float), R=8.0, M=2048)
+        check = maximal_bound_check if probe == "cor37" else hardy_time_derivative_check
+        tracemalloc.start()
+        try:
+            check(prof, 4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
+    def test_zero_horizon_gives_zero(self):
+        prof = gaussian_profile(M=128, R=10.0)
+        assert hardy_time_derivative_check(prof, T=0.0).lhs == 0.0
+        assert maximal_bound_check(prof, T=0.0).lhs == 0.0
+
+    @pytest.mark.parametrize(
+        "probe", [maximal_bound_check, duhamel_maximal_bound_check, hardy_time_derivative_check]
+    )
+    @pytest.mark.parametrize("T, n_t", [(-2.0, None), (1.0, 0)])
+    def test_rejects_negative_horizon_and_empty_time_grid(self, probe, T, n_t):
+        with pytest.raises(ValueError, match="T >= 0 and n_t >= 1"):
+            probe(gaussian_profile(M=64), T, n_t=n_t)
+
+
 class TestDJdt:
     def test_constant_profile_collapses(self):
         c = 0.7 - 0.2j
@@ -376,22 +414,23 @@ class TestDJdt:
         prof = RadialProfile(10.0, c * ones.values)
         for t in (0.1, 1.0, 3.0):
             r = prof.r[(prof.r - t > prof.dr) & (prof.r + t <= prof.r[-1])]
-            vals = dJ_dt(prof, t, r)
+            vals = JEvaluator(prof).dj_dt(t, r)
             assert np.max(np.abs(vals - c)) < 1e-12
 
     def test_zero_profile(self):
         zero = profile_from_function(lambda r: np.zeros_like(r), R=10.0, M=64)
-        assert dJ_dt(zero, 0.5, 1.0) == 0.0
+        assert JEvaluator(zero).dj_dt(0.5, 1.0) == 0.0
 
     def test_matches_finite_difference_at_order_two(self):
         prof = gaussian_profile(M=1024, R=12.0)
         t = 0.8
         r = prof.r[(prof.r > 0.3) & (prof.r + t + 0.1 <= prof.r[-1])]
+        ev = JEvaluator(prof)
         errs = []
         steps = (1e-2, 5e-3, 2.5e-3)
         for h in steps:
-            fd = (J_kernel(prof, t + h, r) - J_kernel(prof, t - h, r)) / (2 * h)
-            errs.append(np.max(np.abs(fd - dJ_dt(prof, t, r))))
+            fd = (ev.j(t + h, r) - ev.j(t - h, r)) / (2 * h)
+            errs.append(np.max(np.abs(fd - ev.dj_dt(t, r))))
         from semirelax.plotting import fit_order
 
         assert 1.9 <= fit_order(steps, errs) <= 2.1

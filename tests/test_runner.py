@@ -270,6 +270,19 @@ class TestSweep:
         assert threshold["largest_passing"] == pytest.approx(0.3)
         assert threshold["smallest_failing"] is None
 
+    def test_sigma_sweep_of_a_radial_wave_scenario(self, tmp_path):
+        # no spectral grid: sigma rescales R and leaves L unset
+        body = RADIAL.replace("solver = both", "solver = radial-wave").replace(
+            "checks = prop14, prop21, lemma35, lemma36, cor37, cor39, lemma33, lemma34",
+            "checks = prop14, cor37",
+        ).replace("N = 32\nL = 12\n", "")
+        (sc,) = load_config(write_config(tmp_path, body))
+        aggregate = sweep(sc, {"sigma": ["0.5", "2"]}, tmp_path / "sweep")
+        members = aggregate["members"]
+        assert all("error" not in m for m in members)
+        assert [m["scenario"]["R"] for m in members] == [24.0, 6.0]
+        assert all(m["scenario"]["L"] is None for m in members)
+
     def test_rejects_unknown_key(self, tmp_path):
         (sc,) = load_config(write_config(tmp_path, FAST))
         with pytest.raises(ValueError, match="sweep over"):
@@ -356,6 +369,30 @@ class TestShippedCatalog:
 class TestHelpers:
     def test_maximal_domination_gap_nonpositive(self):
         assert maximal_domination_gap(seed=1, trials=5) <= 1e-8
+
+    def test_disagreement_reads_the_point_interpolant(self, tmp_path, monkeypatch):
+        import numpy as np
+
+        from semirelax import radial, to_physical
+        from semirelax.runner import _RunContext
+
+        (sc,) = load_config(write_config(tmp_path, RADIAL))
+        ctx = _RunContext(sc)
+        traj, rtraj = ctx.traj, ctx.radial_traj
+        # the value through JEvaluator.point, as the check computed it before
+        u3 = to_physical(traj.snapshots[-1]).values
+        half = traj.grid.N // 2
+        axis_vals, radii = u3[half + 1 :, half, half], traj.grid.axis[half + 1 :]
+        prof = rtraj.profiles[-1]
+        keep = radii <= prof.r[-1]
+        wave_vals = radial.JEvaluator(prof).point(radii[keep])
+        expected = np.max(np.abs(axis_vals[keep] - wave_vals)) / np.max(np.abs(wave_vals))
+
+        def no_build(self, f):
+            raise AssertionError("lemma35 builds no JEvaluator")
+
+        monkeypatch.setattr(radial.JEvaluator, "__init__", no_build)
+        assert spectral_vs_wave_disagreement(traj, rtraj) == float(expected)
 
     def test_disagreement_zero_for_zero_fields(self, tmp_path):
         (sc,) = load_config(write_config(tmp_path, RADIAL.replace("0.05", "0.0")))

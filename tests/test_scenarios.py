@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semirelax import ScenarioError, default_catalog_path, load_config
 from semirelax.norms import l2_norm
@@ -169,6 +173,56 @@ checks = prop14, cor37, cor39
         assert np.allclose(sc.initial_field().values, f.values)
 
 
+WAVE_ONLY = """
+[scenario.wave_only]
+n = 3
+p = 3
+s = 1.0
+solver = radial-wave
+M = 64
+R = 10
+dt = 1e-2
+T = 0.05
+initial = gaussian(0.1, 1.0, 0.0)
+checks = prop14
+"""
+
+
+class TestSolverRulesAtLoad:
+    """Each config breaks one rule of the solver that would run it; the
+    loader asks that solver's own check, so the run never starts."""
+
+    @pytest.mark.parametrize("body, rule", [
+        (GOOD.replace("N = 64", "N = 100"), "power of two"),
+        (GOOD.replace("L = 20", "L = -1"), "period L must be positive"),
+        (GOOD.replace("dt = 1e-2", "dt = -0.01"), "time step must be positive"),
+        (GOOD.replace("dt = 1e-2", "dt = 0.5"), "exceeds final time"),
+        (GOOD.replace("T = 0.1", "T = -0.1"), "final time must be nonnegative"),
+        (GOOD + "snapshot_stride = 0\n", "snapshot_stride must be a positive"),
+        (WAVE_ONLY.replace("T = 0.05", "T = 10"), "radial boundary"),
+        (GOOD.replace("p = 3", "p = 1"), "power must exceed 1"),
+        (WAVE_ONLY.replace("p = 3", "p = 4").replace("prop14", "cor37"), "1 < p <= 3"),
+        (WAVE_ONLY.replace("M = 64", "M = 8"), "at least 16 samples"),
+        (GOOD.replace("T = 0.1", "T = 0"), "needs 2 stored snapshots, got 1"),
+        (
+            GOOD.replace("checks = prop21", "checks = duhamel\nsnapshot_stride = 6"),
+            "needs 3 stored snapshots, got 2",
+        ),
+    ], ids=[
+        "N_100", "L_negative", "dt_negative", "dt_above_T", "T_negative", "stride_0",
+        "radial_T_at_R", "p_1", "radial_p_4", "radial_M_8", "T_0_prop21",
+        "duhamel_two_snapshots",
+    ])
+    def test_rejected_at_load_and_cli_exits_2(self, tmp_path, capsys, body, rule):
+        from semirelax.cli import main
+
+        path = write_config(tmp_path, body)
+        with pytest.raises(ScenarioError, match=rule):
+            load_config(path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: scenario")
+
+
 class TestShippedCatalog:
     def test_catalog_has_six_scenarios(self):
         scenarios = load_config(default_catalog_path())
@@ -182,3 +236,107 @@ class TestShippedCatalog:
             assert sc.checks
             if sc.solver in ("spectral", "both"):
                 assert sc.initial_field() is not None
+
+
+def _spectral_body(n, N, L, p, s, dt, T, stride, amp, checks):
+    return f"""
+[scenario.fuzz]
+n = {n}
+p = {p}
+s = {s}
+solver = spectral
+N = {N}
+L = {L}
+dt = {dt}
+T = {T}
+snapshot_stride = {stride}
+initial = gaussian({amp}, 1.0, 0.0)
+checks = {", ".join(checks)}
+"""
+
+
+def _radial_body(M, R, p, dt, T, amp, checks):
+    return f"""
+[scenario.fuzz]
+n = 3
+p = {p}
+s = 1.0
+solver = radial-wave
+M = {M}
+R = {R}
+dt = {dt}
+T = {T}
+initial = gaussian({amp}, 1.0, 0.0)
+checks = {", ".join(checks)}
+"""
+
+
+SPECTRAL_FUZZ_CHECKS = [
+    "prop11", "prop12", "prop21", "prop22", "prop23", "prop24", "scaling",
+    "lemma33", "lemma34", "duhamel",
+]
+RADIAL_FUZZ_CHECKS = ["prop13", "prop14", "lemma36", "cor37", "cor39"]
+
+
+# (field, value) pairs that each break one solver rule: N not a power of
+# two, L <= 0, dt <= 0, dt > T, T < 0, a zero stride, T >= R
+RULE_BREAKS = [
+    ("N", 12), ("L", -1.0), ("dt", -0.01), ("dt", 0.2), ("T", -0.05),
+    ("stride", 0), ("R", 0.05),
+]
+
+
+@st.composite
+def fuzz_configs(draw):
+    """Configs the grammar accepts on small grids: n in {1, 2} with N in
+    {8, 16, 32}, or radial 3-d with M in {16, 32, 64}.  About one draw in
+    three breaks one solver rule."""
+    cfg = {
+        "dt": draw(st.sampled_from([0.01, 0.02, 0.05])),
+        "T": draw(st.sampled_from([0.0, 0.02, 0.05, 0.1])),
+        "stride": draw(st.sampled_from([1, 2, 3])),
+        "N": draw(st.sampled_from([8, 16, 32])),
+        "L": draw(st.sampled_from([10.0, 20.0])),
+        "R": draw(st.sampled_from([4.0, 8.0])),
+    }
+    if draw(st.integers(0, 2)) == 0:
+        key, value = draw(st.sampled_from(RULE_BREAKS))
+        cfg[key] = value
+    amp = draw(st.sampled_from([0.05, 0.1, 0.25]))
+    p = draw(st.sampled_from([2.0, 3.0, 5.0]))
+    if draw(st.booleans()):
+        checks = draw(st.lists(st.sampled_from(RADIAL_FUZZ_CHECKS), max_size=3, unique=True))
+        return _radial_body(
+            draw(st.sampled_from([16, 32, 64])), cfg["R"], p, cfg["dt"], cfg["T"], amp,
+            checks,
+        )
+    checks = draw(st.lists(st.sampled_from(SPECTRAL_FUZZ_CHECKS), max_size=3, unique=True))
+    return _spectral_body(
+        draw(st.sampled_from([1, 2])), cfg["N"], cfg["L"], p,
+        draw(st.sampled_from([0.9, 1.5])), cfg["dt"], cfg["T"], cfg["stride"], amp,
+        checks,
+    )
+
+
+class TestScenarioFuzz:
+    @given(body=fuzz_configs())
+    @settings(max_examples=600, deadline=None)
+    def test_rejected_at_load_or_runs_with_invariants(self, tmp_path_factory, body):
+        from semirelax.runner import run
+
+        tmp = tmp_path_factory.mktemp("fuzz")
+        try:
+            (sc,) = load_config(write_config(tmp, body))
+        except ScenarioError:
+            return
+        report = run(sc, tmp / "out")
+        if report.csv_path is not None:
+            table = np.genfromtxt(tmp / "out" / "fuzz" / report.csv_path,
+                                  delimiter=",", names=True)
+            assert all(np.isfinite(table[name]).all() for name in table.dtype.names)
+            l2 = np.atleast_1d(table["l2"])
+            assert np.all(np.diff(l2) <= 1e-10 * l2[0])
+        for check, entry in report.checks.items():
+            for key, value in entry.items():
+                if isinstance(value, float):
+                    assert math.isfinite(value), (check, key)
