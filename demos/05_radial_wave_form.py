@@ -18,7 +18,7 @@ from semirelax import (
     radial_halfwave_operator,
     wave_evolve,
 )
-from semirelax.runner import spectral_vs_wave_disagreement
+from semirelax.checks import spectral_vs_wave_disagreement
 
 print("=== kernel identities ===")
 ones = profile_from_function(lambda r: np.ones_like(r), R=10.0, M=512)

@@ -7,7 +7,8 @@
     semirelax check-exponents --n <n> --p <p> [--s <s>]
 
 Exit code is 0 iff every requested check passed, 2 for a configuration
-error (including a bad --vary key or value).  The environment variable
+error (including a bad --vary key or value, or a sweep member the loader
+would reject; no member runs then).  The environment variable
 SEMIRELAX_THREADS sets the FFT workers of each run and the number of sweep
 members run at once (default 1); --deterministic runs one worker.
 """

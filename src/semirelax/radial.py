@@ -33,6 +33,7 @@ from scipy.interpolate import CubicSpline
 from .fields import (
     _BLOCK_BYTES, _load_series, _read_samples, _save_series, _write_samples,
 )
+from .propagator import StepperConfig
 
 __all__ = [
     "Report",
@@ -287,18 +288,19 @@ def F_p_source(u: RadialProfile, p: float) -> RadialProfile:
     return RadialProfile(u.R, out)
 
 
-def _wave_form_domain(p: float, dt: float, T: float, R: float) -> None:
-    """The hypotheses of wave_evolve: 1 < p <= 3, dt > 0 and 0 <= T < R
-    (finite propagation keeps the solution inside the sampled range)."""
+def _wave_form_domain(p: float, dt: float, T: float, R: float) -> int:
+    """The hypotheses of wave_evolve: 1 < p <= 3, the stepper's rules for dt
+    and T, and a last march time n_steps dt < R (finite propagation keeps
+    the solution inside the sampled range).  Returns n_steps."""
     if not 1 < p <= 3:
         raise ValueError(f"wave form is implemented for 1 < p <= 3, got {p}")
-    if not dt > 0:
-        raise ValueError(f"time step must be positive, got {dt}")
-    if not 0 <= T < R:
+    n_steps = StepperConfig(p, dt, T).n_steps
+    if not n_steps * dt < R:
         raise ValueError(
-            f"final time T = {T} must satisfy 0 <= T < R = {R}: at the radial "
-            "boundary the truncated data no longer determine the solution"
+            f"last march time {n_steps * dt:.6g} (T = {T}) must be below R = {R}: at the "
+            "radial boundary the truncated data no longer determine the solution"
         )
+    return n_steps
 
 
 def wave_evolve(
@@ -312,7 +314,8 @@ def wave_evolve(
     by trapezoidal quadrature over previous steps.  Because J[g](0, r) = 0
     identically, the endpoint term of the trapezoid vanishes and the march
     is explicit; self-convergence is second order.  Finite propagation
-    requires T < R, and the sine series extends data oddly beyond R.
+    requires every march time below R, and the sine series extends data
+    oddly beyond R.
 
     In the sine series of v = r u~, with b0 = DST(r u0), b1 = DST(r q0)/xi
     and g_k = w_k DST(r F_p(u_k))/xi (w_k the trapezoid weights), the
@@ -324,8 +327,7 @@ def wave_evolve(
     and the march reduces to the exact free-wave representation
     u~(t) = dJ/dt[u0](t) + J[-i D u0](t).
     """
-    _wave_form_domain(p, dt, T, u0.R)
-    n_steps = int(math.ceil(T / dt - 1e-12)) if T > 0 else 0
+    n_steps = _wave_form_domain(p, dt, T, u0.R)
     xi = _sine_modes(u0)
     q0_vals = -1j * _halfwave_multiplier(u0, 1.0).values
     if nonlinear:
@@ -397,6 +399,29 @@ def maximal_function(x: np.ndarray, values: np.ndarray, t: float) -> float:
         i = int(np.clip(np.round((t - x[0]) / dx), 0, vals.size - 1))
         best = max(best, float(vals[i]))
     return best
+
+
+def maximal_domination_gap(seed: int, trials: int, m: int = 200) -> float:
+    """Worst gap of sup_r (1/2r) int_{|r-t|}^{r+t} f over the maximal value
+    of the even extension, over random nonnegative compactly supported f."""
+    rng = np.random.default_rng(seed)
+    worst = -math.inf
+    for _ in range(trials):
+        grid = np.linspace(0.0, 10.0, m, endpoint=False) + 10.0 / (2 * m)
+        f = rng.random(m)
+        cutoff = rng.integers(m // 2, m)
+        f[cutoff:] = 0.0
+        t = float(grid[rng.integers(m // 4, m // 2)])
+        # lhs: exact windowed averages of f on the half-line
+        C = cumulative_mass(grid, f)
+        r = grid
+        lhs = float(np.max((C(r + t) - C(np.abs(r - t))) / (2.0 * r)))
+        # rhs: maximal function of the even extension
+        x_full = np.concatenate([-grid[::-1], grid])
+        f_full = np.concatenate([f[::-1], f])
+        rhs = maximal_function(x_full, f_full, t)
+        worst = max(worst, lhs - rhs)
+    return worst
 
 
 def _probe_times(f: RadialProfile, T: float, n_t: int | None) -> np.ndarray:

@@ -1,9 +1,6 @@
-"""Scenario execution: dispatch to the solvers, apply the requested
-checks, and emit diagnostics CSV, per-check JSON reports and run reports.
-
-Pass thresholds for the residual checks scale with (dt / 1e-3)^2, matching
-the second-order convergence of the splitting, and are calibrated so the
-shipped catalog passes at its default resolutions.
+"""Scenario execution: run the solvers a scenario's checks read, evaluate
+each check from its entry in checks.CHECKS, emit diagnostics CSV, per-check
+JSON reports and run reports, and sweep a scenario over parameter values.
 """
 
 from __future__ import annotations
@@ -18,32 +15,15 @@ from functools import cached_property
 
 import numpy as np
 import scipy.fft
-from scipy.interpolate import CubicSpline
 
 from . import diagnostics as diag
-from .fields import to_physical
-from .norms import l2_norm
+from .checks import CHECKS
 from .plotting import emit_plots, fit_order, refinement_chart_svg
-from .propagator import StepperConfig, Trajectory, duhamel_residual, evolve
-from .radial import (
-    RadialProfile,
-    RadialTrajectory,
-    cumulative_mass,
-    maximal_bound_check,
-    maximal_function,
-    wave_evolve,
-)
-from .scenarios import Scenario, ScenarioError, _parse_initial
+from .propagator import StepperConfig, Trajectory, evolve
+from .radial import RadialProfile, RadialTrajectory, wave_evolve
+from .scenarios import Scenario, ScenarioError, _parse_initial, _validate
 
 __all__ = ["RunReport", "run", "sweep"]
-
-# residual thresholds at the reference step dt = 1e-3
-PROP21_TOL = 1.0e-6
-PROP22_TOL = 1.0e-5
-DUHAMEL_TOL = 1.0e-3
-LEMMA35_TOL = 1.0e-2
-SCALING_TOL = 1.0e-8
-MAXIMAL_TOL = 1.0e-8
 
 
 def _threads() -> int:
@@ -110,157 +90,6 @@ class _RunContext:
         return self.scenario.initial_profile()
 
 
-def _dt_scaled(tol: float, dt: float) -> float:
-    return tol * (dt / 1.0e-3) ** 2
-
-
-def _check_regime(ctx: _RunContext) -> tuple[bool, dict]:
-    """Regime markers: the run completed, stayed finite and mass-monotone
-    (instability would have aborted the solver)."""
-    if ctx.scenario.solver == "radial-wave":
-        ok = np.isfinite(ctx.radial_traj.profiles[-1].values).all()
-        return bool(ok), {}
-    norms = diag.diagnostics_table(ctx.traj, ctx.scenario.s)["l2"].tolist()
-    ok = all(np.isfinite(norms)) and norms[-1] <= norms[0] * (1 + 1e-10)
-    return ok, {"initial_l2": norms[0], "final_l2": norms[-1]}
-
-
-def _check_balance(ctx: _RunContext, checker, base_tol: float) -> tuple[bool, dict]:
-    """A balance law over the whole run against a dt-scaled tolerance."""
-    traj = ctx.traj
-    res = checker(traj, 0.0, float(traj.times[-1]))
-    tol = _dt_scaled(base_tol, ctx.scenario.dt)
-    data = {**res.as_dict(), "tolerance": tol, "t1_zero_extension": True}
-    return res.relative < tol, data
-
-
-def _check_prop23(ctx: _RunContext) -> tuple[bool, dict]:
-    report = diag.check_hs_growth(ctx.traj, ctx.scenario.s, C=1.0)
-    ok = math.isfinite(report.empirical_constant)
-    return ok, report.as_dict()
-
-
-def _check_prop24(ctx: _RunContext) -> tuple[bool, dict]:
-    traj = ctx.traj
-    report = diag.check_h2_inequality(traj, 0.0, float(traj.times[-1]))
-    ok = report.slack >= -1e-12 * max(report.rhs, 1.0)
-    return ok, report.as_dict()
-
-
-def _check_scaling(ctx: _RunContext) -> tuple[bool, dict]:
-    sc = ctx.scenario
-    u0 = sc.initial_field()
-    data, ok = {}, True
-    for sigma in (0.5, 2.0):
-        res = diag.check_scaling_law(u0, sigma, sc.s, sc.p)
-        data[f"relative_sigma_{sigma}"] = res.relative
-        ok = ok and res.relative < SCALING_TOL
-    return ok, data
-
-
-def _check_lemma33(ctx: _RunContext) -> tuple[bool, dict]:
-    sc = ctx.scenario
-    ratio = diag.strauss_ratio(sc.initial_field(), s=sc.s)
-    return math.isfinite(ratio), {"ratio": ratio}
-
-
-def _check_lemma34(ctx: _RunContext) -> tuple[bool, dict]:
-    ratio = diag.weighted_strichartz_ratio(ctx.linear_traj, delta=0.5, q1=4.0)
-    return math.isfinite(ratio), {"ratio": ratio}
-
-
-def _check_lemma35(ctx: _RunContext) -> tuple[bool, dict]:
-    disagreement = spectral_vs_wave_disagreement(ctx.traj, ctx.radial_traj)
-    data = {"relative_linf": disagreement, "tolerance": LEMMA35_TOL}
-    return disagreement < LEMMA35_TOL, data
-
-
-def _check_lemma36(ctx: _RunContext) -> tuple[bool, dict]:
-    worst = maximal_domination_gap(seed=0, trials=10)
-    return worst <= MAXIMAL_TOL, {"worst_gap": worst}
-
-
-def _check_cor37(ctx: _RunContext) -> tuple[bool, dict]:
-    report = maximal_bound_check(ctx.profile, T=ctx.scenario.T)
-    ok = math.isfinite(report.empirical_constant)
-    return ok, report.as_dict()
-
-
-def _check_cor39(ctx: _RunContext) -> tuple[bool, dict]:
-    report = diag.hardy_time_derivative_check(ctx.profile)
-    ok = math.isfinite(report.empirical_constant) and "out_of_space" not in report.notes
-    return ok, report.as_dict()
-
-
-def _check_duhamel(ctx: _RunContext) -> tuple[bool, dict]:
-    value = duhamel_residual(ctx.traj)
-    scale = max(l2_norm(ctx.traj.snapshots[0]), 1e-30)
-    tol = _dt_scaled(DUHAMEL_TOL, ctx.scenario.dt)
-    return value / scale < tol, {"residual": value, "relative": value / scale}
-
-
-# checkers are looked up at call time, so a wrapper bound into the
-# diagnostics module (a tracer, a test spy) sees every call
-_CHECKS = {
-    "prop11": _check_regime,
-    "prop12": _check_regime,
-    "prop13": _check_regime,
-    "prop14": _check_regime,
-    "prop21": lambda ctx: _check_balance(ctx, diag.check_l2_identity, PROP21_TOL),
-    "prop22": lambda ctx: _check_balance(ctx, diag.check_h1_identity, PROP22_TOL),
-    "prop23": _check_prop23,
-    "prop24": _check_prop24,
-    "scaling": _check_scaling,
-    "lemma33": _check_lemma33,
-    "lemma34": _check_lemma34,
-    "lemma35": _check_lemma35,
-    "lemma36": _check_lemma36,
-    "cor37": _check_cor37,
-    "cor39": _check_cor39,
-    "duhamel": _check_duhamel,
-}
-
-
-def spectral_vs_wave_disagreement(traj: Trajectory, rtraj: RadialTrajectory) -> float:
-    """Relative L^inf gap at the final common time between the 3-d spectral
-    solution along the positive first axis and the wave-form profile."""
-    u3 = to_physical(traj.snapshots[-1])
-    grid = u3.grid
-    half = grid.N // 2
-    axis_vals = u3.values[(slice(half + 1, None),) + (half,) * (grid.n - 1)]
-    radii = grid.axis[half + 1 :]
-    prof = rtraj.profiles[-1]
-    keep = radii <= prof.r[-1]
-    wave_vals = CubicSpline(prof.r, prof.values, bc_type="not-a-knot")(radii[keep])
-    scale = float(np.max(np.abs(wave_vals)))
-    if scale == 0:
-        return float(np.max(np.abs(axis_vals[keep])))
-    return float(np.max(np.abs(axis_vals[keep] - wave_vals)) / scale)
-
-
-def maximal_domination_gap(seed: int, trials: int, m: int = 200) -> float:
-    """Worst gap of sup_r (1/2r) int_{|r-t|}^{r+t} f over the maximal value
-    of the even extension, over random nonnegative compactly supported f."""
-    rng = np.random.default_rng(seed)
-    worst = -math.inf
-    for _ in range(trials):
-        grid = np.linspace(0.0, 10.0, m, endpoint=False) + 10.0 / (2 * m)
-        f = rng.random(m)
-        cutoff = rng.integers(m // 2, m)
-        f[cutoff:] = 0.0
-        t = float(grid[rng.integers(m // 4, m // 2)])
-        # lhs: exact windowed averages of f on the half-line
-        C = cumulative_mass(grid, f)
-        r = grid
-        lhs = float(np.max((C(r + t) - C(np.abs(r - t))) / (2.0 * r)))
-        # rhs: maximal function of the even extension
-        x_full = np.concatenate([-grid[::-1], grid])
-        f_full = np.concatenate([f[::-1], f])
-        rhs = maximal_function(x_full, f_full, t)
-        worst = max(worst, lhs - rhs)
-    return worst
-
-
 def run(
     scenario: Scenario,
     outdir,
@@ -303,7 +132,7 @@ def _run(scenario: Scenario, outdir, deterministic: bool, plots: bool,
         results = {}
         for check in scenario.checks:
             try:
-                passed, data = _CHECKS[check](ctx)
+                passed, data = CHECKS[check].evaluate(ctx)
             except Exception as exc:  # surfaced with scenario context
                 raise RuntimeError(
                     f"check {check!r} failed to run for scenario {scenario.name!r}: {exc}"
@@ -380,12 +209,12 @@ def sweep(
     """Run a parameter sweep and aggregate convergence and stability data.
 
     Members run concurrently (capped by SEMIRELAX_THREADS), one FFT worker
-    each, so the sweep uses no more threads than that; failures are
-    recorded and do not abort the sweep, but an unknown key, a non-numeric
-    value or an amplitude sweep of file data raises ScenarioError before any
-    member runs.  When dt is varied, residual-style checks get a fitted
-    convergence order and a refinement chart; empirical constants get a
-    max/min stability ratio.
+    each, so the sweep uses no more threads than that; run-time failures
+    are recorded and do not abort the sweep, but an unknown key, a
+    non-numeric value, an amplitude sweep of file data or a member the
+    loader would reject raises ScenarioError before any member runs.  When
+    dt is varied, residual-style checks get a fitted convergence order and
+    a refinement chart; empirical constants get a max/min stability ratio.
     """
     for key in vary:
         if key not in _SWEEPABLE:
@@ -395,6 +224,8 @@ def sweep(
     members = [base]
     for key, values in vary.items():
         members = [_apply_variation(m, key, v) for m in members for v in values]
+    for member in members:
+        _validate(member)
     results: list[RunReport | Exception] = [None] * len(members)
 
     threads = 1 if deterministic else _threads()
@@ -423,7 +254,7 @@ def sweep(
             aggregate["members"].append(res.as_dict())
     if "dt" in vary and len(vary["dt"]) >= 2:
         dts = [float(v) for v in vary["dt"]]
-        _aggregate_orders(aggregate, members, results, dts, outdir)
+        _aggregate_orders(aggregate, results, dts, outdir)
     _aggregate_stability(aggregate, results)
     if "amplitude" in vary:
         _aggregate_amplitude_threshold(aggregate, members, results)
@@ -453,7 +284,7 @@ _RESIDUAL_CHECKS = ("prop21", "prop22", "duhamel")
 _CONSTANT_CHECKS = ("prop23", "lemma33", "lemma34", "cor37", "cor39")
 
 
-def _aggregate_orders(aggregate, members, results, dts, outdir):
+def _aggregate_orders(aggregate, results, dts, outdir):
     ok = [r for r in results if isinstance(r, RunReport)]
     if len(ok) != len(results):
         return
@@ -463,7 +294,7 @@ def _aggregate_orders(aggregate, members, results, dts, outdir):
             entry = rep.checks.get(check)
             if entry is None:
                 break
-            vals.append(entry.get("relative", entry.get("residual")))
+            vals.append(entry["relative"])
         if len(vals) == len(dts) and all(v > 0 for v in vals):
             order = fit_order(dts, vals)
             aggregate["orders"][check] = order

@@ -10,33 +10,14 @@ Config grammar (INI-style, parsed by configparser):
     solver = spectral         # spectral | radial-wave | both
     N = 256                   # grid points per axis   (spectral solvers)
     L = 40                    # box period             (spectral solvers)
-    M = 512                   # radial samples         (radial-wave / both)
-    R = 20                    # radial extent          (radial-wave / both)
+    M = 512                   # radial samples         (radial solvers, cor37, cor39)
+    R = 20                    # radial extent          (radial solvers, cor37, cor39)
     dt = 1e-3
     T = 1.0
     snapshot_stride = 1       # optional, default 1
     nonlinear = true          # optional, default true
     initial = gaussian(0.5, 1.0, 0.0)   # or mode(k, amplitude) or file(path)
-    checks = prop21, prop22   # comma-separated check names
-
-Check names and the hypotheses enforced at load time:
-
-    prop11  n = 1 regime marker
-    prop12  n = 2 regime marker, requires 3/4 < s < p
-    prop13  n = 3 radial regime marker, requires 1 < p < 1 + 2/(n-2)
-    prop14  n = 3 radial critical marker, requires p = 3 and small data
-    prop21  mass balance residual
-    prop22  gradient balance residual
-    prop23  H^s growth constant, requires n in {1,2}, n/2 < s < min(2, p)
-    prop24  curvature inequality, requires p = 3
-    scaling homogeneous-norm rescaling invariance
-    lemma33 radial weighted sup probe, requires radial data, 1/2 < s < n/2
-    lemma34 weighted space-time probe on the free flow
-    lemma35 spectral vs wave-form cross-check, requires solver = both
-    lemma36 maximal-function domination probe
-    cor37   radial average L^2_t L^inf bound probe
-    cor39   Hardy probe for the time derivative of the radial average
-    duhamel integral-equation defect
+    checks = prop21, prop22   # comma-separated keys of checks.CHECKS
 """
 
 from __future__ import annotations
@@ -48,30 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import CHECKS, broken_hypothesis
 from .fields import Field, gaussian_field, load_field, mode_field
 from .grids import make_grid
 from .propagator import StepperConfig
 from .radial import RadialProfile, _wave_form_domain, profile_from_function
 
-__all__ = [
-    "Scenario",
-    "ScenarioError",
-    "load_config",
-    "default_catalog_path",
-    "SPECTRAL_CHECKS",
-    "RADIAL_CHECKS",
-    "KNOWN_CHECKS",
-]
-
-SPECTRAL_CHECKS = {
-    "prop11", "prop12", "prop13", "prop14",
-    "prop21", "prop22", "prop23", "prop24",
-    "scaling", "lemma33", "lemma34", "duhamel",
-}
-RADIAL_CHECKS = {"lemma35", "lemma36", "cor37", "cor39"}
-KNOWN_CHECKS = SPECTRAL_CHECKS | RADIAL_CHECKS
-
-_SMALL_DATA_AMPLITUDE = 0.25
+__all__ = ["Scenario", "ScenarioError", "load_config", "default_catalog_path"]
 
 
 class ScenarioError(ValueError):
@@ -115,7 +79,7 @@ class Scenario:
         kind, args = _parse_initial(self.initial)
         if kind != "gaussian":
             raise ScenarioError(
-                f"scenario {self.name!r}: radial solvers need gaussian initial data"
+                f"scenario {self.name!r}: the radial profile needs gaussian initial data"
             )
         amp, width, center = args
         if center != 0:
@@ -152,25 +116,18 @@ def _parse_initial(spec: str):
 def _validate(sc: Scenario) -> None:
     if sc.solver not in ("spectral", "radial-wave", "both"):
         raise ScenarioError(f"scenario {sc.name!r}: unknown solver {sc.solver!r}")
-    unknown = [c for c in sc.checks if c not in KNOWN_CHECKS]
+    unknown = [c for c in sc.checks if c not in CHECKS]
     if unknown:
         raise ScenarioError(f"scenario {sc.name!r}: unknown checks {unknown}")
     if sc.solver in ("spectral", "both") and (sc.N is None or sc.L is None):
         raise ScenarioError(f"scenario {sc.name!r}: spectral solver needs N and L")
-    if sc.solver == "radial-wave":
-        allowed = RADIAL_CHECKS | {"prop13", "prop14"}
-        bad = [c for c in sc.checks if c not in allowed]
-        if bad:
-            raise ScenarioError(
-                f"scenario {sc.name!r}: checks {bad} need the spectral solver "
-                "(use solver = spectral or both)"
-            )
     try:  # the solvers' own rules, checked by the code that enforces them
         if sc.solver in ("spectral", "both"):
             make_grid(sc.n, sc.N, sc.L)
             StepperConfig(sc.p, sc.dt, sc.T, snapshot_stride=sc.snapshot_stride)
-        if sc.solver in ("radial-wave", "both"):
+        if sc.solver != "spectral" or any(CHECKS[c].reads == "radial" for c in sc.checks):
             sc.initial_profile()  # M, R and the radial form of the data
+        if sc.solver != "spectral":
             if sc.n != 3:
                 raise ScenarioError(
                     f"scenario {sc.name!r}: the wave form is a 3-d radial reduction, got n={sc.n}"
@@ -182,55 +139,9 @@ def _validate(sc: Scenario) -> None:
         raise ScenarioError(f"scenario {sc.name!r}: {exc}") from exc
     kind, args = _parse_initial(sc.initial)
     for check in sc.checks:
-        _validate_check(sc, check, kind, args)
-
-
-def _validate_check(sc: Scenario, check: str, initial_kind: str, initial_args) -> None:
-    def fail(msg: str):
-        raise ScenarioError(f"scenario {sc.name!r}, check {check!r}: {msg}")
-
-    if check == "prop11" and sc.n != 1:
-        fail(f"the n = 1 regime requires n = 1, got n={sc.n}")
-    if check == "prop12":
-        if sc.n != 2:
-            fail(f"the n = 2 regime requires n = 2, got n={sc.n}")
-        if not (0.75 < sc.s < sc.p):
-            fail(f"requires 3/4 < s < p, got s={sc.s}, p={sc.p}")
-    if check == "prop13":
-        if sc.n < 3:
-            fail(f"the radial regime requires n >= 3, got n={sc.n}")
-        bound = 1.0 + 2.0 / (sc.n - 2.0)
-        if not (1.0 < sc.p < bound):
-            fail(f"requires 1 < p < 1 + 2/(n-2) = {bound}, got p={sc.p}")
-    if check == "prop14":
-        if sc.n != 3 or sc.p != 3:
-            fail(f"the critical regime requires n = 3 and p = 3, got n={sc.n}, p={sc.p}")
-        if initial_kind != "gaussian" or abs(initial_args[0]) > _SMALL_DATA_AMPLITUDE:
-            fail(
-                "requires small radial data "
-                f"(gaussian amplitude <= {_SMALL_DATA_AMPLITUDE})"
-            )
-    if check == "prop23":
-        if sc.n not in (1, 2):
-            fail(f"the growth bound requires n in {{1, 2}}, got n={sc.n}")
-        if not (sc.n / 2.0 < sc.s < min(2.0, sc.p)):
-            fail(f"requires n/2 < s < min(2, p), got s={sc.s}")
-    if check == "prop24" and sc.p != 3:
-        fail(f"the curvature inequality requires p = 3, got p={sc.p}")
-    if check == "lemma33":
-        if sc.n < 2:
-            fail(f"the radial sup probe requires n >= 2, got n={sc.n}")
-        if not (0.5 < sc.s < sc.n / 2.0):
-            fail(f"requires 1/2 < s < n/2, got s={sc.s}")
-    if check in ("prop21", "prop22", "prop24", "duhamel"):
-        need = 3 if check == "duhamel" else 2  # the Duhamel trapezoid; a window [0, T]
-        stored = 1 + StepperConfig(sc.p, sc.dt, sc.T).n_steps // sc.snapshot_stride
-        if stored < need:
-            fail(f"needs {need} stored snapshots, got {stored} (from T, dt, snapshot_stride)")
-    if check == "lemma35" and sc.solver != "both":
-        fail("the cross-check needs solver = both")
-    if check in RADIAL_CHECKS and (sc.M is None or sc.R is None):
-        fail("radial probes need M and R")
+        broken = broken_hypothesis(sc, check, kind, args)
+        if broken:
+            raise ScenarioError(f"scenario {sc.name!r}, check {check!r}: {broken}")
 
 
 def _get(section, key, cast, default=None, required=False):

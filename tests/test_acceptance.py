@@ -40,9 +40,9 @@ from semirelax import (
     wave_evolve,
     weighted_strichartz_ratio,
 )
+from semirelax.checks import spectral_vs_wave_disagreement
 from semirelax.plotting import fit_order
 from semirelax.radial import JEvaluator, cumulative_mass, maximal_function
-from semirelax.runner import spectral_vs_wave_disagreement
 from semirelax.scenarios import load_config
 from conftest import random_field
 

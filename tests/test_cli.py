@@ -92,6 +92,18 @@ class TestSweepCommand:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
+    def test_member_breaking_a_rule_is_a_config_error(self, tmp_path, config, capsys):
+        # every member is validated before any runs: dt = 0.5 exceeds T
+        code = main([
+            "sweep", "--config", str(config), "--scenario", "cli_demo",
+            "--vary", "dt=0.01,0.5,0.02", "--out", str(tmp_path / "sweep"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario 'cli_demo__dt_0.5'")
+        assert "exceeds final time" in err
+        assert not (tmp_path / "sweep").exists()
+
 
 class TestCheckExponents:
     def test_critical_pairing(self, capsys):

@@ -558,6 +558,15 @@ class TestWaveEvolve:
         with pytest.raises(ValueError, match="radial boundary"):
             wave_evolve(prof, 3.0, dt=0.1, T=5.0)
 
+    @pytest.mark.parametrize("dt, T, rule", [
+        (5.0, 1.0, "exceeds final time"),  # one step would march to t = 5
+        (2.0, 3.9, "radial boundary"),  # the last march time 2 dt equals R
+    ])
+    def test_rejects_a_march_time_at_or_past_R(self, dt, T, rule):
+        prof = gaussian_profile(R=4.0, M=64)
+        with pytest.raises(ValueError, match=rule):
+            wave_evolve(prof, 3.0, dt=dt, T=T)
+
     def test_blow_up_names_its_step(self):
         # the source of step 3, F_p(u_2), overflows
         prof = gaussian_profile(R=10.0, M=64, amp=1e3)

@@ -7,11 +7,8 @@ import scipy.fft
 
 from semirelax import ScenarioError, load_config, run, sweep
 from semirelax import runner
-from semirelax.runner import (
-    LEMMA35_TOL,
-    maximal_domination_gap,
-    spectral_vs_wave_disagreement,
-)
+from semirelax.checks import LEMMA35_TOL, spectral_vs_wave_disagreement
+from semirelax.radial import maximal_domination_gap
 
 
 def write_config(tmp_path, body):
@@ -253,13 +250,28 @@ class TestSweep:
         assert (tmp_path / "sweep" / "refinement_prop21.svg").exists()
         assert (tmp_path / "sweep" / "sweep.json").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_member_failure_recorded_not_fatal(self, tmp_path):
-        (sc,) = load_config(write_config(tmp_path, FAST))
-        aggregate = sweep(sc, {"N": ["64", "48"]}, tmp_path / "sweep")
+        # both members pass the loader; the large-data march blows up mid-run
+        body = """
+[scenario.wave_blowup]
+n = 3
+p = 2.5
+solver = radial-wave
+M = 64
+R = 10
+dt = 0.5
+T = 2
+initial = gaussian(0.1, 1.0, 0.0)
+checks = prop13
+"""
+        (sc,) = load_config(write_config(tmp_path, body))
+        aggregate = sweep(sc, {"amplitude": ["0.1", "1000"]}, tmp_path / "sweep")
         oks = [m for m in aggregate["members"] if "error" not in m]
         errs = [m for m in aggregate["members"] if "error" in m]
         assert len(oks) == 1 and len(errs) == 1
-        assert "power of two" in errs[0]["error"]
+        assert errs[0]["name"] == "wave_blowup__amplitude_1000"
+        assert "non-finite radial state at step 4 (t = 2)" in errs[0]["error"]
 
     def test_amplitude_variation(self, tmp_path):
         (sc,) = load_config(write_config(tmp_path, FAST))
@@ -292,6 +304,7 @@ class TestSweep:
         {"amplitude": ["0.1", "0.2"]},
         {"width": ["1.0"]},
         {"dt": ["2e-3", "fast"]},
+        {"dt": ["2e-3", "0.5"]},  # a member with dt > T breaks the stepper's rule
     ])
     def test_rejected_before_any_member_runs(self, tmp_path, vary):
         from semirelax import gaussian_field, make_grid, save_field

@@ -144,6 +144,15 @@ checks = prop14, cor37, cor39
         assert report.all_passed
         assert report.csv_path is None
 
+    def test_lemma36_reads_no_radial_grid(self, tmp_path):
+        from semirelax.runner import run
+
+        # the maximal-function probe ignores its scenario: no M or R needed
+        body = GOOD.replace("checks = prop21", "checks = lemma36")
+        (sc,) = load_config(write_config(tmp_path, body))
+        assert sc.M is None and sc.R is None
+        assert run(sc, tmp_path / "out").checks["lemma36"]["passed"]
+
     def test_radial_solver_needs_dimension_three(self, tmp_path):
         body = GOOD.replace("solver = spectral", "solver = both").replace(
             "checks = prop21", "checks = prop21\nM = 64\nR = 10"
@@ -188,6 +197,10 @@ checks = prop14
 """
 
 
+# a spectral run that also requests a radial probe: cor37 reads (M, R)
+RADIAL_PROBE = GOOD.replace("checks = prop21", "checks = cor37\nM = 64\nR = 10")
+
+
 class TestSolverRulesAtLoad:
     """Each config breaks one rule of the solver that would run it; the
     loader asks that solver's own check, so the run never starts."""
@@ -208,10 +221,30 @@ class TestSolverRulesAtLoad:
             GOOD.replace("checks = prop21", "checks = duhamel\nsnapshot_stride = 6"),
             "needs 3 stored snapshots, got 2",
         ),
+        (GOOD.replace("checks = prop21", "checks = lemma35"), r"solver = both"),
+        # a radial probe reads the radial profile under the spectral solver too
+        (
+            RADIAL_PROBE.replace("gaussian(0.5, 1.0, 0.0)", "mode(1, 0.5)"),
+            "needs gaussian initial data",
+        ),
+        (
+            RADIAL_PROBE.replace("M = 64", "M = 8").replace("cor37", "cor39"),
+            "at least 16 samples",
+        ),
+        (
+            RADIAL_PROBE.replace("gaussian(0.5, 1.0, 0.0)", "gaussian(0.5, 1.0, 1.0)"),
+            "must be centered",
+        ),
+        # the wave form marches to ceil(T/dt) dt, which must stay below R
+        (WAVE_ONLY.replace("R = 10", "R = 4").replace("T = 0.05", "T = 1").replace(
+            "dt = 1e-2", "dt = 5"), "exceeds final time"),
+        (WAVE_ONLY.replace("R = 10", "R = 4").replace("T = 0.05", "T = 3.9").replace(
+            "dt = 1e-2", "dt = 2"), "radial boundary"),
     ], ids=[
         "N_100", "L_negative", "dt_negative", "dt_above_T", "T_negative", "stride_0",
         "radial_T_at_R", "p_1", "radial_p_4", "radial_M_8", "T_0_prop21",
-        "duhamel_two_snapshots",
+        "duhamel_two_snapshots", "lemma35_spectral", "cor37_mode_data", "cor39_M_8",
+        "cor37_off_centre", "radial_dt_above_T", "radial_last_step_at_R",
     ])
     def test_rejected_at_load_and_cli_exits_2(self, tmp_path, capsys, body, rule):
         from semirelax.cli import main
@@ -238,7 +271,8 @@ class TestShippedCatalog:
                 assert sc.initial_field() is not None
 
 
-def _spectral_body(n, N, L, p, s, dt, T, stride, amp, checks):
+def _spectral_body(n, N, L, M, R, p, s, dt, T, stride, initial, checks):
+    radial_grid = "" if M is None else f"M = {M}\nR = {R}\n"
     return f"""
 [scenario.fuzz]
 n = {n}
@@ -247,15 +281,15 @@ s = {s}
 solver = spectral
 N = {N}
 L = {L}
-dt = {dt}
+{radial_grid}dt = {dt}
 T = {T}
 snapshot_stride = {stride}
-initial = gaussian({amp}, 1.0, 0.0)
+initial = {initial}
 checks = {", ".join(checks)}
 """
 
 
-def _radial_body(M, R, p, dt, T, amp, checks):
+def _radial_body(M, R, p, dt, T, initial, checks):
     return f"""
 [scenario.fuzz]
 n = 3
@@ -266,14 +300,14 @@ M = {M}
 R = {R}
 dt = {dt}
 T = {T}
-initial = gaussian({amp}, 1.0, 0.0)
+initial = {initial}
 checks = {", ".join(checks)}
 """
 
 
 SPECTRAL_FUZZ_CHECKS = [
     "prop11", "prop12", "prop21", "prop22", "prop23", "prop24", "scaling",
-    "lemma33", "lemma34", "duhamel",
+    "lemma33", "lemma34", "duhamel", "lemma36", "cor37", "cor39",
 ]
 RADIAL_FUZZ_CHECKS = ["prop13", "prop14", "lemma36", "cor37", "cor39"]
 
@@ -289,8 +323,11 @@ RULE_BREAKS = [
 @st.composite
 def fuzz_configs(draw):
     """Configs the grammar accepts on small grids: n in {1, 2} with N in
-    {8, 16, 32}, or radial 3-d with M in {16, 32, 64}.  About one draw in
-    three breaks one solver rule."""
+    {8, 16, 32}, optionally with a radial grid M in {8, 16, 32} for the
+    radial probes, or radial 3-d with M in {16, 32, 64}.  Initial data are
+    a centred or off-centre gaussian or a plane wave.  About one draw in
+    three breaks one solver rule, and one radial draw in six puts the last
+    march time ceil(T/dt) dt at R."""
     cfg = {
         "dt": draw(st.sampled_from([0.01, 0.02, 0.05])),
         "T": draw(st.sampled_from([0.0, 0.02, 0.05, 0.1])),
@@ -303,17 +340,24 @@ def fuzz_configs(draw):
         key, value = draw(st.sampled_from(RULE_BREAKS))
         cfg[key] = value
     amp = draw(st.sampled_from([0.05, 0.1, 0.25]))
+    initial = draw(st.sampled_from([
+        f"gaussian({amp}, 1.0, 0.0)", f"gaussian({amp}, 1.0, 1.0)",
+        f"mode({draw(st.sampled_from([1, 2]))}, {amp})",
+    ]))
     p = draw(st.sampled_from([2.0, 3.0, 5.0]))
     if draw(st.booleans()):
         checks = draw(st.lists(st.sampled_from(RADIAL_FUZZ_CHECKS), max_size=3, unique=True))
+        if cfg["T"] > 0 < cfg["dt"] and draw(st.integers(0, 5)) == 0:
+            cfg["R"] = math.ceil(cfg["T"] / cfg["dt"] - 1e-12) * cfg["dt"]
         return _radial_body(
-            draw(st.sampled_from([16, 32, 64])), cfg["R"], p, cfg["dt"], cfg["T"], amp,
+            draw(st.sampled_from([16, 32, 64])), cfg["R"], p, cfg["dt"], cfg["T"], initial,
             checks,
         )
     checks = draw(st.lists(st.sampled_from(SPECTRAL_FUZZ_CHECKS), max_size=3, unique=True))
     return _spectral_body(
-        draw(st.sampled_from([1, 2])), cfg["N"], cfg["L"], p,
-        draw(st.sampled_from([0.9, 1.5])), cfg["dt"], cfg["T"], cfg["stride"], amp,
+        draw(st.sampled_from([1, 2])), cfg["N"], cfg["L"],
+        draw(st.sampled_from([None, 8, 16, 32])), cfg["R"], p,
+        draw(st.sampled_from([0.9, 1.5])), cfg["dt"], cfg["T"], cfg["stride"], initial,
         checks,
     )
 
