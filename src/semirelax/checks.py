@@ -6,9 +6,9 @@ hypotheses, which broken_hypothesis names at load time.  Its entry in
 CHECKS holds its evaluator, which maps the run's lazily computed solver
 outputs (runner._RunContext) to a verdict and a JSON payload, and what it
 reads: "spectral" (a spectral grid: solver = spectral or both), "radial"
-(the radial initial profile: M, R and centred gaussian data), "both"
-(solver = both) or "any".  The loader (scenarios._validate) and the runner
-read this table.
+(the 3-d radial initial profile: n = 3, M, R and centred gaussian data),
+"both" (solver = both) or "any".  The loader (scenarios._validate) and the
+runner read this table.
 
 Pass thresholds for the residual checks scale with (dt / 1e-3)^2, matching
 the second-order convergence of the splitting, and are calibrated so the
@@ -21,7 +21,6 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import diagnostics as diag
 from .fields import to_physical
@@ -169,6 +168,8 @@ def broken_hypothesis(sc, check: str, initial_kind: str, initial_args) -> str | 
         return "spectral checks need the spectral solver (use solver = spectral or both)"
     if reads == "both" and sc.solver != "both":
         return "needs both solvers (solver = both)"
+    if reads == "radial" and sc.n != 3:
+        return f"the radial probes read a 3-d radial profile, requires n = 3, got n={sc.n}"
     if check == "prop11" and sc.n != 1:
         return f"the n = 1 regime requires n = 1, got n={sc.n}"
     if check == "prop12":
@@ -202,6 +203,8 @@ def broken_hypothesis(sc, check: str, initial_kind: str, initial_args) -> str | 
             return f"the radial sup probe requires n >= 2, got n={sc.n}"
         if not (0.5 < sc.s < sc.n / 2.0):
             return f"requires 1/2 < s < n/2, got s={sc.s}"
+        if initial_kind != "gaussian" or initial_args[2] != 0:
+            return "requires radial data: a centred gaussian(a, w, 0)"
     if check in ("prop21", "prop22", "prop24", "duhamel"):
         need = 3 if check == "duhamel" else 2  # the Duhamel trapezoid; a window [0, T]
         stored = 1 + StepperConfig(sc.p, sc.dt, sc.T).n_steps // sc.snapshot_stride
@@ -212,6 +215,7 @@ def broken_hypothesis(sc, check: str, initial_kind: str, initial_args) -> str | 
 def spectral_vs_wave_disagreement(traj: Trajectory, rtraj: RadialTrajectory) -> float:
     """Relative L^inf gap at the final common time between the 3-d spectral
     solution along the positive first axis and the wave-form profile."""
+    from scipy.interpolate import CubicSpline
     u3 = to_physical(traj.snapshots[-1])
     grid = u3.grid
     half = grid.N // 2

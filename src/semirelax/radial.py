@@ -11,7 +11,8 @@ factor away from the origin.  The kernel
 is evaluated by JEvaluator from a cubic spline of f~ and the antiderivative
 of the spline of lambda f~, both zero beyond the last node; polynomials of
 degree <= 3 are integrated exactly, so J[1](t, r) = t to machine precision
-wherever the window stays inside the sampled range.
+wherever the window stays inside the sampled range.  scipy.interpolate is
+imported where a spline is built, so importing the package does not load it.
 
 D and the Volterra march use the type-II sine series of v = r u~, where by
 Kirchhoff's formula r J[f](t) = sin(t xi)/xi v and r dJ/dt[f](t) = cos(t xi) v.
@@ -28,7 +29,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.fft
-from scipy.interpolate import CubicSpline
 
 from .fields import (
     _BLOCK_BYTES, _load_series, _read_samples, _save_series, _write_samples,
@@ -195,6 +195,7 @@ def radial_halfwave_operator(f: RadialProfile) -> RadialProfile:
     """
     scale = float(np.max(np.abs(f.values)))
     if scale > 0:
+        from scipy.interpolate import CubicSpline
         edge = abs(CubicSpline(f.r, f.values, bc_type="not-a-knot")(f.R))
         if edge > DECAY_TOL * scale:
             raise ValueError(
@@ -211,6 +212,7 @@ class JEvaluator:
     column adds a leading time axis to the result."""
 
     def __init__(self, f: RadialProfile):
+        from scipy.interpolate import CubicSpline
         r = f.r
         self.r_last = float(r[-1])
         self._point = CubicSpline(r, f.values, bc_type="not-a-knot", extrapolate=True)

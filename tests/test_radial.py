@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.fft
 import scipy.integrate
+import scipy.interpolate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -482,9 +483,10 @@ class TestRadialHalfwave:
 
     def test_decay_test_builds_one_spline(self, monkeypatch):
         builds = []
-        spline = radial.CubicSpline
+        spline = scipy.interpolate.CubicSpline
         monkeypatch.setattr(
-            radial, "CubicSpline", lambda *a, **kw: builds.append(1) or spline(*a, **kw)
+            scipy.interpolate, "CubicSpline",
+            lambda *a, **kw: builds.append(1) or spline(*a, **kw),
         )
         prof = gaussian_profile(M=128)
         for calls in (1, 2, 3):
@@ -678,7 +680,9 @@ class TestSineMarch:
 
             return wrapped
 
-        monkeypatch.setattr(radial, "CubicSpline", counting(radial.CubicSpline, builds))
+        monkeypatch.setattr(
+            scipy.interpolate, "CubicSpline", counting(scipy.interpolate.CubicSpline, builds)
+        )
         for name in ("dst", "idst"):
             monkeypatch.setattr(scipy.fft, name, counting(getattr(scipy.fft, name), transforms))
         prof = gaussian_profile(R=10.0, M=64, amp=0.1)

@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 import scipy.fft
@@ -318,6 +321,68 @@ checks = prop13
         with pytest.raises(ScenarioError):
             sweep(sc, vary, tmp_path / "sweep")
         assert not (tmp_path / "sweep").exists()
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# in one fresh process: a catalog run that builds no spline, then a JEvaluator
+IMPORT_FOOTPRINT = """
+import sys
+import numpy as np
+from semirelax import JEvaluator, default_catalog_path, load_config, profile_from_function, run
+
+(sc,) = [s for s in load_config(default_catalog_path()) if s.name == "p11_1d_quintic"]
+assert run(sc, sys.argv[1], deterministic=True).all_passed
+assert "scipy.interpolate" not in sys.modules
+ev = JEvaluator(profile_from_function(lambda r: np.exp(-r ** 2), R=8.0, M=64))
+assert "scipy.interpolate" in sys.modules
+assert np.isfinite(ev.j(0.5, np.linspace(0.1, 4.0, 16))).all()
+"""
+
+COR37_ONLY = """
+[scenario.cor37_only]
+n = 3
+p = 3
+s = 1.0
+solver = radial-wave
+M = 64
+R = 10
+dt = 0.05
+T = 0.5
+initial = gaussian(0.1, 1.0, 0.0)
+checks = cor37
+"""
+
+
+def _fresh_python(args, threads="1"):
+    env = {**os.environ, "PYTHONPATH": SRC, "SEMIRELAX_THREADS": threads}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+class TestDeferredSplineImport:
+    def test_spline_module_loads_at_first_spline_build(self, tmp_path):
+        # the test process already holds the module, so ask a fresh one
+        proc = _fresh_python(["-c", IMPORT_FOOTPRINT, str(tmp_path / "out")])
+        assert proc.returncode == 0, proc.stderr
+
+    def test_first_spline_build_inside_sweep_threads(self, tmp_path):
+        # each member's first JEvaluator runs on a worker thread of a fresh
+        # process, so the deferred import happens there
+        path = write_config(tmp_path, COR37_ONLY)
+        vary = ["--vary", "amplitude=0.05,0.1,0.15,0.2"]
+        cmd = ["-m", "semirelax", "sweep", "--config", str(path), *vary]
+        proc = _fresh_python([*cmd, "--out", str(tmp_path / "threads")], threads="2")
+        assert proc.returncode == 0, proc.stderr
+        proc = _fresh_python([*cmd, "--out", str(tmp_path / "serial"), "--deterministic"])
+        assert proc.returncode == 0, proc.stderr
+        members = json.loads((tmp_path / "threads" / "sweep.json").read_text())["members"]
+        assert len(members) == 4 and all(m["passed"] for m in members)
+        for m in members:
+            rel = Path(m["scenario"]["name"]) / "checks" / "cor37.json"
+            threaded = (tmp_path / "threads" / rel).read_bytes()
+            assert threaded == (tmp_path / "serial" / rel).read_bytes(), rel
 
 
 class TestErrorSurfacing:

@@ -197,7 +197,8 @@ checks = prop14
 """
 
 
-# a spectral run that also requests a radial probe: cor37 reads (M, R)
+# a spectral run that also requests a radial probe: cor37 reads (M, R);
+# being n = 1, it keeps every rule but the probe's n = 3
 RADIAL_PROBE = GOOD.replace("checks = prop21", "checks = cor37\nM = 64\nR = 10")
 
 
@@ -235,6 +236,15 @@ class TestSolverRulesAtLoad:
             RADIAL_PROBE.replace("gaussian(0.5, 1.0, 0.0)", "gaussian(0.5, 1.0, 1.0)"),
             "must be centered",
         ),
+        # cor37 reads the 3-d radial profile, which is not n = 1 data
+        (RADIAL_PROBE, "requires n = 3, got n=1"),
+        # Lemma 3.3 assumes radial data
+        (
+            GOOD.replace("n = 1", "n = 2").replace("s = 1.5", "s = 0.9")
+            .replace("gaussian(0.5, 1.0, 0.0)", "mode(1, 0.1)")
+            .replace("checks = prop21", "checks = lemma33"),
+            "requires radial data",
+        ),
         # the wave form marches to ceil(T/dt) dt, which must stay below R
         (WAVE_ONLY.replace("R = 10", "R = 4").replace("T = 0.05", "T = 1").replace(
             "dt = 1e-2", "dt = 5"), "exceeds final time"),
@@ -244,7 +254,8 @@ class TestSolverRulesAtLoad:
         "N_100", "L_negative", "dt_negative", "dt_above_T", "T_negative", "stride_0",
         "radial_T_at_R", "p_1", "radial_p_4", "radial_M_8", "T_0_prop21",
         "duhamel_two_snapshots", "lemma35_spectral", "cor37_mode_data", "cor39_M_8",
-        "cor37_off_centre", "radial_dt_above_T", "radial_last_step_at_R",
+        "cor37_off_centre", "cor37_n_1", "lemma33_mode_data", "radial_dt_above_T",
+        "radial_last_step_at_R",
     ])
     def test_rejected_at_load_and_cli_exits_2(self, tmp_path, capsys, body, rule):
         from semirelax.cli import main
