@@ -23,7 +23,6 @@ __all__ = [
     "l2_norm",
     "sobolev_norm",
     "LittlewoodPaleyPartition",
-    "dyadic_partition",
     "besov_norm",
     "space_time_norm",
     "weight_bracket",

@@ -13,13 +13,16 @@ one-step runs of it.  It keeps the state as unscaled spectral coefficients,
 builds U(dt) (and, for Strang, U(dt/2)) once per run with the 2/3 dealias
 mask folded in, and merges the half-steps of adjacent Strang steps, so a
 step costs two FFTs and a half-step is closed only for a stored snapshot.
-The per-step L^2 check uses Parseval on the coefficients.
+The per-step L^2 check uses Parseval on the coefficients.  Mirror-symmetric
+data with n >= 2 run on the (N/2+1)^n octant with a DCT-I pair, about a
+quarter of the cost at 64^3; 1-d data keep the FFT pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial, reduce
 from typing import Optional
 
 import numpy as np
@@ -153,14 +156,18 @@ def nonlinear_step(f: Field, tau: float, p: float) -> Field:
     """
     if tau < 0:
         raise ValueError(f"substep duration must be nonnegative, got {tau}")
-    phys = to_physical(f)
+    return Field(f.grid, _decay(to_physical(f).values, tau, p), "physical")
+
+
+def _decay(v: np.ndarray, tau: float, p: float) -> np.ndarray:
+    """nonlinear_step on a bare sample array (a full grid or an octant)."""
     # in place: a fresh temporary per operation costs more than the arithmetic
-    factor = np.abs(phys.values)
+    factor = np.abs(v)
     factor **= p - 1.0
     factor *= (p - 1.0) * tau
     factor += 1.0
     factor **= -1.0 / (p - 1.0)
-    return Field(f.grid, phys.values * factor, "physical")
+    return v * factor
 
 
 def _dealias_mask(grid) -> np.ndarray:
@@ -175,10 +182,35 @@ def _dealias_mask(grid) -> np.ndarray:
     return mask
 
 
-def _sum_squares(coeffs: np.ndarray) -> float:
-    # sum |c|^2 over the real view; einsum keeps this off the BLAS thread pool
+def _sum_squares(coeffs: np.ndarray, weights: Optional[np.ndarray] = None) -> float:
+    # sum w |c|^2 over the real view; einsum keeps this off the BLAS thread pool
     x = coeffs.reshape(-1).view(np.float64)
-    return float(np.einsum("i,i->", x, x))
+    if weights is None:
+        return float(np.einsum("i,i->", x, x))
+    return float(np.einsum("i,i,i->", weights, x, x))
+
+
+def _basis(u: np.ndarray):
+    """(state samples, forward, inverse, multiplier index, Parseval weights
+    of the real view, snapshot embedding) of evolve for the samples u.  If
+    n >= 2 and u equals u[(N - j) % N] on every axis, the state is the octant
+    u[N/2, ..., N-1, 0] under a DCT-I pair, whose coefficient k is fftn(u) at
+    k times (-1)^(k_1+...+k_n): the multipliers, even in k, are the k <= N/2
+    corner, each mode off the k = 0 and k = N/2 planes counts twice per axis,
+    and j -> |j - N/2| mirrors a snapshot back.  Any other u keeps the full
+    grid and the FFT pair."""
+    N, n = u.shape[0], u.ndim
+    full = (u, scipy.fft.fftn, scipy.fft.ifftn, (), None, lambda v: v)
+    if n < 2:  # a 1-d DCT-I pair costs more than the FFT pair it replaces
+        return full
+    fold = np.ix_(*[np.abs(np.arange(N) - N // 2)] * n)
+    octant = u[np.ix_(*[(N // 2 + np.arange(N // 2 + 1)) % N] * n)]
+    if not np.array_equal(u, octant[fold]):
+        return full
+    w = np.r_[1.0, np.full(N // 2 - 1, 2.0), 1.0]
+    weights = np.repeat(reduce(np.multiply.outer, [w] * n).reshape(-1), 2)
+    return (octant, partial(scipy.fft.dctn, type=1), partial(scipy.fft.idctn, type=1),
+            (slice(0, N // 2 + 1),) * n, weights, lambda v: v[fold])
 
 
 def strang_step(f: Field, cfg: StepperConfig) -> Field:
@@ -206,6 +238,10 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
     snapshot is ifftn(c), which the next step reuses.  Multipliers are
     built once per run.
 
+    Both substeps keep mirror symmetry, so for mirror-symmetric data with
+    n >= 2 (a centred gaussian) the loop runs on the DCT-I octant (_basis),
+    about a quarter of the cost at 64^3; 1-d data keep the FFT pair.
+
     The discrete L^2 norm is checked to be nonincreasing after every step
     (tolerance 1e-10 relative to the initial norm, by Parseval on the
     coefficients); a NaN or Inf in the state aborts with the offending step
@@ -214,35 +250,36 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
     n_steps = cfg.n_steps
     u = to_physical(u0)
     grid = u.grid
+    state, fwd, inv, modes, weights, embed = _basis(u.values)
+    xi_norm = grid.xi_norm[modes]
     split = cfg.nonlinear and cfg.scheme == "strang"
-    mask = _dealias_mask(grid) if cfg.nonlinear and cfg.dealias_active else True
+    mask = _dealias_mask(grid)[modes] if cfg.nonlinear and cfg.dealias_active else True
     if split:
-        half = np.exp(-0.5j * cfg.dt * grid.xi_norm)
+        half = np.exp(-0.5j * cfg.dt * xi_norm)
         close = half * mask
         full = close * half
     else:
-        full = np.exp(-1j * cfg.dt * grid.xi_norm) * mask
-    c = scipy.fft.fftn(u.values)
+        full = np.exp(-1j * cfg.dt * xi_norm) * mask
+    c = fwd(state)
     if split:
         c *= half
     # Parseval: ||u||^2 = cell_volume / N^n * sum |fftn(u)|^2
     parseval = grid.cell_volume / grid.size
-    norm0 = math.sqrt(parseval * _sum_squares(c))
+    norm0 = math.sqrt(parseval * _sum_squares(c, weights))
     tol = 1e-10 * norm0
     times = [0.0]
     snaps = [u]
     prev_norm = norm0
-    v = None  # ifftn(c), when a stored Lie snapshot already holds it
+    v = None  # inv(c), when a stored Lie snapshot already holds it
     for k in range(1, n_steps + 1):
         w = c
         if cfg.nonlinear:
             if v is None:
-                v = scipy.fft.ifftn(c, overwrite_x=True)
-            v = nonlinear_step(Field(grid, v, "physical"), cfg.dt, cfg.p).values
-            w = scipy.fft.fftn(v, overwrite_x=True)
+                v = inv(c, overwrite_x=True)
+            w = fwd(_decay(v, cfg.dt, cfg.p), overwrite_x=True)
         c = w * full
         v = None
-        norm = math.sqrt(parseval * _sum_squares(c))
+        norm = math.sqrt(parseval * _sum_squares(c, weights))
         if not math.isfinite(norm):
             raise FloatingPointError(
                 f"non-finite value at step {k} (t = {k * cfg.dt:.6g}); "
@@ -255,8 +292,8 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
         prev_norm = norm
         if k % cfg.snapshot_stride == 0:
             times.append(k * cfg.dt)
-            vals = scipy.fft.ifftn(w * close if split else c)
-            snaps.append(Field(grid, vals, "physical"))
+            vals = inv(w * close if split else c)
+            snaps.append(Field(grid, embed(vals), "physical"))
             v = None if split else vals  # stored: never handed to overwrite_x
     return Trajectory(config=cfg, times=np.asarray(times), snapshots=snaps)
 

@@ -277,7 +277,12 @@ def F_p_source(u: RadialProfile, p: float) -> RadialProfile:
     """
     if not p > 1:
         raise ValueError(f"nonlinearity power must exceed 1, got {p}")
-    du = _halfwave_multiplier(u, 1.0).values
+    return _source(u, _sine(u), p)
+
+
+def _source(u: RadialProfile, b: np.ndarray, p: float) -> RadialProfile:
+    """F_p_source of u, whose sine coefficients b the caller already holds."""
+    du = _from_sine(b * _sine_modes(u), u)
     vals = u.values
     nl = np.abs(vals) ** (p - 1.0) * vals
     d_nl = _halfwave_multiplier(RadialProfile(u.R, nl), 1.0).values
@@ -323,7 +328,7 @@ def wave_evolve(
     and g_k = w_k DST(r F_p(u_k))/xi (w_k the trapezoid weights), the
     addition formula gives b(t_m) = cos(t_m xi)(b0 - S_m) + sin(t_m xi)(b1 + C_m)
     with running sums C_m, S_m of cos(t_k xi) g_k, sin(t_k xi) g_k over k < m:
-    a step costs one DST pair plus F_p_source.
+    a nonlinear step costs five sine transforms (F_p_source reuses b(t_{m-1})).
 
     With ``nonlinear=False`` the source and the cubic data term are dropped
     and the march reduces to the exact free-wave representation
@@ -331,10 +336,10 @@ def wave_evolve(
     """
     n_steps = _wave_form_domain(p, dt, T, u0.R)
     xi = _sine_modes(u0)
-    q0_vals = -1j * _halfwave_multiplier(u0, 1.0).values
+    b = b0 = _sine(u0)
+    q0_vals = -1j * _from_sine(b0 * xi, u0)
     if nonlinear:
         q0_vals = q0_vals - np.abs(u0.values) ** (p - 1.0) * u0.values
-    b0 = _sine(u0)
     b1 = _sine(RadialProfile(u0.R, q0_vals)) / xi
     cos_sum, sin_sum = np.zeros_like(b0), np.zeros_like(b0)
     cos_k, sin_k = np.ones_like(xi), np.zeros_like(xi)  # at t_0 = 0
@@ -347,7 +352,7 @@ def wave_evolve(
         if nonlinear:
             w = 0.5 * dt if m == 1 else dt
             try:
-                source = F_p_source(profiles[-1], p)
+                source = _source(profiles[-1], b, p)
             except ValueError as exc:  # the only one left: non-finite samples
                 raise FloatingPointError(blow_up) from exc
             g = w * _sine(source) / xi

@@ -91,6 +91,13 @@ class TestBesov:
         part = LittlewoodPaleyPartition(grid_1d)
         assert part.partition_residual() < 1e-12
 
+    def test_partition_cached_per_grid_off_the_public_api(self, grid_1d):
+        from semirelax import norms
+        from semirelax.norms import dyadic_partition
+
+        assert "dyadic_partition" not in norms.__all__
+        assert dyadic_partition(grid_1d) is dyadic_partition(make_grid(1, 256, 40.0))
+
     def test_zero_field(self, grid_1d):
         assert besov_norm(constant_field(grid_1d, 0.0), 1.0, 2.0) == 0.0
 

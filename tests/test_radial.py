@@ -576,6 +576,22 @@ class TestWaveEvolve:
             with pytest.raises(FloatingPointError, match=r"at step 3 \(t = 1\.5\)"):
                 wave_evolve(prof, 3.0, dt=0.5, T=2.0)
 
+    def test_five_sine_transforms_per_step(self, monkeypatch):
+        # the source reuses the march's sine coefficients of the state
+        calls = []
+        for name in ("dst", "idst"):
+            fn = getattr(scipy.fft, name)
+            monkeypatch.setattr(
+                scipy.fft, name, lambda *a, _fn=fn, **kw: calls.append(1) or _fn(*a, **kw)
+            )
+        prof = gaussian_profile(R=10.0, M=64, amp=0.1)
+        counts = []
+        for T in (0.5, 1.0):
+            calls.clear()
+            wave_evolve(prof, 3.0, dt=0.25, T=T)
+            counts.append(len(calls))
+        assert counts[1] - counts[0] == 2 * 5
+
     def test_rejects_supercubic(self):
         prof = gaussian_profile()
         with pytest.raises(ValueError, match="1 < p <= 3"):
