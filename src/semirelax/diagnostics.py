@@ -4,7 +4,11 @@ The CSV, the balance laws and the H^s growth bound read one per-snapshot
 table stored on the trajectory, built with one forward transform of each
 snapshot (and of |u|^2 when the flow dissipates).  The table and the H^2
 cross term run over Trajectory.blocks, stacks of snapshots transformed and
-reduced in one call each.  A linear trajectory
+reduced in one call each.  A block that passes the mirror rule of evolve
+(n >= 2, symmetric on every axis; fields._mirror_octant) is tabled on the
+(N/2+1)^n octant under a DCT-I transform with multiplicity-weighted sums,
+about a sixth of the full-grid time and memory at 64^3; 1-d data and any
+other block keep the FFT stack.  A linear trajectory
 dissipates nothing: its balance laws are conservation of ||u||^2, ||grad u||^2.
 
 Each checker returns a radial.Report: for an exact balance law its two
@@ -19,9 +23,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.fft
 
 from .fields import (
     Field,
+    _mirror_octant,
     _physical_stack,
     _spectral_stack,
     _stack_axes,
@@ -78,38 +84,75 @@ def diagnostics_table(traj: Trajectory, s: float = 1.0) -> dict[str, np.ndarray]
     norms l2, h1dot, h2dot, hs (homogeneous, index s), linf and lpp1 (L^(p+1)),
     and the two dissipation integrands of check_h1_identity, grad_term and
     modulus_term, which are zero for a linear trajectory.  The pass runs over
-    Trajectory.blocks: one transform and one reduction per block."""
+    Trajectory.blocks: one forward transform and one reduction per block.
+
+    A block that passes the mirror rule of evolve (n >= 2 and every snapshot
+    equal to its mirror image on every axis, fields._mirror_octant) runs on
+    the (N/2+1)^n octant under a DCT-I transform, its sums weighted by the
+    mode and sample multiplicities, and agrees with the FFT table to
+    roundoff; at 64^3 that is about a sixth of the time and memory of the
+    full grid.  1-d blocks and any other block keep the FFT stack."""
     if s in traj.tables:
         return traj.tables[s]
     grid, p = traj.grid, traj.config.p
     dV, axes = grid.cell_volume, _stack_axes(grid)
     table = {name: np.zeros(len(traj.snapshots)) for name in TABLE_COLUMNS}
     table["t"][:] = traj.times
-    sobolev = []  # (column, spec, |multiplier|), built once per table
-    for name, r in (("h1dot", 1.0), ("h2dot", 2.0), ("hs", s)):
-        spec = SobolevSpec(r, homogeneous=True)
-        sobolev.append((name, spec, np.abs(spec.multiplier(grid))))
+    specs = [(name, SobolevSpec(r, homogeneous=True))
+             for name, r in (("h1dot", 1.0), ("h2dot", 2.0), ("hs", s))]
+    # (column, spec, |multiplier| at the modes) per basis, built once: the
+    # octant keeps the k <= N/2 corner, not three full-grid arrays
+    sobolev = {}
+
+    def integral(density, weights):
+        """The grid sum times dV, an octant sample counted as often as it occurs."""
+        if weights is not None:
+            density *= weights
+        return np.sum(density, axis=axes) * dV
+
     for i, phys in traj.blocks():
         rows = slice(i, i + len(phys))
-        coeffs = _spectral_stack(phys, grid)
-        for name, spec, m in sobolev:
-            table[name][rows] = _sobolev_norms(coeffs, grid, spec, m)
-        absu = np.abs(phys)
-        table["l2"][rows] = np.sqrt(np.sum(absu**2, axis=axes) * dV)
+        samples, forward, gradient_square, modes, weights = _table_basis(phys, grid)
+        octant = weights is not None
+        if octant not in sobolev:
+            sobolev[octant] = [
+                (name, spec, np.ascontiguousarray(np.abs(spec.multiplier(grid))[modes]))
+                for name, spec in specs
+            ]
+        coeffs = forward(samples, grid)
+        for name, spec, m in sobolev[octant]:
+            table[name][rows] = _sobolev_norms(coeffs, grid, spec, m, weights)
+        absu = np.abs(samples)
+        table["l2"][rows] = np.sqrt(integral(absu**2, weights))
         table["linf"][rows] = np.max(absu, axis=axes)
         # float powers, not numpy's vectorised power: the two round differently
-        sums = np.sum(absu ** (p + 1.0), axis=axes) * dV
+        sums = integral(absu ** (p + 1.0), weights)
         table["lpp1"][rows] = [v ** (1.0 / (p + 1.0)) for v in sums.tolist()]
         if traj.linear:
             continue
-        density = absu ** (p - 1.0) * _gradient_square(coeffs, grid)
-        table["grad_term"][rows] = 2.0 * (np.sum(density, axis=axes) * dV)
-        mod2 = _spectral_stack((absu**2).astype(np.complex128), grid)
-        density = modulus_power(absu, p - 3.0) * _gradient_square(mod2, grid)
-        modulus_term = np.sum(density, axis=axes) * dV
-        table["modulus_term"][rows] = 0.5 * (p - 1.0) * modulus_term
+        density = absu ** (p - 1.0) * gradient_square(coeffs, grid)
+        table["grad_term"][rows] = 2.0 * integral(density, weights)
+        mod2 = absu**2
+        if not octant:  # complex, as to_spectral sees |u|^2 as a Field
+            mod2 = mod2.astype(np.complex128)
+        mod2 = forward(mod2, grid)
+        density = modulus_power(absu, p - 3.0) * gradient_square(mod2, grid)
+        table["modulus_term"][rows] = 0.5 * (p - 1.0) * integral(density, weights)
     traj.tables[s] = table
     return table
+
+
+def _table_basis(phys: np.ndarray, grid):
+    """(samples, forward transform, gradient_square, multiplier index, sum
+    weights) of the table pass over one block of physical samples: the
+    octant, a DCT-I stack and the k <= N/2 corner of the multipliers when
+    the block passes the mirror rule, else the block itself and the FFT."""
+    mirror = _mirror_octant(phys, grid.n)
+    if mirror is None:
+        return phys, _spectral_stack, _gradient_square, (), None
+    octant, _, weights = mirror
+    corner = (slice(0, grid.N // 2 + 1),) * grid.n
+    return octant, _octant_stack, _octant_gradient_square, corner, weights
 
 
 def _any_table(traj: Trajectory) -> dict[str, np.ndarray]:
@@ -125,6 +168,38 @@ def _gradient_square(coeffs: np.ndarray, grid) -> np.ndarray:
         np.abs(_physical_stack(coeffs * (1j * k), grid)) ** 2
         for k in grid.wavenumber_arrays
     )
+
+
+def _octant_stack(values: np.ndarray, grid) -> np.ndarray:
+    """The DCT-I coefficients of a stack of octants: coefficient k is
+    _spectral_stack of the mirrored fields at k times (-1)^(k_1+...+k_n)."""
+    out = scipy.fft.dctn(values, type=1, axes=_stack_axes(grid))
+    out *= grid.cell_volume
+    return out
+
+
+def _octant_gradient_square(coeffs: np.ndarray, grid) -> np.ndarray:
+    """_gradient_square on the octant for a stack of DCT-I coefficients.
+    d_j f is the coefficients times i xi_j with the k = N/2 planes zeroed;
+    it is odd along axis j, so on the octant it is -idst(type=1) of xi_j c
+    over the interior k = 1..N/2-1 of axis j, then idct(type=1) along the
+    other axes, and zero on the j = N/2 and j = 0 planes of axis j.  The
+    sign drops out of the square."""
+    coeffs = _zero_nyquist(grid, coeffs)
+    interior = slice(1, grid.N // 2)
+    xi = grid.wavenumbers[interior]
+    axes = _stack_axes(grid)
+    out = np.zeros(coeffs.shape)
+    for ax in axes:
+        sl = (slice(None),) * ax + (interior,)
+        d = coeffs[sl] * xi.reshape((-1,) + (1,) * (grid.n - ax))
+        d = scipy.fft.idst(d, type=1, axis=ax, overwrite_x=True)
+        d = scipy.fft.idctn(
+            d, type=1, axes=[a for a in axes if a != ax], overwrite_x=True
+        )
+        d /= grid.cell_volume
+        out[sl] += np.abs(d) ** 2
+    return out
 
 
 def write_diagnostics_csv(traj: Trajectory, path, s: float = 1.0) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -141,6 +142,30 @@ def _spectral_stack(values: np.ndarray, grid: Grid) -> np.ndarray:
     out = scipy.fft.fftn(values, axes=_stack_axes(grid))
     out *= grid.cell_volume
     return out
+
+
+def _mirror_octant(values: np.ndarray, n: int):
+    """The mirror rule of the octant transforms.  If n >= 2 and the n trailing
+    (grid) axes of ``values``, one field or a (B, *grid.shape) stack, equal
+    values[(N - j) % N] on every axis, return (octant, fold, weights): the
+    octant samples values[N/2, ..., N-1, 0] per axis, the index fold
+    j -> |j - N/2| with ``octant[fold] == values``, and the (N/2+1)^n
+    multiplicities, [1, 2, ..., 2, 1] per axis, of an octant sample or of a
+    DCT-I mode among the N^n.  Else None: a 1-d DCT-I pair costs more than
+    the FFT pair it replaces."""
+    if n < 2:
+        return None
+    N = values.shape[-1]
+    for ax in range(n):  # j = 1..N/2-1 against N-1..N/2+1, a view of each
+        tail = (slice(None),) * (n - 1 - ax)
+        low = values[(Ellipsis, slice(1, N // 2), *tail)]
+        if not np.array_equal(low, values[(Ellipsis, slice(N - 1, N // 2, -1), *tail)]):
+            return None
+    octant = values[(Ellipsis, *np.ix_(*[(N // 2 + np.arange(N // 2 + 1)) % N] * n))]
+    octant = np.ascontiguousarray(octant)  # a stack gathers with the field axis inner
+    fold = (Ellipsis, *np.ix_(*[np.abs(np.arange(N) - N // 2)] * n))
+    w = np.r_[1.0, np.full(N // 2 - 1, 2.0), 1.0]
+    return octant, fold, reduce(np.multiply.outer, [w] * n)
 
 
 def _physical_stack(coeffs: np.ndarray, grid: Grid) -> np.ndarray:

@@ -84,14 +84,20 @@ def sobolev_norm(f: Field, spec: SobolevSpec) -> float:
 
 
 def _sobolev_norms(
-    coeffs: np.ndarray, grid: Grid, spec: SobolevSpec, m: np.ndarray
+    coeffs: np.ndarray, grid: Grid, spec: SobolevSpec, m: np.ndarray,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """sobolev_norm of each field of a (B, *grid.shape) coefficient stack,
-    with m = |spec.multiplier(grid)| built once by the caller."""
+    with m = |spec.multiplier(grid)| built once by the caller.  A stack of
+    DCT-I octant coefficients passes m on the k <= N/2 corner and the mode
+    multiplicities as ``weights``."""
     axes = _stack_axes(grid)
     zero_mode = (slice(None),) + (0,) * grid.n
     if spec.homogeneous and spec.s < 0:
-        total = np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=axes))
+        power = np.abs(coeffs) ** 2
+        if weights is not None:
+            power *= weights
+        total = np.sqrt(np.sum(power, axis=axes))
         zero = np.abs(coeffs[zero_mode])
         bad = (total > 0) & (zero > _MEAN_MODE_TOL * total)
         if bad.any():
@@ -107,6 +113,8 @@ def _sobolev_norms(
     weighted = np.abs(coeffs)
     weighted *= m
     weighted **= 2
+    if weights is not None:
+        weighted *= weights
     return np.sqrt(np.sum(weighted, axis=axes) / grid.L**grid.n)
 
 

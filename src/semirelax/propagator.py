@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial, reduce
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -32,6 +32,7 @@ from .fields import (
     _BLOCK_BYTES,
     Field,
     _load_series,
+    _mirror_octant,
     _multiply_spectral,
     _save_series,
     _spectral_stack,
@@ -192,25 +193,19 @@ def _sum_squares(coeffs: np.ndarray, weights: Optional[np.ndarray] = None) -> fl
 
 def _basis(u: np.ndarray):
     """(state samples, forward, inverse, multiplier index, Parseval weights
-    of the real view, snapshot embedding) of evolve for the samples u.  If
-    n >= 2 and u equals u[(N - j) % N] on every axis, the state is the octant
-    u[N/2, ..., N-1, 0] under a DCT-I pair, whose coefficient k is fftn(u) at
-    k times (-1)^(k_1+...+k_n): the multipliers, even in k, are the k <= N/2
-    corner, each mode off the k = 0 and k = N/2 planes counts twice per axis,
-    and j -> |j - N/2| mirrors a snapshot back.  Any other u keeps the full
-    grid and the FFT pair."""
-    N, n = u.shape[0], u.ndim
-    full = (u, scipy.fft.fftn, scipy.fft.ifftn, (), None, lambda v: v)
-    if n < 2:  # a 1-d DCT-I pair costs more than the FFT pair it replaces
-        return full
-    fold = np.ix_(*[np.abs(np.arange(N) - N // 2)] * n)
-    octant = u[np.ix_(*[(N // 2 + np.arange(N // 2 + 1)) % N] * n)]
-    if not np.array_equal(u, octant[fold]):
-        return full
-    w = np.r_[1.0, np.full(N // 2 - 1, 2.0), 1.0]
-    weights = np.repeat(reduce(np.multiply.outer, [w] * n).reshape(-1), 2)
+    of the real view, snapshot embedding) of evolve for the samples u.  If u
+    passes the mirror rule (fields._mirror_octant), the state is the octant
+    under a DCT-I pair, whose coefficient k is fftn(u) at k times
+    (-1)^(k_1+...+k_n): the multipliers, even in k, are the k <= N/2 corner,
+    the Parseval weights are the mode multiplicities, and the fold mirrors a
+    snapshot back.  Any other u keeps the full grid and the FFT pair."""
+    mirror = _mirror_octant(u, u.ndim)
+    if mirror is None:
+        return (u, scipy.fft.fftn, scipy.fft.ifftn, (), None, lambda v: v)
+    octant, fold, weights = mirror
     return (octant, partial(scipy.fft.dctn, type=1), partial(scipy.fft.idctn, type=1),
-            (slice(0, N // 2 + 1),) * n, weights, lambda v: v[fold])
+            (slice(0, u.shape[0] // 2 + 1),) * u.ndim, np.repeat(weights.reshape(-1), 2),
+            lambda v: v[fold])
 
 
 def strang_step(f: Field, cfg: StepperConfig) -> Field:

@@ -37,3 +37,17 @@ def random_field(grid, rng, spectral_decay=True):
             representation="physical",
         )
     return f
+
+
+def mirror(v, ax):
+    """v[(N - j) % N] along axis ax: the reflection x -> -x on the grid."""
+    return np.roll(np.flip(v, ax), 1, ax)
+
+
+def symmetrized(f):
+    """f averaged with its mirror image one axis at a time, so the result
+    equals its mirror image on every axis exactly."""
+    v = f.values
+    for ax in range(v.ndim):
+        v = (v + mirror(v, ax)) / 2
+    return Field(f.grid, v)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semirelax import (
     Field,
@@ -33,10 +35,12 @@ from semirelax import (
     write_diagnostics_csv,
 )
 from semirelax import propagator
+from semirelax.fields import _BLOCK_BYTES as BLOCK_BYTES
 from semirelax.diagnostics import CSV_HEADER, TABLE_COLUMNS
 from semirelax.norms import space_time_norm, weighted_norm
 from semirelax.propagator import duhamel_residual, linear_step
 from semirelax.radial import Report, profile_from_function
+from conftest import random_field, symmetrized
 
 
 def gradient_squared_modulus(u: Field) -> list[np.ndarray]:
@@ -79,6 +83,28 @@ def reference_table(traj, s):
         dissipation = reference_dissipation_terms(traj)
     columns = np.hstack([np.array(rows, dtype=float), dissipation]).T
     return dict(zip(TABLE_COLUMNS, columns))
+
+
+def assert_table_close(table, ref, rel=1e-12):
+    """Every column of table within rel of ref, relative to the column's
+    largest entry: the octant table sums in another order than the FFT one."""
+    for name in TABLE_COLUMNS:
+        scale = np.max(np.abs(ref[name]))
+        assert np.max(np.abs(table[name] - ref[name])) <= rel * scale, name
+
+
+def count_calls(monkeypatch, names):
+    """Spy on the scipy.fft functions ``names``: the returned dict counts
+    the calls to each."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+
+        def spy(*args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, spy)
+    return calls
 
 
 def reference_h2_inequality(traj, i1, i2):
@@ -448,30 +474,50 @@ class TestHardyCheck:
 
 
 class TestSnapshotTable:
-    @pytest.mark.parametrize("nonlinear,per_snapshot", [(True, 2), (False, 1)])
+    @pytest.mark.parametrize("nonlinear,per_snapshot,center", [
+        pytest.param(True, 2, 0.0, id="True-2"),
+        pytest.param(False, 1, 0.0, id="False-1"),
+        pytest.param(True, 2, 1.5, id="True-2-off_centre"),
+        pytest.param(False, 1, 1.5, id="False-1-off_centre"),
+    ])
     def test_one_transform_per_snapshot(
-        self, tmp_path, monkeypatch, nonlinear, per_snapshot
+        self, tmp_path, monkeypatch, nonlinear, per_snapshot, center
     ):
         # the CSV and the checks share one table: u once per snapshot, and
-        # |u|^2 once more when the flow dissipates; a call on a stack of
-        # snapshots transforms each of them
+        # |u|^2 once more when the flow dissipates, by dctn on the octant of
+        # centred data and by fftn otherwise; a call on a stack of snapshots
+        # transforms each of them
         g = make_grid(2, 16, 10.0)
         cfg = StepperConfig(p=3.0, dt=0.02, T=0.2, nonlinear=nonlinear)
-        traj = evolve(gaussian_field(g, 0.5), cfg)
+        traj = evolve(gaussian_field(g, 0.5, center=center), cfg)
         transformed = []
-        fftn = scipy.fft.fftn
+        for name in ("fftn", "dctn"):
 
-        def spy(x, *args, **kwargs):
-            transformed.append(math.prod(np.shape(x)[: np.ndim(x) - g.n]))
-            return fftn(x, *args, **kwargs)
+            def spy(x, *args, _fn=getattr(scipy.fft, name), **kwargs):
+                transformed.append(math.prod(np.shape(x)[: np.ndim(x) - g.n]))
+                return _fn(x, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, "fftn", spy)
+            monkeypatch.setattr(scipy.fft, name, spy)
         write_diagnostics_csv(traj, tmp_path / "diag.csv", s=1.5)
         check_l2_identity(traj, 0.0, 0.2)
         check_h1_identity(traj, 0.0, 0.2)
         check_hs_growth(traj, 1.5, C=1.0)
         assert sum(transformed) == per_snapshot * len(traj.snapshots)
         assert len(traj.snapshots) == 11
+
+    @pytest.mark.parametrize("center,absent", [
+        (0.0, ("fftn", "ifftn")), (1.5, ("dctn", "idctn", "idst")),
+    ])
+    def test_table_runs_one_transform_pair(self, monkeypatch, center, absent):
+        # a centred 3-d run is tabled on the octant, an off-centre one on the
+        # full grid; neither touches the other pair
+        g = make_grid(3, 16, 10.0)
+        traj = evolve(gaussian_field(g, 0.5, center=center),
+                      StepperConfig(p=3.0, dt=0.02, T=0.1))
+        calls = count_calls(monkeypatch, ("fftn", "ifftn", "dctn", "idctn", "idst"))
+        diagnostics_table(traj)
+        assert all(calls[name] == 0 for name in absent)
+        assert sum(calls.values()) > 0
 
     def test_columns_match_norm_functions(self, cubic_1d_trajectory):
         traj = cubic_1d_trajectory
@@ -492,12 +538,23 @@ class TestSnapshotTable:
 
     @pytest.mark.parametrize("n,p", [(1, 3.0), (2, 3.0), (1, 2.0), (2, 4.0)])
     def test_dissipation_columns_match_reference(self, n, p):
+        # off-centre data keep the FFT stack, which matches bit for bit
         g = make_grid(n, 64 if n == 1 else 16, 10.0)
-        traj = evolve(gaussian_field(g, 0.6), StepperConfig(p=p, dt=0.01, T=0.05))
+        u0 = gaussian_field(g, 0.6, center=1.0)
+        traj = evolve(u0, StepperConfig(p=p, dt=0.01, T=0.05))
         table = diagnostics_table(traj)
         ref = reference_dissipation_terms(traj)
         assert np.array_equal(table["grad_term"], ref[:, 0])
         assert np.array_equal(table["modulus_term"], ref[:, 1])
+
+    @pytest.mark.parametrize("n,p", [(2, 3.0), (2, 4.0), (3, 2.0), (3, 3.0)])
+    def test_octant_dissipation_columns_match_reference(self, n, p):
+        g = make_grid(n, 16, 10.0)
+        traj = evolve(gaussian_field(g, 0.6), StepperConfig(p=p, dt=0.01, T=0.05))
+        table = diagnostics_table(traj)
+        ref = reference_dissipation_terms(traj)
+        for column, want in zip(("grad_term", "modulus_term"), ref.T):
+            assert np.max(np.abs(table[column] - want)) <= 1e-12 * np.max(want)
 
     def test_linear_trajectory_has_no_dissipation(self):
         g = make_grid(1, 64, 20.0)
@@ -511,9 +568,10 @@ class TestBlockedPass:
     @pytest.mark.parametrize("nonlinear", [True, False])
     @pytest.mark.parametrize("n", [1, 2])
     def test_block_size_does_not_change_results(self, monkeypatch, n, nonlinear):
+        # off-centre data keep the FFT stack, which matches bit for bit
         g = make_grid(n, 64 if n == 1 else 16, 10.0)
         cfg = StepperConfig(p=3.0, dt=0.01, T=0.13, nonlinear=nonlinear)
-        traj = evolve(gaussian_field(g, 0.8), cfg)
+        traj = evolve(gaussian_field(g, 0.8, center=1.0), cfg)
         i1, i2 = 2, 11  # an interior window, split unevenly by blocks of 3
         snapshot = traj.snapshots[0].values.nbytes
         settings = {1: [1] * 14, 3 * snapshot: [3, 3, 3, 3, 2], 1 << 40: [14]}
@@ -533,6 +591,78 @@ class TestBlockedPass:
                 assert np.array_equal(table[name], ref_table[name]), name
             assert report == ref_report
             assert duhamel == ref_duhamel
+
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_block_size_does_not_change_octant_results(self, monkeypatch, n, nonlinear):
+        g = make_grid(n, 16 if n == 2 else 8, 10.0)
+        cfg = StepperConfig(p=3.0, dt=0.01, T=0.13, nonlinear=nonlinear)
+        traj = evolve(gaussian_field(g, 0.8), cfg)
+        snapshot = traj.snapshots[0].values.nbytes
+        tables = []
+        for budget in (1, 3 * snapshot, 1 << 40):
+            monkeypatch.setattr(propagator, "_BLOCK_BYTES", budget)
+            traj.tables.clear()
+            tables.append(diagnostics_table(traj, 1.5))
+        for table in tables[1:]:
+            for name in TABLE_COLUMNS:
+                assert np.array_equal(table[name], tables[0][name]), name
+        assert_table_close(tables[0], reference_table(traj, 1.5))
+
+    def test_asymmetric_block_falls_back(self, monkeypatch):
+        # one snapshot off the mirror rule sends its whole block to the FFT
+        # stack, which matches the reference bit for bit; the other block
+        # stays on the octant
+        g = make_grid(3, 8, 10.0)
+        snaps = [gaussian_field(g, 0.5, width=w) for w in (1.0, 0.9, 1.1, 0.8, 1.2, 0.7)]
+        broken = snaps[1].values.copy()
+        broken[1, 2, 3] += 1e-3
+        snaps[1] = Field(g, broken)
+        traj = Trajectory(StepperConfig(p=3.0, dt=0.1, T=0.5), 0.1 * np.arange(6), snaps)
+        monkeypatch.setattr(propagator, "_BLOCK_BYTES", 3 * broken.nbytes)
+        calls = count_calls(monkeypatch, ("fftn", "dctn"))
+        table = diagnostics_table(traj, 1.5)
+        monkeypatch.undo()
+        assert calls == {"fftn": 2, "dctn": 2}
+        ref = reference_table(traj, 1.5)
+        for name in TABLE_COLUMNS:
+            assert np.array_equal(table[name][:3], ref[name][:3]), name
+        assert_table_close(table, ref)
+
+    @given(
+        n=st.sampled_from([2, 3]),
+        gaussian=st.booleans(),
+        p=st.sampled_from([2.0, 2.5, 3.0, 5.0]),
+        nonlinear=st.booleans(),
+        s=st.sampled_from([0.75, 1.5]),
+        budget=st.integers(1, 1 << 16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_octant_table_matches_reference_property(
+        self, n, gaussian, p, nonlinear, s, budget, seed
+    ):
+        # mirror-symmetric data with n >= 2 are tabled on the DCT-I octant:
+        # within 1e-12 of the FFT reference, and any block size gives the
+        # same bits as one snapshot per block
+        g = make_grid(n, 16 if n == 2 else 8, 8.0)
+        if gaussian:
+            u0 = gaussian_field(g, 0.6)
+        else:
+            u0 = symmetrized(random_field(g, np.random.default_rng(seed)))
+        cfg = StepperConfig(p=p, dt=0.02, T=0.1, nonlinear=nonlinear)
+        traj = evolve(u0, cfg)
+        tables = []
+        for block_bytes in (budget, 1):
+            propagator._BLOCK_BYTES = block_bytes
+            try:
+                traj.tables.clear()
+                tables.append(diagnostics_table(traj, s))
+            finally:
+                propagator._BLOCK_BYTES = BLOCK_BYTES
+        for name in TABLE_COLUMNS:
+            assert np.array_equal(tables[0][name], tables[1][name]), name
+        assert_table_close(tables[0], reference_table(traj, s))
 
     def test_multipliers_built_once_per_table(self, monkeypatch):
         g = make_grid(1, 64, 10.0)

@@ -32,7 +32,7 @@ from semirelax import (
     to_spectral,
 )
 from semirelax.plotting import fit_order
-from conftest import random_field
+from conftest import mirror, random_field, symmetrized
 
 
 def amplitude_ode_oracle(rho0: float, p: float, tau: float) -> float:
@@ -83,20 +83,6 @@ def assert_matches_reference(traj, u0, cfg):
     for got, want in zip(traj.snapshots, ref):
         scale = np.max(np.abs(want.values))
         assert np.max(np.abs(got.values - want.values)) <= 1e-12 * scale
-
-
-def mirror(v, ax):
-    """v[(N - j) % N] along axis ax: the reflection x -> -x on the grid."""
-    return np.roll(np.flip(v, ax), 1, ax)
-
-
-def symmetrized(f):
-    """f averaged with its mirror image one axis at a time, so the result
-    equals its mirror image on every axis exactly."""
-    v = f.values
-    for ax in range(v.ndim):
-        v = (v + mirror(v, ax)) / 2
-    return Field(f.grid, v)
 
 
 class TestLinearStep:

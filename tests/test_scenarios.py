@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semirelax import ScenarioError, default_catalog_path, load_config
@@ -336,9 +336,11 @@ def fuzz_configs(draw):
     """Configs the grammar accepts on small grids: n in {1, 2} with N in
     {8, 16, 32}, optionally with a radial grid M in {8, 16, 32} for the
     radial probes, or radial 3-d with M in {16, 32, 64}.  Initial data are
-    a centred or off-centre gaussian or a plane wave.  About one draw in
-    three breaks one solver rule, and one radial draw in six puts the last
-    march time ceil(T/dt) dt at R."""
+    a centred or off-centre gaussian or a plane wave.  One spectral draw in
+    four is n = 3 with N in {8, 16}, a centred gaussian, M in {16, 32} and
+    cor37 or cor39 among its checks, the spectral runs of the radial probes.
+    About one draw in three breaks one solver rule, and one radial draw in
+    six puts the last march time ceil(T/dt) dt at R."""
     cfg = {
         "dt": draw(st.sampled_from([0.01, 0.02, 0.05])),
         "T": draw(st.sampled_from([0.0, 0.02, 0.05, 0.1])),
@@ -365,16 +367,34 @@ def fuzz_configs(draw):
             checks,
         )
     checks = draw(st.lists(st.sampled_from(SPECTRAL_FUZZ_CHECKS), max_size=3, unique=True))
+    n, M = draw(st.sampled_from([1, 2])), draw(st.sampled_from([None, 8, 16, 32]))
+    if draw(st.integers(0, 3)) == 0:
+        n, M, initial = 3, draw(st.sampled_from([16, 32])), f"gaussian({amp}, 1.0, 0.0)"
+        cfg["N"] = min(cfg["N"], 16)
+        probes = draw(st.lists(st.sampled_from(["cor37", "cor39"]), min_size=1, unique=True))
+        checks = probes + [c for c in checks if c not in probes]
     return _spectral_body(
-        draw(st.sampled_from([1, 2])), cfg["N"], cfg["L"],
-        draw(st.sampled_from([None, 8, 16, 32])), cfg["R"], p,
+        n, cfg["N"], cfg["L"], M, cfg["R"], p,
         draw(st.sampled_from([0.9, 1.5])), cfg["dt"], cfg["T"], cfg["stride"], initial,
         checks,
     )
 
 
+# a spectral n = 3 draw that loads and runs both radial probes
+SPECTRAL_PROBES = _spectral_body(
+    3, 16, 10.0, 16, 4.0, 3.0, 0.9, 0.02, 0.1, 1, "gaussian(0.1, 1.0, 0.0)",
+    ["cor37", "cor39", "prop21"],
+)
+
+
 class TestScenarioFuzz:
+    def test_spectral_probe_example_loads(self, tmp_path):
+        (sc,) = load_config(write_config(tmp_path, SPECTRAL_PROBES))
+        assert (sc.n, sc.solver, sc.M) == (3, "spectral", 16)
+        assert {"cor37", "cor39"} <= set(sc.checks)
+
     @given(body=fuzz_configs())
+    @example(body=SPECTRAL_PROBES)
     @settings(max_examples=600, deadline=None)
     def test_rejected_at_load_or_runs_with_invariants(self, tmp_path_factory, body):
         from semirelax.runner import run
