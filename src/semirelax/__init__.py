@@ -59,9 +59,7 @@ from .propagator import (
     evolve,
     lie_step,
     linear_step,
-    load_trajectory,
     nonlinear_step,
-    save_trajectory,
     strang_step,
 )
 from .radial import (
@@ -71,16 +69,12 @@ from .radial import (
     RadialTrajectory,
     Report,
     duhamel_maximal_bound_check,
-    load_profile,
-    load_radial_trajectory,
     maximal_bound_check,
     maximal_function,
     profile_from_function,
     radial_halfwave_operator,
     radial_l2_norm,
     radial_sobolev_norm,
-    save_profile,
-    save_radial_trajectory,
     wave_evolve,
 )
 from .runner import RunReport, run, sweep

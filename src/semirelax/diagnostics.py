@@ -5,7 +5,7 @@ table stored on the trajectory, built with one forward transform of each
 snapshot (and of |u|^2 when the flow dissipates).  The table and the H^2
 cross term run over Trajectory.blocks, stacks of snapshots transformed and
 reduced in one call each.  A block that passes the mirror rule of evolve
-(n >= 2, symmetric on every axis; fields._mirror_octant) is tabled on the
+(n >= 2, symmetric on every axis; fields._basis) is tabled on the
 (N/2+1)^n octant under a DCT-I transform with multiplicity-weighted sums,
 about a sixth of the full-grid time and memory at 64^3; 1-d data and any
 other block keep the FFT stack.  A linear trajectory
@@ -27,7 +27,7 @@ import scipy.fft
 
 from .fields import (
     Field,
-    _mirror_octant,
+    _basis,
     _physical_stack,
     _spectral_stack,
     _stack_axes,
@@ -87,7 +87,7 @@ def diagnostics_table(traj: Trajectory, s: float = 1.0) -> dict[str, np.ndarray]
     Trajectory.blocks: one forward transform and one reduction per block.
 
     A block that passes the mirror rule of evolve (n >= 2 and every snapshot
-    equal to its mirror image on every axis, fields._mirror_octant) runs on
+    equal to its mirror image on every axis, fields._basis) runs on
     the (N/2+1)^n octant under a DCT-I transform, its sums weighted by the
     mode and sample multiplicities, and agrees with the FFT table to
     roundoff; at 64^3 that is about a sixth of the time and memory of the
@@ -112,14 +112,16 @@ def diagnostics_table(traj: Trajectory, s: float = 1.0) -> dict[str, np.ndarray]
 
     for i, phys in traj.blocks():
         rows = slice(i, i + len(phys))
-        samples, forward, gradient_square, modes, weights = _table_basis(phys, grid)
+        samples, forward, _, modes, weights, _ = _basis(phys, grid.n)
         octant = weights is not None
+        gradient_square = _octant_gradient_square if octant else _gradient_square
         if octant not in sobolev:
             sobolev[octant] = [
                 (name, spec, np.ascontiguousarray(np.abs(spec.multiplier(grid))[modes]))
                 for name, spec in specs
             ]
-        coeffs = forward(samples, grid)
+        coeffs = forward(samples)
+        coeffs *= dV
         for name, spec, m in sobolev[octant]:
             table[name][rows] = _sobolev_norms(coeffs, grid, spec, m, weights)
         absu = np.abs(samples)
@@ -135,24 +137,12 @@ def diagnostics_table(traj: Trajectory, s: float = 1.0) -> dict[str, np.ndarray]
         mod2 = absu**2
         if not octant:  # complex, as to_spectral sees |u|^2 as a Field
             mod2 = mod2.astype(np.complex128)
-        mod2 = forward(mod2, grid)
+        mod2 = forward(mod2)
+        mod2 *= dV
         density = modulus_power(absu, p - 3.0) * gradient_square(mod2, grid)
         table["modulus_term"][rows] = 0.5 * (p - 1.0) * integral(density, weights)
     traj.tables[s] = table
     return table
-
-
-def _table_basis(phys: np.ndarray, grid):
-    """(samples, forward transform, gradient_square, multiplier index, sum
-    weights) of the table pass over one block of physical samples: the
-    octant, a DCT-I stack and the k <= N/2 corner of the multipliers when
-    the block passes the mirror rule, else the block itself and the FFT."""
-    mirror = _mirror_octant(phys, grid.n)
-    if mirror is None:
-        return phys, _spectral_stack, _gradient_square, (), None
-    octant, _, weights = mirror
-    corner = (slice(0, grid.N // 2 + 1),) * grid.n
-    return octant, _octant_stack, _octant_gradient_square, corner, weights
 
 
 def _any_table(traj: Trajectory) -> dict[str, np.ndarray]:
@@ -168,14 +158,6 @@ def _gradient_square(coeffs: np.ndarray, grid) -> np.ndarray:
         np.abs(_physical_stack(coeffs * (1j * k), grid)) ** 2
         for k in grid.wavenumber_arrays
     )
-
-
-def _octant_stack(values: np.ndarray, grid) -> np.ndarray:
-    """The DCT-I coefficients of a stack of octants: coefficient k is
-    _spectral_stack of the mirrored fields at k times (-1)^(k_1+...+k_n)."""
-    out = scipy.fft.dctn(values, type=1, axes=_stack_axes(grid))
-    out *= grid.cell_volume
-    return out
 
 
 def _octant_gradient_square(coeffs: np.ndarray, grid) -> np.ndarray:

@@ -9,11 +9,9 @@ Parseval then reads  sum |f|^2 dx^n = sum |f_hat|^2 / L^n.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, replace
-from functools import reduce
-from typing import Callable, Sequence, Union
+from functools import partial, reduce
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 import scipy.fft
@@ -144,28 +142,50 @@ def _spectral_stack(values: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def _mirror_octant(values: np.ndarray, n: int):
-    """The mirror rule of the octant transforms.  If n >= 2 and the n trailing
-    (grid) axes of ``values``, one field or a (B, *grid.shape) stack, equal
-    values[(N - j) % N] on every axis, return (octant, fold, weights): the
-    octant samples values[N/2, ..., N-1, 0] per axis, the index fold
-    j -> |j - N/2| with ``octant[fold] == values``, and the (N/2+1)^n
-    multiplicities, [1, 2, ..., 2, 1] per axis, of an octant sample or of a
-    DCT-I mode among the N^n.  Else None: a 1-d DCT-I pair costs more than
-    the FFT pair it replaces."""
-    if n < 2:
-        return None
+class _Basis(NamedTuple):
+    """The samples of one field or a (B, *grid.shape) stack and the unscaled
+    transform pair over their n trailing axes; see _basis."""
+
+    samples: np.ndarray
+    forward: Callable
+    inverse: Callable
+    modes: tuple  # index of the multiplier arrays at the coefficients
+    weights: np.ndarray | None  # multiplicity of each sample and mode
+    fold: tuple  # index of samples that gives the full grid back
+
+
+def _basis(values: np.ndarray, n: int) -> _Basis:
+    """The octant switch, for one field or a (B, *grid.shape) stack whose n
+    trailing axes are the grid.  If n >= 2 and values == values[(N - j) % N]
+    on every grid axis (mirror symmetry, which both substeps of evolve
+    keep), the samples are the octant values[N/2, ..., N-1, 0] per axis
+    under a DCT-I pair, whose coefficient k is the FFT coefficient at k
+    times (-1)^(k_1+...+k_n): the multipliers, even in k, are their
+    k <= N/2 corner, the weights are the (N/2+1)^n multiplicities,
+    [1, 2, ..., 2, 1] per axis, of an octant sample or a DCT-I mode among
+    the N^n, and the fold j -> |j - N/2| mirrors the octant back.  Else the
+    full grid under the FFT pair, with weights None: a 1-d DCT-I pair costs
+    more than the FFT pair it replaces."""
+    axes = tuple(range(-n, 0))
     N = values.shape[-1]
-    for ax in range(n):  # j = 1..N/2-1 against N-1..N/2+1, a view of each
-        tail = (slice(None),) * (n - 1 - ax)
-        low = values[(Ellipsis, slice(1, N // 2), *tail)]
-        if not np.array_equal(low, values[(Ellipsis, slice(N - 1, N // 2, -1), *tail)]):
-            return None
+    tails = ((slice(None),) * (n - 1 - ax) for ax in range(n))
+    if n < 2 or not all(  # j = 1..N/2-1 against N-1..N/2+1, a view of each
+        np.array_equal(values[(Ellipsis, slice(1, N // 2), *tail)],
+                       values[(Ellipsis, slice(N - 1, N // 2, -1), *tail)])
+        for tail in tails
+    ):
+        return _Basis(values, partial(scipy.fft.fftn, axes=axes),
+                      partial(scipy.fft.ifftn, axes=axes), (), None, (Ellipsis,))
     octant = values[(Ellipsis, *np.ix_(*[(N // 2 + np.arange(N // 2 + 1)) % N] * n))]
-    octant = np.ascontiguousarray(octant)  # a stack gathers with the field axis inner
-    fold = (Ellipsis, *np.ix_(*[np.abs(np.arange(N) - N // 2)] * n))
     w = np.r_[1.0, np.full(N // 2 - 1, 2.0), 1.0]
-    return octant, fold, reduce(np.multiply.outer, [w] * n)
+    return _Basis(
+        np.ascontiguousarray(octant),  # a stack gathers with the field axis inner
+        partial(scipy.fft.dctn, type=1, axes=axes),
+        partial(scipy.fft.idctn, type=1, axes=axes),
+        (slice(0, N // 2 + 1),) * n,
+        reduce(np.multiply.outer, [w] * n),
+        (Ellipsis, *np.ix_(*[np.abs(np.arange(N) - N // 2)] * n)),
+    )
 
 
 def _physical_stack(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
@@ -258,60 +278,26 @@ def constant_field(grid: Grid, value: complex = 1.0) -> Field:
     return Field(grid, np.full(grid.shape, value, dtype=np.complex128), PHYSICAL)
 
 
-def _write_samples(path, header: str, values: np.ndarray) -> None:
-    """Write the sample-file format: the header line, then one 're im' line
-    per value (17 significant digits, row-major order)."""
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for v in values.reshape(-1):
-            fh.write(f"{v.real:.17g} {v.imag:.17g}\n")
-
-
-def _read_samples(path, what: str, header_len: int, count) -> tuple[list, np.ndarray]:
-    """Read a file written by _write_samples: the header tokens and the
-    values as a flat complex array.  ``count`` maps the header tokens to
-    the number of values the file must hold."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != header_len:
-            raise ValueError(f"malformed {what} header in {path}")
-        expected = count(header)
-        data = np.loadtxt(fh, dtype=float, ndmin=2)
-    if data.shape != (expected, 2):
-        raise ValueError(
-            f"expected {expected} 're im' lines in {path}, got {data.shape[0]}"
-        )
-    # a view, not re + 1j * im, which turns an imaginary -0.0 into +0.0
-    return header, data.view(np.complex128)[:, 0]
-
-
-def _save_series(outdir, meta: dict, key: str, items, save) -> None:
-    """Write meta.json (``meta`` plus the file names under ``key``, "snapshots"
-    -> snapshot_000000.txt, ...) and one file per item by ``save(item, path)``."""
-    os.makedirs(outdir, exist_ok=True)
-    names = [f"{key[:-1]}_{k:06d}.txt" for k in range(len(items))]
-    with open(os.path.join(outdir, "meta.json"), "w") as fh:
-        json.dump({**meta, key: names}, fh, indent=2, sort_keys=True)
-    for name, item in zip(names, items):
-        save(item, os.path.join(outdir, name))
-
-
-def _load_series(indir, key: str, load) -> tuple[dict, list]:
-    """Read a directory written by _save_series: its meta and its items."""
-    with open(os.path.join(indir, "meta.json")) as fh:
-        meta = json.load(fh)
-    return meta, [load(os.path.join(indir, name)) for name in meta[key]]
-
-
 def save_field(f: Field, path) -> None:
     """Write a field snapshot: header 'n N L representation', then one
     're im' line per value (17 significant digits, row-major order)."""
-    header = f"{f.grid.n} {f.grid.N} {f.grid.L:.17g} {f.representation}"
-    _write_samples(path, header, f.values)
+    with open(path, "w") as fh:
+        fh.write(f"{f.grid.n} {f.grid.N} {f.grid.L:.17g} {f.representation}\n")
+        for v in f.values.reshape(-1):
+            fh.write(f"{v.real:.17g} {v.imag:.17g}\n")
 
 
 def load_field(path) -> Field:
     """Read a field snapshot written by save_field."""
-    header, vals = _read_samples(path, "field", 4, lambda h: int(h[1]) ** int(h[0]))
-    grid = make_grid(int(header[0]), int(header[1]), float(header[2]))
-    return Field(grid, vals.reshape(grid.shape), header[3])
+    with open(path) as fh:
+        header = fh.readline().split()
+        if len(header) != 4:
+            raise ValueError(f"malformed field header in {path}")
+        grid = make_grid(int(header[0]), int(header[1]), float(header[2]))
+        data = np.loadtxt(fh, dtype=float, ndmin=2)
+    if data.shape != (grid.size, 2):
+        raise ValueError(
+            f"expected {grid.size} 're im' lines in {path}, got {data.shape[0]}"
+        )
+    # a view, not re + 1j * im, which turns an imaginary -0.0 into +0.0
+    return Field(grid, data.view(np.complex128)[:, 0].reshape(grid.shape), header[3])

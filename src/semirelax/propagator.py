@@ -14,30 +14,25 @@ builds U(dt) (and, for Strang, U(dt/2)) once per run with the 2/3 dealias
 mask folded in, and merges the half-steps of adjacent Strang steps, so a
 step costs two FFTs and a half-step is closed only for a stored snapshot.
 The per-step L^2 check uses Parseval on the coefficients.  Mirror-symmetric
-data with n >= 2 run on the (N/2+1)^n octant with a DCT-I pair, about a
-quarter of the cost at 64^3; 1-d data keep the FFT pair.
+data with n >= 2 run on the (N/2+1)^n octant with a DCT-I pair
+(fields._basis), about a quarter of the cost at 64^3; 1-d data keep the
+FFT pair.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.fft
 
 from .fields import (
     _BLOCK_BYTES,
     Field,
-    _load_series,
-    _mirror_octant,
+    _basis,
     _multiply_spectral,
-    _save_series,
     _spectral_stack,
-    load_field,
-    save_field,
     to_physical,
     to_spectral,
 )
@@ -52,8 +47,6 @@ __all__ = [
     "lie_step",
     "evolve",
     "duhamel_residual",
-    "save_trajectory",
-    "load_trajectory",
 ]
 
 
@@ -191,23 +184,6 @@ def _sum_squares(coeffs: np.ndarray, weights: Optional[np.ndarray] = None) -> fl
     return float(np.einsum("i,i,i->", weights, x, x))
 
 
-def _basis(u: np.ndarray):
-    """(state samples, forward, inverse, multiplier index, Parseval weights
-    of the real view, snapshot embedding) of evolve for the samples u.  If u
-    passes the mirror rule (fields._mirror_octant), the state is the octant
-    under a DCT-I pair, whose coefficient k is fftn(u) at k times
-    (-1)^(k_1+...+k_n): the multipliers, even in k, are the k <= N/2 corner,
-    the Parseval weights are the mode multiplicities, and the fold mirrors a
-    snapshot back.  Any other u keeps the full grid and the FFT pair."""
-    mirror = _mirror_octant(u, u.ndim)
-    if mirror is None:
-        return (u, scipy.fft.fftn, scipy.fft.ifftn, (), None, lambda v: v)
-    octant, fold, weights = mirror
-    return (octant, partial(scipy.fft.dctn, type=1), partial(scipy.fft.idctn, type=1),
-            (slice(0, u.shape[0] // 2 + 1),) * u.ndim, np.repeat(weights.reshape(-1), 2),
-            lambda v: v[fold])
-
-
 def strang_step(f: Field, cfg: StepperConfig) -> Field:
     """One Strang step: U(dt/2), then the exact nonlinear flow over dt,
     then U(dt/2).  With the nonlinearity disabled this is exactly U(dt)."""
@@ -234,7 +210,8 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
     built once per run.
 
     Both substeps keep mirror symmetry, so for mirror-symmetric data with
-    n >= 2 (a centred gaussian) the loop runs on the DCT-I octant (_basis),
+    n >= 2 (a centred gaussian) the loop runs on the DCT-I octant of
+    fields._basis, its Parseval sums weighted by the mode multiplicities,
     about a quarter of the cost at 64^3; 1-d data keep the FFT pair.
 
     The discrete L^2 norm is checked to be nonincreasing after every step
@@ -245,7 +222,9 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
     n_steps = cfg.n_steps
     u = to_physical(u0)
     grid = u.grid
-    state, fwd, inv, modes, weights, embed = _basis(u.values)
+    state, fwd, inv, modes, weights, fold = _basis(u.values, grid.n)
+    if weights is not None:  # per real and imaginary part of the real view
+        weights = np.repeat(weights.reshape(-1), 2)
     xi_norm = grid.xi_norm[modes]
     split = cfg.nonlinear and cfg.scheme == "strang"
     mask = _dealias_mask(grid)[modes] if cfg.nonlinear and cfg.dealias_active else True
@@ -288,7 +267,7 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
         if k % cfg.snapshot_stride == 0:
             times.append(k * cfg.dt)
             vals = inv(w * close if split else c)
-            snaps.append(Field(grid, embed(vals), "physical"))
+            snaps.append(Field(grid, vals[fold], "physical"))
             v = None if split else vals  # stored: never handed to overwrite_x
     return Trajectory(config=cfg, times=np.asarray(times), snapshots=snaps)
 
@@ -321,15 +300,3 @@ def duhamel_residual(traj: Trajectory) -> float:
             for k, term in enumerate(terms, start=i):
                 acc += w[k] * term
     return l2_norm(Field(traj.grid, acc, "spectral"))
-
-
-def save_trajectory(traj: Trajectory, outdir) -> None:
-    """Export as a directory: meta.json plus one snapshot file per time."""
-    meta = {"config": asdict(traj.config), "times": [float(t) for t in traj.times]}
-    _save_series(outdir, meta, "snapshots", traj.snapshots, save_field)
-
-
-def load_trajectory(indir) -> Trajectory:
-    meta, snaps = _load_series(indir, "snapshots", load_field)
-    cfg = StepperConfig(**meta["config"])
-    return Trajectory(config=cfg, times=np.asarray(meta["times"]), snapshots=snaps)

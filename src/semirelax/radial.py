@@ -30,9 +30,7 @@ from functools import cached_property
 import numpy as np
 import scipy.fft
 
-from .fields import (
-    _BLOCK_BYTES, _load_series, _read_samples, _save_series, _write_samples,
-)
+from .fields import _BLOCK_BYTES
 from .propagator import StepperConfig
 
 __all__ = [
@@ -50,10 +48,6 @@ __all__ = [
     "maximal_function",
     "maximal_bound_check",
     "duhamel_maximal_bound_check",
-    "save_profile",
-    "load_profile",
-    "save_radial_trajectory",
-    "load_radial_trajectory",
 ]
 
 REGULARIZATION_EPS = 1e-30
@@ -132,14 +126,8 @@ class RadialProfile:
 class RadialTrajectory:
     """Time-ordered radial profiles on a shared grid."""
 
-    p: float
-    dt: float
     times: np.ndarray
     profiles: list[RadialProfile]
-
-    @property
-    def R(self) -> float:
-        return self.profiles[0].R
 
 
 def profile_from_function(func, R: float, M: int) -> RadialProfile:
@@ -166,15 +154,15 @@ def _from_sine(b: np.ndarray, f: RadialProfile) -> np.ndarray:
     return scipy.fft.idst(b, type=2, norm="ortho") / f.r
 
 
-def _halfwave_multiplier(f: RadialProfile, power: float = 1.0) -> RadialProfile:
-    """Apply D^power on a radial profile through v = r u~ and a sine series.
+def _halfwave_multiplier(f: RadialProfile) -> RadialProfile:
+    """Apply D on a radial profile through v = r u~ and a sine series.
 
     The 3-d radial identity (-Laplacian) u = -(1/r) d^2/dr^2 (r u) turns D
     into the 1-d half-Laplacian acting on the odd extension of v = r u~;
     on the staggered grid that is a type-II sine transform with multiplier
-    (m pi / R)^power.  No decay validation here; see radial_halfwave_operator.
+    m pi / R.  No decay validation here; see radial_halfwave_operator.
     """
-    return RadialProfile(f.R, _from_sine(_sine(f) * _sine_modes(f) ** power, f))
+    return RadialProfile(f.R, _from_sine(_sine(f) * _sine_modes(f), f))
 
 
 def radial_sobolev_norm(f: RadialProfile, s: float) -> float:
@@ -203,7 +191,7 @@ def radial_halfwave_operator(f: RadialProfile) -> RadialProfile:
                 f"(|u~(R)| ~ {edge:.3e} vs max {scale:.3e}); "
                 "enlarge R or truncate the data"
             )
-    return _halfwave_multiplier(f, 1.0)
+    return _halfwave_multiplier(f)
 
 
 class JEvaluator:
@@ -285,7 +273,7 @@ def _source(u: RadialProfile, b: np.ndarray, p: float) -> RadialProfile:
     du = _from_sine(b * _sine_modes(u), u)
     vals = u.values
     nl = np.abs(vals) ** (p - 1.0) * vals
-    d_nl = _halfwave_multiplier(RadialProfile(u.R, nl), 1.0).values
+    d_nl = _halfwave_multiplier(RadialProfile(u.R, nl)).values
     out = (
         0.5j * (p + 1.0) * np.abs(vals) ** (p - 1.0) * du
         - 0.5j * (p - 1.0) * modulus_power(vals, p - 3.0) * vals**2 * np.conj(du)
@@ -365,7 +353,7 @@ def wave_evolve(
             raise FloatingPointError(blow_up)
         profiles.append(RadialProfile(u0.R, vals))
         times.append(t_m)
-    return RadialTrajectory(p=p, dt=dt, times=np.asarray(times), profiles=profiles)
+    return RadialTrajectory(times=np.asarray(times), profiles=profiles)
 
 
 def cumulative_mass(x: np.ndarray, values: np.ndarray):
@@ -479,28 +467,3 @@ def duhamel_maximal_bound_check(
     lhs = float(np.sqrt(np.trapezoid(np.asarray(sup) ** 2, ts)))
     rhs = float(np.trapezoid(np.abs(phi(ts)), ts)) * radial_l2_norm(f)
     return Report(lhs, rhs, lhs / rhs if rhs > 0 else 0.0)
-
-
-def save_profile(f: RadialProfile, path) -> None:
-    """Write a radial profile: header 'M R', then one 're im' line per node."""
-    _write_samples(path, f"{f.M} {f.R:.17g}", f.values)
-
-
-def save_radial_trajectory(traj: RadialTrajectory, outdir) -> None:
-    """Export as a directory mirroring the field-trajectory layout:
-    meta.json plus one profile file per stored time."""
-    meta = {"p": traj.p, "dt": traj.dt, "times": [float(t) for t in traj.times]}
-    _save_series(outdir, meta, "profiles", traj.profiles, save_profile)
-
-
-def load_radial_trajectory(indir) -> RadialTrajectory:
-    meta, profiles = _load_series(indir, "profiles", load_profile)
-    return RadialTrajectory(
-        p=meta["p"], dt=meta["dt"], times=np.asarray(meta["times"]), profiles=profiles
-    )
-
-
-def load_profile(path) -> RadialProfile:
-    """Read a radial profile written by save_profile."""
-    header, vals = _read_samples(path, "radial profile", 2, lambda h: int(h[0]))
-    return RadialProfile(float(header[1]), vals)

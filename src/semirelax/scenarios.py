@@ -71,7 +71,14 @@ class Scenario:
         if kind == "mode":
             k, amp = args
             return mode_field(grid, int(k), amp)
-        return load_field(args[0])
+        u0 = load_field(args[0])
+        if u0.grid != grid:
+            g = u0.grid
+            raise ScenarioError(
+                f"scenario {self.name!r}: {args[0]} holds data on the grid n={g.n}, "
+                f"N={g.N}, L={g.L:g}, not the scenario's n={self.n}, N={self.N}, L={self.L:g}"
+            )
+        return u0
 
     def initial_profile(self) -> RadialProfile:
         if self.M is None or self.R is None:
@@ -121,10 +128,13 @@ def _validate(sc: Scenario) -> None:
         raise ScenarioError(f"scenario {sc.name!r}: unknown checks {unknown}")
     if sc.solver in ("spectral", "both") and (sc.N is None or sc.L is None):
         raise ScenarioError(f"scenario {sc.name!r}: spectral solver needs N and L")
+    kind, args = _parse_initial(sc.initial)
     try:  # the solvers' own rules, checked by the code that enforces them
         if sc.solver in ("spectral", "both"):
             make_grid(sc.n, sc.N, sc.L)
             StepperConfig(sc.p, sc.dt, sc.T, snapshot_stride=sc.snapshot_stride)
+            if kind == "file":  # read now: a missing or foreign file is a config error
+                sc.initial_field()
         if sc.solver != "spectral" or any(CHECKS[c].reads == "radial" for c in sc.checks):
             sc.initial_profile()  # M, R and the radial form of the data
         if sc.solver != "spectral":
@@ -135,9 +145,8 @@ def _validate(sc: Scenario) -> None:
             _wave_form_domain(sc.p, sc.dt, sc.T, sc.R)
     except ScenarioError:
         raise
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ScenarioError(f"scenario {sc.name!r}: {exc}") from exc
-    kind, args = _parse_initial(sc.initial)
     for check in sc.checks:
         broken = broken_hypothesis(sc, check, kind, args)
         if broken:

@@ -62,6 +62,22 @@ class TestRunCommand:
         b = (tmp_path / "b" / "cli_demo" / "report.json").read_bytes()
         assert a == b
 
+    def test_file_data_off_the_scenario_grid_exits_2(self, tmp_path, capsys):
+        from semirelax import gaussian_field, make_grid, save_field
+
+        # 1-d N = 64, L = 20 data under a 2-d N = 16, L = 10 scenario
+        save_field(gaussian_field(make_grid(1, 64, 20.0), 0.3), tmp_path / "u0.txt")
+        config = tmp_path / "file.cfg"
+        config.write_text(
+            FAST.replace("n = 1", "n = 2").replace("N = 64", "N = 16")
+            .replace("L = 20", "L = 10").replace("checks = prop21, scaling", "checks = prop12")
+            .replace("gaussian(0.3, 1.0, 0.0)", f"file({tmp_path / 'u0.txt'})")
+        )
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "not the scenario's n=2, N=16, L=10" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSweepCommand:
     def test_dt_sweep(self, tmp_path, config, capsys):

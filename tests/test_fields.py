@@ -176,6 +176,13 @@ class TestSnapshotFormat:
         with pytest.raises(ValueError, match="expected 8"):
             load_field(path)
 
+    @pytest.mark.parametrize("header", ["1 8 2.5", "1 8 2.5 physical extra", ""])
+    def test_rejects_malformed_header(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n" + "1 0\n" * 8)
+        with pytest.raises(ValueError, match="malformed field header"):
+            load_field(path)
+
     def test_literal_bytes(self, tmp_path):
         vals = np.array([0.1 + 0.2j, -1 / 3, 1e-300j, 2.5, 0, 1e16, 0.5 - 0.5j, 7j])
         vals.real[4] = -0.0

@@ -8,20 +8,17 @@ import scipy.integrate
 import scipy.interpolate
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from semirelax import (
     F_p_source,
     RadialProfile,
     duhamel_maximal_bound_check,
-    load_profile,
     maximal_bound_check,
     maximal_function,
     profile_from_function,
     radial_halfwave_operator,
     radial_l2_norm,
     radial_sobolev_norm,
-    save_profile,
     wave_evolve,
 )
 from semirelax import radial
@@ -49,10 +46,10 @@ def F_p_expanded(u: RadialProfile, p: float) -> RadialProfile:
     independent consistency cross-check of F_p_source."""
     if not p > 1:
         raise ValueError(f"nonlinearity power must exceed 1, got {p}")
-    du = _halfwave_multiplier(u, 1.0).values
+    du = _halfwave_multiplier(u).values
     vals = u.values
     nl = np.abs(vals) ** (p - 1.0) * vals
-    d_nl = _halfwave_multiplier(RadialProfile(u.R, nl), 1.0).values
+    d_nl = _halfwave_multiplier(RadialProfile(u.R, nl)).values
     w = du - 1j * nl
     out = (
         0.5j * (p + 1.0) * np.abs(vals) ** (p - 1.0) * w
@@ -80,7 +77,7 @@ def reference_wave_evolve(
     n_steps = int(math.ceil(T / dt - 1e-12)) if T > 0 else 0
     r = u0.r
     data0 = JEvaluator(u0)
-    du0 = _halfwave_multiplier(u0, 1.0).values
+    du0 = _halfwave_multiplier(u0).values
     q0_vals = -1j * du0
     if nonlinear:
         q0_vals = q0_vals - np.abs(u0.values) ** (p - 1.0) * u0.values
@@ -102,7 +99,7 @@ def reference_wave_evolve(
         if nonlinear:
             sources.append(JEvaluator(F_p_source(u_m, p)))
         times.append(t_m)
-    return RadialTrajectory(p=p, dt=dt, times=np.asarray(times), profiles=profiles)
+    return RadialTrajectory(times=np.asarray(times), profiles=profiles)
 
 
 def reference_maximal_bound_check(f: RadialProfile, T: float, n_t=None) -> Report:
@@ -220,55 +217,6 @@ class TestProfileBasics:
             lambda r: 4 * np.pi * r**2 * np.exp(-2 * r**2), 0, np.inf
         )
         assert radial_l2_norm(prof) == pytest.approx(np.sqrt(val), rel=1e-8)
-
-    def test_file_round_trip(self, tmp_path):
-        prof = gaussian_profile(M=64)
-        pvals = prof.values + 0.3j * prof.r
-        prof = RadialProfile(prof.R, pvals)
-        save_profile(prof, tmp_path / "prof.txt")
-        back = load_profile(tmp_path / "prof.txt")
-        assert back.R == prof.R and back.M == prof.M
-        assert np.array_equal(back.values, prof.values)
-        header = (tmp_path / "prof.txt").read_text().splitlines()[0]
-        assert header == "64 10"
-
-    def test_file_literal_bytes(self, tmp_path):
-        vals = np.arange(16) * 0.5 - 0.25j
-        vals[1] = 0.1 - 1j / 3
-        save_profile(RadialProfile(12.5, vals), tmp_path / "prof.txt")
-        assert (tmp_path / "prof.txt").read_bytes() == (
-            b"16 12.5\n"
-            b"0 -0.25\n"
-            b"0.10000000000000001 -0.33333333333333331\n"
-            b"1 -0.25\n"
-            b"1.5 -0.25\n"
-            b"2 -0.25\n"
-            b"2.5 -0.25\n"
-            b"3 -0.25\n"
-            b"3.5 -0.25\n"
-            b"4 -0.25\n"
-            b"4.5 -0.25\n"
-            b"5 -0.25\n"
-            b"5.5 -0.25\n"
-            b"6 -0.25\n"
-            b"6.5 -0.25\n"
-            b"7 -0.25\n"
-            b"7.5 -0.25\n"
-        )
-
-    @given(data=st.data(), M=st.integers(16, 64), R=st.floats(1e-3, 1e3))
-    @settings(max_examples=25, deadline=None)
-    def test_file_round_trip_is_bitwise(self, tmp_path_factory, data, M, R):
-        finite = st.floats(allow_nan=False, allow_infinity=False)
-        parts = data.draw(hnp.arrays(np.float64, (2, M), elements=finite))
-        vals = np.empty(M, dtype=np.complex128)
-        vals.real, vals.imag = parts
-        prof = RadialProfile(R, vals)
-        path = tmp_path_factory.getbasetemp() / "profile_round_trip.txt"
-        save_profile(prof, path)
-        back = load_profile(path)
-        assert back.R == prof.R
-        assert np.array_equal(back.values.view(np.uint64), prof.values.view(np.uint64))
 
 
 class TestJKernel:
@@ -596,20 +544,6 @@ class TestWaveEvolve:
         prof = gaussian_profile()
         with pytest.raises(ValueError, match="1 < p <= 3"):
             wave_evolve(prof, 4.0, dt=0.1, T=0.5)
-
-    def test_trajectory_export_round_trip(self, tmp_path):
-        from semirelax import load_radial_trajectory, save_radial_trajectory
-
-        prof = gaussian_profile(R=10.0, M=64, amp=0.1)
-        rt = wave_evolve(prof, 3.0, dt=0.25, T=0.5)
-        save_radial_trajectory(rt, tmp_path / "rt")
-        back = load_radial_trajectory(tmp_path / "rt")
-        assert back.p == rt.p and back.dt == rt.dt
-        assert np.allclose(back.times, rt.times)
-        for a, b in zip(back.profiles, rt.profiles):
-            assert np.array_equal(a.values, b.values)
-        assert (tmp_path / "rt" / "meta.json").exists()
-        assert (tmp_path / "rt" / "profile_000000.txt").exists()
 
     def test_linear_matches_3d_spectral(self):
         import semirelax as sx

@@ -266,6 +266,43 @@ class TestSolverRulesAtLoad:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: scenario")
 
+    @pytest.mark.parametrize("content, rule", [
+        (None, "No such file"),
+        ("not a field\n", "malformed field header"),
+        ("1 64 20 physical\n1 0\n", "expected 64 're im' lines"),
+        (b"\xff\xfe\x00\n", "can't decode"),
+        ("dir", "Is a directory"),
+        # the data of a 1-d N = 64, L = 20 file on the scenario's n = 2 grid
+        ("1d", "grid n=1, N=64, L=20, not the scenario's n=2, N=16, L=10"),
+        ("L", "grid n=1, N=64, L=10, not the scenario's n=1, N=64, L=20"),
+    ], ids=[
+        "missing", "bad_header", "short", "undecodable", "directory", "other_dimension",
+        "other_L",
+    ])
+    def test_file_data_rejected_at_load(self, tmp_path, capsys, content, rule):
+        from semirelax import gaussian_field, make_grid, save_field
+        from semirelax.cli import main
+
+        data = tmp_path / "u0.txt"
+        body = GOOD.replace("gaussian(0.5, 1.0, 0.0)", f"file({data})")
+        if content == "1d":
+            save_field(gaussian_field(make_grid(1, 64, 20.0), 0.3), data)
+            body = body.replace("n = 1", "n = 2").replace("N = 64", "N = 16").replace(
+                "L = 20", "L = 10")
+        elif content == "L":
+            save_field(gaussian_field(make_grid(1, 64, 10.0), 0.3), data)
+        elif content == "dir":
+            data.mkdir()
+        elif isinstance(content, bytes):
+            data.write_bytes(content)
+        elif content is not None:
+            data.write_text(content)
+        path = write_config(tmp_path, body)
+        with pytest.raises(ScenarioError, match=rule):
+            load_config(path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: scenario")
+
 
 class TestShippedCatalog:
     def test_catalog_has_six_scenarios(self):
