@@ -78,18 +78,16 @@ def _check_prop24(ctx) -> tuple[bool, dict]:
 
 def _check_scaling(ctx) -> tuple[bool, dict]:
     sc = ctx.scenario
-    u0 = sc.initial_field()
     data, ok = {}, True
     for sigma in (0.5, 2.0):
-        res = diag.check_scaling_law(u0, sigma, sc.s, sc.p)
+        res = diag.check_scaling_law(ctx.u0, sigma, sc.s, sc.p)
         data[f"relative_sigma_{sigma}"] = res.relative
         ok = ok and res.relative < SCALING_TOL
     return ok, data
 
 
 def _check_lemma33(ctx) -> tuple[bool, dict]:
-    sc = ctx.scenario
-    ratio = diag.strauss_ratio(sc.initial_field(), s=sc.s)
+    ratio = diag.strauss_ratio(ctx.u0, s=ctx.scenario.s)
     return math.isfinite(ratio), {"ratio": ratio}
 
 
@@ -216,10 +214,13 @@ def spectral_vs_wave_disagreement(traj: Trajectory, rtraj: RadialTrajectory) -> 
     """Relative L^inf gap at the final common time between the 3-d spectral
     solution along the positive first axis and the wave-form profile."""
     from scipy.interpolate import CubicSpline
-    u3 = to_physical(traj.snapshots[-1])
-    grid = u3.grid
+    grid = traj.grid
     half = grid.N // 2
-    axis_vals = u3.values[(slice(half + 1, None),) + (half,) * (grid.n - 1)]
+    if traj._octants is None:
+        u3 = to_physical(traj.snapshots[-1]).values
+        axis_vals = u3[(slice(half + 1, None),) + (half,) * (grid.n - 1)]
+    else:  # octant index m is grid index N/2 + m
+        axis_vals = traj._octants.samples[-1][(slice(1, half),) + (0,) * (grid.n - 1)]
     radii = grid.axis[half + 1 :]
     prof = rtraj.profiles[-1]
     keep = radii <= prof.r[-1]

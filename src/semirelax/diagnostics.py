@@ -3,13 +3,13 @@
 The CSV, the balance laws and the H^s growth bound read one per-snapshot
 table stored on the trajectory, built with one forward transform of each
 snapshot (and of |u|^2 when the flow dissipates).  The table and the H^2
-cross term run over Trajectory.blocks, stacks of snapshots transformed and
-reduced in one call each.  A block that passes the mirror rule of evolve
-(n >= 2, symmetric on every axis; fields._basis) is tabled on the
-(N/2+1)^n octant under a DCT-I transform with multiplicity-weighted sums,
-about a sixth of the full-grid time and memory at 64^3; 1-d data and any
-other block keep the FFT stack.  A linear trajectory
-dissipates nothing: its balance laws are conservation of ||u||^2, ||grad u||^2.
+cross term run over blocks of snapshots, transformed and reduced in one
+call each.  The table and lemma34 read the (N/2+1)^n octant arrays of an
+octant-resident trajectory (propagator.evolve) with multiplicity-weighted
+sums, the table under a DCT-I transform, at about a sixth of the full-grid
+time and memory at 64^3; only the H^2 cross term folds to the full grid.
+Any other block keeps the FFT stack.  A linear trajectory dissipates
+nothing: its balance laws are conservation of ||u||^2, ||grad u||^2.
 
 Each checker returns a radial.Report: for an exact balance law its two
 sides and their mismatch; for a one-sided estimate also the empirical
@@ -27,7 +27,6 @@ import scipy.fft
 
 from .fields import (
     Field,
-    _basis,
     _physical_stack,
     _spectral_stack,
     _stack_axes,
@@ -86,12 +85,12 @@ def diagnostics_table(traj: Trajectory, s: float = 1.0) -> dict[str, np.ndarray]
     modulus_term, which are zero for a linear trajectory.  The pass runs over
     Trajectory.blocks: one forward transform and one reduction per block.
 
-    A block that passes the mirror rule of evolve (n >= 2 and every snapshot
-    equal to its mirror image on every axis, fields._basis) runs on
-    the (N/2+1)^n octant under a DCT-I transform, its sums weighted by the
-    mode and sample multiplicities, and agrees with the FFT table to
-    roundoff; at 64^3 that is about a sixth of the time and memory of the
-    full grid.  1-d blocks and any other block keep the FFT stack."""
+    An octant-resident trajectory is tabled on its stored octant arrays, with
+    no fold and no second mirror test, under a DCT-I transform, its sums
+    weighted by the mode and sample multiplicities, and agrees with the FFT
+    table to roundoff.  A hand-built one takes the octant, with the same
+    bits, for each block that passes the mirror rule of fields._basis;
+    1-d blocks and any other block keep the FFT stack."""
     if s in traj.tables:
         return traj.tables[s]
     grid, p = traj.grid, traj.config.p
@@ -110,9 +109,8 @@ def diagnostics_table(traj: Trajectory, s: float = 1.0) -> dict[str, np.ndarray]
             density *= weights
         return np.sum(density, axis=axes) * dV
 
-    for i, phys in traj.blocks():
-        rows = slice(i, i + len(phys))
-        samples, forward, _, modes, weights, _ = _basis(phys, grid.n)
+    for i, (samples, forward, _, modes, weights, _) in traj._sample_blocks():
+        rows = slice(i, i + len(samples))
         octant = weights is not None
         gradient_square = _octant_gradient_square if octant else _gradient_square
         if octant not in sobolev:
@@ -414,8 +412,11 @@ def weighted_strichartz_ratio(
     denom = l2_norm(traj.snapshots[0])
     if denom == 0:
         return 0.0
-    weighted = _weighted_l2(traj.snapshots[0], delta, q1, sign=-1)
-    num = space_time_norm(traj, q1, weighted)
+    octants = traj._octants  # its samples counted by their multiplicities
+    weights = None if octants is None else octants.basis.weights
+    weighted = _weighted_l2(traj.snapshots[0], delta, q1, sign=-1, weights=weights)
+    snaps = traj.snapshots if octants is None else octants.samples
+    num = space_time_norm((traj.times, snaps), q1, weighted)
     return num / denom
 
 

@@ -178,10 +178,10 @@ def _basis(values: np.ndarray, n: int) -> _Basis:
                       partial(scipy.fft.ifftn, axes=axes), (), None, (Ellipsis,))
     octant = values[(Ellipsis, *np.ix_(*[(N // 2 + np.arange(N // 2 + 1)) % N] * n))]
     w = np.r_[1.0, np.full(N // 2 - 1, 2.0), 1.0]
-    return _Basis(
+    return _Basis(  # scipy.fft looked up per call: evolve stores this basis
         np.ascontiguousarray(octant),  # a stack gathers with the field axis inner
-        partial(scipy.fft.dctn, type=1, axes=axes),
-        partial(scipy.fft.idctn, type=1, axes=axes),
+        lambda x, **kw: scipy.fft.dctn(x, type=1, axes=axes, **kw),
+        lambda x, **kw: scipy.fft.idctn(x, type=1, axes=axes, **kw),
         (slice(0, N // 2 + 1),) * n,
         reduce(np.multiply.outer, [w] * n),
         (Ellipsis, *np.ix_(*[np.abs(np.arange(N) - N // 2)] * n)),

@@ -237,16 +237,23 @@ def weighted_norm(f, delta: float, q: float, sign: int) -> float:
     return _weighted_l2(f, delta, q, sign)(f)
 
 
-def _weighted_l2(f, delta: float, q: float, sign: int) -> Callable:
+def _weighted_l2(f, delta: float, q: float, sign: int,
+                 weights: np.ndarray | None = None) -> Callable:
     """The map g -> weighted_norm(g, delta, q, sign) for every g sampled like
-    f (same grid, or same radii), with the weight built once."""
+    f (same grid, or same radii), with the weight built once; given the
+    octant multiplicities of fields._basis, g is the octant of a field."""
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if q < 1:
         raise ValueError(f"exponent must satisfy q >= 1, got {q}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if isinstance(f, Field):
+    if weights is not None:
+        x = np.r_[f.grid.axis[f.grid.N // 2 :], f.grid.axis[0]]  # indices N/2..N-1, 0
+        coords = np.meshgrid(*[x] * f.grid.n, indexing="ij", sparse=True)
+        radii = np.sqrt(sum(c**2 for c in coords))  # as Grid.radii
+        measure, samples = f.grid.cell_volume * weights, np.abs
+    elif isinstance(f, Field):
         radii, measure = f.grid.radii, f.grid.cell_volume
 
         def samples(g):

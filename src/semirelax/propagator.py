@@ -15,13 +15,14 @@ mask folded in, and merges the half-steps of adjacent Strang steps, so a
 step costs two FFTs and a half-step is closed only for a stored snapshot.
 The per-step L^2 check uses Parseval on the coefficients.  Mirror-symmetric
 data with n >= 2 run on the (N/2+1)^n octant with a DCT-I pair
-(fields._basis), about a quarter of the cost at 64^3; 1-d data keep the
-FFT pair.
+(fields._basis), about a quarter of the cost at 64^3, and their stored
+snapshots stay there (octant-resident); 1-d data keep the FFT pair.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -30,6 +31,7 @@ import numpy as np
 from .fields import (
     _BLOCK_BYTES,
     Field,
+    _Basis,
     _basis,
     _multiply_spectral,
     _spectral_stack,
@@ -99,14 +101,33 @@ class StepperConfig:
         return float(self.p).is_integer() and int(self.p) % 2 == 1 and self.p <= 5
 
 
+class _Octants(Sequence):
+    """The snapshots of an octant-resident run of evolve: ``samples[k]`` is the
+    octant array of snapshot k under ``basis`` (fields._basis of u0).  Item
+    k is folded to a full-grid Field on each access; item 0 is u0 itself."""
+
+    def __init__(self, u0: Field, basis: _Basis, samples: list[np.ndarray]):
+        self.u0, self.basis, self.samples = u0, basis, samples
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(len(self))[k]]
+        k = range(len(self))[k]
+        return self.u0 if k == 0 else Field(self.u0.grid, self.samples[k][self.basis.fold])
+
+
 @dataclass
 class Trajectory:
     """Uniformly sampled (time, Field) snapshots from one evolution; ``tables``
-    caches diagnostics.diagnostics_table by Sobolev index."""
+    caches diagnostics.diagnostics_table by Sobolev index.  An octant-resident
+    run stores _Octants, which the table, lemma34 and lemma35 read unfolded."""
 
     config: StepperConfig
     times: np.ndarray
-    snapshots: list[Field] = field(default_factory=list)
+    snapshots: Sequence[Field] = field(default_factory=list)
     tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -117,16 +138,32 @@ class Trajectory:
     def linear(self) -> bool:
         return not self.config.nonlinear
 
+    @property
+    def _octants(self) -> Optional[_Octants]:
+        return self.snapshots if isinstance(self.snapshots, _Octants) else None
+
     def blocks(self, start: int = 0, stop: int | None = None):
         """Yield (i, values) over stored snapshots start..stop-1: the physical
         samples of snapshots i, i+1, ... stacked into one (B, *grid.shape)
-        array of about _BLOCK_BYTES.  A one-snapshot block is a view of the
-        snapshot, so callers never write into a block."""
-        snaps = self.snapshots[start:stop]
-        size = max(1, _BLOCK_BYTES // snaps[0].values.nbytes)
-        for i in range(0, len(snaps), size):
-            chunk = [to_physical(u).values for u in snaps[i : i + size]]
-            yield start + i, chunk[0][None] if len(chunk) == 1 else np.stack(chunk)
+        array of about _BLOCK_BYTES, folded per block if octant-resident; a
+        one-snapshot block may be a view, so callers never write into one."""
+        return self._blocks(lambda k: to_physical(self.snapshots[k]).values, start, stop)
+
+    def _blocks(self, sample, start: int = 0, stop: int | None = None):
+        rows = range(len(self.snapshots))[start:stop]
+        size = max(1, _BLOCK_BYTES // self.snapshots[0].values.nbytes)
+        for i in range(0, len(rows), size):
+            chunk = [sample(k) for k in rows[i : i + size]]
+            yield rows[i], chunk[0][None] if len(chunk) == 1 else np.stack(chunk)
+
+    def _sample_blocks(self):
+        """Yield (i, basis) per block of blocks(), basis.samples the stored
+        octant arrays if octant-resident, else the block under fields._basis."""
+        octants = self._octants
+        if octants is None:
+            return ((i, _basis(v, self.grid.n)) for i, v in self.blocks())
+        stacks = self._blocks(octants.samples.__getitem__)
+        return ((i, octants.basis._replace(samples=v)) for i, v in stacks)
 
 
 def linear_step(f: Field, tau: float) -> Field:
@@ -212,7 +249,8 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
     Both substeps keep mirror symmetry, so for mirror-symmetric data with
     n >= 2 (a centred gaussian) the loop runs on the DCT-I octant of
     fields._basis, its Parseval sums weighted by the mode multiplicities,
-    about a quarter of the cost at 64^3; 1-d data keep the FFT pair.
+    about a quarter of the cost at 64^3, storing each snapshot as its octant
+    array, folded only when read as a Field (_Octants); 1-d data keep the FFT pair.
 
     The discrete L^2 norm is checked to be nonincreasing after every step
     (tolerance 1e-10 relative to the initial norm, by Parseval on the
@@ -222,7 +260,7 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
     n_steps = cfg.n_steps
     u = to_physical(u0)
     grid = u.grid
-    state, fwd, inv, modes, weights, fold = _basis(u.values, grid.n)
+    state, fwd, inv, modes, weights, _ = basis = _basis(u.values, grid.n)
     if weights is not None:  # per real and imaginary part of the real view
         weights = np.repeat(weights.reshape(-1), 2)
     xi_norm = grid.xi_norm[modes]
@@ -242,7 +280,7 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
     norm0 = math.sqrt(parseval * _sum_squares(c, weights))
     tol = 1e-10 * norm0
     times = [0.0]
-    snaps = [u]
+    samples = [state]
     prev_norm = norm0
     v = None  # inv(c), when a stored Lie snapshot already holds it
     for k in range(1, n_steps + 1):
@@ -266,10 +304,11 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
         prev_norm = norm
         if k % cfg.snapshot_stride == 0:
             times.append(k * cfg.dt)
-            vals = inv(w * close if split else c)
-            snaps.append(Field(grid, vals[fold], "physical"))
-            v = None if split else vals  # stored: never handed to overwrite_x
-    return Trajectory(config=cfg, times=np.asarray(times), snapshots=snaps)
+            samples.append(inv(w * close if split else c))
+            v = None if split else samples[-1]  # stored: never handed to overwrite_x
+    if weights is not None:
+        return Trajectory(cfg, np.asarray(times), _Octants(u, basis, samples))
+    return Trajectory(cfg, np.asarray(times), [u, *(Field(grid, v) for v in samples[1:])])
 
 
 def duhamel_residual(traj: Trajectory) -> float:

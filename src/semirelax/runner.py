@@ -57,10 +57,18 @@ class RunReport:
 
 
 class _RunContext:
-    """Lazily computed solver outputs shared by the checks of one run."""
+    """Lazily computed initial data and solver outputs shared by one run."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
+
+    @cached_property
+    def u0(self):
+        return self.scenario.initial_field()
+
+    @cached_property
+    def profile(self) -> RadialProfile:
+        return self.scenario.initial_profile()
 
     def _evolve(self, nonlinear: bool) -> Trajectory:
         sc = self.scenario
@@ -68,7 +76,7 @@ class _RunContext:
             p=sc.p, dt=sc.dt, T=sc.T,
             snapshot_stride=sc.snapshot_stride, nonlinear=nonlinear,
         )
-        return evolve(sc.initial_field(), cfg)
+        return evolve(self.u0, cfg)
 
     @cached_property
     def traj(self) -> Trajectory:
@@ -77,17 +85,11 @@ class _RunContext:
     @cached_property
     def radial_traj(self) -> RadialTrajectory:
         sc = self.scenario
-        return wave_evolve(
-            sc.initial_profile(), sc.p, sc.dt, sc.T, nonlinear=sc.nonlinear
-        )
+        return wave_evolve(self.profile, sc.p, sc.dt, sc.T, nonlinear=sc.nonlinear)
 
     @cached_property
     def linear_traj(self) -> Trajectory:
         return self._evolve(False) if self.scenario.nonlinear else self.traj
-
-    @property
-    def profile(self) -> RadialProfile:
-        return self.scenario.initial_profile()
 
 
 def run(

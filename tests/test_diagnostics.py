@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,7 +42,7 @@ from semirelax.diagnostics import CSV_HEADER, TABLE_COLUMNS
 from semirelax.norms import space_time_norm, weighted_norm
 from semirelax.propagator import duhamel_residual, linear_step
 from semirelax.radial import Report, profile_from_function
-from conftest import random_field, symmetrized
+from conftest import mirror, random_field, symmetrized
 
 
 def gradient_squared_modulus(u: Field) -> list[np.ndarray]:
@@ -681,12 +683,94 @@ class TestBlockedPass:
         assert builds == [1.0, 2.0, 1.5]
 
     def test_single_snapshot_block_is_a_view(self, monkeypatch):
+        # an octant-resident trajectory: the table's one-snapshot block is a
+        # view of the stored octant array, not a fold or a gather
         g = make_grid(2, 16, 10.0)
         traj = evolve(gaussian_field(g, 0.5), StepperConfig(p=3.0, dt=0.05, T=0.1))
         monkeypatch.setattr(propagator, "_BLOCK_BYTES", 1)
-        for i, block in traj.blocks(1):
-            assert block.shape == (1, *g.shape)
-            assert np.shares_memory(block, traj.snapshots[i].values)
+        blocks = list(traj._sample_blocks())
+        assert [i for i, _ in blocks] == [0, 1, 2]
+        for i, basis in blocks:
+            assert basis.samples.shape == (1, 9, 9)
+            assert np.shares_memory(basis.samples, traj.snapshots.samples[i])
+
+
+def unfold(octant, N):
+    """The full grid of mirror-symmetric samples from their octant: placed at
+    grid indices N/2, ..., N-1, 0 on every axis, then mirrored axis by axis."""
+    n = octant.ndim
+    full = np.zeros((N,) * n, dtype=complex)
+    full[np.ix_(*[(N // 2 + np.arange(N // 2 + 1)) % N] * n)] = octant
+    for ax in range(n):
+        low = (slice(None),) * ax + (slice(1, N // 2),)
+        full[low] = mirror(full, ax)[low]
+    return full
+
+
+class TestOctantResident:
+    @given(
+        n=st.sampled_from([2, 3]),
+        gaussian=st.booleans(),
+        scheme=st.sampled_from(["strang", "lie"]),
+        nonlinear=st.booleans(),
+        stride=st.sampled_from([1, 2]),
+        budget=st.integers(1, 1 << 16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_full_grid_readers_property(
+        self, n, gaussian, scheme, nonlinear, stride, budget, seed
+    ):
+        # evolve of mirror-symmetric data stores octants; each snapshot read
+        # as a Field is their fold, the table equals the table of the same
+        # Fields in a hand-built trajectory (which gathers every block's
+        # octant again) bit for bit, and lemma34 agrees with its full-grid
+        # sum to roundoff
+        g = make_grid(n, 16 if n == 2 else 8, 8.0)
+        if gaussian:
+            u0 = gaussian_field(g, 0.6)
+        else:
+            u0 = symmetrized(random_field(g, np.random.default_rng(seed)))
+        cfg = StepperConfig(p=3.0, dt=0.02, T=0.12, scheme=scheme,
+                            snapshot_stride=stride, nonlinear=nonlinear)
+        traj = evolve(u0, cfg)
+        octants = traj.snapshots.samples
+        assert traj.snapshots[0] is u0
+        for k in range(1, len(octants)):
+            assert np.array_equal(traj.snapshots[k].values, unfold(octants[k], g.N))
+        fields = list(traj.snapshots)
+        for u, v in zip(traj.snapshots[-1::-2], fields[-1::-2]):  # slices fold too
+            assert np.array_equal(u.values, v.values)
+        by_hand = Trajectory(cfg, traj.times, fields)
+        propagator._BLOCK_BYTES = budget
+        try:
+            table, ref = diagnostics_table(traj, 1.5), diagnostics_table(by_hand, 1.5)
+        finally:
+            propagator._BLOCK_BYTES = BLOCK_BYTES
+        for name in TABLE_COLUMNS:
+            assert np.array_equal(table[name], ref[name]), name
+        linear = replace(cfg, nonlinear=False)
+        ratio, full = (
+            weighted_strichartz_ratio(Trajectory(linear, traj.times, snaps), 0.5, 4.0)
+            for snaps in (traj.snapshots, fields)
+        )
+        assert ratio == pytest.approx(full, rel=1e-14)
+
+    def test_stored_snapshots_stay_on_the_octant(self):
+        # a linear stride-1 run and its table hold the 20 stored snapshots as
+        # octants, about 1/8 of the full grid each; folding them all would
+        # take 20 full grids
+        g = make_grid(3, 32, 10.0)
+        cfg = StepperConfig(p=3.0, dt=0.05, T=19 * 0.05, nonlinear=False)
+        tracemalloc.start()
+        try:
+            traj = evolve(gaussian_field(g, 0.5), cfg)
+            diagnostics_table(traj)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj.snapshots) == 20
+        assert peak < len(traj.snapshots) * 16 * g.size / 3
 
 
 class TestDiagnosticsOutput:

@@ -169,6 +169,44 @@ class TestRun:
         run(sc, tmp_path / "out")
         assert calls == ([True, "wave", False] if nonlinear else [False, "wave"])
 
+    def test_file_data_parsed_once_per_run(self, tmp_path, monkeypatch):
+        # the nonlinear solve, lemma34's linear solve and the scaling check
+        # read one initial field: the file is parsed at load and once more
+        from semirelax import gaussian_field, make_grid, save_field, scenarios
+
+        save_field(gaussian_field(make_grid(1, 64, 20.0), 0.3), tmp_path / "u0.txt")
+        body = FAST.replace("gaussian(0.3, 1.0, 0.0)", f"file({tmp_path / 'u0.txt'})")
+        body = body.replace("scaling, duhamel", "scaling, lemma34")
+        parses = []
+        load_field = scenarios.load_field
+
+        def spy(path):
+            parses.append(path)
+            return load_field(path)
+
+        monkeypatch.setattr(scenarios, "load_field", spy)
+        (sc,) = load_config(write_config(tmp_path, body))
+        assert len(parses) == 1
+        report = run(sc, tmp_path / "out")
+        assert report.all_passed and set(report.checks) >= {"scaling", "lemma34"}
+        assert len(parses) == 2
+
+    def test_radial_profile_built_once_per_run(self, tmp_path, monkeypatch):
+        # the wave march, cor37 and cor39 read one initial profile
+        from semirelax import scenarios
+
+        builds = []
+        initial_profile = scenarios.Scenario.initial_profile
+
+        def spy(sc):
+            builds.append(sc.name)
+            return initial_profile(sc)
+
+        (sc,) = load_config(write_config(tmp_path, RADIAL))
+        monkeypatch.setattr(scenarios.Scenario, "initial_profile", spy)
+        assert run(sc, tmp_path / "out").all_passed
+        assert builds == ["small_3d"]
+
     def test_bound_report_fields(self, tmp_path):
         (sc,) = load_config(write_config(tmp_path, RADIAL))
         report = run(sc, tmp_path / "out")
@@ -471,6 +509,26 @@ class TestHelpers:
 
         monkeypatch.setattr(radial.JEvaluator, "__init__", no_build)
         assert spectral_vs_wave_disagreement(traj, rtraj) == float(expected)
+
+    def test_disagreement_reads_the_stored_octant(self, tmp_path, monkeypatch):
+        # the axis line of an octant-resident run is read off its stored
+        # octant, with no fold: the samples of the full-grid line
+        from semirelax.propagator import Trajectory, _Octants
+        from semirelax.runner import _RunContext
+
+        (sc,) = load_config(write_config(tmp_path, RADIAL))
+        ctx = _RunContext(sc)
+        traj, rtraj = ctx.traj, ctx.radial_traj
+        by_hand = Trajectory(traj.config, traj.times, list(traj.snapshots))
+        expected = spectral_vs_wave_disagreement(by_hand, rtraj)
+        getitem = _Octants.__getitem__
+
+        def no_fold(store, k):
+            assert k == 0, "lemma35 folds no snapshot"
+            return getitem(store, k)
+
+        monkeypatch.setattr(_Octants, "__getitem__", no_fold)
+        assert spectral_vs_wave_disagreement(traj, rtraj) == expected
 
     def test_disagreement_zero_for_zero_fields(self, tmp_path):
         (sc,) = load_config(write_config(tmp_path, RADIAL.replace("0.05", "0.0")))
