@@ -2,14 +2,14 @@
 
 The CSV, the balance laws and the H^s growth bound read one per-snapshot
 table stored on the trajectory, built with one forward transform of each
-snapshot (and of |u|^2 when the flow dissipates).  The table and the H^2
-cross term run over blocks of snapshots, transformed and reduced in one
-call each.  The table and lemma34 read the (N/2+1)^n octant arrays of an
-octant-resident trajectory (propagator.evolve) with multiplicity-weighted
-sums, the table under a DCT-I transform, at about a sixth of the full-grid
-time and memory at 64^3; only the H^2 cross term folds to the full grid.
-Any other block keeps the FFT stack.  A linear trajectory dissipates
-nothing: its balance laws are conservation of ||u||^2, ||grad u||^2.
+snapshot (and of |u|^2 when the flow dissipates); the CSV's residuals are
+running trapezoid sums over it.  The table and the H^2 cross term run over
+the blocks propagator.evolve stored, transformed and reduced in one call
+each.  The table and lemma34 read the (N/2+1)^n octant arrays of an
+octant-resident trajectory with multiplicity-weighted sums, the table under
+a DCT-I transform, at about a sixth of the full-grid time and memory at 64^3;
+the H^2 cross term folds each block to the full grid.  A linear trajectory
+dissipates nothing: its balance laws are conservation of ||u||^2, ||grad u||^2.
 
 Each checker returns a radial.Report: for an exact balance law its two
 sides and their mismatch; for a one-sided estimate also the empirical
@@ -44,7 +44,8 @@ from .norms import (
 )
 from .propagator import Trajectory
 from .radial import (
-    JEvaluator, RadialProfile, Report, _l2_sup, modulus_power, radial_sobolev_norm,
+    REGULARIZATION_EPS, JEvaluator, RadialProfile, Report, _l2_sup, modulus_power,
+    radial_sobolev_norm,
 )
 
 __all__ = [
@@ -99,8 +100,8 @@ def diagnostics_table(traj: Trajectory, s: float = 1.0) -> dict[str, np.ndarray]
     table["t"][:] = traj.times
     specs = [(name, SobolevSpec(r, homogeneous=True))
              for name, r in (("h1dot", 1.0), ("h2dot", 2.0), ("hs", s))]
-    # (column, spec, |multiplier| at the modes) per basis, built once: the
-    # octant keeps the k <= N/2 corner, not three full-grid arrays
+    # (column, spec, |multiplier| at the modes) per basis, built once: on
+    # the octant from the k <= N/2 corner of |xi| alone
     sobolev = {}
 
     def integral(density, weights):
@@ -115,7 +116,7 @@ def diagnostics_table(traj: Trajectory, s: float = 1.0) -> dict[str, np.ndarray]
         gradient_square = _octant_gradient_square if octant else _gradient_square
         if octant not in sobolev:
             sobolev[octant] = [
-                (name, spec, np.ascontiguousarray(np.abs(spec.multiplier(grid))[modes]))
+                (name, spec, np.abs(spec._at(grid.xi_norm[modes])))
                 for name, spec in specs
             ]
         coeffs = forward(samples)
@@ -187,24 +188,28 @@ def write_diagnostics_csv(traj: Trajectory, path, s: float = 1.0) -> None:
 
     lpp1_budget is the accumulated dissipation 2 * int_0^t ||u||^(p+1) dt'
     (trapezoid; zero for a linear trajectory), res_prop21 / res_prop22 the
-    relative residuals of the L^2 and gradient balance laws over [0, t].
+    relative residuals of the L^2 and gradient balance laws over [0, t] as
+    running trapezoid sums (check_l2/h1_identity up to roundoff).
     """
     table = diagnostics_table(traj, s)
     # float powers, not numpy's vectorised power: the two round differently
-    l2sq = [v**2 for v in table["l2"].tolist()]
+    l2sq, h1sq = (np.array([v**2 for v in table[c].tolist()]) for c in ("l2", "h1dot"))
     budget = np.zeros(len(l2sq))
     if not traj.linear:
         q = traj.config.p + 1.0
         density = np.array([v**q for v in table["lpp1"].tolist()])
         budget = 2.0 * _cumtrapz(density, table["t"])
+    gradient_budget = _cumtrapz(table["grad_term"] + table["modulus_term"], table["t"])
+    residuals = [  # Report.relative of each row
+        np.abs(lhs - rhs) / np.maximum(np.maximum(lhs, rhs), REGULARIZATION_EPS)
+        for lhs, rhs in ((l2sq + budget, l2sq[0]), (h1sq + gradient_budget, h1sq[0]))
+    ]
     columns = [table[name] for name in CSV_HEADER.split(",")[:6]]
+    rows = np.column_stack([*columns, budget, *residuals])
+    fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
-        for i in range(len(l2sq)):
-            res21 = Report(lhs=l2sq[i] + budget[i], rhs=l2sq[0]).relative
-            res22 = _h1_identity(table, 0, i).relative
-            row = [*(col[i] for col in columns), budget[i], res21, res22]
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines(fmt % tuple(row) for row in rows.tolist())
 
 
 def _cumtrapz(vals: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -241,14 +246,6 @@ def _validate_window(traj: Trajectory, t1: float, t2: float) -> tuple[int, int]:
     return _snapshot_index(traj, t1), _snapshot_index(traj, t2)
 
 
-def _h1_identity(table: dict[str, np.ndarray], i1: int, i2: int) -> Report:
-    window = slice(i1, i2 + 1)
-    dissipation = table["grad_term"][window] + table["modulus_term"][window]
-    integral = float(np.trapezoid(dissipation, table["t"][window]))
-    lhs = float(table["h1dot"][i2]) ** 2 + integral
-    return Report(lhs=lhs, rhs=float(table["h1dot"][i1]) ** 2)
-
-
 def check_h1_identity(traj: Trajectory, t1: float, t2: float) -> Report:
     """Gradient balance:
 
@@ -262,7 +259,11 @@ def check_h1_identity(traj: Trajectory, t1: float, t2: float) -> Report:
     linear trajectory the check is conservation of the gradient norm.
     """
     i1, i2 = _validate_window(traj, t1, t2)
-    return _h1_identity(_any_table(traj), i1, i2)
+    table, window = _any_table(traj), slice(i1, i2 + 1)
+    dissipation = table["grad_term"][window] + table["modulus_term"][window]
+    integral = float(np.trapezoid(dissipation, table["t"][window]))
+    lhs = float(table["h1dot"][i2]) ** 2 + integral
+    return Report(lhs=lhs, rhs=float(table["h1dot"][i1]) ** 2)
 
 
 def check_hs_growth(traj: Trajectory, s: float, C: float) -> Report:

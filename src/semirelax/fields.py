@@ -10,7 +10,7 @@ Parseval then reads  sum |f|^2 dx^n = sum |f_hat|^2 / L^n.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial, reduce
+from functools import reduce
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -164,8 +164,9 @@ def _basis(values: np.ndarray, n: int) -> _Basis:
     k <= N/2 corner, the weights are the (N/2+1)^n multiplicities,
     [1, 2, ..., 2, 1] per axis, of an octant sample or a DCT-I mode among
     the N^n, and the fold j -> |j - N/2| mirrors the octant back.  Else the
-    full grid under the FFT pair, with weights None: a 1-d DCT-I pair costs
-    more than the FFT pair it replaces."""
+    full grid under the FFT pair (fft/ifft in 1-d: less per-call overhead
+    than fftn, same bits), with weights None: a 1-d DCT-I pair costs more.
+    Each pair looks scipy.fft up per call, since evolve stores the basis."""
     axes = tuple(range(-n, 0))
     N = values.shape[-1]
     tails = ((slice(None),) * (n - 1 - ax) for ax in range(n))
@@ -174,11 +175,13 @@ def _basis(values: np.ndarray, n: int) -> _Basis:
                        values[(Ellipsis, slice(N - 1, N // 2, -1), *tail)])
         for tail in tails
     ):
-        return _Basis(values, partial(scipy.fft.fftn, axes=axes),
-                      partial(scipy.fft.ifftn, axes=axes), (), None, (Ellipsis,))
+        name, where = ("fft", {"axis": -1}) if n == 1 else ("fftn", {"axes": axes})
+        return _Basis(values, lambda x, **kw: getattr(scipy.fft, name)(x, **where, **kw),
+                      lambda x, **kw: getattr(scipy.fft, "i" + name)(x, **where, **kw),
+                      (), None, (Ellipsis,))
     octant = values[(Ellipsis, *np.ix_(*[(N // 2 + np.arange(N // 2 + 1)) % N] * n))]
     w = np.r_[1.0, np.full(N // 2 - 1, 2.0), 1.0]
-    return _Basis(  # scipy.fft looked up per call: evolve stores this basis
+    return _Basis(
         np.ascontiguousarray(octant),  # a stack gathers with the field axis inner
         lambda x, **kw: scipy.fft.dctn(x, type=1, axes=axes, **kw),
         lambda x, **kw: scipy.fft.idctn(x, type=1, axes=axes, **kw),

@@ -47,7 +47,10 @@ class SobolevSpec:
         zero mode must be handled by the caller, which is why sobolev_norm
         rejects fields with mean there.
         """
-        xi = grid.xi_norm
+        return self._at(grid.xi_norm)
+
+    def _at(self, xi: np.ndarray) -> np.ndarray:
+        """The multiplier at |xi| values xi of any shape (an octant corner)."""
         if not self.homogeneous:
             return (1.0 + xi**2) ** (self.s / 2.0)
         with np.errstate(divide="ignore"):

@@ -12,11 +12,11 @@ never increases regardless of the step size.
 one-step runs of it.  It keeps the state as unscaled spectral coefficients,
 builds U(dt) (and, for Strang, U(dt/2)) once per run with the 2/3 dealias
 mask folded in, and merges the half-steps of adjacent Strang steps, so a
-step costs two FFTs and a half-step is closed only for a stored snapshot.
-The per-step L^2 check uses Parseval on the coefficients.  Mirror-symmetric
-data with n >= 2 run on the (N/2+1)^n octant with a DCT-I pair
-(fields._basis), about a quarter of the cost at 64^3, and their stored
-snapshots stay there (octant-resident); 1-d data keep the FFT pair.
+step costs two FFTs; a stored snapshot closes its half-step into a block of
+stored snapshots, inverse transformed once when the block is full.  The
+per-step L^2 check uses Parseval on the coefficients.  Mirror-symmetric data
+with n >= 2 run and are stored on the (N/2+1)^n octant under a DCT-I pair
+(fields._basis), about a quarter of the cost at 64^3; 1-d data keep the FFT pair.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -101,29 +102,43 @@ class StepperConfig:
         return float(self.p).is_integer() and int(self.p) % 2 == 1 and self.p <= 5
 
 
-class _Octants(Sequence):
-    """The snapshots of an octant-resident run of evolve: ``samples[k]`` is the
-    octant array of snapshot k under ``basis`` (fields._basis of u0).  Item
-    k is folded to a full-grid Field on each access; item 0 is u0 itself."""
+class _Snapshots(Sequence):
+    """The snapshots of a run of evolve: rows 0, 1, ... of the (B, *shape)
+    ``blocks`` are their samples under ``basis`` (fields._basis of u0).
+    Item k is its row folded to a full-grid Field (a view unless
+    octant-resident); item 0 is u0 itself."""
 
-    def __init__(self, u0: Field, basis: _Basis, samples: list[np.ndarray]):
-        self.u0, self.basis, self.samples = u0, basis, samples
+    def __init__(self, u0: Field, basis: _Basis, blocks: list[np.ndarray]):
+        self.u0, self.basis, self.blocks = u0, basis, blocks
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return sum(map(len, self.blocks))
 
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[j] for j in range(len(self))[k]]
-        k = range(len(self))[k]
-        return self.u0 if k == 0 else Field(self.u0.grid, self.samples[k][self.basis.fold])
+        k, size = range(len(self))[k], len(self.blocks[0])
+        return self.u0 if k == 0 else Field(
+            self.u0.grid, self.blocks[k // size][k % size][self.basis.fold])
+
+    @property
+    def samples(self) -> list[np.ndarray]:  # one stored row per snapshot
+        return [row for block in self.blocks for row in block]
+
+    def rows(self, start: int = 0, stop: int | None = None):
+        """Yield (i, rows i, i+1, ... of one block), a view, over start..stop-1."""
+        i, stop = 0, len(self) if stop is None else stop
+        for block in self.blocks:
+            if start < i + len(block) and i < stop:
+                yield max(i, start), block[max(start - i, 0) : stop - i]
+            i += len(block)
 
 
 @dataclass
 class Trajectory:
     """Uniformly sampled (time, Field) snapshots from one evolution; ``tables``
-    caches diagnostics.diagnostics_table by Sobolev index.  An octant-resident
-    run stores _Octants, which the table, lemma34 and lemma35 read unfolded."""
+    caches diagnostics.diagnostics_table by Sobolev index.  evolve stores
+    _Snapshots, which the table, lemma34 and lemma35 read unfolded."""
 
     config: StepperConfig
     times: np.ndarray
@@ -139,31 +154,32 @@ class Trajectory:
         return not self.config.nonlinear
 
     @property
-    def _octants(self) -> Optional[_Octants]:
-        return self.snapshots if isinstance(self.snapshots, _Octants) else None
+    def _octants(self) -> Optional[_Snapshots]:
+        s = self.snapshots
+        return s if isinstance(s, _Snapshots) and s.basis.weights is not None else None
 
     def blocks(self, start: int = 0, stop: int | None = None):
         """Yield (i, values) over stored snapshots start..stop-1: the physical
-        samples of snapshots i, i+1, ... stacked into one (B, *grid.shape)
-        array of about _BLOCK_BYTES, folded per block if octant-resident; a
-        one-snapshot block may be a view, so callers never write into one."""
-        return self._blocks(lambda k: to_physical(self.snapshots[k]).values, start, stop)
-
-    def _blocks(self, sample, start: int = 0, stop: int | None = None):
+        samples of snapshots i, i+1, ... as one (B, *grid.shape) array: a
+        view of a block evolve stored (one gather if octant-resident), or a
+        stack of about _BLOCK_BYTES if hand-built; callers never write into one."""
+        stored = self.snapshots
+        if isinstance(stored, _Snapshots):
+            yield from ((i, v[stored.basis.fold]) for i, v in stored.rows(start, stop))
+            return
         rows = range(len(self.snapshots))[start:stop]
         size = max(1, _BLOCK_BYTES // self.snapshots[0].values.nbytes)
         for i in range(0, len(rows), size):
-            chunk = [sample(k) for k in rows[i : i + size]]
-            yield rows[i], chunk[0][None] if len(chunk) == 1 else np.stack(chunk)
+            yield rows[i], np.stack([to_physical(self.snapshots[k]).values
+                                     for k in rows[i : i + size]])
 
     def _sample_blocks(self):
         """Yield (i, basis) per block of blocks(), basis.samples the stored
-        octant arrays if octant-resident, else the block under fields._basis."""
-        octants = self._octants
-        if octants is None:
-            return ((i, _basis(v, self.grid.n)) for i, v in self.blocks())
-        stacks = self._blocks(octants.samples.__getitem__)
-        return ((i, octants.basis._replace(samples=v)) for i, v in stacks)
+        rows (unfolded), else the block under fields._basis."""
+        stored = self.snapshots
+        if isinstance(stored, _Snapshots):
+            return ((i, stored.basis._replace(samples=v)) for i, v in stored.rows())
+        return ((i, _basis(v, self.grid.n)) for i, v in self.blocks())
 
 
 def linear_step(f: Field, tau: float) -> Field:
@@ -202,15 +218,8 @@ def _decay(v: np.ndarray, tau: float, p: float) -> np.ndarray:
 
 
 def _dealias_mask(grid) -> np.ndarray:
-    cut = grid.N // 3
-    k_int = np.fft.fftfreq(grid.N, d=1.0 / grid.N)
-    keep_axis = np.abs(k_int) <= cut
-    mask = np.ones(grid.shape, dtype=bool)
-    for ax in range(grid.n):
-        shape = [1] * grid.n
-        shape[ax] = grid.N
-        mask &= keep_axis.reshape(shape)
-    return mask
+    keep = np.abs(np.fft.fftfreq(grid.N, d=1.0 / grid.N)) <= grid.N // 3
+    return reduce(np.logical_and, np.meshgrid(*[keep] * grid.n, indexing="ij", sparse=True))
 
 
 def _sum_squares(coeffs: np.ndarray, weights: Optional[np.ndarray] = None) -> float:
@@ -242,15 +251,17 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
     multiply by U(dt) with the 2/3 mask folded in; the linear flow needs no
     FFT at all.  For Strang the two half-steps U(dt/2) of adjacent steps are
     merged into that U(dt): the run opens with a half-step, and a stored
-    snapshot closes one with a single extra inverse FFT; a stored Lie
-    snapshot is ifftn(c), which the next step reuses.  Multipliers are
-    built once per run.
+    snapshot closes one.  Multipliers are built once per run.  Snapshots
+    are stored in blocks (_Snapshots), each allocated with its first row;
+    a row takes its snapshot's coefficients, and one in-place inverse per
+    full block makes them samples.  A nonlinear Lie row takes ifftn(c) at
+    once: the next step reuses it.
 
     Both substeps keep mirror symmetry, so for mirror-symmetric data with
     n >= 2 (a centred gaussian) the loop runs on the DCT-I octant of
     fields._basis, its Parseval sums weighted by the mode multiplicities,
     about a quarter of the cost at 64^3, storing each snapshot as its octant
-    array, folded only when read as a Field (_Octants); 1-d data keep the FFT pair.
+    array, folded only when read as a Field; 1-d data keep the FFT pair.
 
     The discrete L^2 norm is checked to be nonincreasing after every step
     (tolerance 1e-10 relative to the initial norm, by Parseval on the
@@ -279,8 +290,11 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
     parseval = grid.cell_volume / grid.size
     norm0 = math.sqrt(parseval * _sum_squares(c, weights))
     tol = 1e-10 * norm0
+    size = max(1, _BLOCK_BYTES // u.values.nbytes)
+    count = 1 + n_steps // cfg.snapshot_stride
+    blocks = [np.empty((min(size, count), *state.shape), complex)]
+    blocks[0][0] = state
     times = [0.0]
-    samples = [state]
     prev_norm = norm0
     v = None  # inv(c), when a stored Lie snapshot already holds it
     for k in range(1, n_steps + 1):
@@ -303,12 +317,21 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
             )
         prev_norm = norm
         if k % cfg.snapshot_stride == 0:
+            j = len(times) % size
+            if j == 0:
+                blocks.append(np.empty((min(size, count - len(times)), *state.shape), complex))
             times.append(k * cfg.dt)
-            samples.append(inv(w * close if split else c))
-            v = None if split else samples[-1]  # stored: never handed to overwrite_x
-    if weights is not None:
-        return Trajectory(cfg, np.asarray(times), _Octants(u, basis, samples))
-    return Trajectory(cfg, np.asarray(times), [u, *(Field(grid, v) for v in samples[1:])])
+            if cfg.nonlinear and not split:  # Lie: the next step starts from it
+                blocks[-1][j] = v = inv(c)
+            else:
+                blocks[-1][j] = w * close if split else c
+                if j + 1 == len(blocks[-1]):  # full: rows after u0 to samples
+                    coeffs = blocks[-1][1 if len(blocks) == 1 else 0 :]
+                    if not np.may_share_memory(out := inv(coeffs, overwrite_x=True), coeffs):
+                        coeffs[...] = out  # scipy.fft did not transform in place
+    # the basis keeps a view, not the octant copy of u0
+    stored = _Snapshots(u, basis._replace(samples=blocks[0][0]), blocks)
+    return Trajectory(cfg, np.asarray(times), stored)
 
 
 def duhamel_residual(traj: Trajectory) -> float:

@@ -571,17 +571,19 @@ class TestBlockedPass:
     @pytest.mark.parametrize("n", [1, 2])
     def test_block_size_does_not_change_results(self, monkeypatch, n, nonlinear):
         # off-centre data keep the FFT stack, which matches bit for bit
+        # evolve stores its snapshots in blocks of this size, which every
+        # reader then takes
         g = make_grid(n, 64 if n == 1 else 16, 10.0)
         cfg = StepperConfig(p=3.0, dt=0.01, T=0.13, nonlinear=nonlinear)
-        traj = evolve(gaussian_field(g, 0.8, center=1.0), cfg)
+        u0 = gaussian_field(g, 0.8, center=1.0)
         i1, i2 = 2, 11  # an interior window, split unevenly by blocks of 3
-        snapshot = traj.snapshots[0].values.nbytes
+        snapshot = u0.values.nbytes
         settings = {1: [1] * 14, 3 * snapshot: [3, 3, 3, 3, 2], 1 << 40: [14]}
         results = []
         for budget, sizes in settings.items():
             monkeypatch.setattr(propagator, "_BLOCK_BYTES", budget)
+            traj = evolve(u0, cfg)
             assert [len(block) for _, block in traj.blocks()] == sizes
-            traj.tables.clear()
             table = diagnostics_table(traj, 1.5)
             report = check_h2_inequality(traj, traj.times[i1], traj.times[i2])
             results.append((table, report, duhamel_residual(traj)))
@@ -599,12 +601,11 @@ class TestBlockedPass:
     def test_block_size_does_not_change_octant_results(self, monkeypatch, n, nonlinear):
         g = make_grid(n, 16 if n == 2 else 8, 10.0)
         cfg = StepperConfig(p=3.0, dt=0.01, T=0.13, nonlinear=nonlinear)
-        traj = evolve(gaussian_field(g, 0.8), cfg)
-        snapshot = traj.snapshots[0].values.nbytes
+        u0 = gaussian_field(g, 0.8)
         tables = []
-        for budget in (1, 3 * snapshot, 1 << 40):
+        for budget in (1, 3 * u0.values.nbytes, 1 << 40):
             monkeypatch.setattr(propagator, "_BLOCK_BYTES", budget)
-            traj.tables.clear()
+            traj = evolve(u0, cfg)
             tables.append(diagnostics_table(traj, 1.5))
         for table in tables[1:]:
             for name in TABLE_COLUMNS:
@@ -653,12 +654,11 @@ class TestBlockedPass:
         else:
             u0 = symmetrized(random_field(g, np.random.default_rng(seed)))
         cfg = StepperConfig(p=p, dt=0.02, T=0.1, nonlinear=nonlinear)
-        traj = evolve(u0, cfg)
         tables = []
         for block_bytes in (budget, 1):
             propagator._BLOCK_BYTES = block_bytes
             try:
-                traj.tables.clear()
+                traj = evolve(u0, cfg)
                 tables.append(diagnostics_table(traj, s))
             finally:
                 propagator._BLOCK_BYTES = BLOCK_BYTES
@@ -668,16 +668,16 @@ class TestBlockedPass:
 
     def test_multipliers_built_once_per_table(self, monkeypatch):
         g = make_grid(1, 64, 10.0)
+        monkeypatch.setattr(propagator, "_BLOCK_BYTES", 1)
         traj = evolve(gaussian_field(g, 0.5), StepperConfig(p=3.0, dt=0.01, T=0.13))
         builds = []
-        multiplier = SobolevSpec.multiplier
+        at = SobolevSpec._at
 
-        def spy(spec, grid):
+        def spy(spec, xi):
             builds.append(spec.s)
-            return multiplier(spec, grid)
+            return at(spec, xi)
 
-        monkeypatch.setattr(SobolevSpec, "multiplier", spy)
-        monkeypatch.setattr(propagator, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(SobolevSpec, "_at", spy)
         assert len(list(traj.blocks())) == 14
         diagnostics_table(traj, 1.5)
         assert builds == [1.0, 2.0, 1.5]
@@ -686,8 +686,8 @@ class TestBlockedPass:
         # an octant-resident trajectory: the table's one-snapshot block is a
         # view of the stored octant array, not a fold or a gather
         g = make_grid(2, 16, 10.0)
-        traj = evolve(gaussian_field(g, 0.5), StepperConfig(p=3.0, dt=0.05, T=0.1))
         monkeypatch.setattr(propagator, "_BLOCK_BYTES", 1)
+        traj = evolve(gaussian_field(g, 0.5), StepperConfig(p=3.0, dt=0.05, T=0.1))
         blocks = list(traj._sample_blocks())
         assert [i for i, _ in blocks] == [0, 1, 2]
         for i, basis in blocks:
@@ -780,6 +780,18 @@ class TestDiagnosticsOutput:
         for name in ("l2", "h1dot", "h2dot", "hs", "linf", "lpp1"):
             value = table[name][0]
             assert math.isfinite(value) and value >= 0
+
+    def test_residual_columns_match_the_checks(self, tmp_path, cubic_1d_trajectory):
+        # the CSV's running trapezoid sums against check_l2_identity and
+        # check_h1_identity over each window [0, t_i]
+        traj = cubic_1d_trajectory
+        write_diagnostics_csv(traj, tmp_path / "diag.csv")
+        rows = np.loadtxt(tmp_path / "diag.csv", delimiter=",", skiprows=1)
+        assert len(rows) == len(traj.snapshots)
+        assert rows[0, 7] == rows[0, 8] == 0.0
+        for t, res21, res22 in rows[1:, [0, 7, 8]]:
+            assert abs(res21 - check_l2_identity(traj, 0.0, t).relative) <= 1e-12
+            assert abs(res22 - check_h1_identity(traj, 0.0, t).relative) <= 1e-12
 
     def test_csv_format(self, tmp_path, cubic_1d_trajectory):
         path = tmp_path / "diag.csv"

@@ -29,6 +29,8 @@ from semirelax import (
     to_physical,
     to_spectral,
 )
+from semirelax import propagator
+from semirelax.fields import _BLOCK_BYTES as BLOCK_BYTES
 from semirelax.plotting import fit_order
 from conftest import mirror, random_field, symmetrized
 
@@ -383,7 +385,7 @@ class TestOctantPath:
 
     @staticmethod
     def forward_calls(u0, monkeypatch):
-        calls = {"dctn": 0, "fftn": 0}
+        calls = {"dctn": 0, "fftn": 0, "fft": 0}
         for name in calls:
             fn = getattr(scipy.fft, name)
 
@@ -399,7 +401,7 @@ class TestOctantPath:
     @pytest.mark.parametrize("n", [2, 3])
     def test_centred_gaussian_takes_octant(self, n, monkeypatch):
         u0 = gaussian_field(make_grid(n, 16, 10.0), 0.5)
-        assert self.forward_calls(u0, monkeypatch) == {"dctn": 5, "fftn": 0}
+        assert self.forward_calls(u0, monkeypatch) == {"dctn": 5, "fftn": 0, "fft": 0}
 
     @pytest.mark.parametrize("case", ["1d", "off_centre", "mode", "one_sample"])
     def test_other_data_take_full_grid(self, case, monkeypatch):
@@ -414,7 +416,9 @@ class TestOctantPath:
             vals = gaussian_field(g, 0.5).values.copy()
             vals[3, 5, 7] += 1e-9
             u0 = Field(g, vals)
-        assert self.forward_calls(u0, monkeypatch) == {"dctn": 0, "fftn": 5}
+        # 1-d data take the single-axis pair, the rest fftn
+        pair = "fft" if u0.grid.n == 1 else "fftn"
+        assert self.forward_calls(u0, monkeypatch) == {"dctn": 0, "fftn": 0, "fft": 0, pair: 5}
 
     @pytest.mark.parametrize("n,N", [(2, 16), (3, 8), (3, 16)])
     def test_weighted_parseval_is_the_l2_norm(self, n, N, rng):
@@ -438,6 +442,69 @@ class TestOctantPath:
         assert len(snaps) == 6
         for u in snaps:
             assert all(np.array_equal(u.values, mirror(u.values, ax)) for ax in range(3))
+
+
+class TestBlockStorage:
+    """evolve stores its snapshots in blocks and inverse transforms each
+    block once, against once per snapshot."""
+
+    @given(
+        n=st.sampled_from([1, 2, 3]),
+        symmetric=st.booleans(),
+        scheme=st.sampled_from(["strang", "lie"]),
+        nonlinear=st.booleans(),
+        p=st.sampled_from([2.5, 3.0, 5.0]),
+        stride=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_size_keeps_the_bits_property(
+        self, n, symmetric, scheme, nonlinear, p, stride, seed
+    ):
+        # one snapshot per block is one inverse transform per snapshot;
+        # symmetric data with n >= 2 store octants, the rest the full grid
+        g = make_grid(n, {1: 32, 2: 16, 3: 8}[n], 8.0)
+        u0 = random_field(g, np.random.default_rng(seed))
+        if symmetric:
+            u0 = symmetrized(u0)
+        cfg = StepperConfig(p=p, dt=0.02, T=0.3, scheme=scheme,
+                            snapshot_stride=stride, nonlinear=nonlinear)
+        runs = []
+        for budget in (1, BLOCK_BYTES):
+            propagator._BLOCK_BYTES = budget
+            try:
+                runs.append(evolve(u0, cfg))
+            finally:
+                propagator._BLOCK_BYTES = BLOCK_BYTES
+        one, default = (traj.snapshots for traj in runs)
+        assert [len(block) for block in one.blocks] == [1] * len(one)
+        assert [len(block) for block in default.blocks] == [len(default)]
+        assert np.array_equal(runs[0].times, runs[1].times)
+        assert np.array_equal(np.concatenate(one.blocks), np.concatenate(default.blocks))
+        for a, b in zip(one, default):
+            assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_one_inverse_per_block(self, monkeypatch, rows):
+        # a stride-1 Strang run of n steps: one inverse per step for the
+        # nonlinear substep and one per block of stored snapshots, where a
+        # per-snapshot inverse makes 2n; 1-d data take the single-axis pair
+        u0 = gaussian_field(make_grid(1, 64, 10.0), 0.5)
+        if rows is not None:
+            monkeypatch.setattr(propagator, "_BLOCK_BYTES", rows * u0.values.nbytes)
+        n = 10
+        calls = []
+        ifft = scipy.fft.ifft
+        monkeypatch.setattr(
+            scipy.fft, "ifft", lambda *a, **kw: calls.append(1) or ifft(*a, **kw)
+        )
+        snaps = evolve(u0, StepperConfig(p=3.0, dt=0.01, T=n * 0.01)).snapshots
+        monkeypatch.undo()
+        size = len(snaps.blocks[0])
+        assert len(snaps) == n + 1 and size == (rows or n + 1)
+        assert len(calls) <= n + math.ceil(len(snaps) / size)
+        if rows is None:
+            assert len(calls) == n + 1
 
 
 class TestDuhamelResidual:

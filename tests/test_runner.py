@@ -513,7 +513,7 @@ class TestHelpers:
     def test_disagreement_reads_the_stored_octant(self, tmp_path, monkeypatch):
         # the axis line of an octant-resident run is read off its stored
         # octant, with no fold: the samples of the full-grid line
-        from semirelax.propagator import Trajectory, _Octants
+        from semirelax.propagator import Trajectory, _Snapshots
         from semirelax.runner import _RunContext
 
         (sc,) = load_config(write_config(tmp_path, RADIAL))
@@ -521,13 +521,13 @@ class TestHelpers:
         traj, rtraj = ctx.traj, ctx.radial_traj
         by_hand = Trajectory(traj.config, traj.times, list(traj.snapshots))
         expected = spectral_vs_wave_disagreement(by_hand, rtraj)
-        getitem = _Octants.__getitem__
+        getitem = _Snapshots.__getitem__
 
         def no_fold(store, k):
             assert k == 0, "lemma35 folds no snapshot"
             return getitem(store, k)
 
-        monkeypatch.setattr(_Octants, "__getitem__", no_fold)
+        monkeypatch.setattr(_Snapshots, "__getitem__", no_fold)
         assert spectral_vs_wave_disagreement(traj, rtraj) == expected
 
     def test_disagreement_zero_for_zero_fields(self, tmp_path):
