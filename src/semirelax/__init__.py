@@ -24,12 +24,10 @@ from .exponents import (
     critical_power,
     embedding_exponent_check,
     scaling_critical_exponent,
-    scaling_rate,
 )
 from .fields import (
     Field,
     apply_multiplier,
-    constant_field,
     gaussian_field,
     gradient,
     half_laplacian,

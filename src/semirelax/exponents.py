@@ -16,7 +16,6 @@ __all__ = [
     "Rational",
     "scaling_critical_exponent",
     "critical_power",
-    "scaling_rate",
     "StrichartzExponents",
     "embedding_exponent_check",
 ]
@@ -56,15 +55,6 @@ def critical_power(n: int, s: Rational) -> Fraction:
     if 2 * s >= n:
         raise ValueError(f"critical power requires s < n/2, got s={s}, n={n}")
     return 1 + Fraction(2, 1) / (n - 2 * s)
-
-
-def scaling_rate(n: int, p: Rational, s: Rational) -> Fraction:
-    """Exponent e with ||u_sigma||_{Hdot^s} = sigma^e ||u||_{Hdot^s}:
-    e = 1/(p-1) + s - n/2.  Vanishes exactly at the critical index."""
-    p, s = _frac(p), _frac(s)
-    if p <= 1:
-        raise ValueError(f"nonlinearity power must exceed 1, got {p}")
-    return 1 / (p - 1) + s - Fraction(n, 2)
 
 
 def _admissible_r(n: int, q: Rational):

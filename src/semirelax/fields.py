@@ -30,7 +30,6 @@ __all__ = [
     "second_derivative",
     "gaussian_field",
     "mode_field",
-    "constant_field",
     "save_field",
     "load_field",
 ]
@@ -166,7 +165,8 @@ def _basis(values: np.ndarray, n: int) -> _Basis:
     the N^n, and the fold j -> |j - N/2| mirrors the octant back.  Else the
     full grid under the FFT pair (fft/ifft in 1-d: less per-call overhead
     than fftn, same bits), with weights None: a 1-d DCT-I pair costs more.
-    Each pair looks scipy.fft up per call, since evolve stores the basis."""
+    Each pair looks scipy.fft up per call, since evolve stores the basis;
+    it steps with _corner_pair where its 2/3 mask is active."""
     axes = tuple(range(-n, 0))
     N = values.shape[-1]
     tails = ((slice(None),) * (n - 1 - ax) for ax in range(n))
@@ -189,6 +189,38 @@ def _basis(values: np.ndarray, n: int) -> _Basis:
         reduce(np.multiply.outer, [w] * n),
         (Ellipsis, *np.ix_(*[np.abs(np.arange(N) - N // 2)] * n)),
     )
+
+
+def _corner_pair(n: int, N: int, m: int) -> tuple[Callable, Callable]:
+    """_basis's octant DCT-I pair for coefficients on the [0, m)^n corner
+    the 2/3 mask keeps (m = N//3 + 1), in place if asked.  Pass j transforms
+    axis j on the lines with indices < m on the axes before it (forward,
+    zeroing the rest) or after it (inverse, of input zero off the corner):
+    70 % of dctn's lines at 64^3 and 128^3, 83 % in 2-d.  pocketfft's axis
+    order and 1/N^n after the first inverse pass keep the bits."""
+    fct = float(np.longdouble(1) / np.longdouble(N) ** n)
+
+    def head(ax, *rest):  # [:m] on the grid axes before ax, then rest
+        return (Ellipsis, *[slice(0, m)] * ax, *rest, *[slice(None)] * (n - ax - len(rest)))
+
+    def forward(x, overwrite_x=False):
+        out = scipy.fft.dct(x, type=1, axis=-n, overwrite_x=overwrite_x)
+        for ax in range(1, n):
+            scipy.fft.dct(out[head(ax)], type=1, axis=ax - n, overwrite_x=True)
+        for ax in range(n):
+            out[head(ax, slice(m, None))] = 0.0
+        return out
+
+    def inverse(x, overwrite_x=False):
+        out = x if overwrite_x else x.copy()
+        for ax in range(n):  # the lines with indices < m on the later axes
+            y = scipy.fft.idct(out[(Ellipsis, *[slice(0, m)] * (n - 1 - ax))], type=1,
+                               axis=ax - n, norm="forward", overwrite_x=True)
+            if not ax:  # on the real view: a complex product can flip a zero's sign
+                np.multiply(real := y.view(np.float64), fct, out=real)
+        return out
+
+    return forward, inverse
 
 
 def _physical_stack(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
@@ -275,10 +307,6 @@ def mode_field(grid: Grid, k: int, amplitude: complex = 1.0) -> Field:
     xi = 2.0 * np.pi * k / grid.L
     x = np.broadcast_to(grid.coordinate_arrays[0], grid.shape)
     return Field(grid, amplitude * np.exp(1j * xi * x), PHYSICAL)
-
-
-def constant_field(grid: Grid, value: complex = 1.0) -> Field:
-    return Field(grid, np.full(grid.shape, value, dtype=np.complex128), PHYSICAL)
 
 
 def save_field(f: Field, path) -> None:

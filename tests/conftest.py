@@ -39,6 +39,11 @@ def random_field(grid, rng, spectral_decay=True):
     return f
 
 
+def constant_field(grid, value=1.0):
+    """The field equal to value at every sample."""
+    return Field(grid, np.full(grid.shape, value, dtype=np.complex128), "physical")
+
+
 def mirror(v, ax):
     """v[(N - j) % N] along axis ax: the reflection x -> -x on the grid."""
     return np.roll(np.flip(v, ax), 1, ax)

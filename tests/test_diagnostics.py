@@ -18,7 +18,6 @@ from semirelax import (
     check_hs_growth,
     check_l2_identity,
     check_scaling_law,
-    constant_field,
     diagnostics_table,
     evolve,
     gaussian_field,
@@ -42,7 +41,7 @@ from semirelax.diagnostics import CSV_HEADER, TABLE_COLUMNS
 from semirelax.norms import space_time_norm, weighted_norm
 from semirelax.propagator import duhamel_residual, linear_step
 from semirelax.radial import Report, profile_from_function
-from conftest import mirror, random_field, symmetrized
+from conftest import constant_field, mirror, random_field, symmetrized
 
 
 def gradient_squared_modulus(u: Field) -> list[np.ndarray]:

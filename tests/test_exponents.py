@@ -10,8 +10,15 @@ from semirelax import (
     critical_power,
     embedding_exponent_check,
     scaling_critical_exponent,
-    scaling_rate,
 )
+
+
+def scaling_rate(n, p, s):
+    """Exponent e with ||u_sigma||_{Hdot^s} = sigma^e ||u||_{Hdot^s} under
+    u_sigma(x) = sigma^(1/(p-1)) u(sigma x): e = 1/(p-1) + s - n/2, the
+    reference for scaling_critical_exponent."""
+    p, s = Fraction(p), Fraction(s)
+    return 1 / (p - 1) + s - Fraction(n, 2)
 
 
 class TestScalingExponents:

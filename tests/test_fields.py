@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 from semirelax import (
     Field,
     apply_multiplier,
-    constant_field,
     gaussian_field,
     half_laplacian,
     l2_norm,
@@ -19,7 +19,8 @@ from semirelax import (
     to_physical,
     to_spectral,
 )
-from conftest import random_field
+from semirelax.fields import _corner_pair
+from conftest import constant_field, random_field
 
 
 class TestTransforms:
@@ -150,6 +151,40 @@ class TestMultipliers:
         val, _ = scipy.integrate.quad(integrand, -np.inf, np.inf)
         expected = np.sqrt(val / (2.0 * np.pi))
         assert l2_norm(half_laplacian(f)) == pytest.approx(expected, rel=1e-6)
+
+
+class TestCornerPair:
+    """The dealias-pruned octant DCT-I pair against dctn/idctn, bit for bit."""
+
+    @given(
+        n=st.sampled_from([2, 3]),
+        N=st.sampled_from([8, 12, 16, 48, 64]),
+        rows=st.sampled_from([None, 1, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dctn_on_the_corner_property(self, n, N, rows, seed):
+        # N = 12 and 48 are not powers of two, so 1/N^n rounds: that pins
+        # where the inverse applies it
+        rng = np.random.default_rng(seed)
+        M, m = N // 2 + 1, N // 3 + 1
+        shape = (M,) * n if rows is None else (rows, *(M,) * n)
+        axes = tuple(range(-n, 0))
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        corner = np.zeros(shape, bool)
+        corner[(Ellipsis, *[slice(0, m)] * n)] = True
+        forward, inverse = _corner_pair(n, N, m)
+        before = x.copy()
+        got = forward(x)
+        assert np.array_equal(x, before)
+        assert np.array_equal(got, np.where(corner, scipy.fft.dctn(x, type=1, axes=axes), 0))
+        assert np.array_equal(forward(x.copy(), overwrite_x=True), got)
+        c = np.where(corner, x, 0)
+        before = c.copy()
+        got = inverse(c)
+        assert np.array_equal(c, before)
+        assert np.array_equal(got, scipy.fft.idctn(c, type=1, axes=axes))
+        assert np.array_equal(inverse(c, overwrite_x=True), got)
 
 
 class TestSnapshotFormat:

@@ -11,7 +11,6 @@ from semirelax import (
     LittlewoodPaleyPartition,
     SobolevSpec,
     besov_norm,
-    constant_field,
     gaussian_field,
     l2_norm,
     lp_norm,
@@ -23,7 +22,7 @@ from semirelax import (
     weighted_norm,
 )
 from semirelax.radial import profile_from_function
-from conftest import random_field
+from conftest import constant_field, random_field
 
 
 class TestLpNorms:

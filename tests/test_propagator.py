@@ -13,7 +13,6 @@ from semirelax import (
     Field,
     SobolevSpec,
     StepperConfig,
-    constant_field,
     duhamel_residual,
     evolve,
     gaussian_field,
@@ -29,10 +28,10 @@ from semirelax import (
     to_physical,
     to_spectral,
 )
-from semirelax import propagator
+from semirelax import fields, propagator
 from semirelax.fields import _BLOCK_BYTES as BLOCK_BYTES
 from semirelax.plotting import fit_order
-from conftest import mirror, random_field, symmetrized
+from conftest import constant_field, mirror, random_field, symmetrized
 
 
 def amplitude_ode_oracle(rho0: float, p: float, tau: float) -> float:
@@ -398,10 +397,49 @@ class TestOctantPath:
         monkeypatch.undo()
         return calls
 
+    @staticmethod
+    def family_calls(u0, cfg, monkeypatch):
+        """Calls of the DCT family and of the FFT family during evolve."""
+        families = ({"dct": 0, "idct": 0, "dctn": 0, "idctn": 0},
+                    {"fft": 0, "ifft": 0, "fftn": 0, "ifftn": 0})
+        for calls in families:
+            for name in calls:
+                def spy(*a, _fn=getattr(scipy.fft, name), _calls=calls, _name=name, **kw):
+                    _calls[_name] += 1
+                    return _fn(*a, **kw)
+
+                monkeypatch.setattr(scipy.fft, name, spy)
+        evolve(u0, cfg)
+        monkeypatch.undo()
+        return families
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_centred_gaussian_takes_octant(self, n, monkeypatch):
+        # 4 dealiased steps, 5 snapshots in one block: dctn(u0), the
+        # unmasked inverse of step 1, then n 1-d passes per pruned transform:
+        # 4 forwards, and 3 step inverses plus the block inverse (Strang) or
+        # 4 stored-row inverses (Lie)
         u0 = gaussian_field(make_grid(n, 16, 10.0), 0.5)
-        assert self.forward_calls(u0, monkeypatch) == {"dctn": 5, "fftn": 0, "fft": 0}
+        for scheme in ("strang", "lie"):
+            cfg = StepperConfig(p=3.0, dt=0.05, T=0.2, scheme=scheme)
+            dct, fft = self.family_calls(u0, cfg, monkeypatch)
+            assert dct == {"dct": 4 * n, "idct": 4 * n, "dctn": 1, "idctn": 1}
+            assert fft == {"fft": 0, "ifft": 0, "fftn": 0, "ifftn": 0}
+
+    @pytest.mark.parametrize("case", ["linear", "no_dealias", "p2.5"])
+    def test_unmasked_octant_runs_keep_the_full_pair(self, case, monkeypatch):
+        # without the 2/3 mask no coefficient is known to vanish: the
+        # nonlinear runs make 5 dctn (u0 and 4 steps) and 5 idctn (4 steps
+        # and the block), the free flow one of each
+        u0 = gaussian_field(make_grid(3, 16, 10.0), 0.5)
+        cfg = StepperConfig(p=2.5 if case == "p2.5" else 3.0, dt=0.05, T=0.2,
+                            nonlinear=case != "linear",
+                            dealias=False if case == "no_dealias" else None)
+        assert not (cfg.nonlinear and cfg.dealias_active)
+        dct, fft = self.family_calls(u0, cfg, monkeypatch)
+        k = 1 if case == "linear" else 5
+        assert dct == {"dct": 0, "idct": 0, "dctn": k, "idctn": k}
+        assert fft == {"fft": 0, "ifft": 0, "fftn": 0, "ifftn": 0}
 
     @pytest.mark.parametrize("case", ["1d", "off_centre", "mode", "one_sample"])
     def test_other_data_take_full_grid(self, case, monkeypatch):
@@ -442,6 +480,37 @@ class TestOctantPath:
         assert len(snaps) == 6
         for u in snaps:
             assert all(np.array_equal(u.values, mirror(u.values, ax)) for ax in range(3))
+
+
+class TestDealiasCorner:
+    """The dealias-pruned octant pair keeps every bit of a run."""
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("p", [3.0, 5.0])
+    @pytest.mark.parametrize("scheme", ["strang", "lie"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_run_matches_the_full_pair(self, n, scheme, p, stride, monkeypatch):
+        # blocks of 3 rows, so several block inverses
+        g = make_grid(n, {2: 32, 3: 16}[n], 8.0)
+        u0 = symmetrized(random_field(g, np.random.default_rng(7)))
+        cfg = StepperConfig(p=p, dt=0.02, T=0.3, scheme=scheme, snapshot_stride=stride)
+        monkeypatch.setattr(propagator, "_BLOCK_BYTES", 3 * u0.values.nbytes)
+        pruned = evolve(u0, cfg).snapshots
+        built = []
+
+        def full_pair(n, N, m):
+            built.append(m)
+            axes = tuple(range(-n, 0))
+            return (lambda x, **kw: scipy.fft.dctn(x, type=1, axes=axes, **kw),
+                    lambda x, **kw: scipy.fft.idctn(x, type=1, axes=axes, **kw))
+
+        monkeypatch.setattr(fields, "_corner_pair", full_pair)
+        full = evolve(u0, cfg).snapshots
+        assert built == [g.N // 3 + 1]
+        assert pruned.basis.weights is not None and len(pruned.blocks) > 1
+        assert [len(b) for b in pruned.blocks] == [len(b) for b in full.blocks]
+        for a, b in zip(pruned.blocks, full.blocks):
+            assert np.array_equal(a, b)
 
 
 class TestBlockStorage:
