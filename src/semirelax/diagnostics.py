@@ -4,12 +4,13 @@ The CSV, the balance laws and the H^s growth bound read one per-snapshot
 table stored on the trajectory, built with one forward transform of each
 snapshot (and of |u|^2 when the flow dissipates); the CSV's residuals are
 running trapezoid sums over it.  The table and the H^2 cross term run over
-the blocks propagator.evolve stored, transformed and reduced in one call
-each.  The table and lemma34 read the (N/2+1)^n octant arrays of an
-octant-resident trajectory with multiplicity-weighted sums, the table under
-a DCT-I transform, at about a sixth of the full-grid time and memory at 64^3;
-the H^2 cross term folds each block to the full grid.  A linear trajectory
-dissipates nothing: its balance laws are conservation of ||u||^2, ||grad u||^2.
+Trajectory.blocks, transformed and reduced in one call per block, with
+every derivative from fields._derivative on the block's basis.  The table,
+the H^2 cross term and lemma34 read the (N/2+1)^n octant arrays of an
+octant-resident trajectory with multiplicity-weighted sums, the first two
+under a DCT-I transform, at about a sixth of the full-grid time and memory
+at 64^3.  A linear trajectory dissipates nothing: its balance laws are
+conservation of ||u||^2, ||grad u||^2.
 
 Each checker returns a radial.Report: for an exact balance law its two
 sides and their mismatch; for a one-sided estimate also the empirical
@@ -23,16 +24,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.fft
 
-from .fields import (
-    Field,
-    _physical_stack,
-    _spectral_stack,
-    _stack_axes,
-    _zero_nyquist,
-    to_physical,
-)
+from .fields import Field, _derivative, _stack_axes, to_physical
 from .grids import make_grid
 from .norms import (
     SobolevSpec,
@@ -90,8 +83,8 @@ def diagnostics_table(traj: Trajectory, s: float = 1.0) -> dict[str, np.ndarray]
     no fold and no second mirror test, under a DCT-I transform, its sums
     weighted by the mode and sample multiplicities, and agrees with the FFT
     table to roundoff.  A hand-built one takes the octant, with the same
-    bits, for each block that passes the mirror rule of fields._basis;
-    1-d blocks and any other block keep the FFT stack."""
+    bits, when all its snapshots pass the mirror rule of fields._basis;
+    1-d and any other trajectory keep the FFT stack."""
     if s in traj.tables:
         return traj.tables[s]
     grid, p = traj.grid, traj.config.p
@@ -100,46 +93,38 @@ def diagnostics_table(traj: Trajectory, s: float = 1.0) -> dict[str, np.ndarray]
     table["t"][:] = traj.times
     specs = [(name, SobolevSpec(r, homogeneous=True))
              for name, r in (("h1dot", 1.0), ("h2dot", 2.0), ("hs", s))]
-    # (column, spec, |multiplier| at the modes) per basis, built once: on
-    # the octant from the k <= N/2 corner of |xi| alone
-    sobolev = {}
-
-    def integral(density, weights):
-        """The grid sum times dV, an octant sample counted as often as it occurs."""
-        if weights is not None:
-            density *= weights
-        return np.sum(density, axis=axes) * dV
-
-    for i, (samples, forward, _, modes, weights, _) in traj._sample_blocks():
+    # (column, spec, |multiplier| at the modes), built once: on the octant
+    # from the k <= N/2 corner of |xi| alone
+    sobolev = None
+    for i, basis in traj.blocks():
+        samples, forward, weights = basis.samples, basis.forward, basis.weights
         rows = slice(i, i + len(samples))
-        octant = weights is not None
-        gradient_square = _octant_gradient_square if octant else _gradient_square
-        if octant not in sobolev:
-            sobolev[octant] = [
-                (name, spec, np.abs(spec._at(grid.xi_norm[modes])))
+        if sobolev is None:
+            sobolev = [
+                (name, spec, np.abs(spec._at(grid.xi_norm[basis.modes])))
                 for name, spec in specs
             ]
         coeffs = forward(samples)
         coeffs *= dV
-        for name, spec, m in sobolev[octant]:
+        for name, spec, m in sobolev:
             table[name][rows] = _sobolev_norms(coeffs, grid, spec, m, weights)
         absu = np.abs(samples)
-        table["l2"][rows] = np.sqrt(integral(absu**2, weights))
+        table["l2"][rows] = np.sqrt(_integral(absu**2, weights, grid))
         table["linf"][rows] = np.max(absu, axis=axes)
         # float powers, not numpy's vectorised power: the two round differently
-        sums = integral(absu ** (p + 1.0), weights)
+        sums = _integral(absu ** (p + 1.0), weights, grid)
         table["lpp1"][rows] = [v ** (1.0 / (p + 1.0)) for v in sums.tolist()]
         if traj.linear:
             continue
-        density = absu ** (p - 1.0) * gradient_square(coeffs, grid)
-        table["grad_term"][rows] = 2.0 * integral(density, weights)
+        density = absu ** (p - 1.0) * _gradient_square(basis, coeffs, grid)
+        table["grad_term"][rows] = 2.0 * _integral(density, weights, grid)
         mod2 = absu**2
-        if not octant:  # complex, as to_spectral sees |u|^2 as a Field
+        if weights is None:  # complex, as to_spectral sees |u|^2 as a Field
             mod2 = mod2.astype(np.complex128)
         mod2 = forward(mod2)
         mod2 *= dV
-        density = modulus_power(absu, p - 3.0) * gradient_square(mod2, grid)
-        table["modulus_term"][rows] = 0.5 * (p - 1.0) * integral(density, weights)
+        density = modulus_power(absu, p - 3.0) * _gradient_square(basis, mod2, grid)
+        table["modulus_term"][rows] = 0.5 * (p - 1.0) * _integral(density, weights, grid)
     traj.tables[s] = table
     return table
 
@@ -149,38 +134,17 @@ def _any_table(traj: Trajectory) -> dict[str, np.ndarray]:
     return diagnostics_table(traj, next(iter(traj.tables), 1.0))
 
 
-def _gradient_square(coeffs: np.ndarray, grid) -> np.ndarray:
-    """sum_j |d_j f|^2 in physical space for each field of a coefficient stack
-    (the symbols i xi_j are odd: Nyquist planes zeroed as gradient does)."""
-    coeffs = _zero_nyquist(grid, coeffs)
-    return sum(
-        np.abs(_physical_stack(coeffs * (1j * k), grid)) ** 2
-        for k in grid.wavenumber_arrays
-    )
+def _integral(density: np.ndarray, weights, grid) -> np.ndarray:
+    """The grid sum times dV of each density of a stack, an octant sample
+    counted as often as it occurs (in place)."""
+    if weights is not None:
+        density *= weights
+    return np.sum(density, axis=_stack_axes(grid)) * grid.cell_volume
 
 
-def _octant_gradient_square(coeffs: np.ndarray, grid) -> np.ndarray:
-    """_gradient_square on the octant for a stack of DCT-I coefficients.
-    d_j f is the coefficients times i xi_j with the k = N/2 planes zeroed;
-    it is odd along axis j, so on the octant it is -idst(type=1) of xi_j c
-    over the interior k = 1..N/2-1 of axis j, then idct(type=1) along the
-    other axes, and zero on the j = N/2 and j = 0 planes of axis j.  The
-    sign drops out of the square."""
-    coeffs = _zero_nyquist(grid, coeffs)
-    interior = slice(1, grid.N // 2)
-    xi = grid.wavenumbers[interior]
-    axes = _stack_axes(grid)
-    out = np.zeros(coeffs.shape)
-    for ax in axes:
-        sl = (slice(None),) * ax + (interior,)
-        d = coeffs[sl] * xi.reshape((-1,) + (1,) * (grid.n - ax))
-        d = scipy.fft.idst(d, type=1, axis=ax, overwrite_x=True)
-        d = scipy.fft.idctn(
-            d, type=1, axes=[a for a in axes if a != ax], overwrite_x=True
-        )
-        d /= grid.cell_volume
-        out[sl] += np.abs(d) ** 2
-    return out
+def _gradient_square(basis, coeffs: np.ndarray, grid) -> np.ndarray:
+    """sum_j |d_j f|^2 on the samples of ``basis`` for a coefficient stack."""
+    return sum(np.abs(_derivative(basis, coeffs, grid, (j,))) ** 2 for j in range(grid.n))
 
 
 def write_diagnostics_csv(traj: Trajectory, path, s: float = 1.0) -> None:
@@ -308,8 +272,9 @@ def check_h2_inequality(traj: Trajectory, t1: float, t2: float) -> Report:
         ||u(t2)||_{H2dot}^2 + 2 sum_{j,k} int || u d_j d_k u ||^2
         <= ||u(t1)||_{H2dot}^2 + 2 n^2 (n+1) int ||u||_{H1dot}^(4-n) ||u||_{H2dot}^n.
 
-    Second derivatives are the spectral multipliers -xi_j xi_k.  The report
-    carries the nonnegative slack rhs - lhs.
+    Second derivatives are the spectral multipliers -xi_j xi_k, taken by
+    fields._derivative on the blocks of Trajectory.blocks, octants unfolded.
+    The report carries the nonnegative slack rhs - lhs.
     """
     if traj.config.p != 3:
         raise ValueError(
@@ -317,23 +282,19 @@ def check_h2_inequality(traj: Trajectory, t1: float, t2: float) -> Report:
         )
     i1, i2 = _validate_window(traj, t1, t2)
     grid = traj.grid
-    n, dV, axes = grid.n, grid.cell_volume, _stack_axes(grid)
-    window = slice(i1, i2 + 1)
+    n, window = grid.n, slice(i1, i2 + 1)
     table = _any_table(traj)
     times = table["t"][window]
     h1, h2 = table["h1dot"][window].tolist(), table["h2dot"][window].tolist()
     cross = np.zeros(len(times))
-    wk = grid.wavenumber_arrays
-    for i, phys in traj.blocks(i1, i2 + 1):
-        rows = slice(i - i1, i - i1 + len(phys))
-        coeffs = _spectral_stack(phys, grid)
-        # d_j d_k is odd for j != k: Nyquist planes zeroed, as second_derivative
-        odd = _zero_nyquist(grid, coeffs) if n > 1 else None
+    for i, basis in traj.blocks(i1, i2 + 1):
+        rows = slice(i - i1, i - i1 + len(basis.samples))
+        coeffs = basis.forward(basis.samples)
+        coeffs *= grid.cell_volume
         for j in range(n):
             for k in range(n):
-                symbol = -(wk[j] * wk[k])
-                djk = _physical_stack((coeffs if j == k else odd) * symbol, grid)
-                cross[rows] += np.sum(np.abs(phys * djk) ** 2, axis=axes) * dV
+                djk = _derivative(basis, coeffs, grid, (j, k))
+                cross[rows] += _integral(np.abs(basis.samples * djk) ** 2, basis.weights, grid)
     majorant = np.array([a ** (4.0 - n) * b ** float(n) for a, b in zip(h1, h2)])
     lhs = h2[-1] ** 2 + 2.0 * float(np.trapezoid(cross, times))
     rhs = h2[0] ** 2 + 2.0 * n**2 * (n + 1) * float(np.trapezoid(majorant, times))

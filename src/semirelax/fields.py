@@ -134,13 +134,6 @@ def _stack_axes(grid: Grid) -> tuple[int, ...]:
     return tuple(range(1, grid.n + 1))
 
 
-def _spectral_stack(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """to_spectral of every field in a (B, *grid.shape) stack, one transform."""
-    out = scipy.fft.fftn(values, axes=_stack_axes(grid))
-    out *= grid.cell_volume
-    return out
-
-
 class _Basis(NamedTuple):
     """The samples of one field or a (B, *grid.shape) stack and the unscaled
     transform pair over their n trailing axes; see _basis."""
@@ -191,6 +184,35 @@ def _basis(values: np.ndarray, n: int) -> _Basis:
     )
 
 
+def _derivative(basis: _Basis, coeffs: np.ndarray, grid: Grid, axes: tuple) -> np.ndarray:
+    """d_j f (axes (j,)) or d_j d_k f (axes (j, k)) as samples on ``basis``
+    for a field or stack of its coefficients times the cell volume.  The
+    symbol is i xi_j or -xi_j xi_k, and every Nyquist plane is zeroed when it
+    is odd, as in gradient and second_derivative.  On the octant an axis
+    taken once is odd: the derivative is zero on its j = 0 and j = N/2
+    planes and -xi times the coefficients of its interior k = 1..N/2-1 under
+    DST-I between them; every other axis is DCT-I, times -xi^2 if taken twice."""
+    k = grid.wavenumber_arrays
+    odd = [a for a in axes if axes.count(a) == 1]
+    if odd:
+        coeffs = _zero_nyquist(grid, coeffs)
+    if basis.weights is None or not odd:
+        symbol = 1j * k[axes[0]] if len(axes) == 1 else -(k[axes[0]] * k[axes[1]])
+        out = basis.inverse(coeffs * symbol[basis.modes], overwrite_x=True)
+    else:
+        inner = slice(1, grid.N // 2)
+        at = (Ellipsis, *(inner if a in odd else slice(None) for a in range(grid.n)))
+        xi = [-grid.wavenumbers[inner].reshape((-1,) + (1,) * (grid.n - 1 - a)) for a in odd]
+        d = scipy.fft.idstn(coeffs[at] * reduce(np.multiply, xi), type=1,
+                            axes=[a - grid.n for a in odd], overwrite_x=True)
+        if even := [a - grid.n for a in range(grid.n) if a not in odd]:
+            d = scipy.fft.idctn(d, type=1, axes=even, overwrite_x=True)
+        out = np.zeros(coeffs.shape, complex)
+        out[at] = d
+    out /= grid.cell_volume
+    return out
+
+
 def _corner_pair(n: int, N: int, m: int) -> tuple[Callable, Callable]:
     """_basis's octant DCT-I pair for coefficients on the [0, m)^n corner
     the 2/3 mask keeps (m = N//3 + 1), in place if asked.  Pass j transforms
@@ -221,13 +243,6 @@ def _corner_pair(n: int, N: int, m: int) -> tuple[Callable, Callable]:
         return out
 
     return forward, inverse
-
-
-def _physical_stack(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """to_physical of every field in a (B, *grid.shape) stack, one transform."""
-    out = scipy.fft.ifftn(coeffs, axes=_stack_axes(grid))
-    out /= grid.cell_volume
-    return out
 
 
 def apply_multiplier(f: Field, symbol: Symbol, representation: str | None = None) -> Field:

@@ -39,11 +39,8 @@ from .fields import (
     _Basis,
     _basis,
     _multiply_spectral,
-    _spectral_stack,
     to_physical,
-    to_spectral,
 )
-from .norms import l2_norm
 
 __all__ = [
     "StepperConfig",
@@ -129,20 +126,13 @@ class _Snapshots(Sequence):
     def samples(self) -> list[np.ndarray]:  # one stored row per snapshot
         return [row for block in self.blocks for row in block]
 
-    def rows(self, start: int = 0, stop: int | None = None):
-        """Yield (i, rows i, i+1, ... of one block), a view, over start..stop-1."""
-        i, stop = 0, len(self) if stop is None else stop
-        for block in self.blocks:
-            if start < i + len(block) and i < stop:
-                yield max(i, start), block[max(start - i, 0) : stop - i]
-            i += len(block)
-
 
 @dataclass
 class Trajectory:
     """Uniformly sampled (time, Field) snapshots from one evolution; ``tables``
     caches diagnostics.diagnostics_table by Sobolev index.  evolve stores
-    _Snapshots, which the table, lemma34 and lemma35 read unfolded."""
+    _Snapshots, which the table, prop24, the Duhamel residual, lemma34 and
+    lemma35 read unfolded."""
 
     config: StepperConfig
     times: np.ndarray
@@ -163,27 +153,24 @@ class Trajectory:
         return s if isinstance(s, _Snapshots) and s.basis.weights is not None else None
 
     def blocks(self, start: int = 0, stop: int | None = None):
-        """Yield (i, values) over stored snapshots start..stop-1: the physical
-        samples of snapshots i, i+1, ... as one (B, *grid.shape) array: a
-        view of a block evolve stored (one gather if octant-resident), or a
-        stack of about _BLOCK_BYTES if hand-built; callers never write into one."""
+        """Yield (i, basis) over stored snapshots start..stop-1, basis.samples
+        the samples of snapshots i, i+1, ... as one (B, ...) array, a view of
+        a block evolve stored.  A hand-built trajectory is stacked, put under
+        fields._basis once (one basis per trajectory, as in evolve) and cut
+        into blocks of about _BLOCK_BYTES.  Callers never write into the samples."""
         stored = self.snapshots
         if isinstance(stored, _Snapshots):
-            yield from ((i, v[stored.basis.fold]) for i, v in stored.rows(start, stop))
-            return
-        rows = range(len(self.snapshots))[start:stop]
-        size = max(1, _BLOCK_BYTES // self.snapshots[0].values.nbytes)
-        for i in range(0, len(rows), size):
-            yield rows[i], np.stack([to_physical(self.snapshots[k]).values
-                                     for k in rows[i : i + size]])
-
-    def _sample_blocks(self):
-        """Yield (i, basis) per block of blocks(), basis.samples the stored
-        rows (unfolded), else the block under fields._basis."""
-        stored = self.snapshots
-        if isinstance(stored, _Snapshots):
-            return ((i, stored.basis._replace(samples=v)) for i, v in stored.rows())
-        return ((i, _basis(v, self.grid.n)) for i, v in self.blocks())
+            basis, blocks = stored.basis, stored.blocks
+        else:
+            basis = _basis(np.stack([to_physical(u).values for u in stored]), self.grid.n)
+            size = max(1, _BLOCK_BYTES // stored[0].values.nbytes)
+            blocks = [basis.samples[i : i + size] for i in range(0, len(stored), size)]
+        i, stop = 0, len(stored) if stop is None else stop
+        for block in blocks:
+            if start < i + len(block) and i < stop:
+                rows = block[max(start - i, 0) : stop - i]
+                yield max(i, start), basis._replace(samples=rows)
+            i += len(block)
 
 
 def linear_step(f: Field, tau: float) -> Field:
@@ -347,26 +334,36 @@ def duhamel_residual(traj: Trajectory) -> float:
 
     Computes || u(t) - U(t) u0 + int_0^t U(t-s) |u(s)|^(p-1) u(s) ds ||_L2
     with the integral discretized by the trapezoid rule over the stored
-    snapshots and the propagator applied spectrally at each node.  The
-    defect shrinks at second order under dt refinement.
+    snapshots and the propagator applied spectrally at each node.  The sum
+    runs on the coefficients of Trajectory.blocks: on the octant of mirror
+    data, since |u|^(p-1) u keeps the symmetry and U(t) is radial, with the
+    L^2 sum weighted by the mode multiplicities.  The defect shrinks at
+    second order under dt refinement.
     """
     if len(traj.snapshots) < 3:
         raise ValueError("duhamel residual needs at least 3 snapshots")
-    p = traj.config.p
-    t_final = float(traj.times[-1])
-    acc = to_spectral(traj.snapshots[-1]).values.copy()
-    acc -= linear_step(to_spectral(traj.snapshots[0]), t_final).values
+    p, grid, dV = traj.config.p, traj.grid, traj.grid.cell_volume
+    times = np.asarray(traj.times)
+    t_final = float(times[-1])
+    (_, first), = traj.blocks(0, 1)
+    (_, last), = traj.blocks(len(times) - 1)
+    xi_norm = grid.xi_norm[first.modes]
+    acc = last.forward(last.samples[-1]) * dV
+    acc -= first.forward(first.samples[0]) * dV * np.exp(-1j * t_final * xi_norm)
     if traj.config.nonlinear:
-        h = np.diff(np.asarray(traj.times))
-        w = np.zeros(len(traj.snapshots))
+        h = np.diff(times)
+        w = np.zeros(len(times))
         w[:-1] += h / 2.0
         w[1:] += h / 2.0
-        grid = traj.grid
-        for i, phys in traj.blocks():
-            terms = _spectral_stack(np.abs(phys) ** (p - 1.0) * phys, grid)
+        for i, basis in traj.blocks():
+            terms = basis.forward(np.abs(basis.samples) ** (p - 1.0) * basis.samples)
+            terms *= dV
             # U(t_final - t_k) of each snapshot in the block
-            z = [-1j * (t_final - float(t_k)) for t_k in traj.times[i : i + len(phys)]]
-            terms *= np.exp(np.reshape(z, (-1,) + (1,) * grid.n) * grid.xi_norm)
+            z = [-1j * (t_final - float(t_k)) for t_k in times[i : i + len(terms)]]
+            terms *= np.exp(np.reshape(z, (-1,) + (1,) * grid.n) * xi_norm)
             for k, term in enumerate(terms, start=i):
                 acc += w[k] * term
-    return l2_norm(Field(traj.grid, acc, "spectral"))
+    power = np.abs(acc) ** 2
+    if first.weights is not None:
+        power *= first.weights
+    return float(np.sqrt(np.sum(power) / grid.L**grid.n))

@@ -39,7 +39,7 @@ from semirelax import propagator
 from semirelax.fields import _BLOCK_BYTES as BLOCK_BYTES
 from semirelax.diagnostics import CSV_HEADER, TABLE_COLUMNS
 from semirelax.norms import space_time_norm, weighted_norm
-from semirelax.propagator import duhamel_residual, linear_step
+from semirelax.propagator import _Snapshots, duhamel_residual, linear_step
 from semirelax.radial import Report, profile_from_function
 from conftest import constant_field, mirror, random_field, symmetrized
 
@@ -565,6 +565,38 @@ class TestSnapshotTable:
         assert np.all(table["lpp1"] > 0)
 
 
+def asymmetric_trajectory(monkeypatch):
+    """A hand-built 3-d trajectory of six centred gaussians, one of them off
+    the mirror rule, stored in blocks of three snapshots."""
+    g = make_grid(3, 8, 10.0)
+    snaps = [gaussian_field(g, 0.5, width=w) for w in (1.0, 0.9, 1.1, 0.8, 1.2, 0.7)]
+    broken = snaps[1].values.copy()
+    broken[1, 2, 3] += 1e-3
+    snaps[1] = Field(g, broken)
+    monkeypatch.setattr(propagator, "_BLOCK_BYTES", 3 * broken.nbytes)
+    return Trajectory(StepperConfig(p=3.0, dt=0.1, T=0.5), 0.1 * np.arange(6), snaps)
+
+
+def octant_checks(traj, i1, i2):
+    """prop24 over snapshots i1..i2 (p = 3 only) and the Duhamel residual."""
+    h2 = None
+    if traj.config.p == 3:
+        h2 = check_h2_inequality(traj, traj.times[i1], traj.times[i2])
+    return h2, duhamel_residual(traj)
+
+
+def assert_checks_close(traj, i1, i2, h2, duhamel):
+    """octant_checks against the full-grid references: prop24's sides within
+    1e-12 relative, and the Duhamel residual, itself a cancellation, within
+    1e-12 of ||u0||."""
+    if h2 is not None:
+        ref = reference_h2_inequality(traj, i1, i2)
+        assert h2.lhs == pytest.approx(ref.lhs, rel=1e-12, abs=0)
+        assert h2.rhs == pytest.approx(ref.rhs, rel=1e-12, abs=0)
+    ref = reference_duhamel_residual(traj)
+    assert abs(duhamel - ref) <= 1e-12 * l2_norm(traj.snapshots[0])
+
+
 class TestBlockedPass:
     @pytest.mark.parametrize("nonlinear", [True, False])
     @pytest.mark.parametrize("n", [1, 2])
@@ -582,7 +614,7 @@ class TestBlockedPass:
         for budget, sizes in settings.items():
             monkeypatch.setattr(propagator, "_BLOCK_BYTES", budget)
             traj = evolve(u0, cfg)
-            assert [len(block) for _, block in traj.blocks()] == sizes
+            assert [len(basis.samples) for _, basis in traj.blocks()] == sizes
             table = diagnostics_table(traj, 1.5)
             report = check_h2_inequality(traj, traj.times[i1], traj.times[i2])
             results.append((table, report, duhamel_residual(traj)))
@@ -598,38 +630,41 @@ class TestBlockedPass:
     @pytest.mark.parametrize("nonlinear", [True, False])
     @pytest.mark.parametrize("n", [2, 3])
     def test_block_size_does_not_change_octant_results(self, monkeypatch, n, nonlinear):
+        # the table, prop24 over an interior window and the Duhamel residual
+        # take the same bits from any block size
         g = make_grid(n, 16 if n == 2 else 8, 10.0)
         cfg = StepperConfig(p=3.0, dt=0.01, T=0.13, nonlinear=nonlinear)
         u0 = gaussian_field(g, 0.8)
-        tables = []
+        i1, i2 = 2, 11
+        results = []
         for budget in (1, 3 * u0.values.nbytes, 1 << 40):
             monkeypatch.setattr(propagator, "_BLOCK_BYTES", budget)
             traj = evolve(u0, cfg)
-            tables.append(diagnostics_table(traj, 1.5))
-        for table in tables[1:]:
+            results.append((diagnostics_table(traj, 1.5), *octant_checks(traj, i1, i2)))
+        (first, *first_checks), *rest = results
+        for table, *checks in rest:
             for name in TABLE_COLUMNS:
-                assert np.array_equal(table[name], tables[0][name]), name
-        assert_table_close(tables[0], reference_table(traj, 1.5))
+                assert np.array_equal(table[name], first[name]), name
+            assert checks == first_checks
+        assert_table_close(first, reference_table(traj, 1.5))
+        assert_checks_close(traj, i1, i2, *first_checks)
 
     def test_asymmetric_block_falls_back(self, monkeypatch):
-        # one snapshot off the mirror rule sends its whole block to the FFT
-        # stack, which matches the reference bit for bit; the other block
-        # stays on the octant
-        g = make_grid(3, 8, 10.0)
-        snaps = [gaussian_field(g, 0.5, width=w) for w in (1.0, 0.9, 1.1, 0.8, 1.2, 0.7)]
-        broken = snaps[1].values.copy()
-        broken[1, 2, 3] += 1e-3
-        snaps[1] = Field(g, broken)
-        traj = Trajectory(StepperConfig(p=3.0, dt=0.1, T=0.5), 0.1 * np.arange(6), snaps)
-        monkeypatch.setattr(propagator, "_BLOCK_BYTES", 3 * broken.nbytes)
+        # one snapshot off the mirror rule sends the whole hand-built
+        # trajectory, both of its blocks, to the FFT stack, which matches
+        # the reference bit for bit
+        traj = asymmetric_trajectory(monkeypatch)
         calls = count_calls(monkeypatch, ("fftn", "dctn"))
         table = diagnostics_table(traj, 1.5)
-        monkeypatch.undo()
-        assert calls == {"fftn": 2, "dctn": 2}
+        assert calls == {"fftn": 4, "dctn": 0}
         ref = reference_table(traj, 1.5)
         for name in TABLE_COLUMNS:
-            assert np.array_equal(table[name][:3], ref[name][:3]), name
-        assert_table_close(table, ref)
+            assert np.array_equal(table[name], ref[name]), name
+
+    def test_asymmetric_trajectory_duhamel_matches_reference(self, monkeypatch):
+        # the Duhamel sum spans blocks, so it needs one basis per trajectory
+        traj = asymmetric_trajectory(monkeypatch)
+        assert duhamel_residual(traj) == reference_duhamel_residual(traj)
 
     @given(
         n=st.sampled_from([2, 3]),
@@ -644,26 +679,30 @@ class TestBlockedPass:
     def test_octant_table_matches_reference_property(
         self, n, gaussian, p, nonlinear, s, budget, seed
     ):
-        # mirror-symmetric data with n >= 2 are tabled on the DCT-I octant:
-        # within 1e-12 of the FFT reference, and any block size gives the
-        # same bits as one snapshot per block
+        # mirror-symmetric data with n >= 2 are tabled, and run prop24 and
+        # the Duhamel residual, on the DCT-I octant: within 1e-12 of the FFT
+        # references, and any block size gives the same bits as one
+        # snapshot per block
         g = make_grid(n, 16 if n == 2 else 8, 8.0)
         if gaussian:
             u0 = gaussian_field(g, 0.6)
         else:
             u0 = symmetrized(random_field(g, np.random.default_rng(seed)))
         cfg = StepperConfig(p=p, dt=0.02, T=0.1, nonlinear=nonlinear)
-        tables = []
+        results = []
         for block_bytes in (budget, 1):
             propagator._BLOCK_BYTES = block_bytes
             try:
                 traj = evolve(u0, cfg)
-                tables.append(diagnostics_table(traj, s))
+                results.append((diagnostics_table(traj, s), *octant_checks(traj, 1, 5)))
             finally:
                 propagator._BLOCK_BYTES = BLOCK_BYTES
+        (table, *checks), (other, *other_checks) = results
         for name in TABLE_COLUMNS:
-            assert np.array_equal(tables[0][name], tables[1][name]), name
-        assert_table_close(tables[0], reference_table(traj, s))
+            assert np.array_equal(table[name], other[name]), name
+        assert checks == other_checks
+        assert_table_close(table, reference_table(traj, s))
+        assert_checks_close(traj, 1, 5, *checks)
 
     def test_multipliers_built_once_per_table(self, monkeypatch):
         g = make_grid(1, 64, 10.0)
@@ -687,7 +726,7 @@ class TestBlockedPass:
         g = make_grid(2, 16, 10.0)
         monkeypatch.setattr(propagator, "_BLOCK_BYTES", 1)
         traj = evolve(gaussian_field(g, 0.5), StepperConfig(p=3.0, dt=0.05, T=0.1))
-        blocks = list(traj._sample_blocks())
+        blocks = list(traj.blocks())
         assert [i for i, _ in blocks] == [0, 1, 2]
         for i, basis in blocks:
             assert basis.samples.shape == (1, 9, 9)
@@ -754,6 +793,24 @@ class TestOctantResident:
             for snaps in (traj.snapshots, fields)
         )
         assert ratio == pytest.approx(full, rel=1e-14)
+
+    def test_prop24_and_duhamel_read_the_stored_octant(self, monkeypatch):
+        # both run on the stored octant blocks: no full-grid transform, and
+        # no fold of any snapshot but u0
+        g = make_grid(3, 16, 10.0)
+        traj = evolve(gaussian_field(g, 0.5), StepperConfig(p=3.0, dt=0.02, T=0.1))
+        getitem = _Snapshots.__getitem__
+
+        def no_fold(store, k):
+            assert k == 0, "folds no snapshot after u0"
+            return getitem(store, k)
+
+        monkeypatch.setattr(_Snapshots, "__getitem__", no_fold)
+        calls = count_calls(monkeypatch, ("fftn", "ifftn", "dctn"))
+        check_h2_inequality(traj, 0.0, 0.1)
+        duhamel_residual(traj)
+        assert calls["fftn"] == calls["ifftn"] == 0
+        assert calls["dctn"] > 0
 
     def test_stored_snapshots_stay_on_the_octant(self):
         # a linear stride-1 run and its table hold the 20 stored snapshots as

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -10,17 +12,19 @@ from semirelax import (
     Field,
     apply_multiplier,
     gaussian_field,
+    gradient,
     half_laplacian,
     l2_norm,
     load_field,
     make_grid,
     mode_field,
     save_field,
+    second_derivative,
     to_physical,
     to_spectral,
 )
-from semirelax.fields import _corner_pair
-from conftest import constant_field, random_field
+from semirelax.fields import _basis, _corner_pair, _derivative
+from conftest import constant_field, random_field, symmetrized
 
 
 class TestTransforms:
@@ -185,6 +189,37 @@ class TestCornerPair:
         assert np.array_equal(c, before)
         assert np.array_equal(got, scipy.fft.idctn(c, type=1, axes=axes))
         assert np.array_equal(inverse(c, overwrite_x=True), got)
+
+
+class TestDerivative:
+    @given(
+        n=st.sampled_from([1, 2, 3]),
+        gaussian=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_gradient_and_second_derivative_property(self, n, gaussian, seed):
+        # every axis tuple of mirror-symmetric data, on the FFT pair and on
+        # the octant (n >= 2), against the full-grid multipliers; an axis
+        # taken once is odd, so the octant's fold is signed below N/2 there
+        g = make_grid(n, {1: 32, 2: 16, 3: 8}[n], 8.0)
+        rng = np.random.default_rng(seed)
+        f = gaussian_field(g, 0.6) if gaussian else symmetrized(random_field(g, rng))
+        octant = _basis(f.values, n)
+        # the FFT pair, which _basis takes for data off the mirror rule
+        fft = _basis(random_field(g, rng).values, n)._replace(samples=f.values)
+        assert fft.weights is None and (octant.weights is None) == (n == 1)
+        below = np.where(np.arange(g.N) < g.N // 2, -1.0, 1.0)
+        for axes in [(j,) for j in range(n)] + [(j, k) for j in range(n) for k in range(n)]:
+            want = gradient(f)[axes[0]] if len(axes) == 1 else second_derivative(f, *axes)
+            want = to_physical(want).values
+            signs = [below if axes.count(a) == 1 else np.ones(g.N) for a in range(n)]
+            for basis in (fft, octant):
+                coeffs = basis.forward(basis.samples) * g.cell_volume
+                got = _derivative(basis, coeffs, g, axes)[basis.fold]
+                if basis.weights is not None:
+                    got = got * reduce(np.multiply.outer, signs)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), axes
 
 
 class TestSnapshotFormat:
