@@ -23,7 +23,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import diagnostics as diag
-from .fields import to_physical
 from .norms import l2_norm
 from .propagator import StepperConfig, Trajectory, duhamel_residual
 from .radial import RadialTrajectory, maximal_bound_check, maximal_domination_gap
@@ -216,11 +215,9 @@ def spectral_vs_wave_disagreement(traj: Trajectory, rtraj: RadialTrajectory) -> 
     from scipy.interpolate import CubicSpline
     grid = traj.grid
     half = grid.N // 2
-    if traj._octants is None:
-        u3 = to_physical(traj.snapshots[-1]).values
-        axis_vals = u3[(slice(half + 1, None),) + (half,) * (grid.n - 1)]
-    else:  # octant index m is grid index N/2 + m
-        axis_vals = traj._octants.samples[-1][(slice(1, half),) + (0,) * (grid.n - 1)]
+    (_, last), = traj.blocks(len(traj.times) - 1)
+    o = half if last.weights is None else 0  # octant index m is grid index N/2 + m
+    axis_vals = last.samples[-1][(slice(o + 1, o + half),) + (o,) * (grid.n - 1)]
     radii = grid.axis[half + 1 :]
     prof = rtraj.profiles[-1]
     keep = radii <= prof.r[-1]

@@ -374,11 +374,10 @@ def weighted_strichartz_ratio(
     denom = l2_norm(traj.snapshots[0])
     if denom == 0:
         return 0.0
-    octants = traj._octants  # its samples counted by their multiplicities
-    weights = None if octants is None else octants.basis.weights
-    weighted = _weighted_l2(traj.snapshots[0], delta, q1, sign=-1, weights=weights)
-    snaps = traj.snapshots if octants is None else octants.samples
-    num = space_time_norm((traj.times, snaps), q1, weighted)
+    (_, first), = traj.blocks(0, 1)  # octant samples count by their multiplicities
+    weighted = _weighted_l2(traj.snapshots[0], delta, q1, sign=-1, weights=first.weights)
+    rows = [row for _, basis in traj.blocks() for row in basis.samples]
+    num = space_time_norm((traj.times, rows), q1, weighted)
     return num / denom
 
 

@@ -237,14 +237,15 @@ def weighted_norm(f, delta: float, q: float, sign: int) -> float:
     the singular sign) are dropped; they carry zero measure in the
     continuum integral.
     """
-    return _weighted_l2(f, delta, q, sign)(f)
+    samples = to_physical(f).values if isinstance(f, Field) else f.values
+    return _weighted_l2(f, delta, q, sign)(samples)
 
 
 def _weighted_l2(f, delta: float, q: float, sign: int,
                  weights: np.ndarray | None = None) -> Callable:
-    """The map g -> weighted_norm(g, delta, q, sign) for every g sampled like
-    f (same grid, or same radii), with the weight built once; given the
-    octant multiplicities of fields._basis, g is the octant of a field."""
+    """The map samples -> weighted_norm of the field or profile they sample
+    like f (on its grid, or at its radii), with the weight built once; given
+    the octant multiplicities of fields._basis, samples are an octant."""
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if q < 1:
@@ -255,24 +256,18 @@ def _weighted_l2(f, delta: float, q: float, sign: int,
         x = np.r_[f.grid.axis[f.grid.N // 2 :], f.grid.axis[0]]  # indices N/2..N-1, 0
         coords = np.meshgrid(*[x] * f.grid.n, indexing="ij", sparse=True)
         radii = np.sqrt(sum(c**2 for c in coords))  # as Grid.radii
-        measure, samples = f.grid.cell_volume * weights, np.abs
+        measure = f.grid.cell_volume * weights
     elif isinstance(f, Field):
         radii, measure = f.grid.radii, f.grid.cell_volume
-
-        def samples(g):
-            return np.abs(to_physical(g).values)
     else:
         radii, measure = f.r, 4.0 * np.pi * f.r**2 * f.dr
-
-        def samples(g):
-            return np.abs(np.asarray(g.values))
     with np.errstate(divide="ignore", invalid="ignore"):
         w = weight_bracket(radii, delta) ** (sign / q)
     ok = np.isfinite(w)
     w = w[ok]
 
-    def norm(g) -> float:
-        vals = samples(g)
+    def norm(samples) -> float:
+        vals = np.abs(samples)
         integrand = np.zeros_like(vals)
         integrand[ok] = (w * vals[ok]) ** 2
         return float(np.sqrt(np.sum(integrand * measure)))

@@ -8,12 +8,13 @@ second order and, because the nonlinear substep contracts the modulus
 pointwise and the linear substep is an L^2 isometry, the discrete L^2 norm
 never increases regardless of the step size.
 
-``evolve`` is the one stepping kernel; ``strang_step`` and ``lie_step`` are
-one-step runs of it.  It keeps the state as unscaled spectral coefficients,
-builds U(dt) (and, for Strang, U(dt/2)) once per run with the 2/3 dealias
-mask folded in, and merges the half-steps of adjacent Strang steps, so a
-step costs two FFTs; a stored snapshot closes its half-step into a block of
-stored snapshots, inverse transformed once when the block is full.  The
+``evolve`` is the one stepping kernel, and it runs Strang; ``strang_step``
+is a one-step run of it, ``lie_step`` the plain first-order composition.
+``evolve`` keeps the state as unscaled spectral coefficients, builds U(dt)
+and U(dt/2) once per run with the 2/3 dealias mask (odd integer p <= 5)
+folded in, and merges the half-steps of adjacent steps, so a step costs two
+FFTs; a stored snapshot closes its half-step into a block of stored
+snapshots, inverse transformed once when the block is full.  The
 per-step L^2 check uses Parseval on the coefficients.  Mirror-symmetric data
 with n >= 2 run and are stored on the (N/2+1)^n octant under a DCT-I pair
 (fields._basis), about a quarter of the cost at 64^3; 1-d data keep the FFT pair.
@@ -28,7 +29,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from typing import Optional
 
 import numpy as np
 
@@ -62,20 +62,15 @@ class StepperConfig:
         p: nonlinearity power, > 1.
         dt: time step, > 0.
         T: final time, >= 0 (T = 0 yields only the initial snapshot).
-        scheme: 'strang' (second order) or 'lie' (first order).
         snapshot_stride: store every stride-th step.
         nonlinear: disable to evolve with the unitary group only.
-        dealias: apply the 2/3-rule truncation after each nonlinear substep;
-            None selects it automatically for odd integer powers p <= 5.
     """
 
     p: float
     dt: float
     T: float
-    scheme: str = "strang"
     snapshot_stride: int = 1
     nonlinear: bool = True
-    dealias: Optional[bool] = None
 
     def __post_init__(self):
         if not self.p > 1:
@@ -86,8 +81,6 @@ class StepperConfig:
             raise ValueError(f"final time must be nonnegative, got {self.T}")
         if self.T > 0 and self.dt > self.T * (1 + 1e-12):
             raise ValueError(f"dt = {self.dt} exceeds final time T = {self.T}")
-        if self.scheme not in ("strang", "lie"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be a positive integer")
 
@@ -98,8 +91,7 @@ class StepperConfig:
 
     @property
     def dealias_active(self) -> bool:
-        if self.dealias is not None:
-            return self.dealias
+        """The 2/3-rule truncation after each nonlinear substep: odd integer p <= 5."""
         return float(self.p).is_integer() and int(self.p) % 2 == 1 and self.p <= 5
 
 
@@ -122,17 +114,13 @@ class _Snapshots(Sequence):
         return self.u0 if k == 0 else Field(
             self.u0.grid, self.blocks[k // size][k % size][self.basis.fold])
 
-    @property
-    def samples(self) -> list[np.ndarray]:  # one stored row per snapshot
-        return [row for block in self.blocks for row in block]
-
 
 @dataclass
 class Trajectory:
     """Uniformly sampled (time, Field) snapshots from one evolution; ``tables``
     caches diagnostics.diagnostics_table by Sobolev index.  evolve stores
-    _Snapshots, which the table, prop24, the Duhamel residual, lemma34 and
-    lemma35 read unfolded."""
+    _Snapshots; the table, prop24, the Duhamel residual, lemma34 and lemma35
+    read them unfolded through blocks()."""
 
     config: StepperConfig
     times: np.ndarray
@@ -146,11 +134,6 @@ class Trajectory:
     @property
     def linear(self) -> bool:
         return not self.config.nonlinear
-
-    @property
-    def _octants(self) -> Optional[_Snapshots]:
-        s = self.snapshots
-        return s if isinstance(s, _Snapshots) and s.basis.weights is not None else None
 
     def blocks(self, start: int = 0, stop: int | None = None):
         """Yield (i, basis) over stored snapshots start..stop-1, basis.samples
@@ -213,7 +196,7 @@ def _dealias_mask(grid) -> np.ndarray:
     return reduce(np.logical_and, np.meshgrid(*[keep] * grid.n, indexing="ij", sparse=True))
 
 
-def _sum_squares(coeffs: np.ndarray, weights: Optional[np.ndarray] = None) -> float:
+def _sum_squares(coeffs: np.ndarray, weights: np.ndarray | None = None) -> float:
     # sum w |c|^2 over the real view; einsum keeps this off the BLAS thread pool
     x = coeffs.reshape(-1).view(np.float64)
     if weights is None:
@@ -224,29 +207,33 @@ def _sum_squares(coeffs: np.ndarray, weights: Optional[np.ndarray] = None) -> fl
 def strang_step(f: Field, cfg: StepperConfig) -> Field:
     """One Strang step: U(dt/2), then the exact nonlinear flow over dt,
     then U(dt/2).  With the nonlinearity disabled this is exactly U(dt)."""
-    one = replace(cfg, scheme="strang", T=cfg.dt, snapshot_stride=1)
-    return evolve(f, one).snapshots[-1]
+    return evolve(f, replace(cfg, T=cfg.dt, snapshot_stride=1)).snapshots[-1]
 
 
 def lie_step(f: Field, cfg: StepperConfig) -> Field:
-    """One first-order Lie step: nonlinear flow over dt, then U(dt)."""
-    one = replace(cfg, scheme="lie", T=cfg.dt, snapshot_stride=1)
-    return evolve(f, one).snapshots[-1]
+    """One first-order Lie step, the plain composition: the exact nonlinear
+    flow over dt, then U(dt) times the 2/3 mask when the rule applies."""
+    phase = np.exp(-1j * cfg.dt * f.grid.xi_norm)
+    if cfg.nonlinear:
+        f = nonlinear_step(f, cfg.dt, cfg.p)
+        if cfg.dealias_active:
+            phase *= _dealias_mask(f.grid)
+    return _multiply_spectral(f, phase, even=True, representation="physical")
 
 
 def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
-    """March u0 to time T, storing snapshots every snapshot_stride steps.
+    """March u0 to time T by Strang steps, storing snapshots every
+    snapshot_stride steps.
 
     The state between steps is the unscaled coefficient array fftn(u), so
     one step is an inverse FFT, the nonlinear substep, an FFT and one
     multiply by U(dt) with the 2/3 mask folded in; the linear flow needs no
-    FFT at all.  For Strang the two half-steps U(dt/2) of adjacent steps are
-    merged into that U(dt): the run opens with a half-step, and a stored
-    snapshot closes one.  Multipliers are built once per run.  Snapshots
-    are stored in blocks (_Snapshots), each allocated with its first row;
-    a row takes its snapshot's coefficients, and one in-place inverse per
-    full block makes them samples.  A nonlinear Lie row takes ifftn(c) at
-    once: the next step reuses it.
+    FFT at all.  The two half-steps U(dt/2) of adjacent steps are merged
+    into that U(dt): the run opens with a half-step, and a stored snapshot
+    closes one.  Multipliers are built once per run.  Snapshots are stored
+    in blocks (_Snapshots), each allocated with its first row; a row takes
+    its snapshot's coefficients, and one in-place inverse per full block
+    makes them samples.
 
     Both substeps keep mirror symmetry, so for mirror-symmetric data with
     n >= 2 (a centred gaussian) the loop runs on the DCT-I octant of
@@ -268,16 +255,15 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
     if weights is not None:  # per real and imaginary part of the real view
         weights = np.repeat(weights.reshape(-1), 2)
     xi_norm = grid.xi_norm[modes]
-    split = cfg.nonlinear and cfg.scheme == "strang"
     mask = _dealias_mask(grid)[modes] if cfg.nonlinear and cfg.dealias_active else True
-    if split:
+    if cfg.nonlinear:
         half = np.exp(-0.5j * cfg.dt * xi_norm)
         close = half * mask
         full = close * half
     else:
-        full = np.exp(-1j * cfg.dt * xi_norm) * mask
-    c = fwd(state)
-    if split:
+        full = np.exp(-1j * cfg.dt * xi_norm)
+    c = fwd(state)  # after the multipliers: made first, it raised 64^3 peak RSS by 0.7 MB
+    if cfg.nonlinear:
         c *= half
     corner = weights is not None and mask is not True  # masked after step 1
     cfwd, cinv = fields._corner_pair(grid.n, grid.N, grid.N // 3 + 1) if corner else basis[1:3]
@@ -291,15 +277,13 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
     blocks[0][0] = state
     times = [0.0]
     prev_norm = norm0
-    v = None  # inv(c), when a stored Lie snapshot already holds it
     for k in range(1, n_steps + 1):
         w = c
         if cfg.nonlinear:
-            if v is None:
-                v = (cinv if k > 1 else inv)(c, overwrite_x=True)
+            v = (cinv if k > 1 else inv)(c, overwrite_x=True)
             w = cfwd(_decay(v, cfg.dt, cfg.p), overwrite_x=True)
+            del v  # the step's samples go before a row is stored
         c = w * full
-        v = None
         norm = math.sqrt(parseval * _sum_squares(c, weights))
         if not math.isfinite(norm):
             raise FloatingPointError(
@@ -316,14 +300,11 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
             if j == 0:
                 blocks.append(np.empty((min(size, count - len(times)), *state.shape), complex))
             times.append(k * cfg.dt)
-            if cfg.nonlinear and not split:  # Lie: the next step starts from it
-                blocks[-1][j] = v = cinv(c)
-            else:
-                blocks[-1][j] = w * close if split else c
-                if j + 1 == len(blocks[-1]):  # full: rows after u0 to samples
-                    coeffs = blocks[-1][1 if len(blocks) == 1 else 0 :]
-                    if not np.may_share_memory(out := cinv(coeffs, overwrite_x=True), coeffs):
-                        coeffs[...] = out  # scipy.fft did not transform in place
+            blocks[-1][j] = w * close if cfg.nonlinear else c
+            if j + 1 == len(blocks[-1]):  # full: rows after u0 to samples
+                coeffs = blocks[-1][1 if len(blocks) == 1 else 0 :]
+                if not np.may_share_memory(out := cinv(coeffs, overwrite_x=True), coeffs):
+                    coeffs[...] = out  # scipy.fft did not transform in place
     # the basis keeps a view, not the octant copy of u0
     stored = _Snapshots(u, basis._replace(samples=blocks[0][0]), blocks)
     return Trajectory(cfg, np.asarray(times), stored)

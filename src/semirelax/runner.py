@@ -187,7 +187,7 @@ def _apply_variation(base: Scenario, key: str, raw) -> Scenario:
     elif key == "N":
         sc.N = value
     elif key == "amplitude":
-        kind, args = _parse_initial(base.initial)
+        kind, args = _parse_initial(base)
         if kind not in _AMPLITUDE_ARG:
             raise ScenarioError(f"cannot sweep the amplitude of {base.initial!r}")
         args = list(args)
@@ -270,7 +270,7 @@ def _aggregate_amplitude_threshold(aggregate, members, results):
     stable and passes every requested check."""
     passing, failing = [], []
     for sc, res in zip(members, results):
-        kind, args = _parse_initial(sc.initial)
+        kind, args = _parse_initial(sc)
         value = args[_AMPLITUDE_ARG[kind]]
         if isinstance(res, RunReport) and res.all_passed:
             passing.append(value)

@@ -15,7 +15,7 @@ Config grammar (INI-style, parsed by configparser):
     dt = 1e-3
     T = 1.0
     snapshot_stride = 1       # optional, default 1
-    nonlinear = true          # optional, default true
+    nonlinear = true          # optional, default true (or yes/no, on/off, 1/0, false)
     initial = gaussian(0.5, 1.0, 0.0)   # or mode(k, amplitude) or file(path)
     checks = prop21, prop22   # comma-separated keys of checks.CHECKS
 """
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import configparser
 import importlib.resources
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -64,7 +65,7 @@ class Scenario:
         if self.N is None or self.L is None:
             raise ScenarioError(f"scenario {self.name!r} has no spectral grid (N, L)")
         grid = make_grid(self.n, self.N, self.L)
-        kind, args = _parse_initial(self.initial)
+        kind, args = _parse_initial(self)
         if kind == "gaussian":
             amp, width, center = args
             return gaussian_field(grid, amp, width, center)
@@ -83,7 +84,7 @@ class Scenario:
     def initial_profile(self) -> RadialProfile:
         if self.M is None or self.R is None:
             raise ScenarioError(f"scenario {self.name!r} has no radial grid (M, R)")
-        kind, args = _parse_initial(self.initial)
+        kind, args = _parse_initial(self)
         if kind != "gaussian":
             raise ScenarioError(
                 f"scenario {self.name!r}: the radial profile needs gaussian initial data"
@@ -98,26 +99,34 @@ class Scenario:
         )
 
 
-def _parse_initial(spec: str):
-    m = re.fullmatch(r"\s*(gaussian|mode|file)\s*\(([^)]*)\)\s*", spec)
+def _parse_initial(sc: Scenario):
+    m = re.fullmatch(r"\s*(gaussian|mode|file)\s*\(([^)]*)\)\s*", sc.initial)
     if not m:
         raise ScenarioError(
-            f"bad initial-data spec {spec!r}; expected gaussian(a, w, c), "
-            "mode(k, a) or file(path)"
+            f"scenario {sc.name!r}: bad initial-data spec {sc.initial!r}; expected "
+            "gaussian(a, w, c), mode(k, a) or file(path)"
         )
     kind, body = m.group(1), m.group(2)
     parts = [s.strip() for s in body.split(",")] if body.strip() else []
-    if kind == "gaussian":
-        if len(parts) != 3:
-            raise ScenarioError("gaussian initial data needs (amplitude, width, center)")
-        return kind, tuple(float(s) for s in parts)
-    if kind == "mode":
-        if len(parts) != 2:
-            raise ScenarioError("mode initial data needs (k, amplitude)")
-        return kind, (float(parts[0]), float(parts[1]))
-    if len(parts) != 1:
-        raise ScenarioError("file initial data needs a single path")
-    return kind, (parts[0],)
+    if kind == "file":
+        if len(parts) != 1:
+            raise ScenarioError(f"scenario {sc.name!r}: file initial data needs a single path")
+        return kind, (parts[0],)
+    names = ("amplitude", "width", "center") if kind == "gaussian" else ("k", "amplitude")
+    try:
+        args = tuple(float(s) for s in parts)
+    except ValueError:
+        args = ()
+    if len(args) != len(names) or not all(map(math.isfinite, args)):
+        raise ScenarioError(
+            f"scenario {sc.name!r}: {kind} initial data needs finite numbers "
+            f"({', '.join(names)}), got {sc.initial!r}"
+        )
+    if kind == "gaussian" and not args[1] > 0:
+        raise ScenarioError(f"scenario {sc.name!r}: gaussian width must be positive")
+    if kind == "mode" and not args[0].is_integer():
+        raise ScenarioError(f"scenario {sc.name!r}: mode number k must be an integer")
+    return kind, args
 
 
 def _validate(sc: Scenario) -> None:
@@ -128,7 +137,7 @@ def _validate(sc: Scenario) -> None:
         raise ScenarioError(f"scenario {sc.name!r}: unknown checks {unknown}")
     if sc.solver in ("spectral", "both") and (sc.N is None or sc.L is None):
         raise ScenarioError(f"scenario {sc.name!r}: spectral solver needs N and L")
-    kind, args = _parse_initial(sc.initial)
+    kind, args = _parse_initial(sc)
     try:  # the solvers' own rules, checked by the code that enforces them
         if sc.solver in ("spectral", "both"):
             make_grid(sc.n, sc.N, sc.L)
@@ -154,17 +163,16 @@ def _validate(sc: Scenario) -> None:
 
 
 def _get(section, key, cast, default=None, required=False):
+    name = section.name.split(".", 1)[1]
     if key not in section:
         if required:
-            raise ScenarioError(f"missing key {key!r} in [{section.name}]")
+            raise ScenarioError(f"scenario {name!r}: missing key {key!r}")
         return default
     raw = section[key]
-    try:
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
+    try:  # a boolean is one of configparser's words: true/false, yes/no, on/off, 1/0
+        return section.getboolean(key) if cast is bool else cast(raw)
     except ValueError as exc:
-        raise ScenarioError(f"bad value for {key!r} in [{section.name}]: {raw!r}") from exc
+        raise ScenarioError(f"scenario {name!r}: bad value for {key!r}: {raw!r}") from exc
 
 
 def load_config(path) -> list[Scenario]:

@@ -5,10 +5,11 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.fft
 
-from semirelax import ScenarioError, load_config, run, sweep
+from semirelax import ScenarioError, load_config, run, sweep, to_physical
 from semirelax import runner
 from semirelax.checks import LEMMA35_TOL, spectral_vs_wave_disagreement
 from semirelax.radial import maximal_domination_gap
@@ -513,14 +514,21 @@ class TestHelpers:
     def test_disagreement_reads_the_stored_octant(self, tmp_path, monkeypatch):
         # the axis line of an octant-resident run is read off its stored
         # octant, with no fold: the samples of the full-grid line
-        from semirelax.propagator import Trajectory, _Snapshots
+        from scipy.interpolate import CubicSpline
+
+        from semirelax.propagator import _Snapshots
         from semirelax.runner import _RunContext
 
         (sc,) = load_config(write_config(tmp_path, RADIAL))
         ctx = _RunContext(sc)
         traj, rtraj = ctx.traj, ctx.radial_traj
-        by_hand = Trajectory(traj.config, traj.times, list(traj.snapshots))
-        expected = spectral_vs_wave_disagreement(by_hand, rtraj)
+        assert traj.snapshots.basis.weights is not None
+        g, half, prof = traj.grid, traj.grid.N // 2, rtraj.profiles[-1]
+        line = to_physical(traj.snapshots[-1]).values[half + 1 :, half, half]
+        radii = g.axis[half + 1 :]
+        keep = radii <= prof.r[-1]
+        wave = CubicSpline(prof.r, prof.values, bc_type="not-a-knot")(radii[keep])
+        expected = np.max(np.abs(line[keep] - wave)) / np.max(np.abs(wave))
         getitem = _Snapshots.__getitem__
 
         def no_fold(store, k):

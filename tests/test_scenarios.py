@@ -250,12 +250,20 @@ class TestSolverRulesAtLoad:
             "dt = 1e-2", "dt = 5"), "exceeds final time"),
         (WAVE_ONLY.replace("R = 10", "R = 4").replace("T = 0.05", "T = 3.9").replace(
             "dt = 1e-2", "dt = 2"), "radial boundary"),
+        # grammar: each of these once ran the wrong flow or crashed mid-run
+        (GOOD + "nonlinear = flase\n", "bad value for 'nonlinear': 'flase'"),
+        (GOOD.replace("gaussian(0.5, 1.0, 0.0)", "gaussian(0.5, one, 0.0)"),
+         r"needs finite numbers \(amplitude, width, center\)"),
+        (GOOD.replace("gaussian(0.5, 1.0, 0.0)", "mode(1.5, 0.5)"), "k must be an integer"),
+        (GOOD.replace("gaussian(0.5, 1.0, 0.0)", "gaussian(0.5, 0.0, 0.0)"),
+         "width must be positive"),
     ], ids=[
         "N_100", "L_negative", "dt_negative", "dt_above_T", "T_negative", "stride_0",
         "radial_T_at_R", "p_1", "radial_p_4", "radial_M_8", "T_0_prop21",
         "duhamel_two_snapshots", "lemma35_spectral", "cor37_mode_data", "cor39_M_8",
         "cor37_off_centre", "cor37_n_1", "lemma33_mode_data", "radial_dt_above_T",
-        "radial_last_step_at_R",
+        "radial_last_step_at_R", "nonlinear_flase", "gaussian_width_word", "mode_k_1.5",
+        "gaussian_width_0",
     ])
     def test_rejected_at_load_and_cli_exits_2(self, tmp_path, capsys, body, rule):
         from semirelax.cli import main
@@ -302,6 +310,14 @@ class TestSolverRulesAtLoad:
             load_config(path)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: scenario")
+
+    def test_every_stepper_field_is_a_scenario_field(self):
+        # a stepping knob that no scenario file can set would be test-only
+        from dataclasses import fields
+
+        from semirelax import Scenario, StepperConfig
+
+        assert {f.name for f in fields(StepperConfig)} <= {f.name for f in fields(Scenario)}
 
 
 class TestShippedCatalog:
