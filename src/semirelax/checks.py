@@ -25,7 +25,7 @@ import numpy as np
 from . import diagnostics as diag
 from .norms import l2_norm
 from .propagator import StepperConfig, Trajectory, duhamel_residual
-from .radial import RadialTrajectory, maximal_bound_check, maximal_domination_gap
+from .radial import RadialTrajectory, _Spline, maximal_bound_check, maximal_domination_gap
 
 # residual thresholds at the reference step dt = 1e-3
 PROP21_TOL = 1.0e-6
@@ -212,7 +212,6 @@ def broken_hypothesis(sc, check: str, initial_kind: str, initial_args) -> str | 
 def spectral_vs_wave_disagreement(traj: Trajectory, rtraj: RadialTrajectory) -> float:
     """Relative L^inf gap at the final common time between the 3-d spectral
     solution along the positive first axis and the wave-form profile."""
-    from scipy.interpolate import CubicSpline
     grid = traj.grid
     half = grid.N // 2
     (_, last), = traj.blocks(len(traj.times) - 1)
@@ -221,7 +220,7 @@ def spectral_vs_wave_disagreement(traj: Trajectory, rtraj: RadialTrajectory) -> 
     radii = grid.axis[half + 1 :]
     prof = rtraj.profiles[-1]
     keep = radii <= prof.r[-1]
-    wave_vals = CubicSpline(prof.r, prof.values, bc_type="not-a-knot")(radii[keep])
+    wave_vals = _Spline(prof.r, prof.values)(radii[keep])
     scale = float(np.max(np.abs(wave_vals)))
     if scale == 0:
         return float(np.max(np.abs(axis_vals[keep])))

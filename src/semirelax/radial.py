@@ -11,8 +11,9 @@ factor away from the origin.  The kernel
 is evaluated by JEvaluator from a cubic spline of f~ and the antiderivative
 of the spline of lambda f~, both zero beyond the last node; polynomials of
 degree <= 3 are integrated exactly, so J[1](t, r) = t to machine precision
-wherever the window stays inside the sampled range.  scipy.interpolate is
-imported where a spline is built, so importing the package does not load it.
+wherever the window stays inside the sampled range.  The splines are
+_Spline, an in-package not-a-knot spline that agrees bit for bit with
+scipy's CubicSpline, so no run loads scipy.interpolate.
 
 D and the Volterra march use the type-II sine series of v = r u~, where by
 Kirchhoff's formula r J[f](t) = sin(t xi)/xi v and r dJ/dt[f](t) = cos(t xi) v.
@@ -52,6 +53,7 @@ __all__ = [
 
 REGULARIZATION_EPS = 1e-30
 DECAY_TOL = 1e-8
+_CHUNK = 8192  # points per pass of a spline evaluation
 
 
 @dataclass(frozen=True)
@@ -173,6 +175,94 @@ def radial_sobolev_norm(f: RadialProfile, s: float) -> float:
     return float(np.sqrt(4.0 * np.pi * np.sum(xi ** (2.0 * s) * power) * f.dr))
 
 
+class _Spline:
+    """Not-a-knot cubic spline through (x, y) on uniformly spaced nodes x,
+    extrapolated by its end cubics.  It is scipy's
+    CubicSpline(x, y, bc_type="not-a-knot", extrapolate=True) bit for bit:
+    the same slope system and power-basis coefficients (c[k, i] multiplies
+    (x - x[i])^(len(c) - 1 - k)), and the elimination LAPACK's gtsv runs on
+    that system when it swaps no rows, which holds on uniform nodes: each
+    diagonal entry is at least the one below it."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=np.result_type(y, float))
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        d, e = x[2] - x[0], x[-1] - x[-3]
+        b = np.empty_like(y)
+        b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * e + dx[-1]) * dx[-2] * slope[-1]) / e
+        h = dx.tolist()
+        upper = [float(d), *h[:-1]]
+        main = [h[1], *(2 * (dx[:-1] + dx[1:])).tolist(), h[-2]]
+        lower = [*h[1:], float(e)]
+        s = b.tolist()
+        for k in range(x.size - 1):
+            m = lower[k] / main[k]
+            main[k + 1] -= m * upper[k]
+            s[k + 1] -= m * s[k]
+        s[-1] /= main[-1]
+        for k in range(x.size - 2, -1, -1):
+            s[k] = (s[k] - upper[k] * s[k + 1]) / main[k]
+        s = np.array(s, dtype=y.dtype)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+    @classmethod
+    def _of(cls, x: np.ndarray, c: np.ndarray) -> _Spline:
+        spline = cls.__new__(cls)
+        spline.x, spline.c = x, c
+        return spline
+
+    def __call__(self, x) -> np.ndarray:
+        """PPoly's power sum on the interval x[i] <= x < x[i+1], the end
+        intervals continuing outward, in chunks of _CHUNK points so that
+        the temporaries stay in cache."""
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape, dtype=self.c.dtype)
+        xs, outs = x.reshape(-1), out.reshape(-1)
+        for a in range(0, xs.size, _CHUNK):
+            xa, acc = xs[a : a + _CHUNK], outs[a : a + _CHUNK]
+            i = np.searchsorted(self.x, xa, side="right")
+            i -= 1
+            np.clip(i, 0, self.x.size - 2, out=i)
+            s = xa - self.x.take(i)
+            self.c[-1].take(i, out=acc)
+            z = s.copy()
+            for k in range(self.c.shape[0] - 2, -1, -1):
+                term = self.c[k].take(i)
+                term *= z
+                acc += term
+                if k:
+                    z *= s
+        return out
+
+    def derivative(self) -> _Spline:
+        return self._of(self.x, self.c[:-1] * np.arange(self.c.shape[0] - 1, 0, -1.0)[:, None])
+
+    def antiderivative(self) -> _Spline:
+        """The antiderivative that vanishes at x[0].  Interval i's constant
+        is piece i - 1 at x[i], its terms added one by one in PPoly's
+        order; a cumsum of the increments rounds differently."""
+        c = np.zeros((self.c.shape[0] + 1, self.c.shape[1]), dtype=self.c.dtype)
+        c[:-1] = self.c / np.arange(self.c.shape[0], 0, -1.0)[:, None]
+        h = np.diff(self.x)[:-1]
+        z, terms = h, []
+        for row in c[-2::-1]:
+            terms.append((row[:-1] * z).tolist())
+            z = z * h
+        acc, consts = c[-1, 0].item(), []
+        for increments in zip(*terms):
+            for term in increments:
+                acc += term
+            consts.append(acc)
+        c[-1, 1:] = consts
+        return self._of(self.x, c)
+
+
 def radial_halfwave_operator(f: RadialProfile) -> RadialProfile:
     """Apply D = (-Laplacian)^(1/2) to a radial profile.
 
@@ -183,8 +273,7 @@ def radial_halfwave_operator(f: RadialProfile) -> RadialProfile:
     """
     scale = float(np.max(np.abs(f.values)))
     if scale > 0:
-        from scipy.interpolate import CubicSpline
-        edge = abs(CubicSpline(f.r, f.values, bc_type="not-a-knot")(f.R))
+        edge = abs(_Spline(f.r, f.values)(f.R))
         if edge > DECAY_TOL * scale:
             raise ValueError(
                 "profile does not decay at the radial boundary "
@@ -196,16 +285,27 @@ def radial_halfwave_operator(f: RadialProfile) -> RadialProfile:
 
 class JEvaluator:
     """J[f] and dJ/dt of one profile, from the splines of f~ and r f~ (both
-    zero beyond the last node).  t is a scalar or a column ts[:, None]; a
-    column adds a leading time axis to the result."""
+    zero beyond the last node), each built at its first use: j reads only
+    the antiderivative of the spline of r f~, dj_dt only the spline of f~.
+    t is a scalar or a column ts[:, None]; a column adds a leading time
+    axis to the result."""
 
     def __init__(self, f: RadialProfile):
-        from scipy.interpolate import CubicSpline
-        r = f.r
-        self.r_last = float(r[-1])
-        self._point = CubicSpline(r, f.values, bc_type="not-a-knot", extrapolate=True)
-        g = CubicSpline(r, r * f.values, bc_type="not-a-knot", extrapolate=True)
-        self._anti = g.antiderivative()
+        self._f = f
+        self.r_last = float(f.r[-1])
+
+    @cached_property
+    def _point(self) -> _Spline:
+        return _Spline(self._f.r, self._f.values)
+
+    @cached_property
+    def _slope(self) -> _Spline:
+        return self._point.derivative()
+
+    @cached_property
+    def _anti(self) -> _Spline:
+        r = self._f.r
+        return _Spline(r, r * self._f.values).antiderivative()
 
     def point(self, x: np.ndarray) -> np.ndarray:
         """u~ at arbitrary radii, zero beyond the last sampled node."""
@@ -215,7 +315,7 @@ class JEvaluator:
 
     def point_derivative(self, x: np.ndarray) -> np.ndarray:
         """d/dr of the interpolated u~ at arbitrary radii."""
-        return self._point.derivative()(np.asarray(x, dtype=float))
+        return self._slope(x)
 
     def j(self, t: float | np.ndarray, r: np.ndarray) -> np.ndarray:
         """J[f](t, r) as the antiderivative difference over [|r-t|, r+t]

@@ -170,9 +170,12 @@ def _get(section, key, cast, default=None, required=False):
         return default
     raw = section[key]
     try:  # a boolean is one of configparser's words: true/false, yes/no, on/off, 1/0
-        return section.getboolean(key) if cast is bool else cast(raw)
+        value = section.getboolean(key) if cast is bool else cast(raw)
     except ValueError as exc:
         raise ScenarioError(f"scenario {name!r}: bad value for {key!r}: {raw!r}") from exc
+    if cast is float and not math.isfinite(value):
+        raise ScenarioError(f"scenario {name!r}: {key!r} must be a finite number, got {raw!r}")
+    return value
 
 
 def load_config(path) -> list[Scenario]:

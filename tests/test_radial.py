@@ -219,6 +219,60 @@ class TestProfileBasics:
         assert radial_l2_norm(prof) == pytest.approx(np.sqrt(val), rel=1e-8)
 
 
+def count_spline_builds(monkeypatch) -> list:
+    """Patch radial._Spline to log each spline built from data."""
+    builds, spline = [], radial._Spline
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return spline(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "_Spline", counting)
+    return builds
+
+
+class TestSpline:
+    """radial._Spline against scipy's CubicSpline(x, y, bc_type="not-a-knot",
+    extrapolate=True) on the radial nodes: the same bits, not just close."""
+
+    @given(
+        M=st.integers(16, 2048),
+        R=st.floats(0.1, 200.0),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e100]),
+        smooth=st.booleans(),
+        real=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_bit_identical_to_scipy(self, M, R, seed, scale, smooth, real):
+        rng = np.random.default_rng(seed)
+        r = (np.arange(M) + 0.5) * (R / M)
+        z = rng.standard_normal(2)
+        if smooth:
+            y = scale * (z[0] + 1j * z[1]) * np.exp(-((r / (0.3 * R)) ** 2))
+        else:
+            y = scale * (rng.standard_normal(M) + 1j * rng.standard_normal(M))
+        if real:
+            y = y.real
+        mid = (r[:-1] + r[1:]) / 2
+        x = np.concatenate([
+            r, mid, rng.uniform(r[0], r[-1], 64),  # knots and between them
+            [-1.0, 0.0, r[0] / 2],  # left of r_0
+            [r[-1] + 1e-3 * R / M, (r[-1] + R) / 2, R, 1.5 * R],  # beyond r_last, at R
+        ])
+        ours, ref = radial._Spline(r, y), scipy.interpolate.CubicSpline(
+            r, y, bc_type="not-a-knot", extrapolate=True
+        )
+        for a, b in [
+            (ours, ref), (ours.derivative(), ref.derivative()),
+            (ours.antiderivative(), ref.antiderivative()),
+        ]:
+            assert a.c.dtype == b.c.dtype and np.array_equal(a.c, b.c)
+            assert np.array_equal(a(x), b(x))
+            assert np.array_equal(a(x.reshape(-1, 1)), b(x.reshape(-1, 1)))
+            assert np.array_equal(a(R), b(R))
+
+
 class TestJKernel:
     def test_constant_gives_t_exactly(self):
         ones = profile_from_function(lambda r: np.ones_like(r), R=10.0, M=256)
@@ -269,6 +323,20 @@ class TestJKernel:
         assert np.max(np.abs(comb - (a * jf + b * jg))) <= 1e-13 * scale * max(t, 1.0)
         ones = JEvaluator(RadialProfile(10.0, np.ones(256))).j(t, r)
         assert np.max(np.abs(ones - t)) <= 1e-13 * max(t, 1.0)
+
+    def test_each_read_builds_only_its_spline_once(self, monkeypatch):
+        builds = count_spline_builds(monkeypatch)
+        prof = gaussian_profile(M=64)
+        ev = JEvaluator(prof)
+        assert builds == []
+        for t in (0.5, 1.0):  # j reads the antiderivative of the spline of r f~
+            ev.j(t, prof.r)
+        assert len(builds) == 1
+        ev = JEvaluator(prof)
+        for t in (0.5, 1.0):  # dj_dt and point_derivative read the spline of f~
+            ev.dj_dt(t, prof.r)
+            ev.point_derivative(prof.r)
+        assert len(builds) == 2
 
     def test_rejects_nonpositive_radius(self):
         prof = gaussian_profile()
@@ -430,12 +498,7 @@ class TestRadialHalfwave:
             radial_halfwave_operator(ones)
 
     def test_decay_test_builds_one_spline(self, monkeypatch):
-        builds = []
-        spline = scipy.interpolate.CubicSpline
-        monkeypatch.setattr(
-            scipy.interpolate, "CubicSpline",
-            lambda *a, **kw: builds.append(1) or spline(*a, **kw),
-        )
+        builds = count_spline_builds(monkeypatch)
         prof = gaussian_profile(M=128)
         for calls in (1, 2, 3):
             radial_halfwave_operator(prof)
@@ -621,7 +684,7 @@ class TestSineMarch:
         assert largest_relative_gap(march.profiles, ref.profiles, march.times) <= 1e-5
 
     def test_builds_no_spline_and_transforms_linearly(self, monkeypatch):
-        builds, transforms = [], []
+        builds, transforms = count_spline_builds(monkeypatch), []
 
         def counting(fn, log):
             def wrapped(*args, **kwargs):
@@ -630,9 +693,6 @@ class TestSineMarch:
 
             return wrapped
 
-        monkeypatch.setattr(
-            scipy.interpolate, "CubicSpline", counting(scipy.interpolate.CubicSpline, builds)
-        )
         for name in ("dst", "idst"):
             monkeypatch.setattr(scipy.fft, name, counting(getattr(scipy.fft, name), transforms))
         prof = gaussian_profile(R=10.0, M=64, amp=0.1)

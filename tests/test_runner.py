@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -364,18 +365,45 @@ checks = prop13
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# in one fresh process: a catalog run that builds no spline, then a JEvaluator
+# in one fresh process: a run of the three spline readers (the cor37 and
+# cor39 probes, lemma35's cross-check), then a JEvaluator read both ways;
+# afterwards the only scipy subpackages loaded are fft and special
 IMPORT_FOOTPRINT = """
 import sys
 import numpy as np
-from semirelax import JEvaluator, default_catalog_path, load_config, profile_from_function, run
+from semirelax import JEvaluator, load_config, profile_from_function, run
 
-(sc,) = [s for s in load_config(default_catalog_path()) if s.name == "p11_1d_quintic"]
-assert run(sc, sys.argv[1], deterministic=True).all_passed
-assert "scipy.interpolate" not in sys.modules
+(sc,) = load_config(sys.argv[1])
+assert sorted(sc.checks) == ["cor37", "cor39", "lemma35"]
+assert run(sc, sys.argv[2], deterministic=True).all_passed
 ev = JEvaluator(profile_from_function(lambda r: np.exp(-r ** 2), R=8.0, M=64))
-assert "scipy.interpolate" in sys.modules
-assert np.isfinite(ev.j(0.5, np.linspace(0.1, 4.0, 16))).all()
+r = np.linspace(0.1, 4.0, 16)
+assert np.isfinite(ev.j(0.5, r)).all() and np.isfinite(ev.dj_dt(0.5, r)).all()
+assert np.isfinite(ev.point_derivative(r)).all()
+subpackages = {
+    name.split(".")[1]
+    for name, module in list(sys.modules.items())
+    if name.startswith("scipy.") and name.count(".") == 1
+    and not name.startswith("scipy._") and hasattr(module, "__path__")
+}
+assert subpackages == {"fft", "special"}, sorted(subpackages)
+"""
+
+SPLINE_READERS = """
+[scenario.spline_readers]
+n = 3
+p = 3
+s = 1.0
+solver = both
+N = 64
+L = 20
+M = 256
+R = 20
+dt = 1e-2
+T = 0.2
+snapshot_stride = 5
+initial = gaussian(0.05, 1.0, 0.0)
+checks = cor37, cor39, lemma35
 """
 
 COR37_ONLY = """
@@ -400,15 +428,35 @@ def _fresh_python(args, threads="1"):
     )
 
 
-class TestDeferredSplineImport:
-    def test_spline_module_loads_at_first_spline_build(self, tmp_path):
-        # the test process already holds the module, so ask a fresh one
-        proc = _fresh_python(["-c", IMPORT_FOOTPRINT, str(tmp_path / "out")])
+class TestImportFootprint:
+    def test_spline_readers_load_only_fft_and_special(self, tmp_path):
+        # the test process already holds scipy.interpolate, so ask a fresh one
+        path = write_config(tmp_path, SPLINE_READERS)
+        proc = _fresh_python(["-c", IMPORT_FOOTPRINT, str(path), str(tmp_path / "out")])
         assert proc.returncode == 0, proc.stderr
 
-    def test_first_spline_build_inside_sweep_threads(self, tmp_path):
-        # each member's first JEvaluator runs on a worker thread of a fresh
-        # process, so the deferred import happens there
+    def test_no_module_imports_a_heavy_scipy_subpackage(self):
+        # guards the paths the footprint run does not take (sweep, plots)
+        heavy = {f"scipy.{name}" for name in ("interpolate", "optimize", "linalg", "spatial")}
+        found = []
+        for path in sorted(Path(SRC, "semirelax").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [f"{node.module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                found += [
+                    f"{path.name}:{node.lineno} {name}"
+                    for name in names
+                    if ".".join(name.split(".")[:2]) in heavy
+                ]
+        assert found == []
+
+    def test_radial_probes_inside_sweep_threads(self, tmp_path):
+        # each member builds its JEvaluator splines on a worker thread of a
+        # fresh process, and the threaded sweep agrees with the serial one
         path = write_config(tmp_path, COR37_ONLY)
         vary = ["--vary", "amplitude=0.05,0.1,0.15,0.2"]
         cmd = ["-m", "semirelax", "sweep", "--config", str(path), *vary]

@@ -257,13 +257,19 @@ class TestSolverRulesAtLoad:
         (GOOD.replace("gaussian(0.5, 1.0, 0.0)", "mode(1.5, 0.5)"), "k must be an integer"),
         (GOOD.replace("gaussian(0.5, 1.0, 0.0)", "gaussian(0.5, 0.0, 0.0)"),
          "width must be positive"),
+        # non-finite numbers: each crashed the stepper, failed a check or
+        # wrote a NaN column instead of stopping at load
+        (GOOD.replace("T = 0.1", "T = inf"), "'T' must be a finite number, got 'inf'"),
+        (GOOD.replace("p = 3", "p = inf"), "'p' must be a finite number, got 'inf'"),
+        (GOOD.replace("L = 20", "L = inf"), "'L' must be a finite number, got 'inf'"),
+        (GOOD.replace("s = 1.5", "s = nan"), "'s' must be a finite number, got 'nan'"),
     ], ids=[
         "N_100", "L_negative", "dt_negative", "dt_above_T", "T_negative", "stride_0",
         "radial_T_at_R", "p_1", "radial_p_4", "radial_M_8", "T_0_prop21",
         "duhamel_two_snapshots", "lemma35_spectral", "cor37_mode_data", "cor39_M_8",
         "cor37_off_centre", "cor37_n_1", "lemma33_mode_data", "radial_dt_above_T",
         "radial_last_step_at_R", "nonlinear_flase", "gaussian_width_word", "mode_k_1.5",
-        "gaussian_width_0",
+        "gaussian_width_0", "T_inf", "p_inf", "L_inf", "s_nan",
     ])
     def test_rejected_at_load_and_cli_exits_2(self, tmp_path, capsys, body, rule):
         from semirelax.cli import main
