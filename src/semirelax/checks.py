@@ -77,9 +77,9 @@ def _check_prop24(ctx) -> tuple[bool, dict]:
 
 def _check_scaling(ctx) -> tuple[bool, dict]:
     sc = ctx.scenario
-    data, ok = {}, True
+    data, ok, u0 = {}, True, ctx.u0
     for sigma in (0.5, 2.0):
-        res = diag.check_scaling_law(ctx.u0, sigma, sc.s, sc.p)
+        res = diag.check_scaling_law(u0, sigma, sc.s, sc.p)
         data[f"relative_sigma_{sigma}"] = res.relative
         ok = ok and res.relative < SCALING_TOL
     return ok, data

@@ -101,7 +101,7 @@ def diagnostics_table(traj: Trajectory, s: float = 1.0) -> dict[str, np.ndarray]
         rows = slice(i, i + len(samples))
         if sobolev is None:
             sobolev = [
-                (name, spec, np.abs(spec._at(grid.xi_norm[basis.modes])))
+                (name, spec, np.abs(spec._at(grid.xi_norm_at(basis.modes))))
                 for name, spec in specs
             ]
         coeffs = forward(samples)
@@ -371,11 +371,12 @@ def weighted_strichartz_ratio(
         raise ValueError("weighted space-time probe requires a linear trajectory")
     if q1 < 2:
         raise ValueError(f"time exponent must satisfy q1 >= 2, got {q1}")
-    denom = l2_norm(traj.snapshots[0])
+    u0 = traj.snapshots[0]  # a fold of the stored row: read once
+    denom = l2_norm(u0)
     if denom == 0:
         return 0.0
     (_, first), = traj.blocks(0, 1)  # octant samples count by their multiplicities
-    weighted = _weighted_l2(traj.snapshots[0], delta, q1, sign=-1, weights=first.weights)
+    weighted = _weighted_l2(u0, delta, q1, sign=-1, weights=first.weights)
     rows = [row for _, basis in traj.blocks() for row in basis.samples]
     num = space_time_norm((traj.times, rows), q1, weighted)
     return num / denom

@@ -117,16 +117,13 @@ def _is_even_symbol(grid: Grid, arr: np.ndarray) -> bool:
     return bool(np.max(np.abs(arr - mirrored)) <= 1e-14 * scale)
 
 
-def _zero_nyquist(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """A copy with the Nyquist plane of every grid axis zeroed; the grid axes
-    are the trailing ones, so a stack of coefficient arrays works too."""
-    out = coeffs.copy()
-    ny = grid.N // 2
-    for ax in range(grid.n):
-        sl = [slice(None)] * grid.n
-        sl[ax] = ny
-        out[(Ellipsis, *sl)] = 0.0
-    return out
+def _zero_nyquist(grid: Grid, coeffs: np.ndarray, axes=None) -> np.ndarray:
+    """Zero, in place, the Nyquist plane of every grid axis (or of ``axes``)
+    and return coeffs; the grid axes are the trailing ones, so a stack of
+    coefficient arrays works too."""
+    for ax in range(grid.n) if axes is None else axes:
+        coeffs[(Ellipsis, grid.N // 2, *[slice(None)] * (grid.n - 1 - ax))] = 0.0
+    return coeffs
 
 
 def _stack_axes(grid: Grid) -> tuple[int, ...]:
@@ -194,19 +191,19 @@ def _derivative(basis: _Basis, coeffs: np.ndarray, grid: Grid, axes: tuple) -> n
     DST-I between them; every other axis is DCT-I, times -xi^2 if taken twice."""
     k = grid.wavenumber_arrays
     odd = [a for a in axes if axes.count(a) == 1]
-    if odd:
-        coeffs = _zero_nyquist(grid, coeffs)
     if basis.weights is None or not odd:
         symbol = 1j * k[axes[0]] if len(axes) == 1 else -(k[axes[0]] * k[axes[1]])
-        out = basis.inverse(coeffs * symbol[basis.modes], overwrite_x=True)
+        product = coeffs * symbol[basis.modes]
+        out = basis.inverse(_zero_nyquist(grid, product) if odd else product, overwrite_x=True)
     else:
-        inner = slice(1, grid.N // 2)
+        inner = slice(1, grid.N // 2)  # the odd axes keep no Nyquist plane
         at = (Ellipsis, *(inner if a in odd else slice(None) for a in range(grid.n)))
         xi = [-grid.wavenumbers[inner].reshape((-1,) + (1,) * (grid.n - 1 - a)) for a in odd]
-        d = scipy.fft.idstn(coeffs[at] * reduce(np.multiply, xi), type=1,
-                            axes=[a - grid.n for a in odd], overwrite_x=True)
-        if even := [a - grid.n for a in range(grid.n) if a not in odd]:
-            d = scipy.fft.idctn(d, type=1, axes=even, overwrite_x=True)
+        even = [a for a in range(grid.n) if a not in odd]
+        product = _zero_nyquist(grid, coeffs[at] * reduce(np.multiply, xi), even)
+        d = scipy.fft.idstn(product, type=1, axes=[a - grid.n for a in odd], overwrite_x=True)
+        if even:
+            d = scipy.fft.idctn(d, type=1, axes=[a - grid.n for a in even], overwrite_x=True)
         out = np.zeros(coeffs.shape, complex)
         out[at] = d
     out /= grid.cell_volume
@@ -277,11 +274,8 @@ def _multiply_spectral(f: Field, arr: np.ndarray, even: bool,
                        representation: str) -> Field:
     """Multiplier application with evenness already established; symbols of
     known parity (the propagator phase, |xi|, derivatives) skip detection."""
-    spec = to_spectral(f)
-    coeffs = spec.values
-    if not even:
-        coeffs = _zero_nyquist(f.grid, coeffs)
-    out = Field(f.grid, coeffs * arr, SPECTRAL)
+    product = to_spectral(f).values * arr
+    out = Field(f.grid, product if even else _zero_nyquist(f.grid, product), SPECTRAL)
     return to_physical(out) if representation == PHYSICAL else out
 
 

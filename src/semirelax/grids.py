@@ -76,10 +76,15 @@ class Grid:
     @cached_property
     def xi_norm(self) -> np.ndarray:
         """|xi| at every grid mode, FFT order."""
-        out = np.sqrt(sum(k**2 for k in self.wavenumber_arrays))
-        out = np.asarray(out)
+        out = np.asarray(self.xi_norm_at(()))
         out.setflags(write=False)
         return out
+
+    def xi_norm_at(self, modes: tuple) -> np.ndarray:
+        """xi_norm[modes] for a tuple of per-axis slices (or () for every
+        mode), built from the wavenumbers at those modes alone: the same
+        expression, so the same bits, without the full-grid array."""
+        return np.sqrt(sum(k[modes] ** 2 for k in self.wavenumber_arrays))
 
     @cached_property
     def radii(self) -> np.ndarray:

@@ -18,9 +18,11 @@ snapshots, inverse transformed once when the block is full.  The
 per-step L^2 check uses Parseval on the coefficients.  Mirror-symmetric data
 with n >= 2 run and are stored on the (N/2+1)^n octant under a DCT-I pair
 (fields._basis), about a quarter of the cost at 64^3; 1-d data keep the FFT pair.
-With the 2/3 mask on, only the [0, N/3]^n octant corner survives a step, so
-every transform after step 1's inverse takes fields._corner_pair: the same
-bits from the 70 % of the 1-d lines that touch it at 64^3 (83 % in 2-d).
+The run keeps no other copy of u0 and builds |xi| and the mask only at the
+stored modes, so an octant run holds no full-grid array.  With the 2/3 mask
+on, only the [0, N/3]^n octant corner survives a step, so every transform
+after step 1's inverse takes fields._corner_pair: the same bits from the
+70 % of the 1-d lines that touch it at 64^3 (83 % in 2-d).
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ class StepperConfig:
     """Time-stepping parameters.
 
     Attributes:
-        p: nonlinearity power, > 1.
-        dt: time step, > 0.
-        T: final time, >= 0 (T = 0 yields only the initial snapshot).
+        p: nonlinearity power, finite, > 1.
+        dt: time step, finite, > 0.
+        T: final time, finite, >= 0 (T = 0 yields only the initial snapshot).
         snapshot_stride: store every stride-th step.
         nonlinear: disable to evolve with the unitary group only.
     """
@@ -73,6 +75,9 @@ class StepperConfig:
     nonlinear: bool = True
 
     def __post_init__(self):
+        for name in ("p", "dt", "T"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.p > 1:
             raise ValueError(f"nonlinearity power must exceed 1, got {self.p}")
         if not self.dt > 0:
@@ -96,13 +101,14 @@ class StepperConfig:
 
 
 class _Snapshots(Sequence):
-    """The snapshots of a run of evolve: rows 0, 1, ... of the (B, *shape)
-    ``blocks`` are their samples under ``basis`` (fields._basis of u0).
+    """The snapshots of a run of evolve on ``grid``: rows 0, 1, ... of the
+    (B, *shape) ``blocks`` are their samples under ``basis`` (fields._basis
+    of u0), and they are the only copy of the run's data, u0 included.
     Item k is its row folded to a full-grid Field (a view unless
-    octant-resident); item 0 is u0 itself."""
+    octant-resident), item 0 like every other."""
 
-    def __init__(self, u0: Field, basis: _Basis, blocks: list[np.ndarray]):
-        self.u0, self.basis, self.blocks = u0, basis, blocks
+    def __init__(self, grid, basis: _Basis, blocks: list[np.ndarray]):
+        self.grid, self.basis, self.blocks = grid, basis, blocks
 
     def __len__(self) -> int:
         return sum(map(len, self.blocks))
@@ -111,16 +117,18 @@ class _Snapshots(Sequence):
         if isinstance(k, slice):
             return [self[j] for j in range(len(self))[k]]
         k, size = range(len(self))[k], len(self.blocks[0])
-        return self.u0 if k == 0 else Field(
-            self.u0.grid, self.blocks[k // size][k % size][self.basis.fold])
+        return Field(self.grid, self.blocks[k // size][k % size][self.basis.fold])
 
 
 @dataclass
 class Trajectory:
     """Uniformly sampled (time, Field) snapshots from one evolution; ``tables``
     caches diagnostics.diagnostics_table by Sobolev index.  evolve stores
-    _Snapshots; the table, prop24, the Duhamel residual, lemma34 and lemma35
-    read them unfolded through blocks()."""
+    _Snapshots, which own the initial data: snapshot 0 is the fold of its
+    stored row, equal to u0 (up to the sign of a mirrored zero).  The table,
+    prop24, the Duhamel residual, lemma34 and lemma35 read them unfolded
+    through blocks(), and grid is the stored grid, so reading it folds
+    nothing."""
 
     config: StepperConfig
     times: np.ndarray
@@ -129,7 +137,8 @@ class Trajectory:
 
     @property
     def grid(self):
-        return self.snapshots[0].grid
+        stored = self.snapshots
+        return stored.grid if isinstance(stored, _Snapshots) else stored[0].grid
 
     @property
     def linear(self) -> bool:
@@ -191,9 +200,11 @@ def _decay(v: np.ndarray, tau: float, p: float) -> np.ndarray:
     return v * factor
 
 
-def _dealias_mask(grid) -> np.ndarray:
+def _dealias_mask(grid, modes: tuple = ()) -> np.ndarray:
+    """The 2/3-rule mask at the modes ``modes`` indexes, as Grid.xi_norm_at."""
     keep = np.abs(np.fft.fftfreq(grid.N, d=1.0 / grid.N)) <= grid.N // 3
-    return reduce(np.logical_and, np.meshgrid(*[keep] * grid.n, indexing="ij", sparse=True))
+    axes = np.meshgrid(*[keep] * grid.n, indexing="ij", sparse=True)
+    return reduce(np.logical_and, [k[modes] for k in axes])
 
 
 def _sum_squares(coeffs: np.ndarray, weights: np.ndarray | None = None) -> float:
@@ -240,8 +251,11 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
     fields._basis, its Parseval sums weighted by the mode multiplicities,
     about a quarter of the cost at 64^3, storing each snapshot as its octant
     array, folded only when read as a Field; 1-d data keep the FFT pair.
-    With the 2/3 mask active, the forwards, the inverses after step 1 and
-    those of stored rows skip the lines the mask zeroes (_corner_pair).
+    u0 is dropped once its samples are taken: the trajectory holds the only
+    copy, as row 0, and |xi| and the mask are built at the basis modes
+    alone (Grid.xi_norm_at).  With the 2/3 mask active, the forwards, the
+    inverses after step 1 and those of stored rows skip the lines the mask
+    zeroes (_corner_pair).
 
     The discrete L^2 norm is checked to be nonincreasing after every step
     (tolerance 1e-10 relative to the initial norm, by Parseval on the
@@ -249,13 +263,14 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
     index, which signals an excessively large dt.
     """
     n_steps = cfg.n_steps
-    u = to_physical(u0)
-    grid = u.grid
-    state, fwd, inv, modes, weights, _ = basis = _basis(u.values, grid.n)
+    grid = u0.grid
+    basis = _basis(to_physical(u0).values, grid.n)
+    del u0  # the trajectory owns the initial data: an octant keeps only its octant
+    state, fwd, inv, modes, weights, _ = basis
     if weights is not None:  # per real and imaginary part of the real view
         weights = np.repeat(weights.reshape(-1), 2)
-    xi_norm = grid.xi_norm[modes]
-    mask = _dealias_mask(grid)[modes] if cfg.nonlinear and cfg.dealias_active else True
+    xi_norm = grid.xi_norm_at(modes)
+    mask = _dealias_mask(grid, modes) if cfg.nonlinear and cfg.dealias_active else True
     if cfg.nonlinear:
         half = np.exp(-0.5j * cfg.dt * xi_norm)
         close = half * mask
@@ -271,10 +286,13 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
     parseval = grid.cell_volume / grid.size
     norm0 = math.sqrt(parseval * _sum_squares(c, weights))
     tol = 1e-10 * norm0
-    size = max(1, _BLOCK_BYTES // u.values.nbytes)
+    size = max(1, _BLOCK_BYTES // (16 * grid.size))  # full-grid complex snapshots
     count = 1 + n_steps // cfg.snapshot_stride
-    blocks = [np.empty((min(size, count), *state.shape), complex)]
+    shape = state.shape
+    blocks = [np.empty((min(size, count), *shape), complex)]
     blocks[0][0] = state
+    basis = basis._replace(samples=blocks[0][0])  # row 0: u0's only copy from here
+    del state
     times = [0.0]
     prev_norm = norm0
     for k in range(1, n_steps + 1):
@@ -298,16 +316,14 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
         if k % cfg.snapshot_stride == 0:
             j = len(times) % size
             if j == 0:
-                blocks.append(np.empty((min(size, count - len(times)), *state.shape), complex))
+                blocks.append(np.empty((min(size, count - len(times)), *shape), complex))
             times.append(k * cfg.dt)
             blocks[-1][j] = w * close if cfg.nonlinear else c
             if j + 1 == len(blocks[-1]):  # full: rows after u0 to samples
                 coeffs = blocks[-1][1 if len(blocks) == 1 else 0 :]
                 if not np.may_share_memory(out := cinv(coeffs, overwrite_x=True), coeffs):
                     coeffs[...] = out  # scipy.fft did not transform in place
-    # the basis keeps a view, not the octant copy of u0
-    stored = _Snapshots(u, basis._replace(samples=blocks[0][0]), blocks)
-    return Trajectory(cfg, np.asarray(times), stored)
+    return Trajectory(cfg, np.asarray(times), _Snapshots(grid, basis, blocks))
 
 
 def duhamel_residual(traj: Trajectory) -> float:
@@ -328,7 +344,7 @@ def duhamel_residual(traj: Trajectory) -> float:
     t_final = float(times[-1])
     (_, first), = traj.blocks(0, 1)
     (_, last), = traj.blocks(len(times) - 1)
-    xi_norm = grid.xi_norm[first.modes]
+    xi_norm = grid.xi_norm_at(first.modes)
     acc = last.forward(last.samples[-1]) * dV
     acc -= first.forward(first.samples[0]) * dV * np.exp(-1j * t_final * xi_norm)
     if traj.config.nonlinear:

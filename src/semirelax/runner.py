@@ -57,30 +57,34 @@ class RunReport:
 
 
 class _RunContext:
-    """Lazily computed initial data and solver outputs shared by one run."""
+    """Lazily computed initial data and solver outputs shared by one run.
+    The spectral trajectory owns the initial data: traj evolves
+    scenario.initial_field() with no other reference kept, and u0 is
+    traj.snapshots[0], folded on each read, so file data are parsed once
+    and an octant run holds no full-grid copy of them."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
 
-    @cached_property
+    @property
     def u0(self):
-        return self.scenario.initial_field()
+        return self.traj.snapshots[0]
 
     @cached_property
     def profile(self) -> RadialProfile:
         return self.scenario.initial_profile()
 
-    def _evolve(self, nonlinear: bool) -> Trajectory:
+    def _config(self, nonlinear: bool) -> StepperConfig:
         sc = self.scenario
-        cfg = StepperConfig(
+        return StepperConfig(
             p=sc.p, dt=sc.dt, T=sc.T,
             snapshot_stride=sc.snapshot_stride, nonlinear=nonlinear,
         )
-        return evolve(self.u0, cfg)
 
     @cached_property
     def traj(self) -> Trajectory:
-        return self._evolve(self.scenario.nonlinear)
+        # the field is passed straight in, so evolve holds its only reference
+        return evolve(self.scenario.initial_field(), self._config(self.scenario.nonlinear))
 
     @cached_property
     def radial_traj(self) -> RadialTrajectory:
@@ -89,7 +93,7 @@ class _RunContext:
 
     @cached_property
     def linear_traj(self) -> Trajectory:
-        return self._evolve(False) if self.scenario.nonlinear else self.traj
+        return evolve(self.u0, self._config(False)) if self.scenario.nonlinear else self.traj
 
 
 def run(

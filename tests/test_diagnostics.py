@@ -759,10 +759,10 @@ class TestOctantResident:
         self, n, gaussian, nonlinear, stride, budget, seed
     ):
         # evolve of mirror-symmetric data stores octants; each snapshot read
-        # as a Field is their fold, the table and lemma34 equal those of the
-        # same Fields in a hand-built trajectory (which gathers every block's
-        # octant again) bit for bit, and lemma34 agrees with its full-grid
-        # sum to roundoff
+        # as a Field, u0 included, is their fold, the table and lemma34 equal
+        # those of the same Fields in a hand-built trajectory (which gathers
+        # every block's octant again) bit for bit, and lemma34 agrees with
+        # its full-grid sum to roundoff
         g = make_grid(n, 16 if n == 2 else 8, 8.0)
         if gaussian:
             u0 = gaussian_field(g, 0.6)
@@ -771,8 +771,9 @@ class TestOctantResident:
         cfg = StepperConfig(p=3.0, dt=0.02, T=0.12, snapshot_stride=stride, nonlinear=nonlinear)
         traj = evolve(u0, cfg)
         octants = np.concatenate(traj.snapshots.blocks)
-        assert traj.snapshots[0] is u0
-        for k in range(1, len(octants)):
+        first = traj.snapshots[0].values
+        assert np.array_equal(first, u0.values) and first.dtype == u0.values.dtype
+        for k in range(len(octants)):
             assert np.array_equal(traj.snapshots[k].values, unfold(octants[k], g.N))
         fields = list(traj.snapshots)
         for u, v in zip(traj.snapshots[-1::-2], fields[-1::-2]):  # slices fold too
@@ -797,15 +798,13 @@ class TestOctantResident:
         assert ratio == pytest.approx(full, rel=1e-14)
 
     def test_prop24_and_duhamel_read_the_stored_octant(self, monkeypatch):
-        # both run on the stored octant blocks: no full-grid transform, and
-        # no fold of any snapshot but u0
+        # both run on the stored octant blocks: no full-grid transform and
+        # no fold of any snapshot
         g = make_grid(3, 16, 10.0)
         traj = evolve(gaussian_field(g, 0.5), StepperConfig(p=3.0, dt=0.02, T=0.1))
-        getitem = _Snapshots.__getitem__
 
         def no_fold(store, k):
-            assert k == 0, "folds no snapshot after u0"
-            return getitem(store, k)
+            raise AssertionError("folds no snapshot")
 
         monkeypatch.setattr(_Snapshots, "__getitem__", no_fold)
         calls = count_calls(monkeypatch, ("fftn", "ifftn", "dctn"))
@@ -813,6 +812,17 @@ class TestOctantResident:
         duhamel_residual(traj)
         assert calls["fftn"] == calls["ifftn"] == 0
         assert calls["dctn"] > 0
+
+    def test_octant_readers_build_no_full_grid_xi(self):
+        # evolve, the table, prop24 and the Duhamel residual take |xi| at the
+        # octant modes alone: Grid.xi_norm is never built
+        g = make_grid(3, 16, 10.0)
+        traj = evolve(gaussian_field(g, 0.5), StepperConfig(p=3.0, dt=0.02, T=0.1))
+        diagnostics_table(traj, 1.5)
+        check_h2_inequality(traj, 0.0, 0.1)
+        duhamel_residual(traj)
+        assert traj.snapshots.basis.weights is not None
+        assert "xi_norm" not in g.__dict__
 
     def test_stored_snapshots_stay_on_the_octant(self):
         # a linear stride-1 run and its table hold the 20 stored snapshots as

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -220,6 +221,34 @@ class TestDerivative:
                 if basis.weights is not None:
                     got = got * reduce(np.multiply.outer, signs)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), axes
+
+    @pytest.mark.parametrize("octant", [False, True])
+    def test_odd_symbol_zeroes_nyquist_on_its_own_product(self, octant):
+        # the Nyquist planes are zeroed on the product the call allocates, so
+        # an odd symbol takes no stack-sized copy beyond the peak of an even
+        # one (a copy of the input before the product took one more), and
+        # the caller's stack is untouched
+        g = make_grid(3, 16, 8.0)
+        stack = np.stack([gaussian_field(g, a).values for a in (0.3, 0.6, 0.9, 1.2)])
+        # the FFT pair, which _basis takes for data off the mirror rule
+        off = np.random.default_rng(0).standard_normal(stack.shape)
+        basis = _basis(stack, 3) if octant else _basis(off, 3)._replace(samples=stack)
+        assert (basis.weights is not None) == octant
+        coeffs = basis.forward(basis.samples) * g.cell_volume
+        kept = coeffs.copy()
+
+        def peak(axes):
+            tracemalloc.start()
+            try:
+                _derivative(basis, coeffs, g, axes)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        even = peak((1, 1))
+        for axes in [(0,), (0, 1)]:
+            assert peak(axes) < even + 0.5 * coeffs.nbytes, axes
+            assert np.array_equal(coeffs, kept)
 
 
 class TestSnapshotFormat:

@@ -1,5 +1,6 @@
 import functools
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -288,6 +289,72 @@ class TestEvolve:
             StepperConfig(p=3.0, dt=0.0, T=1.0)
         with pytest.raises(ValueError):
             StepperConfig(p=3.0, dt=2.0, T=1.0)
+
+    @pytest.mark.parametrize("args,name", [
+        ((3.0, 0.01, math.inf), "T"),  # n_steps raised OverflowError
+        ((math.inf, 0.01, 0.1), "p"),  # constructed
+        ((3.0, math.inf, 0.1), "dt"),
+        ((math.nan, 0.01, 0.1), "p"),
+        ((3.0, 0.01, -math.inf), "T"),
+    ])
+    def test_config_rejects_non_finite(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            StepperConfig(*args)
+
+
+class TestInitialData:
+    """evolve keeps no reference to u0: the trajectory owns its data, and
+    |xi| and the mask are built only at the stored modes."""
+
+    @staticmethod
+    def data(case):
+        if case == "octant":
+            return gaussian_field(make_grid(3, 16, 10.0), 0.5)
+        return gaussian_field(make_grid(1, 64, 10.0), 0.5)
+
+    @pytest.mark.parametrize("case", ["octant", "1d"])
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_trajectory_holds_no_reference_to_u0(self, case, nonlinear):
+        u0 = self.data(case)
+        field_ref, values_ref = weakref.ref(u0), weakref.ref(u0.values)
+        kept = u0.values.copy()
+        traj = evolve(u0, StepperConfig(p=3.0, dt=0.05, T=0.2, nonlinear=nonlinear))
+        del u0
+        assert field_ref() is None and values_ref() is None
+        assert (traj.snapshots.basis.weights is not None) == (case == "octant")
+        first = traj.snapshots[0]
+        assert np.array_equal(first.values, kept) and first.values.dtype == kept.dtype
+
+    @pytest.mark.parametrize("case", ["octant", "1d"])
+    def test_u0_is_released_before_the_march(self, case, monkeypatch):
+        # passed straight in, the field dies inside evolve before step 1
+        refs, alive = [], []
+        decay = propagator._decay
+
+        def spy(*args):
+            alive.append(refs[0]() is not None)
+            return decay(*args)
+
+        def make():
+            u0 = self.data(case)
+            refs.append(weakref.ref(u0.values))
+            return u0
+
+        monkeypatch.setattr(propagator, "_decay", spy)
+        evolve(make(), StepperConfig(p=3.0, dt=0.05, T=0.2))
+        assert alive == [False] * 4
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("N", [8, 16, 64])
+    def test_modes_only_xi_and_mask_keep_the_bits(self, n, N):
+        g = make_grid(n, N, 7.0)
+        octant = (slice(0, N // 2 + 1),) * n
+        for modes in ((), octant):
+            xi, full = g.xi_norm_at(modes), g.xi_norm[modes]
+            assert xi.shape == full.shape and xi.dtype == full.dtype
+            assert np.array_equal(xi.view(np.int64), np.ascontiguousarray(full).view(np.int64))
+            mask, full = propagator._dealias_mask(g, modes), propagator._dealias_mask(g)[modes]
+            assert mask.shape == full.shape and np.array_equal(mask, full)
 
 
 class TestFusedStepper:

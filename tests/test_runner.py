@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,40 @@ class TestRun:
         report = run(sc, tmp_path / "out")
         assert report.all_passed and set(report.checks) >= {"scaling", "lemma34"}
         assert len(parses) == 2
+
+    @pytest.mark.parametrize("initial", ["gaussian_3d", "gaussian_1d", "mode", "file"])
+    def test_u0_is_snapshot_zero(self, tmp_path, monkeypatch, initial):
+        # the trajectory owns the initial data: no reference to the field
+        # evolve received survives it, and ctx.u0, snapshot 0, has its bits
+        from semirelax import gaussian_field, make_grid, save_field, scenarios
+        from semirelax.runner import _RunContext
+
+        body = RADIAL if initial == "gaussian_3d" else FAST
+        if initial == "mode":
+            body = FAST.replace("gaussian(0.3, 1.0, 0.0)", "mode(3, 0.2)")
+        elif initial == "file":
+            save_field(gaussian_field(make_grid(1, 64, 20.0), 0.3 - 0.1j, 1.5, 0.25),
+                       tmp_path / "u0.txt")
+            body = FAST.replace("gaussian(0.3, 1.0, 0.0)", f"file({tmp_path / 'u0.txt'})")
+        (sc,) = load_config(write_config(tmp_path, body))
+        refs = []
+        initial_field = scenarios.Scenario.initial_field
+
+        def spy(self):
+            u0 = initial_field(self)
+            refs.append(weakref.ref(u0.values))
+            return u0
+
+        monkeypatch.setattr(scenarios.Scenario, "initial_field", spy)
+        ctx = _RunContext(sc)
+        ctx.traj
+        assert len(refs) == 1 and refs[0]() is None
+        monkeypatch.undo()
+        want, got = sc.initial_field().values, ctx.u0.values
+        assert got.dtype == want.dtype == np.complex128
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        octant = ctx.traj.snapshots.basis.weights is not None
+        assert octant == (initial == "gaussian_3d")
 
     def test_radial_profile_built_once_per_run(self, tmp_path, monkeypatch):
         # the wave march, cor37 and cor39 read one initial profile
@@ -577,11 +612,9 @@ class TestHelpers:
         keep = radii <= prof.r[-1]
         wave = CubicSpline(prof.r, prof.values, bc_type="not-a-knot")(radii[keep])
         expected = np.max(np.abs(line[keep] - wave)) / np.max(np.abs(wave))
-        getitem = _Snapshots.__getitem__
 
         def no_fold(store, k):
-            assert k == 0, "lemma35 folds no snapshot"
-            return getitem(store, k)
+            raise AssertionError("lemma35 folds no snapshot")
 
         monkeypatch.setattr(_Snapshots, "__getitem__", no_fold)
         assert spectral_vs_wave_disagreement(traj, rtraj) == expected
