@@ -23,7 +23,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import diagnostics as diag
-from .norms import l2_norm
 from .propagator import StepperConfig, Trajectory, duhamel_residual
 from .radial import RadialTrajectory, _Spline, maximal_bound_check, maximal_domination_gap
 
@@ -76,17 +75,16 @@ def _check_prop24(ctx) -> tuple[bool, dict]:
 
 
 def _check_scaling(ctx) -> tuple[bool, dict]:
-    sc = ctx.scenario
-    data, ok, u0 = {}, True, ctx.u0
+    sc, data, ok = ctx.scenario, {}, True
     for sigma in (0.5, 2.0):
-        res = diag.check_scaling_law(u0, sigma, sc.s, sc.p)
+        res = diag.check_scaling_law(ctx.traj, sigma, sc.s, sc.p)
         data[f"relative_sigma_{sigma}"] = res.relative
         ok = ok and res.relative < SCALING_TOL
     return ok, data
 
 
 def _check_lemma33(ctx) -> tuple[bool, dict]:
-    ratio = diag.strauss_ratio(ctx.u0, s=ctx.scenario.s)
+    ratio = diag.strauss_ratio(ctx.traj, s=ctx.scenario.s)
     return math.isfinite(ratio), {"ratio": ratio}
 
 
@@ -120,7 +118,7 @@ def _check_cor39(ctx) -> tuple[bool, dict]:
 
 def _check_duhamel(ctx) -> tuple[bool, dict]:
     value = duhamel_residual(ctx.traj)
-    scale = max(l2_norm(ctx.traj.snapshots[0]), 1e-30)
+    scale = max(float(diag.diagnostics_table(ctx.traj, ctx.scenario.s)["l2"][0]), 1e-30)
     tol = _dt_scaled(DUHAMEL_TOL, ctx.scenario.dt)
     return value / scale < tol, {"residual": value, "relative": value / scale}
 

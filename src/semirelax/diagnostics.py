@@ -1,16 +1,15 @@
 """Residuals and ratio probes for the a priori structure of the flow.
 
-The CSV, the balance laws and the H^s growth bound read one per-snapshot
-table stored on the trajectory, built with one forward transform of each
-snapshot (and of |u|^2 when the flow dissipates); the CSV's residuals are
-running trapezoid sums over it.  The table and the H^2 cross term run over
-Trajectory.blocks, transformed and reduced in one call per block, with
-every derivative from fields._derivative on the block's basis.  The table,
-the H^2 cross term and lemma34 read the (N/2+1)^n octant arrays of an
-octant-resident trajectory with multiplicity-weighted sums, the first two
-under a DCT-I transform, at about a sixth of the full-grid time and memory
-at 64^3.  A linear trajectory dissipates nothing: its balance laws are
-conservation of ||u||^2, ||grad u||^2.
+The CSV, the balance laws, the H^s growth bound and the lemma33 and Duhamel
+scales read one per-snapshot table stored on the trajectory, built with one
+forward transform of each snapshot (and of |u|^2 when the flow dissipates);
+the CSV's residuals are running trapezoid sums over it.  Every reader takes
+Trajectory.blocks, one transform and reduction per block, derivatives from
+fields._derivative on the block's basis, and folds no snapshot: on the
+(N/2+1)^n octant of an octant-resident trajectory its sums carry the DCT-I
+multiplicities, at about a sixth of the full-grid time and memory at 64^3.
+A linear trajectory dissipates nothing: its balance laws are conservation
+of ||u||^2, ||grad u||^2.
 
 Each checker returns a radial.Report: for an exact balance law its two
 sides and their mismatch; for a one-sided estimate also the empirical
@@ -25,16 +24,9 @@ import math
 
 import numpy as np
 
-from .fields import Field, _derivative, _stack_axes, to_physical
+from .fields import Field, _basis, _derivative, _stack_axes, to_physical
 from .grids import make_grid
-from .norms import (
-    SobolevSpec,
-    _sobolev_norms,
-    _weighted_l2,
-    l2_norm,
-    sobolev_norm,
-    space_time_norm,
-)
+from .norms import SobolevSpec, _sample_radii, _sobolev_norms, _weighted_l2, space_time_norm
 from .propagator import Trajectory
 from .radial import (
     REGULARIZATION_EPS, JEvaluator, RadialProfile, Report, _l2_sup, modulus_power,
@@ -306,77 +298,84 @@ def check_h2_inequality(traj: Trajectory, t1: float, t2: float) -> Report:
     )
 
 
-def check_scaling_law(u0: Field, sigma: float, s: float, p: float) -> Report:
+def _initial_row(f) -> tuple:
+    """(grid, row): f's grid and a one-row fields._Basis of its samples, the
+    stored row 0 of a Trajectory (no fold) or a Field under fields._basis."""
+    if isinstance(f, Trajectory):
+        (_, row), = f.blocks(0, 1)
+        return f.grid, row
+    return f.grid, _basis(to_physical(f).values[None], f.grid.n)
+
+
+def _hdot_norm(grid, row, s: float, samples: np.ndarray) -> float:
+    """The Hdot^s norm on grid of one row of samples under row's basis."""
+    spec, coeffs = SobolevSpec(s, homogeneous=True), row.forward(samples) * grid.cell_volume
+    m = np.abs(spec._at(grid.xi_norm_at(row.modes)))
+    return float(_sobolev_norms(coeffs, grid, spec, m, row.weights)[0])
+
+
+def check_scaling_law(u0, sigma: float, s: float, p: float) -> Report:
     """Rescaling invariance of homogeneous norms.
 
     Builds u_sigma(x) = sigma^(1/(p-1)) u0(sigma x) on the grid with period
     L/sigma (same N; band-limited data make the construction exact) and
     compares ||u_sigma||_{Hdot^s} with sigma^(1/(p-1)+s-n/2) ||u0||_{Hdot^s}.
-    At the critical index the predicted ratio is exactly 1.
+    At the critical index the predicted ratio is exactly 1.  u0 is a Field
+    or a Trajectory, read at its stored row 0 (on the octant, unfolded).
     """
     if not sigma > 0:
         raise ValueError(f"scale factor must be positive, got {sigma}")
-    grid = u0.grid
+    grid, row = _initial_row(u0)
     scaled_grid = make_grid(grid.n, grid.N, grid.L / sigma)
     # On the rescaled grid the sample positions satisfy sigma * x'_j = x_j,
     # so the rescaled field carries the same sample values, only reweighted.
     amp = sigma ** (1.0 / (p - 1.0))
-    u_sigma = Field(scaled_grid, amp * to_physical(u0).values, "physical")
-    spec = SobolevSpec(s, homogeneous=True)
     exponent = 1.0 / (p - 1.0) + s - grid.n / 2.0
-    lhs = sobolev_norm(u_sigma, spec)
-    rhs = sigma**exponent * sobolev_norm(u0, spec)
-    return Report(lhs=lhs, rhs=rhs)
+    lhs = _hdot_norm(scaled_grid, row, s, amp * row.samples)
+    return Report(lhs=lhs, rhs=sigma**exponent * _hdot_norm(grid, row, s, row.samples))
 
 
-def strauss_ratio(f, n: int | None = None, s: float = 1.0) -> float:
+def strauss_ratio(f, s: float = 1.0) -> float:
     """Weighted sup probe  || |x|^(n/2-s) f ||_Linf / ||f||_{Hdot^s}
     for radial data; requires n >= 2 and 1/2 < s < n/2.  Returns 0 for
-    identically-zero input (0/0 convention)."""
-    if isinstance(f, Field):
-        n_eff = f.grid.n
-    else:
-        n_eff = 3
-    if n is not None and n != n_eff:
-        raise ValueError(f"dimension mismatch: data is {n_eff}-dimensional, got n={n}")
-    n = n_eff
+    identically-zero input (0/0 convention).  f is a 3-d radial profile, a
+    Field, or a Trajectory read at its stored row 0 (Hdot^s from its table)."""
+    grid, row = _initial_row(f) if isinstance(f, (Field, Trajectory)) else (None, None)
+    n = 3 if grid is None else grid.n
     if n < 2:
         raise ValueError(f"radial sup estimate requires n >= 2, got n={n}")
     if not (0.5 < s < n / 2.0):
         raise ValueError(f"radial sup estimate requires 1/2 < s < n/2, got s={s}")
-    if isinstance(f, Field):
-        vals = np.abs(to_physical(f).values)
-        weighted = f.grid.radii ** (n / 2.0 - s) * vals
-        denom = sobolev_norm(f, SobolevSpec(s, homogeneous=True))
+    if grid is None:
+        vals, radii, denom = np.abs(f.values), f.r, radial_sobolev_norm(f, s)
     else:
-        vals = np.abs(f.values)
-        weighted = f.r ** (n / 2.0 - s) * vals
-        denom = radial_sobolev_norm(f, s)
+        vals, radii = np.abs(row.samples[0]), _sample_radii(grid, row.weights)
+        if isinstance(f, Trajectory):  # its table holds the Hdot^s norm
+            denom = float(diagnostics_table(f, s)["hs"][0])
+        else:
+            denom = _hdot_norm(grid, row, s, row.samples)
     if not np.any(vals > 0):
         return 0.0
-    return float(np.max(weighted)) / denom
+    return float(np.max(radii ** (n / 2.0 - s) * vals)) / denom
 
 
-def weighted_strichartz_ratio(
-    traj: Trajectory, delta: float, q1: float
-) -> float:
+def weighted_strichartz_ratio(traj: Trajectory, delta: float, q1: float) -> float:
     """Weighted space-time probe for the free flow:
 
         || [x]_delta^(-1/q1) u(t) ||_{L^q1(0,T;L^2)} / ||u(0)||_{L^2}.
 
     Only trajectories generated by the linear propagator are accepted.
-    Returns 0 for zero data.
+    Returns 0 for zero data.  Both norms sum over the stored rows.
     """
     if not traj.linear:
         raise ValueError("weighted space-time probe requires a linear trajectory")
     if q1 < 2:
         raise ValueError(f"time exponent must satisfy q1 >= 2, got {q1}")
-    u0 = traj.snapshots[0]  # a fold of the stored row: read once
-    denom = l2_norm(u0)
+    grid, first = _initial_row(traj)
+    denom = math.sqrt(float(_integral(np.abs(first.samples) ** 2, first.weights, grid)[0]))
     if denom == 0:
         return 0.0
-    (_, first), = traj.blocks(0, 1)  # octant samples count by their multiplicities
-    weighted = _weighted_l2(u0, delta, q1, sign=-1, weights=first.weights)
+    weighted = _weighted_l2(grid, delta, q1, sign=-1, weights=first.weights)
     rows = [row for _, basis in traj.blocks() for row in basis.samples]
     num = space_time_norm((traj.times, rows), q1, weighted)
     return num / denom

@@ -9,7 +9,7 @@ Parseval then reads  sum |f|^2 dx^n = sum |f_hat|^2 / L^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -74,9 +74,6 @@ class Field:
     @property
     def is_spectral(self) -> bool:
         return self.representation == SPECTRAL
-
-    def copy(self) -> "Field":
-        return replace(self, values=self.values.copy())
 
 
 def to_spectral(f: Field) -> Field:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -201,7 +201,7 @@ def space_time_norm(traj, q: float, spatial: Callable[[Field], float]) -> float:
         q: time exponent, q >= 1 or inf (max over snapshots).
         spatial: callable evaluating the spatial norm of one snapshot.
     """
-    times, snaps = _times_and_snapshots(traj)
+    times, snaps = traj if isinstance(traj, tuple) else (traj.times, traj.snapshots)
     if len(snaps) == 0:
         raise ValueError("empty trajectory")
     vals = np.array([spatial(u) for u in snaps], dtype=float)
@@ -212,12 +212,6 @@ def space_time_norm(traj, q: float, spatial: Callable[[Field], float]) -> float:
     if len(snaps) == 1:
         return 0.0
     return float(np.trapezoid(vals**q, np.asarray(times)) ** (1.0 / q))
-
-
-def _times_and_snapshots(traj) -> tuple[Sequence[float], Sequence[Field]]:
-    if isinstance(traj, tuple) and len(traj) == 2:
-        return traj
-    return traj.times, traj.snapshots
 
 
 def weight_bracket(r: np.ndarray, delta: float) -> np.ndarray:
@@ -238,29 +232,34 @@ def weighted_norm(f, delta: float, q: float, sign: int) -> float:
     continuum integral.
     """
     samples = to_physical(f).values if isinstance(f, Field) else f.values
-    return _weighted_l2(f, delta, q, sign)(samples)
+    return _weighted_l2(f.grid if isinstance(f, Field) else f, delta, q, sign)(samples)
 
 
-def _weighted_l2(f, delta: float, q: float, sign: int,
+def _sample_radii(grid: Grid, weights: np.ndarray | None) -> np.ndarray:
+    """|x| at the samples of a fields._basis with these weights: Grid.radii,
+    or on the octant (indices N/2..N-1, 0 per axis) the same expression."""
+    if weights is None:
+        return grid.radii
+    x = np.r_[grid.axis[grid.N // 2 :], grid.axis[0]]
+    return np.sqrt(sum(c**2 for c in np.meshgrid(*[x] * grid.n, indexing="ij", sparse=True)))
+
+
+def _weighted_l2(where, delta: float, q: float, sign: int,
                  weights: np.ndarray | None = None) -> Callable:
-    """The map samples -> weighted_norm of the field or profile they sample
-    like f (on its grid, or at its radii), with the weight built once; given
-    the octant multiplicities of fields._basis, samples are an octant."""
+    """The map samples -> weighted_norm of the samples on the Grid ``where``
+    (on its octant, given the multiplicities of fields._basis) or at the
+    radii of the profile ``where``, with the weight built once."""
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if q < 1:
         raise ValueError(f"exponent must satisfy q >= 1, got {q}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if weights is not None:
-        x = np.r_[f.grid.axis[f.grid.N // 2 :], f.grid.axis[0]]  # indices N/2..N-1, 0
-        coords = np.meshgrid(*[x] * f.grid.n, indexing="ij", sparse=True)
-        radii = np.sqrt(sum(c**2 for c in coords))  # as Grid.radii
-        measure = f.grid.cell_volume * weights
-    elif isinstance(f, Field):
-        radii, measure = f.grid.radii, f.grid.cell_volume
+    if isinstance(where, Grid):
+        radii = _sample_radii(where, weights)
+        measure = where.cell_volume if weights is None else where.cell_volume * weights
     else:
-        radii, measure = f.r, 4.0 * np.pi * f.r**2 * f.dr
+        radii, measure = where.r, 4.0 * np.pi * where.r**2 * where.dr
     with np.errstate(divide="ignore", invalid="ignore"):
         w = weight_bracket(radii, delta) ** (sign / q)
     ok = np.isfinite(w)

@@ -125,10 +125,9 @@ class Trajectory:
     """Uniformly sampled (time, Field) snapshots from one evolution; ``tables``
     caches diagnostics.diagnostics_table by Sobolev index.  evolve stores
     _Snapshots, which own the initial data: snapshot 0 is the fold of its
-    stored row, equal to u0 (up to the sign of a mirrored zero).  The table,
-    prop24, the Duhamel residual, lemma34 and lemma35 read them unfolded
-    through blocks(), and grid is the stored grid, so reading it folds
-    nothing."""
+    stored row, equal to u0 (up to the sign of a mirrored zero).  Only
+    indexing snapshots folds: every reader of a run reads the stored rows
+    through blocks() or the table, and grid is the stored grid."""
 
     config: StepperConfig
     times: np.ndarray
@@ -262,10 +261,15 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
     coefficients); a NaN or Inf in the state aborts with the offending step
     index, which signals an excessively large dt.
     """
+    grid, basis = u0.grid, [_basis(to_physical(u0).values, u0.grid.n)]
+    del u0  # handed on unnamed: an octant run keeps only its stored octant
+    return _march(grid, basis.pop(), cfg)
+
+
+def _march(grid, basis: _Basis, cfg: StepperConfig) -> Trajectory:
+    """evolve's loop from the samples of ``basis`` (fields._basis of u0),
+    which it never writes into, so a stored row 0 can start a run unfolded."""
     n_steps = cfg.n_steps
-    grid = u0.grid
-    basis = _basis(to_physical(u0).values, grid.n)
-    del u0  # the trajectory owns the initial data: an octant keeps only its octant
     state, fwd, inv, modes, weights, _ = basis
     if weights is not None:  # per real and imaginary part of the real view
         weights = np.repeat(weights.reshape(-1), 2)

@@ -19,7 +19,7 @@ import scipy.fft
 from . import diagnostics as diag
 from .checks import CHECKS
 from .plotting import emit_plots, fit_order, refinement_chart_svg
-from .propagator import StepperConfig, Trajectory, evolve
+from .propagator import StepperConfig, Trajectory, _march, evolve
 from .radial import RadialProfile, RadialTrajectory, wave_evolve
 from .scenarios import Scenario, ScenarioError, _parse_initial, _validate
 
@@ -59,16 +59,12 @@ class RunReport:
 class _RunContext:
     """Lazily computed initial data and solver outputs shared by one run.
     The spectral trajectory owns the initial data: traj evolves
-    scenario.initial_field() with no other reference kept, and u0 is
-    traj.snapshots[0], folded on each read, so file data are parsed once
-    and an octant run holds no full-grid copy of them."""
+    scenario.initial_field() with no other reference kept, and the checks
+    read it as traj's stored row 0 or its table, never folded, so file data
+    are parsed once and an octant run holds no full-grid copy of them."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-
-    @property
-    def u0(self):
-        return self.traj.snapshots[0]
 
     @cached_property
     def profile(self) -> RadialProfile:
@@ -93,7 +89,10 @@ class _RunContext:
 
     @cached_property
     def linear_traj(self) -> Trajectory:
-        return evolve(self.u0, self._config(False)) if self.scenario.nonlinear else self.traj
+        if not self.scenario.nonlinear:
+            return self.traj
+        stored = self.traj.snapshots  # the free flow from traj's stored row 0
+        return _march(stored.grid, stored.basis, self._config(False))
 
 
 def run(

@@ -1,12 +1,13 @@
 """Scenario configuration: the flat key=value format, hypothesis
 validation, and construction of initial data.
 
-Config grammar (INI-style, parsed by configparser):
+Config grammar (INI-style, parsed by configparser; solver = radial-wave
+rejects the keys marked spectral solvers, which it would ignore):
 
     [scenario.<name>]
     n = 1                     # spatial dimension
     p = 3                     # nonlinearity power
-    s = 1.5                   # diagnostic Sobolev index
+    s = 1.5                   # diagnostic Sobolev index (spectral solvers)
     solver = spectral         # spectral | radial-wave | both
     N = 256                   # grid points per axis   (spectral solvers)
     L = 40                    # box period             (spectral solvers)
@@ -14,7 +15,7 @@ Config grammar (INI-style, parsed by configparser):
     R = 20                    # radial extent          (radial solvers, cor37, cor39)
     dt = 1e-3
     T = 1.0
-    snapshot_stride = 1       # optional, default 1
+    snapshot_stride = 1       # optional, default 1    (spectral solvers)
     nonlinear = true          # optional, default true (or yes/no, on/off, 1/0, false)
     initial = gaussian(0.5, 1.0, 0.0)   # or mode(k, amplitude) or file(path)
     checks = prop21, prop22   # comma-separated keys of checks.CHECKS
@@ -216,6 +217,9 @@ def load_config(path) -> list[Scenario]:
             snapshot_stride=_get(sec, "snapshot_stride", int, default=1),
             nonlinear=_get(sec, "nonlinear", bool, default=True),
         )
+        ignored = [key for key in ("s", "snapshot_stride", "N", "L") if key in sec]
+        if sc.solver == "radial-wave" and ignored:  # keys the spectral solvers alone read
+            raise ScenarioError(f"scenario {sc.name!r}: solver = radial-wave ignores {ignored}")
         _validate(sc)
         scenarios.append(sc)
     return scenarios

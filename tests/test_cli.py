@@ -78,6 +78,23 @@ class TestRunCommand:
         assert "not the scenario's n=2, N=16, L=10" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("s", "2.0"), ("snapshot_stride", "25"), ("N", "64"), ("L", "20"),
+    ])
+    def test_radial_wave_field_it_ignores_exits_2(self, tmp_path, capsys, key, value):
+        config = tmp_path / "wave.cfg"
+        config.write_text(
+            "[scenario.wave]\nn = 3\np = 3\nsolver = radial-wave\nM = 64\nR = 10\n"
+            "dt = 1e-2\nT = 0.05\ninitial = gaussian(0.1, 1.0, 0.0)\nchecks = prop14\n"
+            f"{key} = {value}\n"
+        )
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"scenario 'wave': solver = radial-wave ignores ['{key}']" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "out").exists()
+
 
 class TestSweepCommand:
     def test_dt_sweep(self, tmp_path, config, capsys):

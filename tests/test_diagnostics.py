@@ -306,6 +306,100 @@ class TestH2Inequality:
             check_h2_inequality(traj, 0.0, 0.05)
 
 
+def reference_strauss_ratio(u0: Field, s: float) -> float:
+    """lemma33 on the full grid: the sup of |x|^(n/2-s) |u0| at Grid.radii
+    over the FFT Hdot^s norm of u0."""
+    weighted = u0.grid.radii ** (u0.grid.n / 2.0 - s) * np.abs(to_physical(u0).values)
+    return float(np.max(weighted)) / sobolev_norm(u0, SobolevSpec(s, homogeneous=True))
+
+
+def reference_scaling_law(u0: Field, sigma: float, s: float, p: float) -> Report:
+    """check_scaling_law on the full grid: u_sigma built as a Field on the
+    grid of period L/sigma, both norms by sobolev_norm."""
+    grid, spec = u0.grid, SobolevSpec(s, homogeneous=True)
+    scaled = make_grid(grid.n, grid.N, grid.L / sigma)
+    u_sigma = Field(scaled, sigma ** (1.0 / (p - 1.0)) * to_physical(u0).values, "physical")
+    exponent = 1.0 / (p - 1.0) + s - grid.n / 2.0
+    lhs = sobolev_norm(u_sigma, spec)
+    return Report(lhs=lhs, rhs=sigma**exponent * sobolev_norm(u0, spec))
+
+
+def reference_weighted_strichartz_ratio(traj, delta: float, q1: float) -> float:
+    """lemma34 on the full grid: weighted_norm of every folded snapshot over
+    the L^2 norm of the folded u0."""
+    num = space_time_norm(traj, q1, lambda u: weighted_norm(u, delta, q1, sign=-1))
+    return num / l2_norm(traj.snapshots[0])
+
+
+class TestInitialRowReaders:
+    """lemma33, lemma34, the scaling law and the Duhamel check's scale read
+    row 0 as stored, or the table, and fold nothing; each agrees with its
+    full-grid formula above to 1e-12 relative, on the octant of a centred
+    3-d gaussian and on the FFT basis of 1-d and off-centre 3-d data."""
+
+    DATA = [
+        pytest.param(3, 0.0, id="octant-3d"),
+        pytest.param(1, 0.0, id="fft-1d"),
+        pytest.param(3, 1.0, id="fft-3d-off-centre"),
+    ]
+
+    @staticmethod
+    def trajectory(n, center, nonlinear=True):
+        g = make_grid(n, 16 if n == 3 else 64, 10.0)
+        cfg = StepperConfig(p=3.0, dt=0.02, T=0.1, nonlinear=nonlinear)
+        traj = evolve(gaussian_field(g, 0.5, 1.0, center), cfg)
+        assert (traj.snapshots.basis.weights is not None) == (n == 3 and center == 0.0)
+        return traj
+
+    @staticmethod
+    def no_fold(monkeypatch):
+        def fold(store, k):
+            raise AssertionError("folds no snapshot")
+
+        monkeypatch.setattr(_Snapshots, "__getitem__", fold)
+
+    @pytest.mark.parametrize("n, center", [p for p in DATA if p.values[0] >= 2])
+    def test_lemma33(self, monkeypatch, n, center):
+        traj = self.trajectory(n, center)
+        u0, ref = traj.snapshots[0], reference_strauss_ratio(traj.snapshots[0], 1.0)
+        assert strauss_ratio(u0, s=1.0) == pytest.approx(ref, rel=1e-12)
+        self.no_fold(monkeypatch)
+        assert strauss_ratio(traj, s=1.0) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("n, center", DATA)
+    def test_scaling(self, monkeypatch, n, center):
+        traj = self.trajectory(n, center)
+        u0 = traj.snapshots[0]
+        refs = [reference_scaling_law(u0, sigma, 1.0, 3.0) for sigma in (0.5, 2.0)]
+        fields = [check_scaling_law(u0, sigma, 1.0, 3.0) for sigma in (0.5, 2.0)]
+        self.no_fold(monkeypatch)
+        for sigma, ref, field in zip((0.5, 2.0), refs, fields):
+            res = check_scaling_law(traj, sigma, 1.0, 3.0)
+            for got in (res, field):
+                assert got.lhs == pytest.approx(ref.lhs, rel=1e-12)
+                assert got.rhs == pytest.approx(ref.rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("n, center", DATA)
+    def test_lemma34(self, monkeypatch, n, center):
+        traj = self.trajectory(n, center, nonlinear=False)
+        ref = reference_weighted_strichartz_ratio(traj, 0.5, 4.0)
+        self.no_fold(monkeypatch)
+        assert weighted_strichartz_ratio(traj, 0.5, 4.0) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("n, center", DATA)
+    def test_duhamel_scale(self, monkeypatch, n, center):
+        from types import SimpleNamespace
+
+        from semirelax.checks import CHECKS
+
+        traj = self.trajectory(n, center)
+        ref = duhamel_residual(traj) / l2_norm(traj.snapshots[0])
+        ctx = SimpleNamespace(traj=traj, scenario=SimpleNamespace(s=1.0, dt=0.02))
+        self.no_fold(monkeypatch)
+        _, data = CHECKS["duhamel"].evaluate(ctx)
+        assert data["relative"] == pytest.approx(ref, rel=1e-12)
+
+
 class TestScalingLaw:
     def test_sigma_one_is_identity(self):
         g = make_grid(1, 64, 20.0)
@@ -426,14 +520,16 @@ class TestWeightedStrichartzRatio:
         assert a == pytest.approx(b, rel=1e-10)
 
     def test_matches_per_snapshot_weighted_norm(self):
-        # the weight is built once per call; the result is the per-snapshot
-        # weighted_norm, which rebuilds it every time, bit for bit
+        # the weight is built once per call; the numerator is the per-snapshot
+        # weighted_norm, which rebuilds it every time, bit for bit, over the
+        # octant L^2 norm of row 0 (the table's; TestInitialRowReaders holds
+        # it against the full grid)
         g = make_grid(3, 16, 12.0)
         cfg = StepperConfig(p=3.0, dt=0.1, T=0.5, nonlinear=False)
         traj = evolve(gaussian_field(g, 0.5), cfg)
         ref = space_time_norm(
             traj, 4.0, lambda u: weighted_norm(u, 0.5, 4.0, sign=-1)
-        ) / l2_norm(traj.snapshots[0])
+        ) / diagnostics_table(traj)["l2"][0]
         assert weighted_strichartz_ratio(traj, 0.5, 4.0) == ref
 
     def test_rejects_nonlinear_trajectory(self):

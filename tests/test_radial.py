@@ -547,6 +547,30 @@ class TestFpSource:
         out = F_p_source(prof, 2.0)
         assert np.isfinite(out.values).all()
 
+    @pytest.mark.parametrize("p", [2.0, 2.5])
+    def test_subcubic_bounded_by_its_majorant_on_a_vanishing_tail(self, p):
+        # the gaussian falls to about 1e-174 at R = 20, far below 1e-15, where
+        # the regularized (|u|^2 + eps)^((p-3)/2) reaches 1e15 and more; the
+        # march forms no derivative of |u|^2, so no ringing meets that factor:
+        # the source stays finite and below its |u|^(p-1)-type majorant
+        # p |u|^(p-1) |D u| + |D(|u|^(p-1) u)| + p |u|^(2p-1) at every node
+        prof = gaussian_profile(R=20.0, M=512)
+        absu = np.abs(prof.values)
+        assert absu.min() < 1e-15
+        b = _sine(prof)
+        out = np.abs(radial._source(prof, b, p).values)
+        du = np.abs(_from_sine(b * _sine_modes(prof), prof))
+        nl = RadialProfile(prof.R, absu ** (p - 1.0) * prof.values)
+        majorant = (
+            p * absu ** (p - 1.0) * du + np.abs(_halfwave_multiplier(nl).values)
+            + p * absu ** (2.0 * p - 1.0)
+        )
+        assert np.isfinite(out).all()
+        assert np.all(out <= majorant * (1.0 + 1e-12))
+        # the regularized term's factor alone: (|u|^2 + eps)^((p-3)/2) |u|^2 <= |u|^(p-1)
+        regularized = modulus_power(prof.values, p - 3.0) * absu**2
+        assert np.all(regularized <= absu ** (p - 1.0) * (1.0 + 1e-12))
+
     def test_overflow_rejected_as_non_finite_profile(self):
         prof = gaussian_profile(M=64, amp=1e100)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -17,6 +17,11 @@ from semirelax.checks import LEMMA35_TOL, spectral_vs_wave_disagreement
 from semirelax.radial import maximal_domination_gap
 
 
+# every scipy.fft transform of a 1-d run: the solve and its readers take the
+# single-axis pair, a Field read the n-axis one
+TRANSFORMS = ("fft", "ifft", "fftn", "ifftn")
+
+
 def write_config(tmp_path, body):
     path = tmp_path / "scenarios.cfg"
     path.write_text(body)
@@ -151,9 +156,10 @@ class TestRun:
 
     @pytest.mark.parametrize("nonlinear", [True, False])
     def test_each_solver_runs_once(self, tmp_path, monkeypatch, nonlinear):
-        # lemma34 of a linear scenario reads traj instead of evolving again
+        # lemma34 of a linear scenario reads traj instead of evolving again;
+        # of a nonlinear one, marches the free flow from traj's stored row 0
         calls = []
-        evolve, wave_evolve = runner.evolve, runner.wave_evolve
+        evolve, march, wave_evolve = runner.evolve, runner._march, runner.wave_evolve
 
         def spy_evolve(u0, cfg):
             calls.append(cfg.nonlinear)
@@ -163,7 +169,12 @@ class TestRun:
             calls.append("wave")
             return wave_evolve(*args, **kwargs)
 
+        def spy_march(grid, basis, cfg):
+            calls.append(cfg.nonlinear)
+            return march(grid, basis, cfg)
+
         monkeypatch.setattr(runner, "evolve", spy_evolve)
+        monkeypatch.setattr(runner, "_march", spy_march)
         monkeypatch.setattr(runner, "wave_evolve", spy_wave_evolve)
         body = RADIAL
         if not nonlinear:
@@ -197,7 +208,7 @@ class TestRun:
     @pytest.mark.parametrize("initial", ["gaussian_3d", "gaussian_1d", "mode", "file"])
     def test_u0_is_snapshot_zero(self, tmp_path, monkeypatch, initial):
         # the trajectory owns the initial data: no reference to the field
-        # evolve received survives it, and ctx.u0, snapshot 0, has its bits
+        # evolve received survives it, and snapshot 0 has its bits
         from semirelax import gaussian_field, make_grid, save_field, scenarios
         from semirelax.runner import _RunContext
 
@@ -222,11 +233,34 @@ class TestRun:
         ctx.traj
         assert len(refs) == 1 and refs[0]() is None
         monkeypatch.undo()
-        want, got = sc.initial_field().values, ctx.u0.values
+        want, got = sc.initial_field().values, ctx.traj.snapshots[0].values
         assert got.dtype == want.dtype == np.complex128
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         octant = ctx.traj.snapshots.basis.weights is not None
         assert octant == (initial == "gaussian_3d")
+
+    @pytest.mark.parametrize("initial", ["gaussian(0.05, 1.0, 0.0)", "gaussian(0.05, 1.0, 1.0)"])
+    def test_free_flow_marches_from_the_stored_row(self, tmp_path, initial):
+        # lemma34's free flow of a nonlinear run starts from traj's stored
+        # row 0, unfolded, and stores the bits evolve stores from u0, on the
+        # octant of centred data and on the FFT basis of off-centre data
+        from semirelax import evolve
+        from semirelax.runner import _RunContext
+
+        body = RADIAL.replace("solver = both", "solver = spectral").replace(
+            "checks = prop14, prop21, lemma35, lemma36, cor37, cor39, lemma33, lemma34",
+            "checks = lemma34",
+        ).replace("gaussian(0.05, 1.0, 0.0)", initial)
+        (sc,) = load_config(write_config(tmp_path, body))
+        ctx = _RunContext(sc)
+        got, want = ctx.linear_traj, evolve(sc.initial_field(), ctx._config(False))
+        assert got.linear and got.config == want.config
+        assert np.array_equal(got.times, want.times)
+        octant = initial.endswith("0.0)")
+        assert (want.snapshots.basis.weights is not None) == octant
+        assert (got.snapshots.basis.weights is not None) == octant
+        for a, b in zip(got.snapshots.blocks, want.snapshots.blocks, strict=True):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
     def test_radial_profile_built_once_per_run(self, tmp_path, monkeypatch):
         # the wave march, cor37 and cor39 read one initial profile
@@ -274,14 +308,15 @@ class TestThreads:
         # the worker count reaches every transform without rewriting the
         # environment, which other threads of the process share
         monkeypatch.setenv("SEMIRELAX_THREADS", "2")
-        fftn, seen = scipy.fft.fftn, []
+        seen = []
+        for name in TRANSFORMS:
 
-        def spy(*args, **kwargs):
-            used = kwargs.get("workers") or scipy.fft.get_workers()
-            seen.append((used, os.environ["SEMIRELAX_THREADS"]))
-            return fftn(*args, **kwargs)
+            def spy(*args, _fn=getattr(scipy.fft, name), **kwargs):
+                used = kwargs.get("workers") or scipy.fft.get_workers()
+                seen.append((used, os.environ["SEMIRELAX_THREADS"]))
+                return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, "fftn", spy)
+            monkeypatch.setattr(scipy.fft, name, spy)
         (sc,) = load_config(write_config(tmp_path, FAST))
         run(sc, tmp_path / "out", deterministic=deterministic)
         assert seen and set(seen) == {(workers, "2")}
@@ -293,14 +328,15 @@ class TestSweep:
         # two members run at once on SEMIRELAX_THREADS=2 threads; with one
         # FFT worker each the sweep asks for 2 workers in total, not 2 x 2
         monkeypatch.setenv("SEMIRELAX_THREADS", "2")
-        fftn, seen = scipy.fft.fftn, set()
+        seen = set()
+        for name in TRANSFORMS:
 
-        def spy(*args, **kwargs):
-            used = kwargs.get("workers") or scipy.fft.get_workers()
-            seen.add((threading.get_ident(), used))
-            return fftn(*args, **kwargs)
+            def spy(*args, _fn=getattr(scipy.fft, name), **kwargs):
+                used = kwargs.get("workers") or scipy.fft.get_workers()
+                seen.add((threading.get_ident(), used))
+                return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, "fftn", spy)
+            monkeypatch.setattr(scipy.fft, name, spy)
         (sc,) = load_config(write_config(tmp_path, FAST))
         aggregate = sweep(sc, {"dt": ["5e-3", "4e-3"]}, tmp_path / "sweep")
         assert all("error" not in m for m in aggregate["members"])
@@ -365,7 +401,9 @@ checks = prop13
         body = RADIAL.replace("solver = both", "solver = radial-wave").replace(
             "checks = prop14, prop21, lemma35, lemma36, cor37, cor39, lemma33, lemma34",
             "checks = prop14, cor37",
-        ).replace("N = 32\nL = 12\n", "")
+        )
+        for key in ("s = 1.0\n", "N = 32\n", "L = 12\n", "snapshot_stride = 2\n"):
+            body = body.replace(key, "")  # the wave form reads none of them
         (sc,) = load_config(write_config(tmp_path, body))
         aggregate = sweep(sc, {"sigma": ["0.5", "2"]}, tmp_path / "sweep")
         members = aggregate["members"]
@@ -445,7 +483,6 @@ COR37_ONLY = """
 [scenario.cor37_only]
 n = 3
 p = 3
-s = 1.0
 solver = radial-wave
 M = 64
 R = 10
@@ -564,6 +601,23 @@ class TestShippedCatalog:
                 path = tmp_path / "out" / sc.name / "checks" / f"{check}.json"
                 keys = sorted(json.loads(path.read_text()))
                 assert keys == sorted(CATALOG_CHECK_KEYS[check]), (sc.name, check)
+
+
+    @pytest.mark.parametrize("body", [None, FAST, RADIAL], ids=["catalog", "fast", "radial"])
+    def test_runs_fold_no_snapshot(self, tmp_path, monkeypatch, body):
+        # every reader of a run takes the stored rows or the table: a spy on
+        # the fold raises, and every run still passes.  fast adds scaling and
+        # duhamel, radial lemma33 and the free flow of a nonlinear run
+        from semirelax import default_catalog_path
+        from semirelax.propagator import _Snapshots
+
+        def no_fold(store, k):
+            raise AssertionError(f"snapshot {k} folded")
+
+        monkeypatch.setattr(_Snapshots, "__getitem__", no_fold)
+        path = default_catalog_path() if body is None else write_config(tmp_path, body)
+        for sc in load_config(path):
+            assert run(sc, tmp_path / "out", deterministic=True).all_passed, sc.name
 
 
 class TestHelpers:

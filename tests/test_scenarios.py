@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -111,7 +112,6 @@ checks = prop14
 [scenario.wave_only]
 n = 3
 p = 3
-s = 1.0
 solver = radial-wave
 M = 64
 R = 10
@@ -130,7 +130,6 @@ checks = prop21
 [scenario.wave_only]
 n = 3
 p = 3
-s = 1.0
 solver = radial-wave
 M = 64
 R = 10
@@ -186,7 +185,6 @@ WAVE_ONLY = """
 [scenario.wave_only]
 n = 3
 p = 3
-s = 1.0
 solver = radial-wave
 M = 64
 R = 10
@@ -195,6 +193,29 @@ T = 0.05
 initial = gaussian(0.1, 1.0, 0.0)
 checks = prop14
 """
+
+
+class TestRadialWaveRejectsSpectralKeys:
+    """The wave form reads none of s, snapshot_stride, N and L: a radial-wave
+    scenario that sets one is rejected at load, naming it, where it once
+    loaded, ran and ignored it."""
+
+    @pytest.mark.parametrize("line", ["s = 2.0", "snapshot_stride = 25", "N = 64", "L = 20"])
+    def test_each_key_named(self, tmp_path, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ScenarioError, match=re.escape(f"radial-wave ignores ['{key}']")):
+            load_config(write_config(tmp_path, WAVE_ONLY + line + "\n"))
+
+    def test_every_key_named(self, tmp_path):
+        body = WAVE_ONLY + "s = 2.0\nsnapshot_stride = 25\nN = 64\nL = 20\n"
+        with pytest.raises(ScenarioError) as err:
+            load_config(write_config(tmp_path, body))
+        assert "ignores ['s', 'snapshot_stride', 'N', 'L']" in str(err.value)
+
+    def test_solver_both_reads_them(self, tmp_path):
+        body = WAVE_ONLY.replace("solver = radial-wave", "solver = both")
+        (sc,) = load_config(write_config(tmp_path, body + "s = 1.2\nN = 16\nL = 10\n"))
+        assert (sc.s, sc.N, sc.L) == (1.2, 16, 10.0)
 
 
 # a spectral run that also requests a radial probe: cor37 reads (M, R);
@@ -364,7 +385,6 @@ def _radial_body(M, R, p, dt, T, initial, checks):
 [scenario.fuzz]
 n = 3
 p = {p}
-s = 1.0
 solver = radial-wave
 M = {M}
 R = {R}
