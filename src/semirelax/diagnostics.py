@@ -2,12 +2,12 @@
 
 The CSV, the balance laws, the H^s growth bound and the lemma33 and Duhamel
 scales read one per-snapshot table stored on the trajectory, built with one
-forward transform of each snapshot (and of |u|^2 when the flow dissipates);
-the CSV's residuals are running trapezoid sums over it.  Every reader takes
-Trajectory.blocks, one transform and reduction per block, derivatives from
-fields._derivative on the block's basis, and folds no snapshot: on the
-(N/2+1)^n octant of an octant-resident trajectory its sums carry the DCT-I
-multiplicities, at about a sixth of the full-grid time and memory at 64^3.
+forward transform of each snapshot; the CSV's residuals are running
+trapezoid sums over it.  Every reader takes Trajectory.blocks, one transform
+and reduction per block, derivatives from fields._derivative on the block's
+basis, and folds no snapshot: on the (N/2+1)^n octant of an octant-resident
+trajectory its sums carry the DCT-I multiplicities, at about a sixth of the
+full-grid time and memory at 64^3.
 A linear trajectory dissipates nothing: its balance laws are conservation
 of ||u||^2, ||grad u||^2.
 
@@ -29,8 +29,7 @@ from .grids import make_grid
 from .norms import SobolevSpec, _sample_radii, _sobolev_norms, _weighted_l2, space_time_norm
 from .propagator import Trajectory
 from .radial import (
-    REGULARIZATION_EPS, JEvaluator, RadialProfile, Report, _l2_sup, modulus_power,
-    radial_sobolev_norm,
+    REGULARIZATION_EPS, JEvaluator, RadialProfile, Report, _l2_sup, radial_sobolev_norm,
 )
 
 __all__ = [
@@ -68,8 +67,9 @@ def diagnostics_table(traj: Trajectory, s: float = 1.0) -> dict[str, np.ndarray]
     built on first use and stored on the trajectory under s: the time t, the
     norms l2, h1dot, h2dot, hs (homogeneous, index s), linf and lpp1 (L^(p+1)),
     and the two dissipation integrands of check_h1_identity, grad_term and
-    modulus_term, which are zero for a linear trajectory.  The pass runs over
-    Trajectory.blocks: one forward transform and one reduction per block.
+    modulus_term, zero for a linear trajectory and else both formed from the
+    same d_j u.  The pass runs over Trajectory.blocks: one forward transform
+    (then one inverse per d_j u) and one reduction per block.
 
     An octant-resident trajectory is tabled on its stored octant arrays, with
     no fold and no second mirror test, under a DCT-I transform, its sums
@@ -108,15 +108,18 @@ def diagnostics_table(traj: Trajectory, s: float = 1.0) -> dict[str, np.ndarray]
         table["lpp1"][rows] = [v ** (1.0 / (p + 1.0)) for v in sums.tolist()]
         if traj.linear:
             continue
-        density = absu ** (p - 1.0) * _gradient_square(basis, coeffs, grid)
-        table["grad_term"][rows] = 2.0 * _integral(density, weights, grid)
-        mod2 = absu**2
-        if weights is None:  # complex, as to_spectral sees |u|^2 as a Field
-            mod2 = mod2.astype(np.complex128)
-        mod2 = forward(mod2)
-        mod2 *= dV
-        density = modulus_power(absu, p - 3.0) * _gradient_square(basis, mod2, grid)
-        table["modulus_term"][rows] = 0.5 * (p - 1.0) * _integral(density, weights, grid)
+        nonzero, grad_sq, radial_sq = absu > 0, 0.0, 0.0
+        for j in range(grid.n):
+            d = _derivative(basis, coeffs, grid, (j,))
+            grad_sq += np.abs(d) ** 2
+            # Re(conj(u) d_j u) / |u| = (grad |u|^2)_j / (2|u|), 0 where u is
+            re = d.real * samples.real + d.imag * samples.imag
+            radial_sq += np.divide(re, absu, out=re, where=nonzero) ** 2
+            del d, re  # one derivative held at a time
+        power = absu ** (p - 1.0)
+        table["grad_term"][rows] = 2.0 * _integral(power * grad_sq, weights, grid)
+        radial_sq *= power
+        table["modulus_term"][rows] = 2.0 * (p - 1.0) * _integral(radial_sq, weights, grid)
     traj.tables[s] = table
     return table
 
@@ -132,11 +135,6 @@ def _integral(density: np.ndarray, weights, grid) -> np.ndarray:
     if weights is not None:
         density *= weights
     return np.sum(density, axis=_stack_axes(grid)) * grid.cell_volume
-
-
-def _gradient_square(basis, coeffs: np.ndarray, grid) -> np.ndarray:
-    """sum_j |d_j f|^2 on the samples of ``basis`` for a coefficient stack."""
-    return sum(np.abs(_derivative(basis, coeffs, grid, (j,))) ** 2 for j in range(grid.n))
 
 
 def write_diagnostics_csv(traj: Trajectory, path, s: float = 1.0) -> None:
@@ -210,9 +208,9 @@ def check_h1_identity(traj: Trajectory, t1: float, t2: float) -> Report:
         against ||grad u(t1)||^2.
 
     Both dissipation integrands are pointwise nonnegative, so the gradient
-    norm is nonincreasing.  For p < 3 the singular modulus power is
-    regularized by (|u|^2 + 1e-30)^((p-3)/4) inside the square.  On a
-    linear trajectory the check is conservation of the gradient norm.
+    norm is nonincreasing.  As grad |u|^2 = 2 Re(conj(u) grad u), the second is
+    2(p-1) |u|^(p-3) sum_j (Re conj(u) d_j u)^2, 0 where u = 0, at most p-1 times
+    the first for every p.  On a linear trajectory the gradient norm is conserved.
     """
     i1, i2 = _validate_window(traj, t1, t2)
     table, window = _any_table(traj), slice(i1, i2 + 1)

@@ -130,9 +130,13 @@ def _parse_initial(sc: Scenario):
     return kind, args
 
 
-def _validate(sc: Scenario) -> None:
+def _validate(sc: Scenario, ignored=()) -> None:
+    """ignored: the keys with defaults (s, snapshot_stride) sc's config sets."""
     if sc.solver not in ("spectral", "radial-wave", "both"):
         raise ScenarioError(f"scenario {sc.name!r}: unknown solver {sc.solver!r}")
+    ignored = [*ignored, *(key for key in ("N", "L") if getattr(sc, key) is not None)]
+    if sc.solver == "radial-wave" and ignored:  # fields the spectral solvers alone read
+        raise ScenarioError(f"scenario {sc.name!r}: solver = radial-wave ignores {ignored}")
     unknown = [c for c in sc.checks if c not in CHECKS]
     if unknown:
         raise ScenarioError(f"scenario {sc.name!r}: unknown checks {unknown}")
@@ -217,10 +221,7 @@ def load_config(path) -> list[Scenario]:
             snapshot_stride=_get(sec, "snapshot_stride", int, default=1),
             nonlinear=_get(sec, "nonlinear", bool, default=True),
         )
-        ignored = [key for key in ("s", "snapshot_stride", "N", "L") if key in sec]
-        if sc.solver == "radial-wave" and ignored:  # keys the spectral solvers alone read
-            raise ScenarioError(f"scenario {sc.name!r}: solver = radial-wave ignores {ignored}")
-        _validate(sc)
+        _validate(sc, [key for key in ("s", "snapshot_stride") if key in sec])
         scenarios.append(sc)
     return scenarios
 

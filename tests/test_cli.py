@@ -137,6 +137,23 @@ class TestSweepCommand:
         assert "exceeds final time" in err
         assert not (tmp_path / "sweep").exists()
 
+    def test_grid_sweep_of_a_radial_wave_scenario_exits_2(self, tmp_path, capsys):
+        # the members would run with N ignored; none runs, none writes
+        config = tmp_path / "wave.cfg"
+        config.write_text(
+            "[scenario.wave]\nn = 3\np = 3\nsolver = radial-wave\nM = 64\nR = 10\n"
+            "dt = 1e-2\nT = 0.05\ninitial = gaussian(0.1, 1.0, 0.0)\nchecks = prop14\n"
+        )
+        code = main([
+            "sweep", "--config", str(config), "--scenario", "wave",
+            "--vary", "N=16,32", "--out", str(tmp_path / "sweep"),
+        ])
+        assert code == 2
+        assert "scenario 'wave__N_16': solver = radial-wave ignores ['N']" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "sweep").exists()
+
 
 class TestCheckExponents:
     def test_critical_pairing(self, capsys):

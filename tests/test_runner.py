@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -410,6 +411,31 @@ checks = prop13
         assert all("error" not in m for m in members)
         assert [m["scenario"]["R"] for m in members] == [24.0, 6.0]
         assert all(m["scenario"]["L"] is None for m in members)
+
+    def test_prop22_order_of_a_subcubic_scenario(self, tmp_path):
+        # p = 2 gaussian data on N = 64, L = 20, where |u0| falls below 1e-15:
+        # every member passes prop22 and the fitted order is 2
+        body = FAST.replace("p = 3", "p = 2").replace(
+            "gaussian(0.3, 1.0, 0.0)", "gaussian(0.1, 1.0, 0.0)"
+        ).replace("checks = prop11, prop21, prop22, prop24, scaling, duhamel", "checks = prop22")
+        (sc,) = load_config(write_config(tmp_path, body))
+        aggregate = sweep(sc, {"dt": ["0.01", "0.005", "0.0025"]}, tmp_path / "sweep")
+        assert all(m["checks"]["prop22"]["passed"] for m in aggregate["members"])
+        assert 1.8 <= aggregate["orders"]["prop22"] <= 2.2
+
+    def test_grid_sweep_of_a_radial_wave_scenario_is_rejected(self, tmp_path):
+        # the wave form reads no N: swept members are held to the loader's
+        # rule before any of them runs
+        body = RADIAL.replace("solver = both", "solver = radial-wave").replace(
+            "checks = prop14, prop21, lemma35, lemma36, cor37, cor39, lemma33, lemma34",
+            "checks = prop14",
+        )
+        for key in ("s = 1.0\n", "N = 32\n", "L = 12\n", "snapshot_stride = 2\n"):
+            body = body.replace(key, "")
+        (sc,) = load_config(write_config(tmp_path, body))
+        with pytest.raises(ScenarioError, match=re.escape("radial-wave ignores ['N']")):
+            sweep(sc, {"N": ["16", "32"]}, tmp_path / "sweep")
+        assert not (tmp_path / "sweep").exists()
 
     def test_rejects_unknown_key(self, tmp_path):
         (sc,) = load_config(write_config(tmp_path, FAST))
