@@ -4,11 +4,12 @@
                   [--deterministic] [--plots]
     semirelax sweep --config <path> --vary dt=1e-3,5e-4,2.5e-4 [--scenario <name>]
                   [--out <dir>] [--deterministic]
-    semirelax check-exponents --n <n> --p <p> [--s <s>]
+    semirelax check-exponents --n {1,2,3} --p <p> [--s <s>]
 
 Exit code is 0 iff every requested check passed, 2 for a configuration
 error (including a bad --vary key or value, or a sweep member the loader
-would reject; no member runs then).  The environment variable
+would reject; no member runs then; and a check-exponents --p or --s that
+is not a finite rational, or --p <= 1).  The environment variable
 SEMIRELAX_THREADS sets the FFT workers of each run and the number of sweep
 members run at once (default 1); --deterministic runs one worker.
 """
@@ -121,23 +122,34 @@ def _cmd_sweep(args) -> int:
     return 0 if ok else 1
 
 
-def _parse_rational(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(text)
+def _parse_rational(flag: str, text: str) -> Fraction:
+    """A finite rational such as 3, 2.5 or 7/3; anything else is a
+    configuration error naming the flag."""
+    try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return Fraction(int(num), int(den))
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ScenarioError(
+            f"bad {flag} {text!r}; expected a finite rational such as 3 or 7/3"
+        ) from None
 
 
 def _cmd_check_exponents(args) -> int:
     n = args.n
-    p = _parse_rational(args.p)
+    if n not in (1, 2, 3):
+        raise ScenarioError(f"--n must be 1, 2 or 3, got {n}")
+    p = _parse_rational("--p", args.p)
+    if p <= 1:
+        raise ScenarioError(f"--p must exceed 1, got {p}")
     s_crit = scaling_critical_exponent(n, p)
+    s = s_crit if args.s is None else _parse_rational("--s", args.s)
     print(f"n = {n}, p = {p}")
     print(f"s_crit(n, p) = n/2 - 1/(p-1) = {s_crit} = {float(s_crit):.12g}")
     if 2 * s_crit < n:
         p_back = critical_power(n, s_crit)
         print(f"p_crit(n, s_crit) = 1 + 2/(n - 2 s) = {p_back} (inverse relation)")
-    s = _parse_rational(args.s) if args.s is not None else s_crit
     print(f"admissible (q, r) samples for n = {n}:")
     for q in (math.inf, 4, 6, 8):
         r = _admissible_r(n, q)

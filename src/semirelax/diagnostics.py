@@ -89,6 +89,8 @@ def diagnostics_table(traj: Trajectory, s: float = 1.0) -> dict[str, np.ndarray]
     # from the k <= N/2 corner of |xi| alone
     sobolev = None
     for i, basis in traj.blocks():
+        # the last block's arrays go before this block's forward transform
+        coeffs = absu = nonzero = grad_sq = radial_sq = power = None
         samples, forward, weights = basis.samples, basis.forward, basis.weights
         rows = slice(i, i + len(samples))
         if sobolev is None:

@@ -37,7 +37,7 @@ __all__ = [
 PHYSICAL = "physical"
 SPECTRAL = "spectral"
 
-# bytes per block of the blocked passes (stacked snapshots, radial probe times)
+# bytes per block of stacked snapshots
 _BLOCK_BYTES = 1 << 20
 
 Symbol = Union[np.ndarray, Callable[[Sequence[np.ndarray]], np.ndarray]]
@@ -301,11 +301,16 @@ def second_derivative(f: Field, j: int, k: int) -> Field:
 
 def gaussian_field(grid: Grid, amplitude: complex = 1.0, width: float = 1.0,
                    center: float = 0.0) -> Field:
-    """amplitude * exp(-(|x - center|/width)^2), center applied on axis 0."""
+    """amplitude * exp(-(|x - center|/width)^2), center applied on axis 0,
+    the exponential formed in place in one float buffer and the product
+    written straight into the complex result."""
     coords = list(grid.coordinate_arrays)
     coords[0] = coords[0] - center
     r2 = sum(np.asarray(c, dtype=float) ** 2 for c in coords)
-    return Field(grid, amplitude * np.exp(-r2 / width**2), PHYSICAL)
+    np.negative(r2, out=r2)
+    r2 /= width**2
+    np.exp(r2, out=r2)
+    return Field(grid, np.multiply(amplitude, r2, out=np.empty(r2.shape, complex)), PHYSICAL)
 
 
 def mode_field(grid: Grid, k: int, amplitude: complex = 1.0) -> Field:

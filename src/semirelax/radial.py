@@ -31,7 +31,6 @@ from functools import cached_property
 import numpy as np
 import scipy.fft
 
-from .fields import _BLOCK_BYTES
 from .propagator import StepperConfig
 
 __all__ = [
@@ -529,9 +528,11 @@ def _probe_times(f: RadialProfile, T: float, n_t: int | None) -> np.ndarray:
 
 def _l2_sup(kernel, f: RadialProfile, T: float, n_t: int | None) -> float:
     """|| sup_r |kernel(t, r)| ||_{L^2(0,T)} on f's nodes and _probe_times,
-    with kernel(ts[i:j, None], r) on blocks of about _BLOCK_BYTES of times."""
+    with kernel(ts[i:j, None], r) on blocks of _CHUNK // M times (16 at
+    M = 512, a 128 KiB complex block that stays in cache with the kernel's
+    temporaries); each row is evaluated alone, so the block size moves no bit."""
     ts = _probe_times(f, T, n_t)
-    size = max(1, _BLOCK_BYTES // (16 * f.M))
+    size = max(1, _CHUNK // f.M)
     sup = np.concatenate([
         np.max(np.abs(kernel(ts[i : i + size, None], f.r)), axis=1)
         for i in range(0, ts.size, size)

@@ -175,3 +175,22 @@ class TestCheckExponents:
         out = capsys.readouterr().out
         assert code == 0
         assert "q = inf, r = 2: admissible = True" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "3", "--p", "1"], "--p must exceed 1, got 1"),
+        (["--n", "3", "--p", "0.5"], "--p must exceed 1, got 1/2"),
+        (["--n", "3", "--p", "nan"], "bad --p 'nan'"),
+        (["--n", "3", "--p", "inf"], "bad --p 'inf'"),
+        (["--n", "3", "--p", "7/0"], "bad --p '7/0'"),
+        (["--n", "3", "--p", "abc"], "bad --p 'abc'"),
+        (["--n", "3", "--p", "3", "--s", "nan"], "bad --s 'nan'"),
+        (["--n", "3", "--p", "3", "--s", "1/0"], "bad --s '1/0'"),
+        (["--n", "0", "--p", "3"], "--n must be 1, 2 or 3, got 0"),
+        (["--n", "4", "--p", "3"], "--n must be 1, 2 or 3, got 4"),
+    ])
+    def test_bad_input_is_a_config_error(self, capsys, argv, message):
+        code = main(["check-exponents", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""  # no verdicts printed

@@ -302,16 +302,17 @@ class TestH1Identity:
     @settings(max_examples=15, deadline=None)
     def test_prop22_second_order_property(self, n, L, p, amplitude):
         # the gradient balance over [0, 0.1] converges at second order in dt
-        # on resolved gaussian data; the example, L = 20, is the p = 2 config
-        # whose t = 0 row once made it first order, and it must pass prop22
-        # at every dt
+        # on resolved gaussian data, and so does the mass balance (prop21)
+        # of the same runs; the example, L = 20, is the p = 2 config whose
+        # t = 0 row once made prop22 first order, and it must pass prop22 at
+        # every dt
         u0 = gaussian_field(make_grid(n, 64, L), amplitude)
         dts = (0.01, 0.005, 0.0025)
-        rel = [
-            check_h1_identity(evolve(u0, StepperConfig(p=p, dt=dt, T=0.1)), 0.0, 0.1).relative
-            for dt in dts
-        ]
+        trajs = [evolve(u0, StepperConfig(p=p, dt=dt, T=0.1)) for dt in dts]
+        rel = [check_h1_identity(traj, 0.0, 0.1).relative for traj in trajs]
+        mass = [check_l2_identity(traj, 0.0, 0.1).relative for traj in trajs]
         assert 1.8 <= fit_order(dts, rel) <= 2.2
+        assert 1.8 <= fit_order(dts, mass) <= 2.2
         if L == 20.0:
             assert all(r < _dt_scaled(PROP22_TOL, dt) for r, dt in zip(rel, dts))
 
@@ -922,6 +923,22 @@ class TestBlockedPass:
         for i, basis in blocks:
             assert basis.samples.shape == (1, 9, 9)
             assert np.shares_memory(basis.samples, traj.snapshots.blocks[i])
+
+    def test_table_frees_each_block_before_the_next(self):
+        # p11_1d_cubic's data: 1,001 rows of N = 256 in four 1 MiB blocks.
+        # A block's coefficients, moduli and dissipation densities go before
+        # the next block's forward transform, so the table peaks at most
+        # 4.2 MiB above the trajectory it reads (about 4.15 MiB)
+        g = make_grid(1, 256, 40.0)
+        traj = evolve(gaussian_field(g, 0.5), StepperConfig(p=3.0, dt=1e-3, T=1.0))
+        assert [len(basis.samples) for _, basis in traj.blocks()] == [256, 256, 256, 233]
+        tracemalloc.start()
+        try:
+            diagnostics_table(traj, 1.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.2 * 2**20
 
 
 def unfold(octant, N):

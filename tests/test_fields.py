@@ -251,6 +251,43 @@ class TestDerivative:
             assert np.array_equal(coeffs, kept)
 
 
+def one_expression_gaussian(grid, amplitude=1.0, width=1.0, center=0.0):
+    """gaussian_field's values as a single expression, a float temporary per
+    operation, converted to complex by Field."""
+    coords = list(grid.coordinate_arrays)
+    coords[0] = coords[0] - center
+    r2 = sum(np.asarray(c, dtype=float) ** 2 for c in coords)
+    return np.asarray(amplitude * np.exp(-r2 / width**2), dtype=np.complex128)
+
+
+class TestGaussianField:
+    @pytest.mark.parametrize("center", [0.0, 1.3])
+    @pytest.mark.parametrize("amplitude", [1.0, 0.5, -0.7, 3, 0.4 - 0.3j, -2.0j, -0.6 + 0.0j])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_the_one_expression_form(self, n, amplitude, center):
+        # the in-place exponential and the product written into the complex
+        # result keep every bit, the signs of zero parts included
+        g = make_grid(n, 16, 7.0)
+        values = gaussian_field(g, amplitude, width=0.8, center=center).values
+        ref = one_expression_gaussian(g, amplitude, width=0.8, center=center)
+        assert values.dtype == ref.dtype and values.shape == g.shape
+        for part in ("real", "imag"):
+            a, b = getattr(values, part), getattr(ref, part)
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    def test_peaks_at_one_float_buffer_above_the_result(self):
+        # the complex result (16 B per point) plus one float buffer (8 B)
+        g = make_grid(3, 32, 10.0)
+        tracemalloc.start()
+        try:
+            gaussian_field(g, 0.5, center=0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 24 * g.size
+
+
 class TestSnapshotFormat:
     def test_round_trip(self, tmp_path, grid_2d, rng):
         f = random_field(grid_2d, rng)

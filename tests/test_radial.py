@@ -160,10 +160,22 @@ def radial_split_step(u0: RadialProfile, p: float, dt: float, T: float) -> list:
     profiles = [u0]
     for _ in range(int(math.ceil(T / dt - 1e-12))):
         v = _from_sine(half * _sine(profiles[-1]), u0)
-        v *= (1.0 + (p - 1.0) * dt * np.abs(v) ** (p - 1.0)) ** (-1.0 / (p - 1.0))
+        # (1 + x)^(-1/(p-1)) through log1p, which stays accurate as p -> 1
+        v *= np.exp(-np.log1p((p - 1.0) * dt * np.abs(v) ** (p - 1.0)) / (p - 1.0))
         v = _from_sine(half * _sine(RadialProfile(u0.R, v)), u0)
         profiles.append(RadialProfile(u0.R, v))
     return profiles
+
+
+def blocked_l2_sup(kernel, f: RadialProfile, T: float, size: int) -> float:
+    """radial._l2_sup's norm from kernel(ts[i:i + size, None], r), blocks
+    of ``size`` probe times, on the default n_t = M/2 time grid."""
+    ts = np.linspace(0.0, T, f.M // 2 + 1)
+    sup = np.concatenate([
+        np.max(np.abs(kernel(ts[i : i + size, None], f.r)), axis=1)
+        for i in range(0, ts.size, size)
+    ])
+    return float(np.sqrt(np.trapezoid(sup**2, ts)))
 
 
 def largest_relative_gap(a: list, b: list, times) -> float:
@@ -390,9 +402,21 @@ class TestTimeColumn:
     def test_block_size_does_not_change_the_probes(self, monkeypatch):
         prof = random_profile(3, M=96)
         before = maximal_bound_check(prof, 4.0), hardy_time_derivative_check(prof)
-        monkeypatch.setattr(radial, "_BLOCK_BYTES", 1)  # one time per block
+        monkeypatch.setattr(radial, "_CHUNK", prof.M)  # one time per block
         after = maximal_bound_check(prof, 4.0), hardy_time_derivative_check(prof)
         assert before == after
+
+    @pytest.mark.parametrize("M", [512, 2048])
+    def test_probes_equal_their_128_time_blocks(self, M):
+        # _CHUNK // M times per block (16 at M = 512, 4 at M = 2048) against
+        # blocks of 128 times
+        prof = random_profile(M, M=M, R=8.0)
+        assert radial._CHUNK // M < 128
+        ev = JEvaluator(prof)
+        cor37 = maximal_bound_check(prof, 4.0).lhs
+        cor39 = hardy_time_derivative_check(prof).lhs
+        assert cor37 == blocked_l2_sup(ev.j, prof, 4.0, 128)
+        assert cor39 == blocked_l2_sup(ev.dj_dt, prof, 0.9 * prof.R, 128)
 
 
 class TestProbeHorizons:
@@ -408,7 +432,8 @@ class TestProbeHorizons:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2**20
+        # about 1.0 MiB at blocks of _CHUNK // M = 4 times
+        assert peak <= 1.5 * 2**20
 
     def test_zero_horizon_gives_zero(self):
         prof = gaussian_profile(M=128, R=10.0)
@@ -752,6 +777,20 @@ class TestSineMarch:
             assert largest_relative_gap(runs[i], runs[j], march.times) <= tol
         mass = [np.sum(u.r**2 * np.abs(u.values) ** 2) for u in runs[2]]
         assert np.all(np.diff(mass) <= 0)
+
+    @given(p=st.floats(1.0, 3.0, exclude_min=True))
+    @settings(max_examples=10, deadline=None)
+    def test_matches_split_step_at_second_order_property(self, p):
+        # the wave form against the split-step for every 1 < p <= 3, not only
+        # at the cubic power: their gap shrinks fourfold when dt halves
+        # (3.99-4.00 measured at p = 2, 2.5 and 3)
+        prof = gaussian_profile(R=20.0, M=512, amp=0.5)
+        gaps = []
+        for dt in (0.01, 0.005):
+            march = wave_evolve(prof, p, dt=dt, T=0.5)
+            split = radial_split_step(prof, p, dt=dt, T=0.5)
+            gaps.append(largest_relative_gap(march.profiles, split, march.times))
+        assert 3.4 <= gaps[0] / gaps[1] <= 4.6
 
 
 class TestMaximalFunction:
