@@ -20,9 +20,9 @@ from .diagnostics import (
     write_diagnostics_csv,
 )
 from .exponents import (
-    StrichartzExponents,
     critical_power,
     embedding_exponent_check,
+    is_admissible,
     scaling_critical_exponent,
 )
 from .fields import (

@@ -74,9 +74,7 @@ def diagnostics_table(traj: Trajectory, s: float = 1.0) -> dict[str, np.ndarray]
     An octant-resident trajectory is tabled on its stored octant arrays, with
     no fold and no second mirror test, under a DCT-I transform, its sums
     weighted by the mode and sample multiplicities, and agrees with the FFT
-    table to roundoff.  A hand-built one takes the octant, with the same
-    bits, when all its snapshots pass the mirror rule of fields._basis;
-    1-d and any other trajectory keep the FFT stack."""
+    table to roundoff; 1-d and any other trajectory keep the FFT stack."""
     if s in traj.tables:
         return traj.tables[s]
     grid, p = traj.grid, traj.config.p
@@ -139,8 +137,9 @@ def _integral(density: np.ndarray, weights, grid) -> np.ndarray:
     return np.sum(density, axis=_stack_axes(grid)) * grid.cell_volume
 
 
-def write_diagnostics_csv(traj: Trajectory, path, s: float = 1.0) -> None:
-    """Write the per-snapshot norm table plus running identity residuals.
+def write_diagnostics_csv(traj: Trajectory, path, s: float = 1.0) -> np.ndarray:
+    """Write the per-snapshot norm table plus running identity residuals,
+    and return the written rows, one per snapshot in CSV_HEADER's columns.
 
     lpp1_budget is the accumulated dissipation 2 * int_0^t ||u||^(p+1) dt'
     (trapezoid; zero for a linear trajectory), res_prop21 / res_prop22 the
@@ -166,6 +165,7 @@ def write_diagnostics_csv(traj: Trajectory, path, s: float = 1.0) -> None:
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         fh.writelines(fmt % tuple(row) for row in rows.tolist())
+    return rows
 
 
 def _cumtrapz(vals: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -8,7 +8,6 @@ like the critical-power inverse relation hold without tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -16,7 +15,7 @@ __all__ = [
     "Rational",
     "scaling_critical_exponent",
     "critical_power",
-    "StrichartzExponents",
+    "is_admissible",
     "embedding_exponent_check",
 ]
 
@@ -58,7 +57,7 @@ def critical_power(n: int, s: Rational) -> Fraction:
 
 
 def _admissible_r(n: int, q: Rational):
-    """The r with (q, r) admissible in dimension n (see StrichartzExponents),
+    """The r with (q, r) admissible in dimension n (see is_admissible),
     math.inf for the endpoint 1/r = 0, or None when no r is admissible."""
     inv_q = _inv(q)
     if inv_q < 0:
@@ -71,9 +70,9 @@ def _admissible_r(n: int, q: Rational):
     return math.inf if inv_r == 0 else 1 / inv_r
 
 
-@dataclass(frozen=True)
-class StrichartzExponents:
-    """An admissible space-time pair (q, r) for the half-wave propagator.
+def is_admissible(n: int, q: Rational, r: Rational) -> bool:
+    """Whether (q, r) is an admissible space-time pair for the half-wave
+    propagator in dimension n.
 
     Admissibility in dimension n (with sigma = n - 1) is
         1/r = 1/2 - (2/sigma) * (1/q),
@@ -81,42 +80,8 @@ class StrichartzExponents:
     (sigma = 0) the only admissible pair is q = inf, r = 2.  Use q=inf or
     r=inf (floats) for the endpoints.
     """
-
-    n: int
-    q: Rational
-    r: Rational
-
-    def __post_init__(self):
-        if self.n not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {self.n}")
-        if not self.is_admissible(self.n, self.q, self.r):
-            raise ValueError(
-                f"(q, r) = ({self.q}, {self.r}) is not admissible in dimension {self.n}"
-            )
-
-    @staticmethod
-    def is_admissible(n: int, q: Rational, r: Rational) -> bool:
-        inv_r, r_adm = _inv(r), _admissible_r(n, q)
-        return r_adm is not None and inv_r == _inv(r_adm)
-
-    @property
-    def alpha(self) -> Fraction:
-        """1/2 - 1/r."""
-        return Fraction(1, 2) - _inv(self.r)
-
-    @property
-    def lam(self) -> Fraction:
-        """(n + 1)/2, the dispersive weight."""
-        return Fraction(self.n + 1, 2)
-
-    @property
-    def sigma(self) -> int:
-        """n - 1, the decay dimension."""
-        return self.n - 1
-
-    def besov_shift(self) -> Fraction:
-        """The regularity loss lam * alpha(r) in the Besov-norm estimate."""
-        return self.lam * self.alpha
+    inv_r, r_adm = _inv(r), _admissible_r(n, q)
+    return r_adm is not None and inv_r == _inv(r_adm)
 
 
 def embedding_exponent_check(s: Rational, r: Rational) -> bool:

@@ -196,12 +196,11 @@ def space_time_norm(traj, q: float, spatial: Callable[[Field], float]) -> float:
     """(int ||u(t)||^q dt)^(1/q) over a trajectory, trapezoid in time.
 
     Args:
-        traj: object with ``times`` and ``snapshots`` attributes, or a
-            (times, snapshots) pair.
+        traj: a (times, snapshots) pair.
         q: time exponent, q >= 1 or inf (max over snapshots).
         spatial: callable evaluating the spatial norm of one snapshot.
     """
-    times, snaps = traj if isinstance(traj, tuple) else (traj.times, traj.snapshots)
+    times, snaps = traj
     if len(snaps) == 0:
         raise ValueError("empty trajectory")
     vals = np.array([spatial(u) for u in snaps], dtype=float)

@@ -94,18 +94,11 @@ def refinement_chart_svg(dts, errors, title: str, path) -> None:
         fh.write(_svg_document(body, title))
 
 
-def emit_plots(csv_path, outdir) -> list[str]:
-    """One line chart per diagnostics column, pure function of the CSV."""
-    if not os.path.exists(csv_path):
-        raise FileNotFoundError(f"diagnostics CSV not found: {csv_path}")
-    with open(csv_path) as fh:
-        header = fh.readline().strip()
-        if not header:
-            raise ValueError(f"diagnostics CSV {csv_path} is empty")
-        columns = header.split(",")
-        rows = [line.split(",") for line in fh if line.strip()]
-    if not rows:
-        raise ValueError(f"diagnostics CSV {csv_path} has no data rows")
+def emit_plots(columns, rows, outdir) -> list[str]:
+    """One line chart per column of the (snapshot, column) array ``rows``
+    against its first, t; ``columns`` names them, as
+    diagnostics.write_diagnostics_csv returns the CSV's rows under
+    CSV_HEADER.  A pure function of the data."""
     data = np.asarray(rows, dtype=float)
     os.makedirs(outdir, exist_ok=True)
     t = data[:, 0]

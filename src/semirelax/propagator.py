@@ -113,9 +113,7 @@ class _Snapshots(Sequence):
     def __len__(self) -> int:
         return sum(map(len, self.blocks))
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[j] for j in range(len(self))[k]]
+    def __getitem__(self, k: int) -> Field:
         k, size = range(len(self))[k], len(self.blocks[0])
         return Field(self.grid, self.blocks[k // size][k % size][self.basis.fold])
 
@@ -123,21 +121,20 @@ class _Snapshots(Sequence):
 @dataclass
 class Trajectory:
     """Uniformly sampled (time, Field) snapshots from one evolution; ``tables``
-    caches diagnostics.diagnostics_table by Sobolev index.  evolve stores
-    _Snapshots, which own the initial data: snapshot 0 is the fold of its
-    stored row, equal to u0 (up to the sign of a mirrored zero).  Only
-    indexing snapshots folds: every reader of a run reads the stored rows
-    through blocks() or the table, and grid is the stored grid."""
+    caches diagnostics.diagnostics_table by Sobolev index.  snapshots are
+    the _Snapshots evolve stores, which own the initial data: snapshot 0 is
+    the fold of its stored row, equal to u0 (up to the sign of a mirrored
+    zero).  Only indexing snapshots folds: every reader of a run reads the
+    stored rows through blocks() or the table, and grid is the stored grid."""
 
     config: StepperConfig
     times: np.ndarray
-    snapshots: Sequence[Field] = field(default_factory=list)
+    snapshots: _Snapshots
     tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def grid(self):
-        stored = self.snapshots
-        return stored.grid if isinstance(stored, _Snapshots) else stored[0].grid
+        return self.snapshots.grid
 
     @property
     def linear(self) -> bool:
@@ -146,21 +143,13 @@ class Trajectory:
     def blocks(self, start: int = 0, stop: int | None = None):
         """Yield (i, basis) over stored snapshots start..stop-1, basis.samples
         the samples of snapshots i, i+1, ... as one (B, ...) array, a view of
-        a block evolve stored.  A hand-built trajectory is stacked, put under
-        fields._basis once (one basis per trajectory, as in evolve) and cut
-        into blocks of about _BLOCK_BYTES.  Callers never write into the samples."""
+        a block evolve stored.  Callers never write into the samples."""
         stored = self.snapshots
-        if isinstance(stored, _Snapshots):
-            basis, blocks = stored.basis, stored.blocks
-        else:
-            basis = _basis(np.stack([to_physical(u).values for u in stored]), self.grid.n)
-            size = max(1, _BLOCK_BYTES // stored[0].values.nbytes)
-            blocks = [basis.samples[i : i + size] for i in range(0, len(stored), size)]
         i, stop = 0, len(stored) if stop is None else stop
-        for block in blocks:
+        for block in stored.blocks:
             if start < i + len(block) and i < stop:
                 rows = block[max(start - i, 0) : stop - i]
-                yield max(i, start), basis._replace(samples=rows)
+                yield max(i, start), stored.basis._replace(samples=rows)
             i += len(block)
 
 
@@ -359,11 +348,15 @@ def duhamel_residual(traj: Trajectory) -> float:
         w[:-1] += h / 2.0
         w[1:] += h / 2.0
         for i, basis in traj.blocks():
-            terms = basis.forward(np.abs(basis.samples) ** (p - 1.0) * basis.samples)
+            term = phase = None  # the last block's arrays go before this block's transform
+            terms = np.abs(basis.samples)
+            terms **= p - 1.0  # in place, as is the exp below
+            terms = basis.forward(terms * basis.samples)
             terms *= dV
             # U(t_final - t_k) of each snapshot in the block
             z = [-1j * (t_final - float(t_k)) for t_k in times[i : i + len(terms)]]
-            terms *= np.exp(np.reshape(z, (-1,) + (1,) * grid.n) * xi_norm)
+            phase = np.reshape(z, (-1,) + (1,) * grid.n) * xi_norm
+            terms *= np.exp(phase, out=phase)
             for k, term in enumerate(terms, start=i):
                 acc += w[k] * term
     power = np.abs(acc) ** 2

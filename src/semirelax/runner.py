@@ -127,7 +127,7 @@ def _run(scenario: Scenario, outdir, deterministic: bool, plots: bool,
             # byte-identical across output locations
             csv_path = "diagnostics.csv"
             try:
-                diag.write_diagnostics_csv(
+                rows = diag.write_diagnostics_csv(
                     ctx.traj, os.path.join(run_dir, csv_path), s=scenario.s
                 )
             except Exception as exc:  # solver errors carry scenario context
@@ -146,9 +146,7 @@ def _run(scenario: Scenario, outdir, deterministic: bool, plots: bool,
             with open(os.path.join(run_dir, "checks", f"{check}.json"), "w") as fh:
                 json.dump(results[check], fh, indent=2, sort_keys=True)
         if plots and csv_path:
-            emit_plots(
-                os.path.join(run_dir, csv_path), os.path.join(run_dir, "plots")
-            )
+            emit_plots(diag.CSV_HEADER.split(","), rows, os.path.join(run_dir, "plots"))
     wall = 0.0 if deterministic else time.perf_counter() - t0
     report = RunReport(
         scenario=asdict(scenario),
@@ -184,6 +182,8 @@ def _apply_variation(base: Scenario, key: str, raw) -> Scenario:
         value = _SWEEPABLE[key](raw)
     except ValueError as exc:
         raise ScenarioError(f"bad value {raw!r} for swept key {key!r}") from exc
+    if key == "sigma" and not (math.isfinite(value) and value > 0):  # L / sigma, R / sigma
+        raise ScenarioError(f"swept sigma must be finite and positive, got {raw!r}")
     sc = Scenario(**asdict(base))
     if key == "dt":
         sc.dt = value
@@ -215,17 +215,20 @@ def sweep(
 
     Members run concurrently (capped by SEMIRELAX_THREADS), one FFT worker
     each, so the sweep uses no more threads than that; run-time failures
-    are recorded and do not abort the sweep, but an unknown key, a
-    non-numeric value, an amplitude sweep of file data or a member the
-    loader would reject raises ScenarioError before any member runs.  When
+    are recorded and do not abort the sweep, but an unknown key, a key
+    with no values, a non-numeric value, a sigma that is not finite and
+    positive, an amplitude sweep of file data or a member the loader would
+    reject raises ScenarioError before any member runs.  When
     dt is varied, residual-style checks get a fitted convergence order and
     a refinement chart; empirical constants get a max/min stability ratio.
     """
-    for key in vary:
+    for key, values in vary.items():
         if key not in _SWEEPABLE:
             raise ScenarioError(
                 f"cannot sweep over {key!r}; supported: {sorted(_SWEEPABLE)}"
             )
+        if not values:
+            raise ScenarioError(f"no values given for swept key {key!r}")
     members = [base]
     for key, values in vary.items():
         members = [_apply_variation(m, key, v) for m in members for v in values]

@@ -7,7 +7,7 @@ rejects the keys marked spectral solvers, which it would ignore):
     [scenario.<name>]
     n = 1                     # spatial dimension
     p = 3                     # nonlinearity power
-    s = 1.5                   # diagnostic Sobolev index (spectral solvers)
+    s = 1.5                   # diagnostic Sobolev index (spectral solvers; < 0: mean-free data)
     solver = spectral         # spectral | radial-wave | both
     N = 256                   # grid points per axis   (spectral solvers)
     L = 40                    # box period             (spectral solvers)
@@ -34,6 +34,7 @@ import numpy as np
 from .checks import CHECKS, broken_hypothesis
 from .fields import Field, gaussian_field, load_field, mode_field
 from .grids import make_grid
+from .norms import SobolevSpec, sobolev_norm
 from .propagator import StepperConfig
 from .radial import RadialProfile, _wave_form_domain, profile_from_function
 
@@ -149,6 +150,11 @@ def _validate(sc: Scenario, ignored=()) -> None:
             StepperConfig(sc.p, sc.dt, sc.T, snapshot_stride=sc.snapshot_stride)
             if kind == "file":  # read now: a missing or foreign file is a config error
                 sc.initial_field()
+            if sc.s < 0:  # the table's homogeneous H^s norm needs mean-free data
+                try:
+                    sobolev_norm(sc.initial_field(), SobolevSpec(sc.s, homogeneous=True))
+                except ValueError as exc:
+                    raise ScenarioError(f"scenario {sc.name!r}: s = {sc.s:g}: {exc}") from exc
         if sc.solver != "spectral" or any(CHECKS[c].reads == "radial" for c in sc.checks):
             sc.initial_profile()  # M, R and the radial form of the data
         if sc.solver != "spectral":

@@ -16,7 +16,6 @@ import scipy.fft
 from semirelax import (
     SobolevSpec,
     StepperConfig,
-    StrichartzExponents,
     check_h1_identity,
     check_h2_inequality,
     check_hs_growth,
@@ -28,6 +27,7 @@ from semirelax import (
     evolve,
     gaussian_field,
     hardy_time_derivative_check,
+    is_admissible,
     l2_norm,
     linear_step,
     make_grid,
@@ -341,7 +341,7 @@ def test_criterion_10_exponent_bookkeeping():
         assert s == s_expected, (n, p)
         if 2 * s < n:
             assert critical_power(n, s) == p, (n, s)
-        assert StrichartzExponents.is_admissible(n, q, r) is admissible, (n, q, r)
+        assert is_admissible(n, q, r) is admissible, (n, q, r)
     for s, r, verdict in EMBEDDING_TABLE:
         assert embedding_exponent_check(s, r) is verdict, (s, r)
     _report(10, "20-row exponent/admissibility table verified in exact arithmetic")

@@ -137,6 +137,27 @@ class TestSweepCommand:
         assert "exceeds final time" in err
         assert not (tmp_path / "sweep").exists()
 
+    @pytest.mark.parametrize("vary, message", [
+        ("sigma=0", "swept sigma must be finite and positive, got '0'"),
+        ("sigma=inf", "swept sigma must be finite and positive, got 'inf'"),
+        ("sigma=nan", "swept sigma must be finite and positive, got 'nan'"),
+        ("sigma=2,-1", "swept sigma must be finite and positive, got '-1'"),
+        ("dt=", "no values given for swept key 'dt'"),
+    ])
+    def test_sweep_that_runs_nothing_exits_2(self, tmp_path, config, capsys, vary, message):
+        # each once ended in a traceback (sigma = 0, and dt= with a fresh
+        # --out), ran with L = 0 (sigma = inf) or exited 0 having run
+        # nothing (dt= with an existing --out)
+        for out in (tmp_path / "sweep", tmp_path):
+            code = main([
+                "sweep", "--config", str(config), "--scenario", "cli_demo",
+                "--vary", vary, "--out", str(out),
+            ])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "sweep").exists()
+        assert not (tmp_path / "sweep.json").exists()
+
     def test_grid_sweep_of_a_radial_wave_scenario_exits_2(self, tmp_path, capsys):
         # the members would run with N ignored; none runs, none writes
         config = tmp_path / "wave.cfg"

@@ -37,13 +37,25 @@ from semirelax import (
 )
 from semirelax import propagator
 from semirelax.checks import PROP22_TOL, _dt_scaled
-from semirelax.fields import _BLOCK_BYTES as BLOCK_BYTES
+from semirelax.fields import _BLOCK_BYTES as BLOCK_BYTES, _basis
 from semirelax.diagnostics import CSV_HEADER, TABLE_COLUMNS
 from semirelax.norms import space_time_norm, weighted_norm
 from semirelax.plotting import fit_order
 from semirelax.propagator import _Snapshots, duhamel_residual, linear_step
 from semirelax.radial import Report, profile_from_function
 from conftest import constant_field, mirror, random_field, symmetrized
+
+
+def stored_trajectory(cfg, times, snaps, block_bytes=BLOCK_BYTES):
+    """A Trajectory of hand-made Fields stored as evolve stores a run: one
+    fields._basis over the whole stack, so one mirror test and one basis
+    per trajectory, cut into blocks of about block_bytes of full-grid
+    snapshots."""
+    grid = snaps[0].grid
+    basis = _basis(np.stack([to_physical(u).values for u in snaps]), grid.n)
+    size = max(1, block_bytes // snaps[0].values.nbytes)
+    blocks = [basis.samples[i : i + size] for i in range(0, len(snaps), size)]
+    return Trajectory(cfg, np.asarray(times), _Snapshots(grid, basis, blocks))
 
 
 def gradient_squared_modulus(u: Field) -> list[np.ndarray]:
@@ -138,7 +150,7 @@ def reference_h2_inequality(traj, i1, i2):
     times = table["t"][window]
     h1, h2 = table["h1dot"][window].tolist(), table["h2dot"][window].tolist()
     cross = np.zeros(len(times))
-    for m, u in enumerate(traj.snapshots[window]):
+    for m, u in enumerate(traj.snapshots[i] for i in range(i1, i2 + 1)):
         phys, coeffs = to_physical(u), to_spectral(u)
         total = 0.0
         for j in range(n):
@@ -323,7 +335,7 @@ class TestHsGrowth:
         g = make_grid(2, 16, 10.0)
         snaps = [gaussian_field(g, 0.5, width=w) for w in (1.0, 0.8, 1.1, 0.7, 0.9, 0.6)]
         cfg = StepperConfig(p=3.0, dt=0.1, T=0.5)
-        traj = Trajectory(cfg, 0.1 * np.arange(len(snaps)), snaps)
+        traj = stored_trajectory(cfg, 0.1 * np.arange(len(snaps)), snaps)
         report = check_hs_growth(traj, 1.5, C=1.0)
         assert report.empirical_constant > 0
         table = diagnostics_table(traj, s=1.5)
@@ -409,7 +421,9 @@ def reference_scaling_law(u0: Field, sigma: float, s: float, p: float) -> Report
 def reference_weighted_strichartz_ratio(traj, delta: float, q1: float) -> float:
     """lemma34 on the full grid: weighted_norm of every folded snapshot over
     the L^2 norm of the folded u0."""
-    num = space_time_norm(traj, q1, lambda u: weighted_norm(u, delta, q1, sign=-1))
+    num = space_time_norm(
+        (traj.times, traj.snapshots), q1, lambda u: weighted_norm(u, delta, q1, sign=-1)
+    )
     return num / l2_norm(traj.snapshots[0])
 
 
@@ -610,7 +624,7 @@ class TestWeightedStrichartzRatio:
         cfg = StepperConfig(p=3.0, dt=0.1, T=0.5, nonlinear=False)
         traj = evolve(gaussian_field(g, 0.5), cfg)
         ref = space_time_norm(
-            traj, 4.0, lambda u: weighted_norm(u, 0.5, 4.0, sign=-1)
+            (traj.times, traj.snapshots), 4.0, lambda u: weighted_norm(u, 0.5, 4.0, sign=-1)
         ) / diagnostics_table(traj)["l2"][0]
         assert weighted_strichartz_ratio(traj, 0.5, 4.0) == ref
 
@@ -757,7 +771,7 @@ class TestSnapshotTable:
         assert np.all(table["lpp1"] > 0)
 
 
-def asymmetric_trajectory(monkeypatch):
+def asymmetric_trajectory():
     """A hand-built 3-d trajectory of six centred gaussians, one of them off
     the mirror rule, stored in blocks of three snapshots."""
     g = make_grid(3, 8, 10.0)
@@ -765,8 +779,8 @@ def asymmetric_trajectory(monkeypatch):
     broken = snaps[1].values.copy()
     broken[1, 2, 3] += 1e-3
     snaps[1] = Field(g, broken)
-    monkeypatch.setattr(propagator, "_BLOCK_BYTES", 3 * broken.nbytes)
-    return Trajectory(StepperConfig(p=3.0, dt=0.1, T=0.5), 0.1 * np.arange(6), snaps)
+    cfg = StepperConfig(p=3.0, dt=0.1, T=0.5)
+    return stored_trajectory(cfg, 0.1 * np.arange(6), snaps, 3 * broken.nbytes)
 
 
 def octant_checks(traj, i1, i2):
@@ -845,7 +859,7 @@ class TestBlockedPass:
         # one snapshot off the mirror rule sends the whole hand-built
         # trajectory, both of its blocks, to the FFT stack, one forward
         # transform each, which matches the reference bit for bit
-        traj = asymmetric_trajectory(monkeypatch)
+        traj = asymmetric_trajectory()
         calls = count_calls(monkeypatch, ("fftn", "dctn"))
         table = diagnostics_table(traj, 1.5)
         assert calls == {"fftn": 2, "dctn": 0}
@@ -853,9 +867,9 @@ class TestBlockedPass:
         for name in TABLE_COLUMNS:
             assert np.array_equal(table[name], ref[name]), name
 
-    def test_asymmetric_trajectory_duhamel_matches_reference(self, monkeypatch):
+    def test_asymmetric_trajectory_duhamel_matches_reference(self):
         # the Duhamel sum spans blocks, so it needs one basis per trajectory
-        traj = asymmetric_trajectory(monkeypatch)
+        traj = asymmetric_trajectory()
         assert duhamel_residual(traj) == reference_duhamel_residual(traj)
 
     @given(
@@ -940,6 +954,21 @@ class TestBlockedPass:
             tracemalloc.stop()
         assert peak <= 4.2 * 2**20
 
+    def test_duhamel_frees_each_block_before_the_next(self):
+        # the same data: |u|^(p-1) and the U(t_final - t_k) factor are formed
+        # in place and a block's arrays go before the next block's transform,
+        # so the residual peaks at most 2.75 MiB above the trajectory (about
+        # 2.53 MiB; 4.03 when each block held three complex arrays at once)
+        g = make_grid(1, 256, 40.0)
+        traj = evolve(gaussian_field(g, 0.5), StepperConfig(p=3.0, dt=1e-3, T=1.0))
+        tracemalloc.start()
+        try:
+            duhamel_residual(traj)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * 2**20
+
 
 def unfold(octant, N):
     """The full grid of mirror-symmetric samples from their octant: placed at
@@ -968,9 +997,9 @@ class TestOctantResident:
     ):
         # evolve of mirror-symmetric data stores octants; each snapshot read
         # as a Field, u0 included, is their fold, the table and lemma34 equal
-        # those of the same Fields in a hand-built trajectory (which gathers
-        # every block's octant again) bit for bit, and lemma34 agrees with
-        # its full-grid sum to roundoff
+        # those of the same Fields stored again by stored_trajectory (one
+        # mirror test, octants gathered anew, blocks of another size) bit for
+        # bit, and lemma34 agrees with its full-grid sum to roundoff
         g = make_grid(n, 16 if n == 2 else 8, 8.0)
         if gaussian:
             u0 = gaussian_field(g, 0.6)
@@ -984,20 +1013,14 @@ class TestOctantResident:
         for k in range(len(octants)):
             assert np.array_equal(traj.snapshots[k].values, unfold(octants[k], g.N))
         fields = list(traj.snapshots)
-        for u, v in zip(traj.snapshots[-1::-2], fields[-1::-2]):  # slices fold too
-            assert np.array_equal(u.values, v.values)
-        by_hand = Trajectory(cfg, traj.times, fields)
-        propagator._BLOCK_BYTES = budget
-        try:
-            table, ref = diagnostics_table(traj, 1.5), diagnostics_table(by_hand, 1.5)
-        finally:
-            propagator._BLOCK_BYTES = BLOCK_BYTES
+        hand = stored_trajectory(cfg, traj.times, fields, budget)
+        table, ref = diagnostics_table(traj, 1.5), diagnostics_table(hand, 1.5)
         for name in TABLE_COLUMNS:
             assert np.array_equal(table[name], ref[name]), name
         linear = replace(cfg, nonlinear=False)
         ratio, by_hand = (
-            weighted_strichartz_ratio(Trajectory(linear, traj.times, snaps), 0.5, 4.0)
-            for snaps in (traj.snapshots, fields)
+            weighted_strichartz_ratio(replace(t, config=linear), 0.5, 4.0)
+            for t in (traj, hand)
         )
         full = space_time_norm(
             (traj.times, fields), 4.0, lambda u: weighted_norm(u, 0.5, 4.0, sign=-1)
@@ -1068,6 +1091,14 @@ class TestDiagnosticsOutput:
         for t, res21, res22 in rows[1:, [0, 7, 8]]:
             assert abs(res21 - check_l2_identity(traj, 0.0, t).relative) <= 1e-12
             assert abs(res22 - check_h1_identity(traj, 0.0, t).relative) <= 1e-12
+
+    def test_returns_the_written_rows(self, tmp_path, cubic_1d_trajectory):
+        # --plots charts these rows: the CSV's %.17g reads back to the same bits
+        path = tmp_path / "diag.csv"
+        rows = write_diagnostics_csv(cubic_1d_trajectory, path, s=1.5)
+        parsed = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert rows.shape == parsed.shape == (len(cubic_1d_trajectory.snapshots), 9)
+        assert np.array_equal(rows.view(np.int64), parsed.view(np.int64))
 
     def test_csv_format(self, tmp_path, cubic_1d_trajectory):
         path = tmp_path / "diag.csv"

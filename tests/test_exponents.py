@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semirelax import (
-    StrichartzExponents,
     critical_power,
     embedding_exponent_check,
+    is_admissible,
     scaling_critical_exponent,
 )
 
@@ -65,31 +65,22 @@ class TestScalingExponents:
 
 class TestAdmissibility:
     def test_one_dimensional_endpoint_only(self):
-        assert StrichartzExponents.is_admissible(1, math.inf, 2)
-        assert not StrichartzExponents.is_admissible(1, 4, 4)
-        assert not StrichartzExponents.is_admissible(1, 8, 2)
+        assert is_admissible(1, math.inf, 2)
+        assert not is_admissible(1, 4, 4)
+        assert not is_admissible(1, 8, 2)
 
     def test_two_dimensional_family(self):
         # sigma = 1: 1/r = 1/2 - 2/q
-        assert StrichartzExponents.is_admissible(2, 4, math.inf)
-        assert StrichartzExponents.is_admissible(2, 8, 4)
-        assert StrichartzExponents.is_admissible(2, math.inf, 2)
-        assert not StrichartzExponents.is_admissible(2, 4, 6)
+        assert is_admissible(2, 4, math.inf)
+        assert is_admissible(2, 8, 4)
+        assert is_admissible(2, math.inf, 2)
+        assert not is_admissible(2, 4, 6)
 
     def test_three_dimensional_excludes_r_infinity(self):
         # sigma = 2: 1/r = 1/2 - 1/q; q = 2 would give r = inf
-        assert StrichartzExponents.is_admissible(3, 4, 4)
-        assert StrichartzExponents.is_admissible(3, math.inf, 2)
-        assert not StrichartzExponents.is_admissible(3, 2, math.inf)
-
-    def test_constructor_validates(self):
-        pair = StrichartzExponents(2, 8, 4)
-        assert pair.alpha == Fraction(1, 4)
-        assert pair.lam == Fraction(3, 2)
-        assert pair.sigma == 1
-        assert pair.besov_shift() == Fraction(3, 8)
-        with pytest.raises(ValueError):
-            StrichartzExponents(3, 2, math.inf)
+        assert is_admissible(3, 4, 4)
+        assert is_admissible(3, math.inf, 2)
+        assert not is_admissible(3, 2, math.inf)
 
 
 def reference_is_admissible(n, q, r) -> bool:
@@ -115,7 +106,7 @@ class TestAdmissibleR:
         for q in VALUES:
             for r in VALUES:
                 expected = reference_is_admissible(n, q, r)
-                assert StrichartzExponents.is_admissible(n, q, r) == expected, (q, r)
+                assert is_admissible(n, q, r) == expected, (q, r)
 
 
 class TestEmbeddingCheck:

@@ -61,27 +61,10 @@ class TestRefinementChart:
 
 class TestEmitPlots:
     def test_charts_per_column(self, tmp_path):
-        csv = tmp_path / "diag.csv"
-        csv.write_text(
-            "t,l2,h1dot\n0,1.0,2.0\n0.1,0.9,1.9\n0.2,0.85,1.8\n"
-        )
-        written = emit_plots(csv, tmp_path / "plots")
+        rows = np.array([[0, 1.0, 2.0], [0.1, 0.9, 1.9], [0.2, 0.85, 1.8]])
+        written = emit_plots(["t", "l2", "h1dot"], rows, tmp_path / "plots")
         assert len(written) == 2
         names = {p.split("/")[-1] for p in map(str, written)}
         assert names == {"l2.svg", "h1dot.svg"}
-
-    def test_missing_csv_rejected(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            emit_plots(tmp_path / "nope.csv", tmp_path / "plots")
-
-    def test_empty_csv_rejected(self, tmp_path):
-        csv = tmp_path / "empty.csv"
-        csv.write_text("")
-        with pytest.raises(ValueError):
-            emit_plots(csv, tmp_path / "plots")
-
-    def test_header_only_csv_rejected(self, tmp_path):
-        csv = tmp_path / "head.csv"
-        csv.write_text("t,l2\n")
-        with pytest.raises(ValueError):
-            emit_plots(csv, tmp_path / "plots")
+        pts = polyline_points((tmp_path / "plots" / "l2.svg").read_text())
+        assert np.all(np.diff(pts[:, 0]) > 0) and np.all(np.diff(pts[:, 1]) > 0)

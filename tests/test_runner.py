@@ -447,6 +447,8 @@ checks = prop13
         {"width": ["1.0"]},
         {"dt": ["2e-3", "fast"]},
         {"dt": ["2e-3", "0.5"]},  # a member with dt > T breaks the stepper's rule
+        {"sigma": ["0"]},  # L / sigma
+        {"dt": []}, {"dt": ["2e-3"], "N": []},  # no values: no member would run
     ])
     def test_rejected_before_any_member_runs(self, tmp_path, vary):
         from semirelax import gaussian_field, make_grid, save_field

@@ -284,13 +284,18 @@ class TestSolverRulesAtLoad:
         (GOOD.replace("p = 3", "p = inf"), "'p' must be a finite number, got 'inf'"),
         (GOOD.replace("L = 20", "L = inf"), "'L' must be a finite number, got 'inf'"),
         (GOOD.replace("s = 1.5", "s = nan"), "'s' must be a finite number, got 'nan'"),
+        # the table's homogeneous H^s norm with s < 0 needs mean-free data;
+        # a gaussian once loaded and then failed mid-run with exit 1
+        (GOOD.replace("s = 1.5", "s = -0.5"),
+         r"s = -0.5: homogeneous norm with s < 0 requires a mean-free field "
+         r"\(zero-mode fraction 3.540e-01\)"),
     ], ids=[
         "N_100", "L_negative", "dt_negative", "dt_above_T", "T_negative", "stride_0",
         "radial_T_at_R", "p_1", "radial_p_4", "radial_M_8", "T_0_prop21",
         "duhamel_two_snapshots", "lemma35_spectral", "cor37_mode_data", "cor39_M_8",
         "cor37_off_centre", "cor37_n_1", "lemma33_mode_data", "radial_dt_above_T",
         "radial_last_step_at_R", "nonlinear_flase", "gaussian_width_word", "mode_k_1.5",
-        "gaussian_width_0", "T_inf", "p_inf", "L_inf", "s_nan",
+        "gaussian_width_0", "T_inf", "p_inf", "L_inf", "s_nan", "s_negative_mean",
     ])
     def test_rejected_at_load_and_cli_exits_2(self, tmp_path, capsys, body, rule):
         from semirelax.cli import main
@@ -300,6 +305,25 @@ class TestSolverRulesAtLoad:
             load_config(path)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: scenario")
+
+    def test_negative_s_with_mean_free_data_runs(self, tmp_path):
+        from semirelax import run
+
+        body = GOOD.replace("s = 1.5", "s = -0.5")
+        body = body.replace("gaussian(0.5, 1.0, 0.0)", "mode(1, 0.5)")
+        (sc,) = load_config(write_config(tmp_path, body))
+        assert run(sc, tmp_path / "out").all_passed
+
+    def test_nonnegative_s_builds_no_field_at_load(self, tmp_path, monkeypatch):
+        # the mean-free rule reads the initial field only when s < 0
+        from semirelax.scenarios import Scenario
+
+        def no_field(self):
+            raise AssertionError("builds no field")
+
+        monkeypatch.setattr(Scenario, "initial_field", no_field)
+        assert len(load_config(write_config(tmp_path, GOOD.replace("s = 1.5", "s = 0")))) == 1
+        assert len(load_config(default_catalog_path())) == 6
 
     @pytest.mark.parametrize("content, rule", [
         (None, "No such file"),
