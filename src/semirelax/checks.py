@@ -4,11 +4,12 @@ Each check tests one stated result of the paper (Props 1.1-1.4 and
 2.1-2.4, Lemmas 3.3-3.6, Cors 3.7 and 3.9) under that result's own
 hypotheses, which broken_hypothesis names at load time.  Its entry in
 CHECKS holds its evaluator, which maps the run's lazily computed solver
-outputs (runner._RunContext) to a verdict and a JSON payload, and what it
+outputs (runner._RunContext) to a verdict and a JSON payload, what it
 reads: "spectral" (a spectral grid: solver = spectral or both), "radial"
 (the 3-d radial initial profile: n = 3, M, R and centred gaussian data),
-"both" (solver = both) or "any".  The loader (scenarios._validate) and the
-runner read this table.
+"both" (solver = both) or "any", and the payload entry a sweep fits an
+order to or compares for stability.  The loader (scenarios._validate)
+and the runner read this table.
 
 Pass thresholds for the residual checks scale with (dt / 1e-3)^2, matching
 the second-order convergence of the splitting, and are calibrated so the
@@ -23,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import diagnostics as diag
-from .propagator import StepperConfig, Trajectory, duhamel_residual
+from .propagator import Trajectory, duhamel_residual
 from .radial import RadialTrajectory, _Spline, maximal_bound_check, maximal_domination_gap
 
 # residual thresholds at the reference step dt = 1e-3
@@ -126,6 +127,8 @@ def _check_duhamel(ctx) -> tuple[bool, dict]:
 class Check(NamedTuple):
     evaluate: Callable  # ctx -> (passed, JSON payload)
     reads: str
+    order: str | None = None  # the payload entry a dt sweep fits a convergence order to
+    stability: str | None = None  # the payload entry a sweep compares across members
 
 
 # checkers are looked up at call time, so a wrapper bound into the
@@ -136,21 +139,26 @@ CHECKS = {
     "prop13": Check(_check_regime, "any"),  # n = 3 radial regime marker
     "prop14": Check(_check_regime, "any"),  # n = 3 radial critical marker
     "prop21": Check(  # mass balance residual
-        lambda ctx: _check_balance(ctx, diag.check_l2_identity, PROP21_TOL), "spectral"
+        lambda ctx: _check_balance(ctx, diag.check_l2_identity, PROP21_TOL), "spectral",
+        order="relative",
     ),
     "prop22": Check(  # gradient balance residual
-        lambda ctx: _check_balance(ctx, diag.check_h1_identity, PROP22_TOL), "spectral"
+        lambda ctx: _check_balance(ctx, diag.check_h1_identity, PROP22_TOL), "spectral",
+        order="relative",
     ),
-    "prop23": Check(_check_prop23, "spectral"),  # H^s growth constant
+    "prop23": Check(_check_prop23, "spectral", stability="empirical_constant"),  # H^s growth bound
     "prop24": Check(_check_prop24, "spectral"),  # curvature inequality
     "scaling": Check(_check_scaling, "spectral"),  # homogeneous-norm rescaling
-    "lemma33": Check(_check_lemma33, "spectral"),  # radial weighted sup probe
-    "lemma34": Check(_check_lemma34, "spectral"),  # weighted space-time probe, free flow
+    "lemma33": Check(_check_lemma33, "spectral", stability="ratio"),  # radial weighted sup probe
+    # weighted space-time probe, free flow
+    "lemma34": Check(_check_lemma34, "spectral", stability="ratio"),
     "lemma35": Check(_check_lemma35, "both"),  # spectral vs wave-form cross-check
     "lemma36": Check(_check_lemma36, "any"),  # maximal-function domination probe
-    "cor37": Check(_check_cor37, "radial"),  # radial average L^2_t L^inf bound
-    "cor39": Check(_check_cor39, "radial"),  # Hardy bound, time derivative of J
-    "duhamel": Check(_check_duhamel, "spectral"),  # integral-equation defect
+    # radial average L^2_t L^inf bound
+    "cor37": Check(_check_cor37, "radial", stability="empirical_constant"),
+    # Hardy bound, time derivative of J
+    "cor39": Check(_check_cor39, "radial", stability="empirical_constant"),
+    "duhamel": Check(_check_duhamel, "spectral", order="relative"),  # integral-equation defect
 }
 
 
@@ -202,7 +210,7 @@ def broken_hypothesis(sc, check: str, initial_kind: str, initial_args) -> str | 
             return "requires radial data: a centred gaussian(a, w, 0)"
     if check in ("prop21", "prop22", "prop24", "duhamel"):
         need = 3 if check == "duhamel" else 2  # the Duhamel trapezoid; a window [0, T]
-        stored = 1 + StepperConfig(sc.p, sc.dt, sc.T).n_steps // sc.snapshot_stride
+        stored = 1 + sc.stepper().n_steps // sc.snapshot_stride
         if stored < need:
             return f"needs {need} stored snapshots, got {stored} (from T, dt, snapshot_stride)"
 

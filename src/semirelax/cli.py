@@ -8,16 +8,18 @@
 
 Exit code is 0 iff every requested check passed, 2 for a configuration
 error (including a bad --vary key or value, or a sweep member the loader
-would reject; no member runs then; and a check-exponents --p or --s that
-is not a finite rational, or --p <= 1).  The environment variable
-SEMIRELAX_THREADS sets the FFT workers of each run and the number of sweep
-members run at once (default 1); --deterministic runs one worker.
+would reject; no member runs then; a check-exponents --p or --s that is
+not a finite rational, or --p <= 1; and a SEMIRELAX_THREADS that is not a
+positive integer).  That variable, read here alone, sets the FFT workers of
+each run and the sweep members run at once (default 1); --deterministic
+runs one worker.  Library callers pass threads= to run and sweep instead.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -76,11 +78,11 @@ def _select(scenarios, name):
     return chosen
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args, threads: int) -> int:
     scenarios = _select(load_config(args.config), args.scenario)
     all_ok = True
     for sc in scenarios:
-        report = run(sc, args.out, deterministic=args.deterministic, plots=args.plots)
+        report = run(sc, args.out, args.deterministic, args.plots, threads)
         for check, entry in report.checks.items():
             status = "pass" if entry["passed"] else "FAIL"
             print(f"{sc.name}: {check}: {status}")
@@ -94,17 +96,19 @@ def _parse_vary(items) -> dict:
         if "=" not in item:
             raise ScenarioError(f"bad --vary {item!r}; expected key=v1,v2,...")
         key, vals = item.split("=", 1)
-        vary[key.strip()] = [v.strip() for v in vals.split(",") if v.strip()]
+        if (key := key.strip()) in vary:
+            raise ScenarioError(f"--vary {key} given twice; list all its values in one --vary")
+        vary[key] = [v.strip() for v in vals.split(",") if v.strip()]
     return vary
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, threads: int) -> int:
     scenarios = _select(load_config(args.config), args.scenario)
     if len(scenarios) != 1:
         raise ScenarioError("sweep needs exactly one scenario; use --scenario")
     aggregate = sweep(
         scenarios[0], _parse_vary(args.vary), args.out,
-        deterministic=args.deterministic,
+        deterministic=args.deterministic, threads=threads,
     )
     ok = True
     for member in aggregate["members"]:
@@ -168,11 +172,14 @@ def _cmd_check_exponents(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.command == "check-exponents":
+            return _cmd_check_exponents(args)
+        raw = os.environ.get("SEMIRELAX_THREADS", "1")
+        if not (raw.isdecimal() and int(raw) > 0):
+            raise ScenarioError(f"SEMIRELAX_THREADS must be a positive integer, got {raw!r}")
         if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_check_exponents(args)
+            return _cmd_run(args, int(raw))
+        return _cmd_sweep(args, int(raw))
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,20 +19,11 @@ import scipy.fft
 from . import diagnostics as diag
 from .checks import CHECKS
 from .plotting import emit_plots, fit_order, refinement_chart_svg
-from .propagator import StepperConfig, Trajectory, _march, evolve
+from .propagator import Trajectory, _march, evolve
 from .radial import RadialProfile, RadialTrajectory, wave_evolve
-from .scenarios import Scenario, ScenarioError, _parse_initial, _validate
+from .scenarios import INITIAL_ARGS, Scenario, ScenarioError, _parse_initial, _validate
 
 __all__ = ["RunReport", "run", "sweep"]
-
-
-def _threads() -> int:
-    """Transform and sweep concurrency: SEMIRELAX_THREADS, default 1."""
-    raw = os.environ.get("SEMIRELAX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -70,17 +61,10 @@ class _RunContext:
     def profile(self) -> RadialProfile:
         return self.scenario.initial_profile()
 
-    def _config(self, nonlinear: bool) -> StepperConfig:
-        sc = self.scenario
-        return StepperConfig(
-            p=sc.p, dt=sc.dt, T=sc.T,
-            snapshot_stride=sc.snapshot_stride, nonlinear=nonlinear,
-        )
-
     @cached_property
     def traj(self) -> Trajectory:
         # the field is passed straight in, so evolve holds its only reference
-        return evolve(self.scenario.initial_field(), self._config(self.scenario.nonlinear))
+        return evolve(self.scenario.initial_field(), self.scenario.stepper())
 
     @cached_property
     def radial_traj(self) -> RadialTrajectory:
@@ -92,7 +76,7 @@ class _RunContext:
         if not self.scenario.nonlinear:
             return self.traj
         stored = self.traj.snapshots  # the free flow from traj's stored row 0
-        return _march(stored.grid, stored.basis, self._config(False))
+        return _march(stored.grid, stored.basis, self.scenario.stepper(nonlinear=False))
 
 
 def run(
@@ -100,26 +84,19 @@ def run(
     outdir,
     deterministic: bool = False,
     plots: bool = False,
+    threads: int = 1,
 ) -> RunReport:
     """Execute one scenario and write its reports under outdir/<name>/.
 
-    Transforms use SEMIRELAX_THREADS workers (scipy.fft.set_workers, local
-    to the calling thread).  Deterministic mode uses one worker and zeroes
-    the wall-time field so repeated runs produce byte-identical CSV/JSON
-    output.
+    Transforms use ``threads`` FFT workers (scipy.fft.set_workers, local
+    to the calling thread; the environment is not read).  Deterministic
+    mode uses one worker and zeroes the wall-time field so repeated runs
+    produce byte-identical CSV/JSON output.
     """
-    workers = 1 if deterministic else _threads()
-    return _run(scenario, outdir, deterministic, plots, workers)
-
-
-def _run(scenario: Scenario, outdir, deterministic: bool, plots: bool,
-         workers: int) -> RunReport:
-    """run with its transforms scoped to ``workers`` FFT workers."""
     t0 = time.perf_counter()
     run_dir = os.path.join(outdir, scenario.name)
-    os.makedirs(run_dir, exist_ok=True)
     os.makedirs(os.path.join(run_dir, "checks"), exist_ok=True)
-    with scipy.fft.set_workers(workers):
+    with scipy.fft.set_workers(1 if deterministic else threads):
         ctx = _RunContext(scenario)
         csv_path = None
         if scenario.solver in ("spectral", "both"):
@@ -173,17 +150,19 @@ def _jsonable(data: dict) -> dict:
 
 
 _SWEEPABLE = {"dt": float, "N": int, "amplitude": float, "sigma": float}
-# where the amplitude sits among the arguments of each initial-data kind
-_AMPLITUDE_ARG = {"gaussian": 0, "mode": 1}
 
 
-def _apply_variation(base: Scenario, key: str, raw) -> Scenario:
+def _swept_value(key: str, raw):
     try:
         value = _SWEEPABLE[key](raw)
     except ValueError as exc:
         raise ScenarioError(f"bad value {raw!r} for swept key {key!r}") from exc
     if key == "sigma" and not (math.isfinite(value) and value > 0):  # L / sigma, R / sigma
         raise ScenarioError(f"swept sigma must be finite and positive, got {raw!r}")
+    return value
+
+
+def _apply_variation(base: Scenario, key: str, raw, value) -> Scenario:
     sc = Scenario(**asdict(base))
     if key == "dt":
         sc.dt = value
@@ -191,10 +170,10 @@ def _apply_variation(base: Scenario, key: str, raw) -> Scenario:
         sc.N = value
     elif key == "amplitude":
         kind, args = _parse_initial(base)
-        if kind not in _AMPLITUDE_ARG:
+        if "amplitude" not in INITIAL_ARGS[kind]:
             raise ScenarioError(f"cannot sweep the amplitude of {base.initial!r}")
         args = list(args)
-        args[_AMPLITUDE_ARG[kind]] = value
+        args[INITIAL_ARGS[kind].index("amplitude")] = value
         sc.initial = f"{kind}({', '.join(repr(a) for a in args)})"
     elif key == "sigma":
         if base.L is not None:
@@ -210,40 +189,47 @@ def sweep(
     vary: dict[str, list],
     outdir,
     deterministic: bool = False,
+    threads: int = 1,
 ) -> dict:
     """Run a parameter sweep and aggregate convergence and stability data.
 
-    Members run concurrently (capped by SEMIRELAX_THREADS), one FFT worker
-    each, so the sweep uses no more threads than that; run-time failures
-    are recorded and do not abort the sweep, but an unknown key, a key
-    with no values, a non-numeric value, a sigma that is not finite and
+    Up to ``threads`` members run at once, one FFT worker each, so the
+    sweep uses no more threads than that; run-time failures are recorded
+    and do not abort the sweep, but an unknown key, a key with no values
+    or two equal ones, a non-numeric value, a sigma that is not finite and
     positive, an amplitude sweep of file data or a member the loader would
-    reject raises ScenarioError before any member runs.  When
-    dt is varied, residual-style checks get a fitted convergence order and
-    a refinement chart; empirical constants get a max/min stability ratio.
+    reject raises ScenarioError before any member runs.  When dt is varied,
+    the checks whose CHECKS entry names an order entry get a fitted order
+    and a refinement chart per group of members that share every other
+    swept value; those naming a stability entry get a max/min ratio.
     """
+    swept = {}  # key -> {value: raw}, in the order given
     for key, values in vary.items():
         if key not in _SWEEPABLE:
-            raise ScenarioError(
-                f"cannot sweep over {key!r}; supported: {sorted(_SWEEPABLE)}"
-            )
+            raise ScenarioError(f"cannot sweep over {key!r}; supported: {sorted(_SWEEPABLE)}")
         if not values:
             raise ScenarioError(f"no values given for swept key {key!r}")
-    members = [base]
-    for key, values in vary.items():
-        members = [_apply_variation(m, key, v) for m in members for v in values]
-    for member in members:
-        _validate(member)
+        swept[key] = {_swept_value(key, raw): raw for raw in values}
+        if len(swept[key]) < len(values):
+            raise ScenarioError(f"swept key {key!r} repeats a value: {', '.join(values)}")
+    members = [(base, {})]  # each member with the raw value it takes of each key
+    for key, values in swept.items():
+        members = [
+            (_apply_variation(sc, key, raw, value), {**at, key: raw})
+            for sc, at in members for value, raw in values.items()
+        ]
+    for sc, _ in members:
+        _validate(sc)
     results: list[RunReport | Exception] = [None] * len(members)
 
-    threads = 1 if deterministic else _threads()
+    threads = 1 if deterministic else threads
     concurrent = threads > 1 and len(members) > 1
     # members running at once share the cores: one FFT worker each
     workers = 1 if concurrent else threads
 
     def _one(i: int):
         try:
-            results[i] = _run(members[i], outdir, deterministic, False, workers)
+            results[i] = run(members[i][0], outdir, deterministic, threads=workers)
         except Exception as exc:
             results[i] = exc
 
@@ -255,14 +241,13 @@ def sweep(
             _one(i)
 
     aggregate = {"members": [], "orders": {}, "stability": {}}
-    for sc, res in zip(members, results):
+    for (sc, _), res in zip(members, results):
         if isinstance(res, Exception):
             aggregate["members"].append({"name": sc.name, "error": str(res)})
         else:
             aggregate["members"].append(res.as_dict())
-    if "dt" in vary and len(vary["dt"]) >= 2:
-        dts = [float(v) for v in vary["dt"]]
-        _aggregate_orders(aggregate, results, dts, outdir)
+    if len(swept.get("dt", ())) >= 2:
+        _aggregate_orders(aggregate, members, results, outdir)
     _aggregate_stability(aggregate, results)
     if "amplitude" in vary:
         _aggregate_amplitude_threshold(aggregate, members, results)
@@ -275,9 +260,8 @@ def _aggregate_amplitude_threshold(aggregate, members, results):
     """Empirical smallness threshold: the largest amplitude whose run is
     stable and passes every requested check."""
     passing, failing = [], []
-    for sc, res in zip(members, results):
-        kind, args = _parse_initial(sc)
-        value = args[_AMPLITUDE_ARG[kind]]
+    for (_, at), res in zip(members, results):
+        value = _swept_value("amplitude", at["amplitude"])
         if isinstance(res, RunReport) and res.all_passed:
             passing.append(value)
         else:
@@ -288,44 +272,37 @@ def _aggregate_amplitude_threshold(aggregate, members, results):
     }
 
 
-_RESIDUAL_CHECKS = ("prop21", "prop22", "duhamel")
-_CONSTANT_CHECKS = ("prop23", "lemma33", "lemma34", "cor37", "cor39")
-
-
-def _aggregate_orders(aggregate, results, dts, outdir):
-    ok = [r for r in results if isinstance(r, RunReport)]
-    if len(ok) != len(results):
-        return
-    for check in _RESIDUAL_CHECKS:
-        vals = []
-        for rep in ok:
-            entry = rep.checks.get(check)
-            if entry is None:
-                break
-            vals.append(entry["relative"])
-        if len(vals) == len(dts) and all(v > 0 for v in vals):
-            order = fit_order(dts, vals)
-            aggregate["orders"][check] = order
-            refinement_chart_svg(
-                dts, vals, title=f"{check} refinement",
-                path=os.path.join(outdir, f"refinement_{check}.svg"),
-            )
+def _aggregate_orders(aggregate, members, results, outdir):
+    """Each group fits to its members' own dt and is named after its other
+    swept values (<check>@N_64); a dt-only sweep's one group after the check."""
+    groups = {}
+    for (sc, at), res in zip(members, results):
+        rest = "__".join(f"{key}_{raw}" for key, raw in at.items() if key != "dt")
+        groups.setdefault(rest, []).append((sc.dt, res))
+    for rest, group in groups.items():
+        if not all(isinstance(res, RunReport) for _, res in group):
+            continue
+        dts = [dt for dt, _ in group]
+        for check, spec in CHECKS.items():
+            if spec.order is None or any(check not in res.checks for _, res in group):
+                continue
+            vals = [res.checks[check][spec.order] for _, res in group]
+            if all(v > 0 for v in vals):
+                label = f"{check}@{rest}" if rest else check
+                aggregate["orders"][label] = fit_order(dts, vals)
+                refinement_chart_svg(
+                    dts, vals, title=f"{label} refinement",
+                    path=os.path.join(outdir, f"refinement_{label}.svg"),
+                )
 
 
 def _aggregate_stability(aggregate, results):
     ok = [r for r in results if isinstance(r, RunReport)]
-    for check in _CONSTANT_CHECKS:
-        consts = []
-        for rep in ok:
-            entry = rep.checks.get(check)
-            if entry is None:
-                continue
-            c = entry.get("empirical_constant", entry.get("ratio"))
-            if isinstance(c, (int, float)) and c > 0:
-                consts.append(c)
+    for check, spec in CHECKS.items():
+        if spec.stability is None:
+            continue
+        consts = [rep.checks[check][spec.stability] for rep in ok if check in rep.checks]
+        consts = [c for c in consts if isinstance(c, (int, float)) and c > 0]
         if len(consts) >= 2:
             ratio = max(consts) / min(consts)
-            aggregate["stability"][check] = {
-                "max_over_min": ratio,
-                "stable": ratio < 2.0,
-            }
+            aggregate["stability"][check] = {"max_over_min": ratio, "stable": ratio < 2.0}

@@ -63,6 +63,11 @@ class Scenario:
     snapshot_stride: int = 1
     nonlinear: bool = True
 
+    def stepper(self, nonlinear: bool | None = None) -> StepperConfig:
+        """The time-stepping parameters; nonlinear defaults to the scenario's."""
+        nonlinear = self.nonlinear if nonlinear is None else nonlinear
+        return StepperConfig(self.p, self.dt, self.T, self.snapshot_stride, nonlinear)
+
     def initial_field(self) -> Field:
         if self.N is None or self.L is None:
             raise ScenarioError(f"scenario {self.name!r} has no spectral grid (N, L)")
@@ -101,8 +106,16 @@ class Scenario:
         )
 
 
+# the arguments of each initial-data kind, in the order its spec lists them
+INITIAL_ARGS = {
+    "gaussian": ("amplitude", "width", "center"),
+    "mode": ("k", "amplitude"),
+    "file": ("path",),
+}
+
+
 def _parse_initial(sc: Scenario):
-    m = re.fullmatch(r"\s*(gaussian|mode|file)\s*\(([^)]*)\)\s*", sc.initial)
+    m = re.fullmatch(rf"\s*({'|'.join(INITIAL_ARGS)})\s*\(([^)]*)\)\s*", sc.initial)
     if not m:
         raise ScenarioError(
             f"scenario {sc.name!r}: bad initial-data spec {sc.initial!r}; expected "
@@ -110,11 +123,11 @@ def _parse_initial(sc: Scenario):
         )
     kind, body = m.group(1), m.group(2)
     parts = [s.strip() for s in body.split(",")] if body.strip() else []
+    names = INITIAL_ARGS[kind]
     if kind == "file":
-        if len(parts) != 1:
+        if len(parts) != len(names):
             raise ScenarioError(f"scenario {sc.name!r}: file initial data needs a single path")
         return kind, (parts[0],)
-    names = ("amplitude", "width", "center") if kind == "gaussian" else ("k", "amplitude")
     try:
         args = tuple(float(s) for s in parts)
     except ValueError:
@@ -147,7 +160,7 @@ def _validate(sc: Scenario, ignored=()) -> None:
     try:  # the solvers' own rules, checked by the code that enforces them
         if sc.solver in ("spectral", "both"):
             make_grid(sc.n, sc.N, sc.L)
-            StepperConfig(sc.p, sc.dt, sc.T, snapshot_stride=sc.snapshot_stride)
+            sc.stepper()
             if kind == "file":  # read now: a missing or foreign file is a config error
                 sc.initial_field()
             if sc.s < 0:  # the table's homogeneous H^s norm needs mean-free data

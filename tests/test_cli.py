@@ -143,6 +143,7 @@ class TestSweepCommand:
         ("sigma=nan", "swept sigma must be finite and positive, got 'nan'"),
         ("sigma=2,-1", "swept sigma must be finite and positive, got '-1'"),
         ("dt=", "no values given for swept key 'dt'"),
+        ("dt=0.01,1e-2", "swept key 'dt' repeats a value: 0.01, 1e-2"),
     ])
     def test_sweep_that_runs_nothing_exits_2(self, tmp_path, config, capsys, vary, message):
         # each once ended in a traceback (sigma = 0, and dt= with a fresh
@@ -157,6 +158,18 @@ class TestSweepCommand:
             assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "sweep").exists()
         assert not (tmp_path / "sweep.json").exists()
+
+    def test_key_given_twice_exits_2(self, tmp_path, config, capsys):
+        # the second --vary of a key once replaced the first, silently
+        code = main([
+            "sweep", "--config", str(config), "--scenario", "cli_demo",
+            "--vary", "dt=0.01,0.005", "--vary", "dt=0.02", "--out", str(tmp_path / "sweep"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --vary dt given twice; list all its values in one --vary\n"
+        )
+        assert not (tmp_path / "sweep").exists()
 
     def test_grid_sweep_of_a_radial_wave_scenario_exits_2(self, tmp_path, capsys):
         # the members would run with N ignored; none runs, none writes
@@ -174,6 +187,43 @@ class TestSweepCommand:
             capsys.readouterr().err
         )
         assert not (tmp_path / "sweep").exists()
+
+
+class TestThreadsVariable:
+    def test_passed_through_to_run(self, tmp_path, config, monkeypatch):
+        import inspect
+
+        from semirelax import cli
+
+        monkeypatch.setenv("SEMIRELAX_THREADS", "2")
+        seen, run = [], cli.run
+
+        def spy(*args, **kwargs):
+            seen.append(inspect.signature(run).bind(*args, **kwargs).arguments["threads"])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run", spy)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert seen == [2]
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "2.5", "", " 2"])
+    @pytest.mark.parametrize("command", [
+        ["run"], ["sweep", "--vary", "dt=4e-3,2e-3"],
+    ])
+    def test_not_a_positive_integer_exits_2(self, tmp_path, config, monkeypatch, capsys,
+                                            value, command):
+        # all but the padded ' 2' once meant one thread, silently
+        monkeypatch.setenv("SEMIRELAX_THREADS", value)
+        code = main([*command, "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: SEMIRELAX_THREADS must be a positive integer, got {value!r}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_check_exponents_reads_no_threads(self, monkeypatch):
+        monkeypatch.setenv("SEMIRELAX_THREADS", "abc")
+        assert main(["check-exponents", "--n", "3", "--p", "3"]) == 0
 
 
 class TestCheckExponents:

@@ -254,7 +254,7 @@ class TestRun:
         ).replace("gaussian(0.05, 1.0, 0.0)", initial)
         (sc,) = load_config(write_config(tmp_path, body))
         ctx = _RunContext(sc)
-        got, want = ctx.linear_traj, evolve(sc.initial_field(), ctx._config(False))
+        got, want = ctx.linear_traj, evolve(sc.initial_field(), sc.stepper(nonlinear=False))
         assert got.linear and got.config == want.config
         assert np.array_equal(got.times, want.times)
         octant = initial.endswith("0.0)")
@@ -303,43 +303,49 @@ class TestRun:
             assert a == b, rel
 
 
+def spy_on_transforms(monkeypatch, seen):
+    """Record (thread, FFT workers) of every scipy.fft transform."""
+    for name in TRANSFORMS:
+
+        def spy(*args, _fn=getattr(scipy.fft, name), **kwargs):
+            used = kwargs.get("workers") or scipy.fft.get_workers()
+            seen.add((threading.get_ident(), used))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, spy)
+
+
 class TestThreads:
     @pytest.mark.parametrize("deterministic, workers", [(True, 1), (False, 2)])
     def test_run_scopes_fft_workers(self, tmp_path, monkeypatch, deterministic, workers):
-        # the worker count reaches every transform without rewriting the
-        # environment, which other threads of the process share
-        monkeypatch.setenv("SEMIRELAX_THREADS", "2")
-        seen = []
-        for name in TRANSFORMS:
-
-            def spy(*args, _fn=getattr(scipy.fft, name), **kwargs):
-                used = kwargs.get("workers") or scipy.fft.get_workers()
-                seen.append((used, os.environ["SEMIRELAX_THREADS"]))
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(scipy.fft, name, spy)
+        # the worker count reaches every transform and is scoped to the run
+        seen = set()
+        spy_on_transforms(monkeypatch, seen)
         (sc,) = load_config(write_config(tmp_path, FAST))
-        run(sc, tmp_path / "out", deterministic=deterministic)
-        assert seen and set(seen) == {(workers, "2")}
+        run(sc, tmp_path / "out", deterministic=deterministic, threads=2)
+        assert seen and {used for _, used in seen} == {workers}
         assert scipy.fft.get_workers() == 1
+
+    def test_run_and_sweep_ignore_the_environment(self, tmp_path, monkeypatch):
+        # the variable is the command line's: library callers pass threads=
+        monkeypatch.setenv("SEMIRELAX_THREADS", "4")
+        seen = set()
+        spy_on_transforms(monkeypatch, seen)
+        (sc,) = load_config(write_config(tmp_path, FAST))
+        run(sc, tmp_path / "out")
+        aggregate = sweep(sc, {"dt": ["5e-3", "4e-3"]}, tmp_path / "sweep")
+        assert all("error" not in m for m in aggregate["members"])
+        assert seen == {(threading.get_ident(), 1)}
 
 
 class TestSweep:
     def test_concurrent_members_use_one_fft_worker_each(self, tmp_path, monkeypatch):
-        # two members run at once on SEMIRELAX_THREADS=2 threads; with one
-        # FFT worker each the sweep asks for 2 workers in total, not 2 x 2
-        monkeypatch.setenv("SEMIRELAX_THREADS", "2")
+        # two members run at once on threads=2; with one FFT worker each
+        # the sweep asks for 2 workers in total, not 2 x 2
         seen = set()
-        for name in TRANSFORMS:
-
-            def spy(*args, _fn=getattr(scipy.fft, name), **kwargs):
-                used = kwargs.get("workers") or scipy.fft.get_workers()
-                seen.add((threading.get_ident(), used))
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(scipy.fft, name, spy)
+        spy_on_transforms(monkeypatch, seen)
         (sc,) = load_config(write_config(tmp_path, FAST))
-        aggregate = sweep(sc, {"dt": ["5e-3", "4e-3"]}, tmp_path / "sweep")
+        aggregate = sweep(sc, {"dt": ["5e-3", "4e-3"]}, tmp_path / "sweep", threads=2)
         assert all("error" not in m for m in aggregate["members"])
         per_thread = {}
         for ident, used in seen:
@@ -437,6 +443,44 @@ checks = prop13
             sweep(sc, {"N": ["16", "32"]}, tmp_path / "sweep")
         assert not (tmp_path / "sweep").exists()
 
+    def test_equal_values_rejected_naming_the_key(self, tmp_path):
+        (sc,) = load_config(write_config(tmp_path, FAST))
+        with pytest.raises(ScenarioError, match="swept key 'dt' repeats a value: 0.01, 1e-2"):
+            sweep(sc, {"dt": ["0.01", "1e-2"]}, tmp_path / "sweep")
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("keys", [("dt", "N"), ("N", "dt")])
+    def test_dt_with_another_key_fits_one_order_per_group(self, tmp_path, keys):
+        # one order per N, fitted to each member's own dt, equal to the
+        # order a dt-only sweep at that N fits, whichever key is given first
+        (sc,) = load_config(write_config(tmp_path, FAST))
+        values = {"dt": ["4e-3", "2e-3", "1e-3"], "N": ["64", "32"]}
+        aggregate = sweep(sc, {key: values[key] for key in keys}, tmp_path / "sweep")
+        assert all("error" not in m for m in aggregate["members"])
+        assert sorted(aggregate["orders"]) == sorted(
+            f"{check}@N_{n}" for check in ("prop21", "prop22", "duhamel") for n in ("64", "32")
+        )
+        for n in ("64", "32"):
+            sc.N = int(n)
+            alone = sweep(sc, {"dt": values["dt"]}, tmp_path / f"alone_{n}")
+            for check in ("prop21", "prop22", "duhamel"):
+                assert aggregate["orders"][f"{check}@N_{n}"] == alone["orders"][check]
+                chart = (tmp_path / "sweep" / f"refinement_{check}@N_{n}.svg").read_text()
+                want = (tmp_path / f"alone_{n}" / f"refinement_{check}.svg").read_text()
+                assert chart == want.replace(f"{check} refinement", f"{check}@N_{n} refinement")
+
+    def test_sweep_roles_are_the_check_table_entries(self):
+        # which payload entry a sweep fits an order to or compares for
+        # stability is part of each check's entry, and names a key it writes
+        from semirelax.checks import CHECKS
+
+        orders = {check: spec.order for check, spec in CHECKS.items() if spec.order}
+        stability = {check: spec.stability for check, spec in CHECKS.items() if spec.stability}
+        assert sorted(orders) == ["duhamel", "prop21", "prop22"]
+        assert sorted(stability) == ["cor37", "cor39", "lemma33", "lemma34", "prop23"]
+        for check, key in {**orders, **stability}.items():
+            assert key in CATALOG_CHECK_KEYS[check], (check, key)
+
     def test_rejects_unknown_key(self, tmp_path):
         (sc,) = load_config(write_config(tmp_path, FAST))
         with pytest.raises(ValueError, match="sweep over"):
@@ -449,6 +493,7 @@ checks = prop13
         {"dt": ["2e-3", "0.5"]},  # a member with dt > T breaks the stepper's rule
         {"sigma": ["0"]},  # L / sigma
         {"dt": []}, {"dt": ["2e-3"], "N": []},  # no values: no member would run
+        {"dt": ["0.01", "1e-2"]}, {"N": ["64", "064"]},  # equal as numbers
     ])
     def test_rejected_before_any_member_runs(self, tmp_path, vary):
         from semirelax import gaussian_field, make_grid, save_field
@@ -553,6 +598,28 @@ class TestImportFootprint:
                     if ".".join(name.split(".")[:2]) in heavy
                 ]
         assert found == []
+
+    def test_only_the_cli_reads_the_environment(self):
+        # the thread count reaches run and sweep as an argument, and the
+        # runner names no check: what a sweep reads is in checks.CHECKS
+        from semirelax.checks import CHECKS
+
+        readers = []
+        for path in sorted(Path(SRC, "semirelax").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                    readers.append(f"{path.name}:{node.lineno}")
+                if isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                    alias.name in ("environ", "getenv") for alias in node.names
+                ):
+                    readers.append(f"{path.name}:{node.lineno}")
+        assert readers and {r.split(":")[0] for r in readers} == {"cli.py"}, readers
+        runner_src = Path(SRC, "semirelax", "runner.py").read_text()
+        literals = {
+            node.value for node in ast.walk(ast.parse(runner_src))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        assert not literals & set(CHECKS)
 
     def test_radial_probes_inside_sweep_threads(self, tmp_path):
         # each member builds its JEvaluator splines on a worker thread of a
