@@ -22,7 +22,6 @@ from .diagnostics import (
 from .exponents import (
     critical_power,
     embedding_exponent_check,
-    is_admissible,
     scaling_critical_exponent,
 )
 from .fields import (

@@ -7,8 +7,9 @@ CHECKS holds its evaluator, which maps the run's lazily computed solver
 outputs (runner._RunContext) to a verdict and a JSON payload, what it
 reads: "spectral" (a spectral grid: solver = spectral or both), "radial"
 (the 3-d radial initial profile: n = 3, M, R and centred gaussian data),
-"both" (solver = both) or "any", and the payload entry a sweep fits an
-order to or compares for stability.  The loader (scenarios._validate)
+"both" (solver = both) or "any", the payload entry a sweep fits an
+order to or compares for stability, and whether it reads the diagnostics
+table's Hessian cross term column.  The loader (scenarios._validate)
 and the runner read this table.
 
 Pass thresholds for the residual checks scale with (dt / 1e-3)^2, matching
@@ -71,7 +72,7 @@ def _check_prop23(ctx) -> tuple[bool, dict]:
 def _check_prop24(ctx) -> tuple[bool, dict]:
     traj = ctx.traj
     report = diag.check_h2_inequality(traj, 0.0, float(traj.times[-1]))
-    ok = report.slack >= -1e-12 * max(report.rhs, 1.0)
+    ok = report.notes["slack"] >= -1e-12 * max(report.rhs, 1.0)
     return ok, report.as_dict()
 
 
@@ -129,6 +130,7 @@ class Check(NamedTuple):
     reads: str
     order: str | None = None  # the payload entry a dt sweep fits a convergence order to
     stability: str | None = None  # the payload entry a sweep compares across members
+    hessian: bool = False  # reads the table's Hessian cross term column
 
 
 # checkers are looked up at call time, so a wrapper bound into the
@@ -147,7 +149,7 @@ CHECKS = {
         order="relative",
     ),
     "prop23": Check(_check_prop23, "spectral", stability="empirical_constant"),  # H^s growth bound
-    "prop24": Check(_check_prop24, "spectral"),  # curvature inequality
+    "prop24": Check(_check_prop24, "spectral", hessian=True),  # curvature inequality
     "scaling": Check(_check_scaling, "spectral"),  # homogeneous-norm rescaling
     "lemma33": Check(_check_lemma33, "spectral", stability="ratio"),  # radial weighted sup probe
     # weighted space-time probe, free flow

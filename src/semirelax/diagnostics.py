@@ -1,13 +1,14 @@
 """Residuals and ratio probes for the a priori structure of the flow.
 
-The CSV, the balance laws, the H^s growth bound and the lemma33 and Duhamel
-scales read one per-snapshot table stored on the trajectory, built with one
-forward transform of each snapshot; the CSV's residuals are running
-trapezoid sums over it.  Every reader takes Trajectory.blocks, one transform
-and reduction per block, derivatives from fields._derivative on the block's
-basis, and folds no snapshot: on the (N/2+1)^n octant of an octant-resident
-trajectory its sums carry the DCT-I multiplicities, at about a sixth of the
-full-grid time and memory at 64^3.
+The CSV, the balance laws, the H^s growth bound, the curvature inequality
+(prop24) and the lemma33 and Duhamel scales read one per-snapshot table
+stored on the trajectory, built with one forward transform of each
+snapshot; the CSV's residuals are running trapezoid sums over it.  Every
+reader takes Trajectory.blocks, one transform and reduction per block,
+derivatives from fields._derivative on the block's basis, and folds no
+snapshot: on the (N/2+1)^n octant of an octant-resident trajectory its sums
+carry the DCT-I multiplicities, at about a sixth of the full-grid time and
+memory at 64^3.
 A linear trajectory dissipates nothing: its balance laws are conservation
 of ||u||^2, ||grad u||^2.
 
@@ -62,24 +63,32 @@ def _snapshot_index(traj: Trajectory, t: float) -> int:
     return idx
 
 
-def diagnostics_table(traj: Trajectory, s: float = 1.0) -> dict[str, np.ndarray]:
+def diagnostics_table(
+    traj: Trajectory, s: float = 1.0, hessian: bool = False
+) -> dict[str, np.ndarray]:
     """Per-snapshot scalars of ``traj``, one array per TABLE_COLUMNS entry,
     built on first use and stored on the trajectory under s: the time t, the
     norms l2, h1dot, h2dot, hs (homogeneous, index s), linf and lpp1 (L^(p+1)),
     and the two dissipation integrands of check_h1_identity, grad_term and
     modulus_term, zero for a linear trajectory and else both formed from the
-    same d_j u.  The pass runs over Trajectory.blocks: one forward transform
-    (then one inverse per d_j u) and one reduction per block.
+    same d_j u.  With hessian, one more column, cross, holds the Hessian
+    cross term sum_{j,k} ||u d_j d_k u||^2 of check_h2_inequality; a stored
+    table without it is built again whole.  The pass runs over
+    Trajectory.blocks: one forward transform (then one inverse per d_j u and
+    per d_j d_k u) and one reduction per block.
 
     An octant-resident trajectory is tabled on its stored octant arrays, with
     no fold and no second mirror test, under a DCT-I transform, its sums
     weighted by the mode and sample multiplicities, and agrees with the FFT
     table to roundoff; 1-d and any other trajectory keep the FFT stack."""
-    if s in traj.tables:
-        return traj.tables[s]
+    stored = traj.tables.get(s)
+    if stored is not None and (not hessian or "cross" in stored):
+        return stored
     grid, p = traj.grid, traj.config.p
     dV, axes = grid.cell_volume, _stack_axes(grid)
-    table = {name: np.zeros(len(traj.snapshots)) for name in TABLE_COLUMNS}
+    columns = (*TABLE_COLUMNS, "cross") if hessian else TABLE_COLUMNS
+    table = {name: np.zeros(len(traj.snapshots)) for name in columns}
+    second_axes = [(j, k) for j in range(grid.n) for k in range(grid.n)] if hessian else []
     table["t"][:] = traj.times
     specs = [(name, SobolevSpec(r, homogeneous=True))
              for name, r in (("h1dot", 1.0), ("h2dot", 2.0), ("hs", s))]
@@ -106,6 +115,10 @@ def diagnostics_table(traj: Trajectory, s: float = 1.0) -> dict[str, np.ndarray]
         # float powers, not numpy's vectorised power: the two round differently
         sums = _integral(absu ** (p + 1.0), weights, grid)
         table["lpp1"][rows] = [v ** (1.0 / (p + 1.0)) for v in sums.tolist()]
+        for jk in second_axes:
+            djk = _derivative(basis, coeffs, grid, jk)
+            table["cross"][rows] += _integral(np.abs(samples * djk) ** 2, weights, grid)
+            del djk  # one second derivative held at a time
         if traj.linear:
             continue
         nonzero, grad_sq, radial_sq = absu > 0, 0.0, 0.0
@@ -124,9 +137,9 @@ def diagnostics_table(traj: Trajectory, s: float = 1.0) -> dict[str, np.ndarray]
     return table
 
 
-def _any_table(traj: Trajectory) -> dict[str, np.ndarray]:
+def _any_table(traj: Trajectory, hessian: bool = False) -> dict[str, np.ndarray]:
     """A stored table of any s (only hs depends on it), else one at s = 1."""
-    return diagnostics_table(traj, next(iter(traj.tables), 1.0))
+    return diagnostics_table(traj, next(iter(traj.tables), 1.0), hessian)
 
 
 def _integral(density: np.ndarray, weights, grid) -> np.ndarray:
@@ -264,29 +277,20 @@ def check_h2_inequality(traj: Trajectory, t1: float, t2: float) -> Report:
         ||u(t2)||_{H2dot}^2 + 2 sum_{j,k} int || u d_j d_k u ||^2
         <= ||u(t1)||_{H2dot}^2 + 2 n^2 (n+1) int ||u||_{H1dot}^(4-n) ||u||_{H2dot}^n.
 
-    Second derivatives are the spectral multipliers -xi_j xi_k, taken by
-    fields._derivative on the blocks of Trajectory.blocks, octants unfolded.
-    The report carries the nonnegative slack rhs - lhs.
+    The cross term is the table's cross column (diagnostics_table with
+    hessian), its second derivatives the spectral multipliers -xi_j xi_k;
+    this check reads the table alone and makes no transform.  The report
+    carries the nonnegative slack rhs - lhs in its notes.
     """
     if traj.config.p != 3:
         raise ValueError(
             f"curvature inequality is stated for the cubic case p = 3, got p={traj.config.p}"
         )
     i1, i2 = _validate_window(traj, t1, t2)
-    grid = traj.grid
-    n, window = grid.n, slice(i1, i2 + 1)
-    table = _any_table(traj)
-    times = table["t"][window]
+    n, window = traj.grid.n, slice(i1, i2 + 1)
+    table = _any_table(traj, hessian=True)
+    times, cross = table["t"][window], table["cross"][window]
     h1, h2 = table["h1dot"][window].tolist(), table["h2dot"][window].tolist()
-    cross = np.zeros(len(times))
-    for i, basis in traj.blocks(i1, i2 + 1):
-        rows = slice(i - i1, i - i1 + len(basis.samples))
-        coeffs = basis.forward(basis.samples)
-        coeffs *= grid.cell_volume
-        for j in range(n):
-            for k in range(n):
-                djk = _derivative(basis, coeffs, grid, (j, k))
-                cross[rows] += _integral(np.abs(basis.samples * djk) ** 2, basis.weights, grid)
     majorant = np.array([a ** (4.0 - n) * b ** float(n) for a, b in zip(h1, h2)])
     lhs = h2[-1] ** 2 + 2.0 * float(np.trapezoid(cross, times))
     rhs = h2[0] ** 2 + 2.0 * n**2 * (n + 1) * float(np.trapezoid(majorant, times))

@@ -15,7 +15,6 @@ __all__ = [
     "Rational",
     "scaling_critical_exponent",
     "critical_power",
-    "is_admissible",
     "embedding_exponent_check",
 ]
 
@@ -57,8 +56,9 @@ def critical_power(n: int, s: Rational) -> Fraction:
 
 
 def _admissible_r(n: int, q: Rational):
-    """The r with (q, r) admissible in dimension n (see is_admissible),
-    math.inf for the endpoint 1/r = 0, or None when no r is admissible."""
+    """The r with (q, r) admissible for the half-wave propagator in dimension
+    n, 1/r = 1/2 - (2/(n-1)) (1/q) with r < inf for n = 3 and only (inf, 2)
+    for n = 1: math.inf for the endpoint 1/r = 0, None when no r is."""
     inv_q = _inv(q)
     if inv_q < 0:
         return None
@@ -68,20 +68,6 @@ def _admissible_r(n: int, q: Rational):
     if not 0 <= inv_r <= Fraction(1, 2) or (n == 3 and inv_r == 0):
         return None
     return math.inf if inv_r == 0 else 1 / inv_r
-
-
-def is_admissible(n: int, q: Rational, r: Rational) -> bool:
-    """Whether (q, r) is an admissible space-time pair for the half-wave
-    propagator in dimension n.
-
-    Admissibility in dimension n (with sigma = n - 1) is
-        1/r = 1/2 - (2/sigma) * (1/q),
-    with 2 <= r <= inf for n = 1, 2 and 2 <= r < inf for n = 3.  For n = 1
-    (sigma = 0) the only admissible pair is q = inf, r = 2.  Use q=inf or
-    r=inf (floats) for the endpoints.
-    """
-    inv_r, r_adm = _inv(r), _admissible_r(n, q)
-    return r_adm is not None and inv_r == _inv(r_adm)
 
 
 def embedding_exponent_check(s: Rational, r: Rational) -> bool:

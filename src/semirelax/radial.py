@@ -73,10 +73,6 @@ class Report:
     def relative(self) -> float:
         return self.residual / max(self.lhs, self.rhs, REGULARIZATION_EPS)
 
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
-
     def as_dict(self) -> dict:
         """lhs, rhs, residual and relative, plus empirical_constant when set
         and notes when not empty."""

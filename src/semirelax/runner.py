@@ -104,6 +104,8 @@ def run(
             # byte-identical across output locations
             csv_path = "diagnostics.csv"
             try:
+                hessian = any(CHECKS[check].hessian for check in scenario.checks)
+                diag.diagnostics_table(ctx.traj, scenario.s, hessian)
                 rows = diag.write_diagnostics_csv(
                     ctx.traj, os.path.join(run_dir, csv_path), s=scenario.s
                 )

@@ -1,8 +1,9 @@
 """Scenario configuration: the flat key=value format, hypothesis
 validation, and construction of initial data.
 
-Config grammar (INI-style, parsed by configparser; solver = radial-wave
-rejects the keys marked spectral solvers, which it would ignore):
+Config grammar (INI-style, parsed by configparser; a scenario is rejected
+when it sets a key its run would never read: solver = radial-wave the keys
+marked spectral solvers, solver = spectral M and R without cor37 or cor39):
 
     [scenario.<name>]
     n = 1                     # spatial dimension
@@ -144,16 +145,22 @@ def _parse_initial(sc: Scenario):
     return kind, args
 
 
-def _validate(sc: Scenario, ignored=()) -> None:
-    """ignored: the keys with defaults (s, snapshot_stride) sc's config sets."""
+def _validate(sc: Scenario, defaulted=()) -> None:
+    """defaulted: the keys with defaults (s, snapshot_stride) sc's config sets."""
     if sc.solver not in ("spectral", "radial-wave", "both"):
         raise ScenarioError(f"scenario {sc.name!r}: unknown solver {sc.solver!r}")
-    ignored = [*ignored, *(key for key in ("N", "L") if getattr(sc, key) is not None)]
-    if sc.solver == "radial-wave" and ignored:  # fields the spectral solvers alone read
-        raise ScenarioError(f"scenario {sc.name!r}: solver = radial-wave ignores {ignored}")
     unknown = [c for c in sc.checks if c not in CHECKS]
     if unknown:
         raise ScenarioError(f"scenario {sc.name!r}: unknown checks {unknown}")
+    # the keys this run never reads: the spectral solvers' under the wave
+    # form alone, the radial grid when no solver or check reads the profile
+    radial = sc.solver != "spectral" or any(CHECKS[c].reads == "radial" for c in sc.checks)
+    read = () if sc.solver == "radial-wave" else ("s", "snapshot_stride", "N", "L")
+    read += ("M", "R") if radial else ()
+    keys = [*defaulted, *(key for key in ("N", "L", "M", "R") if getattr(sc, key) is not None)]
+    ignored = [key for key in keys if key not in read]
+    if ignored:
+        raise ScenarioError(f"scenario {sc.name!r}: solver = {sc.solver} ignores {ignored}")
     if sc.solver in ("spectral", "both") and (sc.N is None or sc.L is None):
         raise ScenarioError(f"scenario {sc.name!r}: spectral solver needs N and L")
     kind, args = _parse_initial(sc)
@@ -168,7 +175,7 @@ def _validate(sc: Scenario, ignored=()) -> None:
                     sobolev_norm(sc.initial_field(), SobolevSpec(sc.s, homogeneous=True))
                 except ValueError as exc:
                     raise ScenarioError(f"scenario {sc.name!r}: s = {sc.s:g}: {exc}") from exc
-        if sc.solver != "spectral" or any(CHECKS[c].reads == "radial" for c in sc.checks):
+        if radial:
             sc.initial_profile()  # M, R and the radial form of the data
         if sc.solver != "spectral":
             if sc.n != 3:

@@ -27,7 +27,6 @@ from semirelax import (
     evolve,
     gaussian_field,
     hardy_time_derivative_check,
-    is_admissible,
     l2_norm,
     linear_step,
     make_grid,
@@ -41,6 +40,7 @@ from semirelax import (
     weighted_strichartz_ratio,
 )
 from semirelax.checks import spectral_vs_wave_disagreement
+from semirelax.exponents import _admissible_r
 from semirelax.plotting import fit_order
 from semirelax.radial import JEvaluator, cumulative_mass, maximal_function
 from semirelax.scenarios import load_config
@@ -341,7 +341,7 @@ def test_criterion_10_exponent_bookkeeping():
         assert s == s_expected, (n, p)
         if 2 * s < n:
             assert critical_power(n, s) == p, (n, s)
-        assert is_admissible(n, q, r) is admissible, (n, q, r)
+        assert (_admissible_r(n, q) == r) is admissible, (n, q, r)
     for s, r, verdict in EMBEDDING_TABLE:
         assert embedding_exponent_check(s, r) is verdict, (s, r)
     _report(10, "20-row exponent/admissibility table verified in exact arithmetic")

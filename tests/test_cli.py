@@ -95,6 +95,16 @@ class TestRunCommand:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_spectral_radial_grid_it_ignores_exits_2(self, tmp_path, capsys, config):
+        # no requested check reads the radial profile, so M and R go unread
+        config.write_text(FAST + "M = 16\nR = 8\n")
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "scenario 'cli_demo': solver = spectral ignores ['M', 'R']" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "out").exists()
+
 
 class TestSweepCommand:
     def test_dt_sweep(self, tmp_path, config, capsys):

@@ -37,8 +37,8 @@ from semirelax import (
 )
 from semirelax import propagator
 from semirelax.checks import PROP22_TOL, _dt_scaled
-from semirelax.fields import _BLOCK_BYTES as BLOCK_BYTES, _basis
-from semirelax.diagnostics import CSV_HEADER, TABLE_COLUMNS
+from semirelax.fields import _BLOCK_BYTES as BLOCK_BYTES, _basis, _derivative
+from semirelax.diagnostics import CSV_HEADER, TABLE_COLUMNS, _integral
 from semirelax.norms import space_time_norm, weighted_norm
 from semirelax.plotting import fit_order
 from semirelax.propagator import _Snapshots, duhamel_residual, linear_step
@@ -163,6 +163,24 @@ def reference_h2_inequality(traj, i1, i2):
     rhs = h2[0] ** 2 + 2.0 * n**2 * (n + 1) * float(np.trapezoid(majorant, times))
     return Report(lhs=lhs, rhs=rhs, empirical_constant=lhs / rhs if rhs > 0 else 0.0,
                   notes={"slack": rhs - lhs})
+
+
+def reference_cross(traj, i1, i2):
+    """The Hessian cross term sum_{j,k} ||u d_j d_k u||^2 of snapshots
+    i1..i2 in a pass of its own, as check_h2_inequality once formed it: a
+    forward transform of each block of Trajectory.blocks(i1, i2 + 1), then
+    one second derivative per (j, k) in n x n order into a zeroed row."""
+    grid = traj.grid
+    cross = np.zeros(i2 + 1 - i1)
+    for i, basis in traj.blocks(i1, i2 + 1):
+        rows = slice(i - i1, i - i1 + len(basis.samples))
+        coeffs = basis.forward(basis.samples)
+        coeffs *= grid.cell_volume
+        for j in range(grid.n):
+            for k in range(grid.n):
+                djk = _derivative(basis, coeffs, grid, (j, k))
+                cross[rows] += _integral(np.abs(basis.samples * djk) ** 2, basis.weights, grid)
+    return cross
 
 
 def reference_duhamel_residual(traj):
@@ -398,6 +416,55 @@ class TestH2Inequality:
         traj = evolve(gaussian_field(g, 0.3), StepperConfig(p=2.5, dt=0.01, T=0.05))
         with pytest.raises(ValueError, match="p = 3"):
             check_h2_inequality(traj, 0.0, 0.05)
+
+
+class TestHessianColumn:
+    """The table's cross column against reference_cross, its own pass over
+    the window's blocks: equal bit for bit on the FFT stack and the octant,
+    for any window and block size, and formed only when asked for."""
+
+    @pytest.mark.parametrize("n,N,center", [
+        (1, 64, 0.0),  # 1-d: always the FFT stack
+        (2, 16, 1.0),  # off-centre 2-d: the FFT stack
+        (2, 16, 0.0),  # centred: the DCT-I octant
+        (3, 8, 0.0),
+    ], ids=["fft_1d", "fft_2d", "octant_2d", "octant_3d"])
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_matches_the_per_block_pass(self, monkeypatch, n, N, center, nonlinear):
+        # blocks of three snapshots: the window 2..11 starts and ends inside one
+        g = make_grid(n, N, 10.0)
+        u0 = gaussian_field(g, 0.8, center=center)
+        monkeypatch.setattr(propagator, "_BLOCK_BYTES", 3 * u0.values.nbytes)
+        traj = evolve(u0, StepperConfig(p=3.0, dt=0.01, T=0.13, nonlinear=nonlinear))
+        assert (traj.snapshots.basis.weights is None) == (n == 1 or center != 0)
+        cross = diagnostics_table(traj, hessian=True)["cross"]
+        for i1, i2 in ((0, len(traj.times) - 1), (2, 11)):
+            assert np.array_equal(cross[i1 : i2 + 1], reference_cross(traj, i1, i2))
+
+    def test_asked_for_after_a_table_without_it(self, cubic_1d_trajectory):
+        # the stored table is built again whole: its columns keep their bits
+        traj = replace(cubic_1d_trajectory)  # a fresh, empty table cache
+        plain = diagnostics_table(traj, 1.5)
+        assert "cross" not in plain
+        table = diagnostics_table(traj, 1.5, hessian=True)
+        assert traj.tables[1.5] is table and diagnostics_table(traj, 1.5) is table
+        assert tuple(table) == (*TABLE_COLUMNS, "cross")
+        for name in TABLE_COLUMNS:
+            assert np.array_equal(table[name], plain[name]), name
+        last = len(traj.times) - 1
+        assert np.array_equal(table["cross"], reference_cross(traj, 0, last))
+
+    def test_check_reads_the_table_alone(self, monkeypatch):
+        # with the column stored, prop24 makes no transform; without it,
+        # the one table pass forms it
+        g = make_grid(2, 16, 10.0)
+        traj = evolve(gaussian_field(g, 0.5), StepperConfig(p=3.0, dt=0.02, T=0.1))
+        calls = count_calls(monkeypatch, ("fftn", "dctn", "idctn", "idstn"))
+        first = check_h2_inequality(traj, 0.0, 0.1)
+        assert calls["dctn"] == len(list(traj.blocks()))
+        calls.update(dict.fromkeys(calls, 0))
+        assert check_h2_inequality(traj, 0.02, 0.1) != first
+        assert calls == dict.fromkeys(calls, 0)
 
 
 def reference_strauss_ratio(u0: Field, s: float) -> float:

@@ -8,9 +8,15 @@ from hypothesis import strategies as st
 from semirelax import (
     critical_power,
     embedding_exponent_check,
-    is_admissible,
     scaling_critical_exponent,
 )
+from semirelax.exponents import _admissible_r
+
+
+def admissible(n, q, r) -> bool:
+    """Whether (q, r) is admissible in dimension n: r is the one that
+    _admissible_r gives for q (check-exponents' verdict)."""
+    return _admissible_r(n, q) == r
 
 
 def scaling_rate(n, p, s):
@@ -65,27 +71,27 @@ class TestScalingExponents:
 
 class TestAdmissibility:
     def test_one_dimensional_endpoint_only(self):
-        assert is_admissible(1, math.inf, 2)
-        assert not is_admissible(1, 4, 4)
-        assert not is_admissible(1, 8, 2)
+        assert admissible(1, math.inf, 2)
+        assert not admissible(1, 4, 4)
+        assert not admissible(1, 8, 2)
 
     def test_two_dimensional_family(self):
         # sigma = 1: 1/r = 1/2 - 2/q
-        assert is_admissible(2, 4, math.inf)
-        assert is_admissible(2, 8, 4)
-        assert is_admissible(2, math.inf, 2)
-        assert not is_admissible(2, 4, 6)
+        assert admissible(2, 4, math.inf)
+        assert admissible(2, 8, 4)
+        assert admissible(2, math.inf, 2)
+        assert not admissible(2, 4, 6)
 
     def test_three_dimensional_excludes_r_infinity(self):
         # sigma = 2: 1/r = 1/2 - 1/q; q = 2 would give r = inf
-        assert is_admissible(3, 4, 4)
-        assert is_admissible(3, math.inf, 2)
-        assert not is_admissible(3, 2, math.inf)
+        assert admissible(3, 4, 4)
+        assert admissible(3, math.inf, 2)
+        assert not admissible(3, 2, math.inf)
 
 
 def reference_is_admissible(n, q, r) -> bool:
-    """The relation checked term by term, as is_admissible did before it
-    asked _admissible_r for the r that goes with q."""
+    """The admissibility relation checked term by term, independent of
+    _admissible_r."""
     inv = lambda x: Fraction(0) if x == math.inf else 1 / Fraction(x)
     inv_q, inv_r = inv(q), inv(r)
     if inv_q < 0 or inv_r < 0:
@@ -106,7 +112,7 @@ class TestAdmissibleR:
         for q in VALUES:
             for r in VALUES:
                 expected = reference_is_admissible(n, q, r)
-                assert is_admissible(n, q, r) == expected, (q, r)
+                assert admissible(n, q, r) == expected, (q, r)
 
 
 class TestEmbeddingCheck:

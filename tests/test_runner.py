@@ -127,6 +127,37 @@ class TestRun:
         assert report.checks["prop21"]["residual"] == 0.0
         assert report.checks["prop22"]["residual"] == 0.0
 
+    @pytest.mark.parametrize("n, N, forward", [(1, 64, "fft"), (2, 16, "dctn")])
+    @pytest.mark.parametrize("checks", ["prop24", "prop21"])
+    def test_each_stored_block_forward_transformed_once(
+        self, tmp_path, monkeypatch, n, N, forward, checks
+    ):
+        # after the solve, the table and the checks together forward-transform
+        # each stored block once (on the FFT stack in 1-d, the DCT-I octant in
+        # 2-d): prop24 reads its Hessian cross term from the table, whose
+        # column a run without prop24 never forms
+        from semirelax import evolve, propagator
+
+        monkeypatch.setattr(propagator, "_BLOCK_BYTES", 4 * N**n * 16)
+        trajs, calls = [], []
+
+        def solve_then_count(u0, cfg):
+            trajs.append(evolve(u0, cfg))
+            transform = getattr(scipy.fft, forward)
+            monkeypatch.setattr(
+                scipy.fft, forward, lambda *a, **kw: calls.append(1) or transform(*a, **kw)
+            )
+            return trajs[-1]
+
+        monkeypatch.setattr(runner, "evolve", solve_then_count)
+        body = FAST.replace("n = 1", f"n = {n}").replace("N = 64", f"N = {N}")
+        body = body.replace("prop11, prop21, prop22, prop24, scaling, duhamel", checks)
+        (sc,) = load_config(write_config(tmp_path, body))
+        run(sc, tmp_path / "out")
+        (traj,) = trajs
+        assert len(calls) == len(list(traj.blocks())) > 1
+        assert any("cross" in table for table in traj.tables.values()) == (checks == "prop24")
+
     def test_radial_checks_pass(self, tmp_path):
         (sc,) = load_config(write_config(tmp_path, RADIAL))
         report = run(sc, tmp_path / "out")
@@ -251,7 +282,7 @@ class TestRun:
         body = RADIAL.replace("solver = both", "solver = spectral").replace(
             "checks = prop14, prop21, lemma35, lemma36, cor37, cor39, lemma33, lemma34",
             "checks = lemma34",
-        ).replace("gaussian(0.05, 1.0, 0.0)", initial)
+        ).replace("M = 128\nR = 12\n", "").replace("gaussian(0.05, 1.0, 0.0)", initial)
         (sc,) = load_config(write_config(tmp_path, body))
         ctx = _RunContext(sc)
         got, want = ctx.linear_traj, evolve(sc.initial_field(), sc.stepper(nonlinear=False))

@@ -218,6 +218,32 @@ class TestRadialWaveRejectsSpectralKeys:
         assert (sc.s, sc.N, sc.L) == (1.2, 16, 10.0)
 
 
+class TestSpectralRejectsRadialGrid:
+    """solver = spectral reads M and R only for a radial probe (a check
+    whose CHECKS entry reads "radial"): a scenario that sets either with no
+    such check is rejected at load, naming it, where it once loaded, ran
+    and ignored it."""
+
+    @pytest.mark.parametrize("lines, named", [
+        ("M = 16\n", "['M']"), ("R = 8\n", "['R']"), ("M = 16\nR = 8\n", "['M', 'R']"),
+    ])
+    def test_keys_named(self, tmp_path, lines, named):
+        with pytest.raises(ScenarioError) as err:
+            load_config(write_config(tmp_path, GOOD + lines))
+        assert f"scenario 'demo': solver = spectral ignores {named}" in str(err.value)
+
+    def test_keys_it_reads_not_named(self, tmp_path):
+        body = GOOD + "snapshot_stride = 2\nM = 16\nR = 8\n"
+        with pytest.raises(ScenarioError, match=re.escape("spectral ignores ['M', 'R']")):
+            load_config(write_config(tmp_path, body))
+
+    def test_a_radial_probe_reads_them(self, tmp_path):
+        body = GOOD.replace("n = 1", "n = 3").replace("N = 64", "N = 16").replace(
+            "s = 1.5", "s = 1.0").replace("checks = prop21", "checks = prop21, cor39")
+        (sc,) = load_config(write_config(tmp_path, body + "M = 16\nR = 8\n"))
+        assert (sc.solver, sc.M, sc.R) == ("spectral", 16, 8.0)
+
+
 # a spectral run that also requests a radial probe: cor37 reads (M, R);
 # being n = 1, it keeps every rule but the probe's n = 3
 RADIAL_PROBE = GOOD.replace("checks = prop21", "checks = cor37\nM = 64\nR = 10")
@@ -437,9 +463,10 @@ RULE_BREAKS = [
 @st.composite
 def fuzz_configs(draw):
     """Configs the grammar accepts on small grids: n in {1, 2} with N in
-    {8, 16, 32}, optionally with a radial grid M in {8, 16, 32} for the
-    radial probes, or radial 3-d with M in {16, 32, 64}.  Initial data are
-    a centred or off-centre gaussian or a plane wave.  One spectral draw in
+    {8, 16, 32}, with a radial grid M in {8, 16, 32} or none when cor37 or
+    cor39 is among the checks (no other check reads it), or radial 3-d with
+    M in {16, 32, 64}.  Initial data are a centred or off-centre gaussian or
+    a plane wave.  One spectral draw in
     four is n = 3 with N in {8, 16}, a centred gaussian, M in {16, 32} and
     cor37 or cor39 among its checks, the spectral runs of the radial probes.
     About one draw in three breaks one solver rule, and one radial draw in
@@ -470,7 +497,9 @@ def fuzz_configs(draw):
             checks,
         )
     checks = draw(st.lists(st.sampled_from(SPECTRAL_FUZZ_CHECKS), max_size=3, unique=True))
-    n, M = draw(st.sampled_from([1, 2])), draw(st.sampled_from([None, 8, 16, 32]))
+    n, M = draw(st.sampled_from([1, 2])), None
+    if {"cor37", "cor39"} & set(checks):
+        M = draw(st.sampled_from([None, 8, 16, 32]))
     if draw(st.integers(0, 3)) == 0:
         n, M, initial = 3, draw(st.sampled_from([16, 32])), f"gaussian({amp}, 1.0, 0.0)"
         cfg["N"] = min(cfg["N"], 16)
