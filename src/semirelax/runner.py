@@ -10,7 +10,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -165,25 +165,18 @@ def _swept_value(key: str, raw):
 
 
 def _apply_variation(base: Scenario, key: str, raw, value) -> Scenario:
-    sc = Scenario(**asdict(base))
-    if key == "dt":
-        sc.dt = value
-    elif key == "N":
-        sc.N = value
+    if key in ("dt", "N"):
+        changes = {key: value}
     elif key == "amplitude":
         kind, args = _parse_initial(base)
         if "amplitude" not in INITIAL_ARGS[kind]:
             raise ScenarioError(f"cannot sweep the amplitude of {base.initial!r}")
         args = list(args)
         args[INITIAL_ARGS[kind].index("amplitude")] = value
-        sc.initial = f"{kind}({', '.join(repr(a) for a in args)})"
-    elif key == "sigma":
-        if base.L is not None:
-            sc.L = base.L / value
-        if base.R is not None:
-            sc.R = base.R / value
-    sc.name = f"{base.name}__{key}_{raw}"
-    return sc
+        changes = {"initial": f"{kind}({', '.join(repr(a) for a in args)})"}
+    else:  # sigma: the box and the radial extent shrink by it
+        changes = {k: getattr(base, k) / value for k in ("L", "R") if getattr(base, k) is not None}
+    return replace(base, name=f"{base.name}__{key}_{raw}", **changes)
 
 
 def sweep(

@@ -1,25 +1,29 @@
 """Scenario configuration: the flat key=value format, hypothesis
 validation, and construction of initial data.
 
-Config grammar (INI-style, parsed by configparser; a scenario is rejected
-when it sets a key its run would never read: solver = radial-wave the keys
-marked spectral solvers, solver = spectral M and R without cor37 or cor39):
+Config grammar (INI-style, parsed by configparser).  The keys are the
+Scenario fields after name, each cast by its type and required iff it has
+no default.  A scenario is rejected when it sets any other key, repeats a
+check, is named '', '.', '..' or with a '/', or sets a key its run never
+reads: solver = radial-wave the keys marked spectral solvers, solver =
+spectral M and R without cor37 or cor39.  s < 0 needs mean-free data at
+every step, which the nonlinear flow keeps only for mode(k, a) data:
 
     [scenario.<name>]
     n = 1                     # spatial dimension
     p = 3                     # nonlinearity power
-    s = 1.5                   # diagnostic Sobolev index (spectral solvers; < 0: mean-free data)
-    solver = spectral         # spectral | radial-wave | both
-    N = 256                   # grid points per axis   (spectral solvers)
-    L = 40                    # box period             (spectral solvers)
-    M = 512                   # radial samples         (radial solvers, cor37, cor39)
-    R = 20                    # radial extent          (radial solvers, cor37, cor39)
-    dt = 1e-3
-    T = 1.0
-    snapshot_stride = 1       # optional, default 1    (spectral solvers)
-    nonlinear = true          # optional, default true (or yes/no, on/off, 1/0, false)
+    dt = 1e-3                 # time step
+    T = 1.0                   # final time
     initial = gaussian(0.5, 1.0, 0.0)   # or mode(k, amplitude) or file(path)
-    checks = prop21, prop22   # comma-separated keys of checks.CHECKS
+    s = 1.5                   # optional, default 1.0: diagnostic Sobolev index (spectral solvers)
+    solver = spectral         # optional, default spectral: spectral | radial-wave | both
+    checks = prop21, prop22   # optional: comma-separated keys of checks.CHECKS, each once
+    N = 256                   # optional: grid points per axis (spectral solvers)
+    L = 40                    # optional: box period           (spectral solvers)
+    M = 512                   # optional: radial samples       (radial solvers, cor37, cor39)
+    R = 20                    # optional: radial extent        (radial solvers, cor37, cor39)
+    snapshot_stride = 1       # optional, default 1            (spectral solvers)
+    nonlinear = true          # optional, default true (or yes/no, on/off, 1/0, false)
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import configparser
 import importlib.resources
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -48,14 +52,14 @@ class ScenarioError(ValueError):
 
 @dataclass
 class Scenario:
-    name: str
+    name: str  # the section's [scenario.<name>]; every later field is a config key
     n: int
     p: float
-    s: float
-    solver: str
     dt: float
     T: float
     initial: str
+    s: float = 1.0
+    solver: str = "spectral"
     checks: list[str] = field(default_factory=list)
     N: int | None = None
     L: float | None = None
@@ -147,11 +151,16 @@ def _parse_initial(sc: Scenario):
 
 def _validate(sc: Scenario, defaulted=()) -> None:
     """defaulted: the keys with defaults (s, snapshot_stride) sc's config sets."""
+    if sc.name in ("", ".", "..") or "/" in sc.name:  # the run writes outdir/<name>/
+        raise ScenarioError(f"scenario {sc.name!r}: a name is one path component")
     if sc.solver not in ("spectral", "radial-wave", "both"):
         raise ScenarioError(f"scenario {sc.name!r}: unknown solver {sc.solver!r}")
     unknown = [c for c in sc.checks if c not in CHECKS]
     if unknown:
         raise ScenarioError(f"scenario {sc.name!r}: unknown checks {unknown}")
+    repeated = sorted({c for c in sc.checks if sc.checks.count(c) > 1})
+    if repeated:
+        raise ScenarioError(f"scenario {sc.name!r}: repeated checks {repeated}")
     # the keys this run never reads: the spectral solvers' under the wave
     # form alone, the radial grid when no solver or check reads the profile
     radial = sc.solver != "spectral" or any(CHECKS[c].reads == "radial" for c in sc.checks)
@@ -175,6 +184,11 @@ def _validate(sc: Scenario, defaulted=()) -> None:
                     sobolev_norm(sc.initial_field(), SobolevSpec(sc.s, homogeneous=True))
                 except ValueError as exc:
                     raise ScenarioError(f"scenario {sc.name!r}: s = {sc.s:g}: {exc}") from exc
+                if sc.nonlinear and kind != "mode":  # |u|^(p-1) u makes a mean
+                    raise ScenarioError(
+                        f"scenario {sc.name!r}: s = {sc.s:g}: the nonlinear flow keeps "
+                        f"only mode(k, a) data mean-free, got {sc.initial!r}"
+                    )
         if radial:
             sc.initial_profile()  # M, R and the radial form of the data
         if sc.solver != "spectral":
@@ -193,13 +207,18 @@ def _validate(sc: Scenario, defaulted=()) -> None:
             raise ScenarioError(f"scenario {sc.name!r}, check {check!r}: {broken}")
 
 
-def _get(section, key, cast, default=None, required=False):
-    name = section.name.split(".", 1)[1]
-    if key not in section:
-        if required:
-            raise ScenarioError(f"scenario {name!r}: missing key {key!r}")
-        return default
-    raw = section[key]
+# each config key's cast, by its field's annotation (a string under
+# `from __future__ import annotations`); checks is a comma-separated list
+_CASTS = {
+    "int": int, "float": float, "str": str, "bool": bool,
+    "list[str]": lambda raw: [c.strip() for c in raw.split(",") if c.strip()],
+}
+KEYS = {f.name: _CASTS[f.type.removesuffix(" | None")] for f in fields(Scenario)[1:]}
+REQUIRED = [f.name for f in fields(Scenario)[1:] if f.default is MISSING is f.default_factory]
+
+
+def _get(section, name, key):
+    raw, cast = section[key], KEYS[key]
     try:  # a boolean is one of configparser's words: true/false, yes/no, on/off, 1/0
         value = section.getboolean(key) if cast is bool else cast(raw)
     except ValueError as exc:
@@ -225,28 +244,14 @@ def load_config(path) -> list[Scenario]:
             raise ScenarioError(
                 f"unexpected section [{section_name}]; sections must be [scenario.<name>]"
             )
-        sec = parser[section_name]
-        sc = Scenario(
-            name=section_name.split(".", 1)[1],
-            n=_get(sec, "n", int, required=True),
-            p=_get(sec, "p", float, required=True),
-            s=_get(sec, "s", float, default=1.0),
-            solver=_get(sec, "solver", str, default="spectral"),
-            dt=_get(sec, "dt", float, required=True),
-            T=_get(sec, "T", float, required=True),
-            initial=_get(sec, "initial", str, required=True),
-            checks=[
-                c.strip()
-                for c in _get(sec, "checks", str, default="").split(",")
-                if c.strip()
-            ],
-            N=_get(sec, "N", int),
-            L=_get(sec, "L", float),
-            M=_get(sec, "M", int),
-            R=_get(sec, "R", float),
-            snapshot_stride=_get(sec, "snapshot_stride", int, default=1),
-            nonlinear=_get(sec, "nonlinear", bool, default=True),
-        )
+        sec, name = parser[section_name], section_name.split(".", 1)[1]
+        unknown = [key for key in sec if key not in KEYS]  # [DEFAULT]'s keys too
+        if unknown:
+            raise ScenarioError(f"scenario {name!r}: unknown keys {unknown}")
+        missing = [key for key in REQUIRED if key not in sec]
+        if missing:
+            raise ScenarioError(f"scenario {name!r}: missing key {missing[0]!r}")
+        sc = Scenario(name, **{key: _get(sec, name, key) for key in sec})
         _validate(sc, [key for key in ("s", "snapshot_stride") if key in sec])
         scenarios.append(sc)
     return scenarios

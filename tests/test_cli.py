@@ -105,6 +105,15 @@ class TestRunCommand:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", ["../escaped", "", "."])
+    def test_name_outside_the_output_directory_exits_2(self, tmp_path, capsys, config, name):
+        # ../escaped once wrote outside --out; '' and '.' wrote into it directly
+        config.write_text(FAST.replace("[scenario.cli_demo]", f"[scenario.{name}]"))
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"scenario {name!r}: a name is one path component" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.cfg"]
+
 
 class TestSweepCommand:
     def test_dt_sweep(self, tmp_path, config, capsys):

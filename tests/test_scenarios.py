@@ -43,6 +43,11 @@ class TestLoadConfig:
         u0 = sc.initial_field()
         assert l2_norm(u0) > 0
 
+    @pytest.mark.parametrize("name", ["v1.5", "..x", "a.b.c"])
+    def test_dotted_name_loads(self, tmp_path, name):
+        body = GOOD.replace("[scenario.demo]", f"[scenario.{name}]")
+        assert [sc.name for sc in load_config(write_config(tmp_path, body))] == [name]
+
     def test_parse_error_carries_line_number(self, tmp_path):
         bad = "[scenario.x]\nn = 1\n  dangling continuation mess\n= 3\n"
         with pytest.raises(ScenarioError, match="line"):
@@ -244,6 +249,136 @@ class TestSpectralRejectsRadialGrid:
         assert (sc.solver, sc.M, sc.R) == ("spectral", 16, 8.0)
 
 
+# the shipped catalog's loaded values, pinned: reading the keys through the
+# Scenario fields must not move any of them
+CATALOG = {
+    "p11_1d_cubic": dict(
+        n=1, p=3.0, s=1.5, solver="spectral", dt=0.001, T=1.0,
+        initial="gaussian(0.5, 1.0, 0.0)",
+        checks=["prop11", "prop21", "prop22", "prop24", "duhamel"],
+        N=256, L=40.0, M=None, R=None, snapshot_stride=1, nonlinear=True,
+    ),
+    "p11_1d_quintic": dict(
+        n=1, p=5.0, s=1.5, solver="spectral", dt=0.001, T=1.0,
+        initial="gaussian(0.4, 1.0, 0.0)", checks=["prop11", "prop21"],
+        N=256, L=40.0, M=None, R=None, snapshot_stride=1, nonlinear=True,
+    ),
+    "p12_2d_s15": dict(
+        n=2, p=3.0, s=1.5, solver="spectral", dt=0.001, T=0.5,
+        initial="gaussian(0.5, 1.0, 0.0)", checks=["prop12", "prop21", "prop23", "prop24"],
+        N=128, L=30.0, M=None, R=None, snapshot_stride=2, nonlinear=True,
+    ),
+    "p13_3d_subcritical": dict(
+        n=3, p=2.5, s=1.0, solver="spectral", dt=0.002, T=0.5,
+        initial="gaussian(0.2, 1.0, 0.0)", checks=["prop13", "prop21", "lemma33"],
+        N=64, L=20.0, M=None, R=None, snapshot_stride=10, nonlinear=True,
+    ),
+    "p14_3d_critical": dict(
+        n=3, p=3.0, s=1.0, solver="both", dt=0.002, T=0.5,
+        initial="gaussian(0.1, 1.0, 0.0)", checks=["prop14", "prop21", "lemma35"],
+        N=64, L=20.0, M=512, R=20.0, snapshot_stride=10, nonlinear=True,
+    ),
+    "lin_3d_probes": dict(
+        n=3, p=3.0, s=1.0, solver="both", dt=0.05, T=4.0,
+        initial="gaussian(1.0, 1.0, 0.0)", checks=["lemma34", "lemma36", "cor37", "cor39"],
+        N=64, L=20.0, M=512, R=20.0, snapshot_stride=1, nonlinear=False,
+    ),
+}
+
+# every key set, none to its default; solver = both reads them all
+EVERY_KEY = """
+[scenario.every_key]
+n = 3
+p = 3
+dt = 1e-2
+T = 0.05
+initial = gaussian(0.1, 1.0, 0.0)
+s = 0.5
+solver = both
+checks = lemma36, prop21
+N = 16
+L = 10
+M = 64
+R = 10
+snapshot_stride = 2
+nonlinear = false
+"""
+
+
+def _default(f):
+    """A Scenario field's default; MISSING for a required key."""
+    from dataclasses import MISSING
+
+    return f.default if f.default_factory is MISSING else f.default_factory()
+
+
+class TestKeyTable:
+    """The Scenario fields after name are the config keys: the loader reads
+    each through that table, and any other key is a config error."""
+
+    @pytest.mark.parametrize("body, key", [
+        (GOOD + "nonlinaer = false\n", "nonlinaer"),
+        (GOOD + "snapshot_strid = 2\n", "snapshot_strid"),
+        (GOOD.replace("dt = 1e-2", "Dt = 1e-2"), "Dt"),
+        (GOOD + "name = other\n", "name"),
+        ("[DEFAULT]\nsnapshot_strid = 2\n" + GOOD, "snapshot_strid"),
+    ], ids=["nonlinaer", "snapshot_strid", "Dt", "name", "default_section"])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, body, key):
+        from semirelax.cli import main
+
+        path = write_config(tmp_path, body)
+        message = f"scenario 'demo': unknown keys [{key!r}]"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            load_config(path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_every_field_set_from_a_config(self, tmp_path):
+        from dataclasses import asdict, fields
+
+        from semirelax import Scenario
+
+        (sc,) = load_config(write_config(tmp_path, EVERY_KEY))
+        assert asdict(sc) == dict(
+            name="every_key", n=3, p=3.0, dt=0.01, T=0.05, initial="gaussian(0.1, 1.0, 0.0)",
+            s=0.5, solver="both", checks=["lemma36", "prop21"], N=16, L=10.0, M=64, R=10.0,
+            snapshot_stride=2, nonlinear=False,
+        )
+        for f in fields(Scenario)[1:]:
+            assert f"\n{f.name} = " in EVERY_KEY
+            assert getattr(sc, f.name) != _default(f), f.name
+
+    def test_catalog_values_pinned(self):
+        from dataclasses import asdict
+
+        loaded = {sc.name: asdict(sc) for sc in load_config(default_catalog_path())}
+        assert loaded == {name: {"name": name, **values} for name, values in CATALOG.items()}
+        for name, values in CATALOG.items():  # 3 and 3.0 are equal but not the same cast
+            assert all(type(loaded[name][k]) is type(v) for k, v in values.items()), name
+
+    def test_grammar_docstring_lists_the_fields(self):
+        # the docstring's grammar block: one `key = example  # comment` line per key
+        from configparser import ConfigParser
+        from dataclasses import MISSING, fields
+
+        from semirelax import Scenario, scenarios
+
+        block = scenarios.__doc__.split("[scenario.<name>]\n", 1)[1]
+        lines = dict(re.findall(r"^    (\w+) = .*?# (.*)$", block, re.MULTILINE))
+        assert list(lines) == [f.name for f in fields(Scenario)[1:]]
+        for f in fields(Scenario)[1:]:
+            default, comment = _default(f), lines[f.name]
+            assert comment.startswith("optional") == (default is not MISSING), f.name
+            stated = re.match(r"optional, default ([^\s:]+)", comment)
+            if default in (MISSING, None, []):  # required, or unset unless given
+                assert stated is None, f.name
+                continue
+            cast, word = scenarios.KEYS[f.name], stated.group(1)
+            value = ConfigParser.BOOLEAN_STATES[word] if cast is bool else cast(word)
+            assert value == default, f.name
+
+
 # a spectral run that also requests a radial probe: cor37 reads (M, R);
 # being n = 1, it keeps every rule but the probe's n = 3
 RADIAL_PROBE = GOOD.replace("checks = prop21", "checks = cor37\nM = 64\nR = 10")
@@ -315,6 +450,18 @@ class TestSolverRulesAtLoad:
         (GOOD.replace("s = 1.5", "s = -0.5"),
          r"s = -0.5: homogeneous norm with s < 0 requires a mean-free field "
          r"\(zero-mode fraction 3.540e-01\)"),
+        # the run writes outdir/<name>/: these once wrote outside outdir or
+        # straight into it
+        *[
+            (GOOD.replace("[scenario.demo]", f"[scenario.{name}]"),
+             re.escape(f"scenario {name!r}: a name is one path component"))
+            for name in ("", ".", "..", "../escaped", "a/b")
+        ],
+        # a repeated check was evaluated and its JSON written twice
+        (GOOD.replace("checks = prop21", "checks = prop21, prop21"),
+         re.escape("'demo': repeated checks ['prop21']")),
+        (GOOD.replace("checks = prop21", "checks = prop22, prop21, prop22, prop21"),
+         re.escape("'demo': repeated checks ['prop21', 'prop22']")),
     ], ids=[
         "N_100", "L_negative", "dt_negative", "dt_above_T", "T_negative", "stride_0",
         "radial_T_at_R", "p_1", "radial_p_4", "radial_M_8", "T_0_prop21",
@@ -322,6 +469,8 @@ class TestSolverRulesAtLoad:
         "cor37_off_centre", "cor37_n_1", "lemma33_mode_data", "radial_dt_above_T",
         "radial_last_step_at_R", "nonlinear_flase", "gaussian_width_word", "mode_k_1.5",
         "gaussian_width_0", "T_inf", "p_inf", "L_inf", "s_nan", "s_negative_mean",
+        "name_empty", "name_dot", "name_dotdot", "name_escaped", "name_slash",
+        "checks_repeated", "checks_repeated_two",
     ])
     def test_rejected_at_load_and_cli_exits_2(self, tmp_path, capsys, body, rule):
         from semirelax.cli import main
@@ -338,6 +487,28 @@ class TestSolverRulesAtLoad:
         body = GOOD.replace("s = 1.5", "s = -0.5")
         body = body.replace("gaussian(0.5, 1.0, 0.0)", "mode(1, 0.5)")
         (sc,) = load_config(write_config(tmp_path, body))
+        assert run(sc, tmp_path / "out").all_passed
+
+    def test_negative_s_nonlinear_needs_mode_data(self, tmp_path, capsys):
+        # mean-free at t = 0, but |u|^(p-1) u makes a mean: this once loaded
+        # and then failed mid-run with a RuntimeError and exit 1
+        from semirelax import make_grid, run, save_field
+        from semirelax.cli import main
+        from semirelax.fields import PHYSICAL, Field
+
+        grid = make_grid(1, 64, 20.0)
+        kx = 2 * np.pi / 20 * grid.coordinate_arrays[0]
+        save_field(Field(grid, 0.8 * (np.sin(kx) + np.cos(2 * kx)) + 0j, PHYSICAL),
+                   tmp_path / "u0.txt")
+        body = GOOD.replace("s = 1.5", "s = -0.5").replace(
+            "gaussian(0.5, 1.0, 0.0)", f"file({tmp_path / 'u0.txt'})")
+        path = write_config(tmp_path, body)
+        with pytest.raises(ScenarioError, match="s = -0.5: the nonlinear flow keeps only mode"):
+            load_config(path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: scenario 'demo': s = -0.5")
+        # the free flow keeps the mean zero
+        (sc,) = load_config(write_config(tmp_path, body + "nonlinear = false\n"))
         assert run(sc, tmp_path / "out").all_passed
 
     def test_nonnegative_s_builds_no_field_at_load(self, tmp_path, monkeypatch):
