@@ -395,19 +395,13 @@ def hardy_time_derivative_check(
 
     The derivative is evaluated in closed form; the right side by midpoint
     quadrature of the spline derivative.  T defaults to 0.9 R.  A vanishing
-    right side (constant f, not in the weighted space) is flagged instead of
-    divided by.
+    right side (constant f, not in the weighted space) is flagged
+    out_of_space, with an infinite constant, instead of divided by.
     """
     ev = JEvaluator(f)
     lhs = _l2_sup(ev.dj_dt, f, 0.9 * f.R if T is None else T, n_t)
     fprime = ev.point_derivative(f.r)
     rhs = float(np.sqrt(np.sum(np.abs(f.r * fprime) ** 2) * f.dr))
-    notes = {}
     if rhs <= 1e-14 * max(1.0, float(np.max(np.abs(f.values)))):
-        notes["out_of_space"] = True
-    return Report(
-        lhs=lhs,
-        rhs=rhs,
-        empirical_constant=lhs / rhs if rhs > 0 else math.inf,
-        notes=notes,
-    )
+        return Report(lhs, rhs, empirical_constant=math.inf, notes={"out_of_space": True})
+    return Report(lhs, rhs, empirical_constant=lhs / rhs)

@@ -330,7 +330,9 @@ def duhamel_residual(traj: Trajectory) -> float:
     runs on the coefficients of Trajectory.blocks: on the octant of mirror
     data, since |u|^(p-1) u keeps the symmetry and U(t) is radial, with the
     L^2 sum weighted by the mode multiplicities.  The defect shrinks at
-    second order under dt refinement.
+    second order under dt refinement when the 2/3 mask is off; under it
+    the order falls as dt shrinks (p = 3 on a 1-d N = 256, L = 40 grid:
+    1.86, then 1.02 from dt = 2e-3 to 1e-3).
     """
     if len(traj.snapshots) < 3:
         raise ValueError("duhamel residual needs at least 3 snapshots")

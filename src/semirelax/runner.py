@@ -1,6 +1,7 @@
 """Scenario execution: run the solvers a scenario's checks read, evaluate
-each check from its entry in checks.CHECKS, emit diagnostics CSV, per-check
-JSON reports and run reports, and sweep a scenario over parameter values.
+and judge each check from its entry in checks.CHECKS, emit diagnostics
+CSV, per-check JSON reports and run reports, and sweep a scenario over
+parameter values.
 """
 
 from __future__ import annotations
@@ -116,11 +117,14 @@ def run(
         results = {}
         for check in scenario.checks:
             try:
-                passed, data = CHECKS[check].evaluate(ctx)
+                spec = CHECKS[check]
+                data = spec.evaluate(ctx)
             except Exception as exc:  # surfaced with scenario context
                 raise RuntimeError(
                     f"check {check!r} failed to run for scenario {scenario.name!r}: {exc}"
                 ) from exc
+            value = data[spec.value]  # every check's verdict: finite and at most its bound
+            passed = bool(math.isfinite(value) and value <= spec.bound(scenario, data))
             results[check] = {"passed": passed, **_jsonable(data)}
             with open(os.path.join(run_dir, "checks", f"{check}.json"), "w") as fh:
                 json.dump(results[check], fh, indent=2, sort_keys=True)
@@ -194,9 +198,9 @@ def sweep(
     or two equal ones, a non-numeric value, a sigma that is not finite and
     positive, an amplitude sweep of file data or a member the loader would
     reject raises ScenarioError before any member runs.  When dt is varied,
-    the checks whose CHECKS entry names an order entry get a fitted order
-    and a refinement chart per group of members that share every other
-    swept value; those naming a stability entry get a max/min ratio.
+    the checks whose CHECKS entry has sweep role "order" get a fitted order
+    of their value and a refinement chart per group of members that share
+    every other swept value; "stability" ones get a max/min ratio.
     """
     swept = {}  # key -> {value: raw}, in the order given
     for key, values in vary.items():
@@ -279,9 +283,9 @@ def _aggregate_orders(aggregate, members, results, outdir):
             continue
         dts = [dt for dt, _ in group]
         for check, spec in CHECKS.items():
-            if spec.order is None or any(check not in res.checks for _, res in group):
+            if spec.sweep != "order" or any(check not in res.checks for _, res in group):
                 continue
-            vals = [res.checks[check][spec.order] for _, res in group]
+            vals = [res.checks[check][spec.value] for _, res in group]
             if all(v > 0 for v in vals):
                 label = f"{check}@{rest}" if rest else check
                 aggregate["orders"][label] = fit_order(dts, vals)
@@ -294,9 +298,9 @@ def _aggregate_orders(aggregate, members, results, outdir):
 def _aggregate_stability(aggregate, results):
     ok = [r for r in results if isinstance(r, RunReport)]
     for check, spec in CHECKS.items():
-        if spec.stability is None:
+        if spec.sweep != "stability":
             continue
-        consts = [rep.checks[check][spec.stability] for rep in ok if check in rep.checks]
+        consts = [rep.checks[check][spec.value] for rep in ok if check in rep.checks]
         consts = [c for c in consts if isinstance(c, (int, float)) and c > 0]
         if len(consts) >= 2:
             ratio = max(consts) / min(consts)

@@ -68,6 +68,10 @@ class Scenario:
     snapshot_stride: int = 1
     nonlinear: bool = True
 
+    def __post_init__(self):
+        if self.name in ("", ".", "..") or "/" in self.name:  # a run writes outdir/<name>/
+            raise ScenarioError(f"scenario {self.name!r}: a name is one path component")
+
     def stepper(self, nonlinear: bool | None = None) -> StepperConfig:
         """The time-stepping parameters; nonlinear defaults to the scenario's."""
         nonlinear = self.nonlinear if nonlinear is None else nonlinear
@@ -151,8 +155,6 @@ def _parse_initial(sc: Scenario):
 
 def _validate(sc: Scenario, defaulted=()) -> None:
     """defaulted: the keys with defaults (s, snapshot_stride) sc's config sets."""
-    if sc.name in ("", ".", "..") or "/" in sc.name:  # the run writes outdir/<name>/
-        raise ScenarioError(f"scenario {sc.name!r}: a name is one path component")
     if sc.solver not in ("spectral", "radial-wave", "both"):
         raise ScenarioError(f"scenario {sc.name!r}: unknown solver {sc.solver!r}")
     unknown = [c for c in sc.checks if c not in CHECKS]
@@ -231,7 +233,7 @@ def _get(section, name, key):
 def load_config(path) -> list[Scenario]:
     """Parse and validate a scenario file; parse errors carry line numbers,
     hypothesis violations name the failed requirement."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # a value may hold a '%'
     parser.optionxform = str  # keys are case-sensitive: n vs N, T vs dt
     try:
         with open(path) as fh:

@@ -78,6 +78,14 @@ class TestRunCommand:
         assert "not the scenario's n=2, N=16, L=10" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_missing_file_with_a_percent_exits_2(self, tmp_path, capsys, config):
+        # a bare '%' once raised configparser's interpolation error: exit 1
+        config.write_text(FAST.replace("gaussian(0.3, 1.0, 0.0)", f"file({tmp_path}/50%.txt)"))
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("s", "2.0"), ("snapshot_stride", "25"), ("N", "64"), ("L", "20"),
     ])

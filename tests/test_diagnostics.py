@@ -559,7 +559,7 @@ class TestInitialRowReaders:
         ref = duhamel_residual(traj) / l2_norm(traj.snapshots[0])
         ctx = SimpleNamespace(traj=traj, scenario=SimpleNamespace(s=1.0, dt=0.02))
         self.no_fold(monkeypatch)
-        _, data = CHECKS["duhamel"].evaluate(ctx)
+        data = CHECKS["duhamel"].evaluate(ctx)
         assert data["relative"] == pytest.approx(ref, rel=1e-12)
 
 

@@ -666,6 +666,19 @@ class TestDuhamelResidual:
         ratio = vals[0] / vals[1]
         assert 3.2 <= ratio <= 4.8
 
+    @pytest.mark.parametrize("p", [2.5, 4.0])
+    def test_second_order_unmasked_on_the_catalog_grid(self, p):
+        # p11_1d_cubic's grid and data over [0, 1]: with no 2/3 mask the
+        # defect keeps order 2 from dt = 4e-3 to 1e-3; p = 3, which runs
+        # masked, falls to order 1.02 over the last halving
+        g = make_grid(1, 256, 40.0)
+        vals = [
+            duhamel_residual(evolve(gaussian_field(g, 0.5), StepperConfig(p=p, dt=dt, T=1.0)))
+            for dt in (4e-3, 2e-3, 1e-3)
+        ]
+        assert not StepperConfig(p=p, dt=1e-3, T=1.0).dealias_active
+        assert all(math.log2(a / b) >= 1.9 for a, b in zip(vals, vals[1:])), vals
+
     def test_second_order_refinement_default_config(self):
         # with the default 2/3 truncation the order-2 window sits at coarser
         # steps, above the truncation floor

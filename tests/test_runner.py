@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,6 +17,7 @@ from semirelax import ScenarioError, load_config, run, sweep, to_physical
 from semirelax import runner
 from semirelax.checks import LEMMA35_TOL, spectral_vs_wave_disagreement
 from semirelax.radial import maximal_domination_gap
+from conftest import reference_passed
 
 
 # every scipy.fft transform of a 1-d run: the solve and its readers take the
@@ -501,16 +503,19 @@ checks = prop13
                 assert chart == want.replace(f"{check} refinement", f"{check}@N_{n} refinement")
 
     def test_sweep_roles_are_the_check_table_entries(self):
-        # which payload entry a sweep fits an order to or compares for
-        # stability is part of each check's entry, and names a key it writes
+        # a sweep fits an order to, or compares for stability, the value a
+        # check's entry is judged on, and that value is a key it writes
         from semirelax.checks import CHECKS
 
-        orders = {check: spec.order for check, spec in CHECKS.items() if spec.order}
-        stability = {check: spec.stability for check, spec in CHECKS.items() if spec.stability}
-        assert sorted(orders) == ["duhamel", "prop21", "prop22"]
-        assert sorted(stability) == ["cor37", "cor39", "lemma33", "lemma34", "prop23"]
-        for check, key in {**orders, **stability}.items():
-            assert key in CATALOG_CHECK_KEYS[check], (check, key)
+        roles = {check: spec.sweep for check, spec in CHECKS.items() if spec.sweep}
+        assert sorted(c for c, role in roles.items() if role == "order") == [
+            "duhamel", "prop21", "prop22",
+        ]
+        assert sorted(c for c, role in roles.items() if role == "stability") == [
+            "cor37", "cor39", "lemma33", "lemma34", "prop23",
+        ]
+        for check in roles:
+            assert CHECKS[check].value in CATALOG_CHECK_KEYS[check], check
 
     def test_rejects_unknown_key(self, tmp_path):
         (sc,) = load_config(write_config(tmp_path, FAST))
@@ -744,6 +749,91 @@ class TestShippedCatalog:
         path = default_catalog_path() if body is None else write_config(tmp_path, body)
         for sc in load_config(path):
             assert run(sc, tmp_path / "out", deterministic=True).all_passed, sc.name
+
+
+# the key set of the scaling check's JSON, which no catalog scenario requests
+SCALING_KEYS = {"passed", "relative", "relative_sigma_0.5", "relative_sigma_2.0"}
+
+RADIAL_WAVE = """
+[scenario.wave_3d]
+n = 3
+p = 3
+solver = radial-wave
+M = 128
+R = 12
+dt = 1e-2
+T = 0.2
+initial = gaussian(0.05, 1.0, 0.0)
+checks = prop14
+"""
+
+
+class TestVerdictRule:
+    def test_value_is_a_key_each_check_writes(self):
+        from semirelax.checks import CHECKS
+
+        keys = {**CATALOG_CHECK_KEYS, "scaling": SCALING_KEYS}
+        assert sorted(keys) == sorted(CHECKS)
+        for check, spec in CHECKS.items():
+            assert spec.value in keys[check] and spec.value != "passed", check
+
+    @pytest.mark.parametrize("body", [None, FAST, RADIAL], ids=["catalog", "fast", "radial"])
+    def test_payloads_carry_no_verdict_and_the_rule_matches_the_reference(
+        self, tmp_path, monkeypatch, body
+    ):
+        # together the three cover all 16 checks
+        from semirelax import default_catalog_path
+        from semirelax.checks import CHECKS
+
+        payloads = {}
+        for check, spec in CHECKS.items():
+            def spy(ctx, evaluate=spec.evaluate, check=check):
+                payloads[check] = evaluate(ctx)
+                return payloads[check]
+
+            monkeypatch.setitem(CHECKS, check, spec._replace(evaluate=spy))
+        path = default_catalog_path() if body is None else write_config(tmp_path, body)
+        for sc in load_config(path):
+            payloads.clear()
+            report = run(sc, tmp_path / "out", deterministic=True)
+            assert sorted(payloads) == sorted(sc.checks)
+            for check, entry in report.checks.items():
+                assert "passed" not in payloads[check], (sc.name, check)
+                assert entry["passed"] is reference_passed(check, sc, entry), (sc.name, check)
+
+    def test_scaling_judges_the_larger_residual(self, tmp_path):
+        from semirelax.checks import SCALING_TOL
+
+        (sc,) = load_config(write_config(tmp_path, FAST))
+        entry = run(sc, tmp_path / "out").checks["scaling"]
+        assert set(entry) == SCALING_KEYS
+        assert entry["relative"] == max(entry["relative_sigma_0.5"], entry["relative_sigma_2.0"])
+        assert entry["passed"] is True and entry["relative"] <= SCALING_TOL
+
+    def test_radial_wave_regime_marker_is_mass_monotone(self, tmp_path):
+        # the wave form's regime marker once checked only a finite last profile
+        from semirelax.radial import radial_l2_norm
+
+        (sc,) = load_config(write_config(tmp_path, RADIAL_WAVE))
+        report = run(sc, tmp_path / "out")
+        entry = report.checks["prop14"]
+        assert set(entry) == CATALOG_CHECK_KEYS["prop14"]
+        assert entry["initial_l2"] == radial_l2_norm(sc.initial_profile())
+        assert 0 < entry["final_l2"] < entry["initial_l2"]
+        assert entry["passed"] is True and report.csv_path is None
+
+    def test_out_of_space_hardy_probe_fails_by_its_infinite_constant(self, tmp_path):
+        # amplitude 1e-16 keeps the right side positive but below the flag's
+        # 1e-14: the constant was finite and the note alone failed the check
+        from semirelax.diagnostics import hardy_time_derivative_check
+
+        body = RADIAL_WAVE.replace("gaussian(0.05", "gaussian(1e-16").replace("prop14", "cor39")
+        (sc,) = load_config(write_config(tmp_path, body))
+        report = hardy_time_derivative_check(sc.initial_profile())
+        assert 0 < report.rhs and report.lhs / report.rhs < math.inf
+        assert report.empirical_constant == math.inf and report.notes == {"out_of_space": True}
+        entry = run(sc, tmp_path / "out").checks["cor39"]
+        assert entry["empirical_constant"] == "inf" and entry["passed"] is False
 
 
 class TestHelpers:

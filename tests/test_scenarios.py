@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semirelax import ScenarioError, default_catalog_path, load_config
+from semirelax import Scenario, ScenarioError, default_catalog_path, load_config
 from semirelax.norms import l2_norm
+from conftest import reference_passed
 
 
 def write_config(tmp_path, body):
@@ -184,6 +185,32 @@ checks = prop14, cor37, cor39
         body = GOOD.replace("gaussian(0.5, 1.0, 0.0)", f"file({tmp_path}/u0.txt)")
         (sc,) = load_config(write_config(tmp_path, body))
         assert np.allclose(sc.initial_field().values, f.values)
+
+    def test_percent_in_a_value_is_literal(self, tmp_path):
+        # '%' once started configparser's interpolation: 50%.txt raised a
+        # traceback instead of loading
+        from semirelax import gaussian_field, make_grid, run, save_field
+
+        save_field(gaussian_field(make_grid(1, 64, 20.0), 0.3), tmp_path / "50%.txt")
+        body = GOOD.replace("gaussian(0.5, 1.0, 0.0)", f"file({tmp_path}/50%.txt)")
+        (sc,) = load_config(write_config(tmp_path, body))
+        assert sc.initial == f"file({tmp_path}/50%.txt)"
+        assert run(sc, tmp_path / "out").all_passed
+
+    def test_name_rule_holds_for_every_construction(self, tmp_path):
+        # a library run of a Scenario built by hand once wrote outside outdir
+        from dataclasses import replace
+
+        from semirelax import run
+
+        (sc,) = load_config(write_config(tmp_path, GOOD))
+        message = re.escape("scenario '../escaped_lib': a name is one path component")
+        with pytest.raises(ScenarioError, match=message):
+            run(Scenario("../escaped_lib", 1, 3.0, 1e-2, 0.1, sc.initial, N=64, L=20.0),
+                tmp_path / "out")
+        with pytest.raises(ScenarioError, match=message):
+            run(replace(sc, name="../escaped_lib"), tmp_path / "out")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenarios.cfg"]
 
 
 WAVE_ONLY = """
@@ -715,6 +742,7 @@ class TestScenarioFuzz:
             l2 = np.atleast_1d(table["l2"])
             assert np.all(np.diff(l2) <= 1e-10 * l2[0])
         for check, entry in report.checks.items():
+            assert entry["passed"] is reference_passed(check, sc, entry), check
             for key, value in entry.items():
                 if isinstance(value, float):
                     assert math.isfinite(value), (check, key)
