@@ -9,8 +9,8 @@ outputs (runner._RunContext) to a JSON payload, what it reads: "spectral"
 initial profile: n = 3, M, R and centred gaussian data), "both" (solver =
 both) or "any", the payload entry it is judged on and that entry's bound,
 the sweep role of that entry, and whether it reads the diagnostics table's
-Hessian cross term column.  The loader (scenarios._validate) and the
-runner read this table.
+Hessian cross term column.  A Scenario's construction (the hypotheses of
+its checks) and the runner read this table.
 
 One rule decides every check, in runner.run alone: it passes when its
 value is finite and at most its bound.  The bound defaults to inf, so a
@@ -155,11 +155,12 @@ CHECKS = {
 }
 
 
-def broken_hypothesis(sc, check: str, initial_kind: str, initial_args) -> str | None:
+def broken_hypothesis(sc, check: str) -> str | None:
     """The first hypothesis of check's result, or of what its entry reads,
     that the scenario sc breaks; None when it keeps them all.  The solvers'
-    own rules and the radial profile are checked by the loader."""
+    own rules and the radial profile are checked by Scenario itself."""
     reads = CHECKS[check].reads
+    initial_kind, initial_args = sc.parsed_initial
     if reads == "spectral" and sc.solver == "radial-wave":
         return "spectral checks need the spectral solver (use solver = spectral or both)"
     if reads == "both" and sc.solver != "both":

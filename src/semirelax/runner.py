@@ -22,7 +22,7 @@ from .checks import CHECKS
 from .plotting import emit_plots, fit_order, refinement_chart_svg
 from .propagator import Trajectory, _march, evolve
 from .radial import RadialProfile, RadialTrajectory, wave_evolve
-from .scenarios import INITIAL_ARGS, Scenario, ScenarioError, _parse_initial, _validate
+from .scenarios import INITIAL_ARGS, Scenario, ScenarioError
 
 __all__ = ["RunReport", "run", "sweep"]
 
@@ -168,19 +168,18 @@ def _swept_value(key: str, raw):
     return value
 
 
-def _apply_variation(base: Scenario, key: str, raw, value) -> Scenario:
+def _variation(base: Scenario, key: str, value) -> dict:
+    """The fields of base that the swept key changes, at value."""
     if key in ("dt", "N"):
-        changes = {key: value}
-    elif key == "amplitude":
-        kind, args = _parse_initial(base)
-        if "amplitude" not in INITIAL_ARGS[kind]:
-            raise ScenarioError(f"cannot sweep the amplitude of {base.initial!r}")
-        args = list(args)
-        args[INITIAL_ARGS[kind].index("amplitude")] = value
-        changes = {"initial": f"{kind}({', '.join(repr(a) for a in args)})"}
-    else:  # sigma: the box and the radial extent shrink by it
-        changes = {k: getattr(base, k) / value for k in ("L", "R") if getattr(base, k) is not None}
-    return replace(base, name=f"{base.name}__{key}_{raw}", **changes)
+        return {key: value}
+    if key == "sigma":  # the box and the radial extent shrink by it
+        return {k: getattr(base, k) / value for k in ("L", "R") if getattr(base, k) is not None}
+    kind, args = base.parsed_initial
+    if "amplitude" not in INITIAL_ARGS[kind]:
+        raise ScenarioError(f"cannot sweep the amplitude of {base.initial!r}")
+    args = list(args)
+    args[INITIAL_ARGS[kind].index("amplitude")] = value
+    return {"initial": f"{kind}({', '.join(repr(a) for a in args)})"}
 
 
 def sweep(
@@ -196,10 +195,10 @@ def sweep(
     sweep uses no more threads than that; run-time failures are recorded
     and do not abort the sweep, but an unknown key, a key with no values
     or two equal ones, a non-numeric value, a sigma that is not finite and
-    positive, an amplitude sweep of file data or a member the loader would
-    reject raises ScenarioError before any member runs.  When dt is varied,
-    the checks whose CHECKS entry has sweep role "order" get a fitted order
-    of their value and a refinement chart per group of members that share
+    positive, an amplitude sweep of file data or a member Scenario rejects
+    raises ScenarioError before any member runs.  When dt is varied, the
+    checks whose CHECKS entry has sweep role "order" get a fitted order of
+    their value and a refinement chart per group of members that share
     every other swept value; "stability" ones get a max/min ratio.
     """
     swept = {}  # key -> {value: raw}, in the order given
@@ -211,14 +210,15 @@ def sweep(
         swept[key] = {_swept_value(key, raw): raw for raw in values}
         if len(swept[key]) < len(values):
             raise ScenarioError(f"swept key {key!r} repeats a value: {', '.join(values)}")
-    members = [(base, {})]  # each member with the raw value it takes of each key
+    members = [({"name": base.name}, {})]  # each member's changes of base, its raw values
     for key, values in swept.items():
         members = [
-            (_apply_variation(sc, key, raw, value), {**at, key: raw})
-            for sc, at in members for value, raw in values.items()
+            ({**ch, **_variation(base, key, value), "name": f"{ch['name']}__{key}_{raw}"},
+             {**at, key: raw})
+            for ch, at in members for value, raw in values.items()
         ]
-    for sc, _ in members:
-        _validate(sc)
+    # constructing a member validates it: a bad one stops the sweep before any runs
+    members = [(replace(base, **changes), at) for changes, at in members]
     results: list[RunReport | Exception] = [None] * len(members)
 
     threads = 1 if deterministic else threads

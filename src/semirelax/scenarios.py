@@ -1,5 +1,5 @@
-"""Scenario configuration: the flat key=value format, hypothesis
-validation, and construction of initial data.
+"""Scenario configuration: the flat key=value format, the hypotheses a
+frozen Scenario checks whenever it is built, and its initial data.
 
 Config grammar (INI-style, parsed by configparser).  The keys are the
 Scenario fields after name, each cast by its type and required iff it has
@@ -32,7 +32,8 @@ import configparser
 import importlib.resources
 import math
 import re
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, InitVar, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +51,15 @@ class ScenarioError(ValueError):
     """Configuration that violates a stated hypothesis or the grammar."""
 
 
-@dataclass
+# the arguments of each initial-data kind, in the order its spec lists them
+INITIAL_ARGS = {
+    "gaussian": ("amplitude", "width", "center"),
+    "mode": ("k", "amplitude"),
+    "file": ("path",),
+}
+
+
+@dataclass(frozen=True)
 class Scenario:
     name: str  # the section's [scenario.<name>]; every later field is a config key
     n: int
@@ -67,10 +76,96 @@ class Scenario:
     R: float | None = None
     snapshot_stride: int = 1
     nonlinear: bool = True
+    defaulted: InitVar[tuple[str, ...]] = ()  # which of s, snapshot_stride a config sets
 
-    def __post_init__(self):
+    def __post_init__(self, defaulted):  # a Scenario, however built, is one the loader accepts
+        where = f"scenario {self.name!r}"
         if self.name in ("", ".", "..") or "/" in self.name:  # a run writes outdir/<name>/
-            raise ScenarioError(f"scenario {self.name!r}: a name is one path component")
+            raise ScenarioError(f"{where}: a name is one path component")
+        if self.solver not in ("spectral", "radial-wave", "both"):
+            raise ScenarioError(f"{where}: unknown solver {self.solver!r}")
+        unknown = [c for c in self.checks if c not in CHECKS]
+        if unknown:
+            raise ScenarioError(f"{where}: unknown checks {unknown}")
+        repeated = sorted({c for c in self.checks if self.checks.count(c) > 1})
+        if repeated:
+            raise ScenarioError(f"{where}: repeated checks {repeated}")
+        # the keys this run never reads: the spectral solvers' under the wave
+        # form alone, the radial grid when no solver or check reads the profile
+        radial = self.solver != "spectral" or any(CHECKS[c].reads == "radial" for c in self.checks)
+        read = () if self.solver == "radial-wave" else ("s", "snapshot_stride", "N", "L")
+        read += ("M", "R") if radial else ()
+        keys = [*defaulted, *(k for k in ("N", "L", "M", "R") if getattr(self, k) is not None)]
+        ignored = [key for key in keys if key not in read]
+        if ignored:
+            raise ScenarioError(f"{where}: solver = {self.solver} ignores {ignored}")
+        if self.solver in ("spectral", "both") and (self.N is None or self.L is None):
+            raise ScenarioError(f"{where}: spectral solver needs N and L")
+        kind, _ = self.parsed_initial
+        try:  # the solvers' own rules, checked by the code that enforces them
+            if self.solver in ("spectral", "both"):
+                make_grid(self.n, self.N, self.L)
+                self.stepper()
+                if kind == "file":  # read now: a missing or foreign file is a config error
+                    self.initial_field()
+                if self.s < 0:  # the table's homogeneous H^s norm needs mean-free data
+                    try:
+                        sobolev_norm(self.initial_field(), SobolevSpec(self.s, homogeneous=True))
+                    except ValueError as exc:
+                        raise ScenarioError(f"{where}: s = {self.s:g}: {exc}") from exc
+                    if self.nonlinear and kind != "mode":  # |u|^(p-1) u makes a mean
+                        raise ScenarioError(
+                            f"{where}: s = {self.s:g}: the nonlinear flow keeps only "
+                            f"mode(k, a) data mean-free, got {self.initial!r}"
+                        )
+            if radial:
+                self.initial_profile()  # M, R and the radial form of the data
+            if self.solver != "spectral":
+                if self.n != 3:
+                    raise ScenarioError(
+                        f"{where}: the wave form is a 3-d radial reduction, got n={self.n}"
+                    )
+                _wave_form_domain(self.p, self.dt, self.T, self.R)
+        except ScenarioError:
+            raise
+        except (OSError, ValueError) as exc:
+            raise ScenarioError(f"{where}: {exc}") from exc
+        for check in self.checks:
+            broken = broken_hypothesis(self, check)
+            if broken:
+                raise ScenarioError(f"{where}, check {check!r}: {broken}")
+
+    @cached_property
+    def parsed_initial(self) -> tuple[str, tuple]:
+        """The initial-data spec as (kind, args), args in INITIAL_ARGS[kind]'s order."""
+        where = f"scenario {self.name!r}"
+        m = re.fullmatch(rf"\s*({'|'.join(INITIAL_ARGS)})\s*\(([^)]*)\)\s*", self.initial)
+        if not m:
+            raise ScenarioError(
+                f"{where}: bad initial-data spec {self.initial!r}; expected "
+                "gaussian(a, w, c), mode(k, a) or file(path)"
+            )
+        kind, body = m.group(1), m.group(2)
+        parts = [s.strip() for s in body.split(",")] if body.strip() else []
+        names = INITIAL_ARGS[kind]
+        if kind == "file":
+            if len(parts) != len(names):
+                raise ScenarioError(f"{where}: file initial data needs a single path")
+            return kind, (parts[0],)
+        try:
+            args = tuple(float(s) for s in parts)
+        except ValueError:
+            args = ()
+        if len(args) != len(names) or not all(map(math.isfinite, args)):
+            raise ScenarioError(
+                f"{where}: {kind} initial data needs finite numbers "
+                f"({', '.join(names)}), got {self.initial!r}"
+            )
+        if kind == "gaussian" and not args[1] > 0:
+            raise ScenarioError(f"{where}: gaussian width must be positive")
+        if kind == "mode" and not args[0].is_integer():
+            raise ScenarioError(f"{where}: mode number k must be an integer")
+        return kind, args
 
     def stepper(self, nonlinear: bool | None = None) -> StepperConfig:
         """The time-stepping parameters; nonlinear defaults to the scenario's."""
@@ -81,7 +176,7 @@ class Scenario:
         if self.N is None or self.L is None:
             raise ScenarioError(f"scenario {self.name!r} has no spectral grid (N, L)")
         grid = make_grid(self.n, self.N, self.L)
-        kind, args = _parse_initial(self)
+        kind, args = self.parsed_initial
         if kind == "gaussian":
             amp, width, center = args
             return gaussian_field(grid, amp, width, center)
@@ -100,7 +195,7 @@ class Scenario:
     def initial_profile(self) -> RadialProfile:
         if self.M is None or self.R is None:
             raise ScenarioError(f"scenario {self.name!r} has no radial grid (M, R)")
-        kind, args = _parse_initial(self)
+        kind, args = self.parsed_initial
         if kind != "gaussian":
             raise ScenarioError(
                 f"scenario {self.name!r}: the radial profile needs gaussian initial data"
@@ -110,103 +205,7 @@ class Scenario:
             raise ScenarioError(
                 f"scenario {self.name!r}: radial initial data must be centered (center=0)"
             )
-        return profile_from_function(
-            lambda r: amp * np.exp(-((r / width) ** 2)), self.R, self.M
-        )
-
-
-# the arguments of each initial-data kind, in the order its spec lists them
-INITIAL_ARGS = {
-    "gaussian": ("amplitude", "width", "center"),
-    "mode": ("k", "amplitude"),
-    "file": ("path",),
-}
-
-
-def _parse_initial(sc: Scenario):
-    m = re.fullmatch(rf"\s*({'|'.join(INITIAL_ARGS)})\s*\(([^)]*)\)\s*", sc.initial)
-    if not m:
-        raise ScenarioError(
-            f"scenario {sc.name!r}: bad initial-data spec {sc.initial!r}; expected "
-            "gaussian(a, w, c), mode(k, a) or file(path)"
-        )
-    kind, body = m.group(1), m.group(2)
-    parts = [s.strip() for s in body.split(",")] if body.strip() else []
-    names = INITIAL_ARGS[kind]
-    if kind == "file":
-        if len(parts) != len(names):
-            raise ScenarioError(f"scenario {sc.name!r}: file initial data needs a single path")
-        return kind, (parts[0],)
-    try:
-        args = tuple(float(s) for s in parts)
-    except ValueError:
-        args = ()
-    if len(args) != len(names) or not all(map(math.isfinite, args)):
-        raise ScenarioError(
-            f"scenario {sc.name!r}: {kind} initial data needs finite numbers "
-            f"({', '.join(names)}), got {sc.initial!r}"
-        )
-    if kind == "gaussian" and not args[1] > 0:
-        raise ScenarioError(f"scenario {sc.name!r}: gaussian width must be positive")
-    if kind == "mode" and not args[0].is_integer():
-        raise ScenarioError(f"scenario {sc.name!r}: mode number k must be an integer")
-    return kind, args
-
-
-def _validate(sc: Scenario, defaulted=()) -> None:
-    """defaulted: the keys with defaults (s, snapshot_stride) sc's config sets."""
-    if sc.solver not in ("spectral", "radial-wave", "both"):
-        raise ScenarioError(f"scenario {sc.name!r}: unknown solver {sc.solver!r}")
-    unknown = [c for c in sc.checks if c not in CHECKS]
-    if unknown:
-        raise ScenarioError(f"scenario {sc.name!r}: unknown checks {unknown}")
-    repeated = sorted({c for c in sc.checks if sc.checks.count(c) > 1})
-    if repeated:
-        raise ScenarioError(f"scenario {sc.name!r}: repeated checks {repeated}")
-    # the keys this run never reads: the spectral solvers' under the wave
-    # form alone, the radial grid when no solver or check reads the profile
-    radial = sc.solver != "spectral" or any(CHECKS[c].reads == "radial" for c in sc.checks)
-    read = () if sc.solver == "radial-wave" else ("s", "snapshot_stride", "N", "L")
-    read += ("M", "R") if radial else ()
-    keys = [*defaulted, *(key for key in ("N", "L", "M", "R") if getattr(sc, key) is not None)]
-    ignored = [key for key in keys if key not in read]
-    if ignored:
-        raise ScenarioError(f"scenario {sc.name!r}: solver = {sc.solver} ignores {ignored}")
-    if sc.solver in ("spectral", "both") and (sc.N is None or sc.L is None):
-        raise ScenarioError(f"scenario {sc.name!r}: spectral solver needs N and L")
-    kind, args = _parse_initial(sc)
-    try:  # the solvers' own rules, checked by the code that enforces them
-        if sc.solver in ("spectral", "both"):
-            make_grid(sc.n, sc.N, sc.L)
-            sc.stepper()
-            if kind == "file":  # read now: a missing or foreign file is a config error
-                sc.initial_field()
-            if sc.s < 0:  # the table's homogeneous H^s norm needs mean-free data
-                try:
-                    sobolev_norm(sc.initial_field(), SobolevSpec(sc.s, homogeneous=True))
-                except ValueError as exc:
-                    raise ScenarioError(f"scenario {sc.name!r}: s = {sc.s:g}: {exc}") from exc
-                if sc.nonlinear and kind != "mode":  # |u|^(p-1) u makes a mean
-                    raise ScenarioError(
-                        f"scenario {sc.name!r}: s = {sc.s:g}: the nonlinear flow keeps "
-                        f"only mode(k, a) data mean-free, got {sc.initial!r}"
-                    )
-        if radial:
-            sc.initial_profile()  # M, R and the radial form of the data
-        if sc.solver != "spectral":
-            if sc.n != 3:
-                raise ScenarioError(
-                    f"scenario {sc.name!r}: the wave form is a 3-d radial reduction, got n={sc.n}"
-                )
-            _wave_form_domain(sc.p, sc.dt, sc.T, sc.R)
-    except ScenarioError:
-        raise
-    except (OSError, ValueError) as exc:
-        raise ScenarioError(f"scenario {sc.name!r}: {exc}") from exc
-    for check in sc.checks:
-        broken = broken_hypothesis(sc, check, kind, args)
-        if broken:
-            raise ScenarioError(f"scenario {sc.name!r}, check {check!r}: {broken}")
+        return profile_from_function(lambda r: amp * np.exp(-((r / width) ** 2)), self.R, self.M)
 
 
 # each config key's cast, by its field's annotation (a string under
@@ -253,9 +252,9 @@ def load_config(path) -> list[Scenario]:
         missing = [key for key in REQUIRED if key not in sec]
         if missing:
             raise ScenarioError(f"scenario {name!r}: missing key {missing[0]!r}")
-        sc = Scenario(name, **{key: _get(sec, name, key) for key in sec})
-        _validate(sc, [key for key in ("s", "snapshot_stride") if key in sec])
-        scenarios.append(sc)
+        values = {key: _get(sec, name, key) for key in sec}
+        defaulted = [key for key in ("s", "snapshot_stride") if key in sec]
+        scenarios.append(Scenario(name, **values, defaulted=defaulted))
     return scenarios
 
 

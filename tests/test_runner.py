@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from semirelax import ScenarioError, load_config, run, sweep, to_physical
 from semirelax import runner
 from semirelax.checks import LEMMA35_TOL, spectral_vs_wave_disagreement
 from semirelax.radial import maximal_domination_gap
+from catalog_manifest import MANIFEST, drift, manifest
 from conftest import reference_passed
 
 
@@ -494,8 +496,7 @@ checks = prop13
             f"{check}@N_{n}" for check in ("prop21", "prop22", "duhamel") for n in ("64", "32")
         )
         for n in ("64", "32"):
-            sc.N = int(n)
-            alone = sweep(sc, {"dt": values["dt"]}, tmp_path / f"alone_{n}")
+            alone = sweep(replace(sc, N=int(n)), {"dt": values["dt"]}, tmp_path / f"alone_{n}")
             for check in ("prop21", "prop22", "duhamel"):
                 assert aggregate["orders"][f"{check}@N_{n}"] == alone["orders"][check]
                 chart = (tmp_path / "sweep" / f"refinement_{check}@N_{n}.svg").read_text()
@@ -720,35 +721,60 @@ CATALOG_CHECK_KEYS = {
 }
 
 
+def _no_fold(store, k):
+    raise AssertionError(f"snapshot {k} folded")
+
+
+def _run_unfolded(path, out):
+    """Run every scenario of ``path`` deterministically into ``out`` with a spy
+    on the snapshot fold that raises; return each scenario with its report."""
+    from semirelax.propagator import _Snapshots
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Snapshots, "__getitem__", _no_fold)
+        return [(sc, run(sc, out, deterministic=True)) for sc in load_config(path)]
+
+
+def _assert_passed_with_keys(runs, out):
+    keys = {**CATALOG_CHECK_KEYS, "scaling": SCALING_KEYS}
+    for sc, report in runs:
+        failed = [c for c, e in report.checks.items() if not e["passed"]]
+        assert not failed, (sc.name, failed)
+        for check in sc.checks:
+            written = json.loads((out / sc.name / "checks" / f"{check}.json").read_text())
+            assert sorted(written) == sorted(keys[check]), (sc.name, check)
+
+
 class TestShippedCatalog:
-    def test_every_catalog_scenario_passes(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def catalog(self, tmp_path_factory):
+        # the shipped catalog, run once for both tests that read it
         from semirelax import default_catalog_path
 
-        for sc in load_config(default_catalog_path()):
-            report = run(sc, tmp_path / "out")
-            failed = [c for c, e in report.checks.items() if not e["passed"]]
-            assert not failed, (sc.name, failed)
-            for check in sc.checks:
-                path = tmp_path / "out" / sc.name / "checks" / f"{check}.json"
-                keys = sorted(json.loads(path.read_text()))
-                assert keys == sorted(CATALOG_CHECK_KEYS[check]), (sc.name, check)
+        out = tmp_path_factory.mktemp("catalog")
+        return out, _run_unfolded(default_catalog_path(), out)
 
+    def test_every_catalog_scenario_passes(self, catalog):
+        """Every check passes and writes its exact key set, and the files
+        match tests/data/catalog_sha256.json byte for byte; its hashes tie this
+        test to the numpy/scipy build that wrote them (see catalog_manifest)."""
+        out, runs = catalog
+        _assert_passed_with_keys(runs, out)
+        mismatch = drift(json.loads(MANIFEST.read_text()), manifest(out))
+        assert not mismatch, "\n".join(mismatch)
 
     @pytest.mark.parametrize("body", [None, FAST, RADIAL], ids=["catalog", "fast", "radial"])
-    def test_runs_fold_no_snapshot(self, tmp_path, monkeypatch, body):
-        # every reader of a run takes the stored rows or the table: a spy on
-        # the fold raises, and every run still passes.  fast adds scaling and
-        # duhamel, radial lemma33 and the free flow of a nonlinear run
-        from semirelax import default_catalog_path
-        from semirelax.propagator import _Snapshots
-
-        def no_fold(store, k):
-            raise AssertionError(f"snapshot {k} folded")
-
-        monkeypatch.setattr(_Snapshots, "__getitem__", no_fold)
-        path = default_catalog_path() if body is None else write_config(tmp_path, body)
-        for sc in load_config(path):
-            assert run(sc, tmp_path / "out", deterministic=True).all_passed, sc.name
+    def test_runs_fold_no_snapshot(self, tmp_path, request, body):
+        """Every reader of a run takes the stored rows or the table: a spy on
+        the fold raises, and every check of every run still passes and writes
+        its exact key set.  fast adds scaling and duhamel, radial lemma33 and
+        the free flow of a nonlinear run."""
+        if body is None:
+            out, runs = request.getfixturevalue("catalog")
+        else:
+            out = tmp_path / "out"
+            runs = _run_unfolded(write_config(tmp_path, body), out)
+        _assert_passed_with_keys(runs, out)
 
 
 # the key set of the scaling check's JSON, which no catalog scenario requests

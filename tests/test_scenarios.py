@@ -213,6 +213,61 @@ checks = prop14, cor37, cor39
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scenarios.cfg"]
 
 
+class TestValidByConstruction:
+    """A Scenario validates itself when it is built, by the loader, by
+    dataclasses.replace or by hand, and cannot be changed afterwards; once
+    a hand-built one was never validated and a loaded one could be mutated."""
+
+    def test_fields_cannot_be_assigned(self, tmp_path):
+        from dataclasses import FrozenInstanceError
+
+        from semirelax import run
+
+        (sc,) = load_config(write_config(tmp_path, GOOD))
+        with pytest.raises(FrozenInstanceError):
+            sc.name = "../hole_lib"  # once wrote hole_lib/ next to out/
+        assert run(sc, tmp_path / "out").all_passed
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "scenarios.cfg"]
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["demo"]
+
+    @pytest.mark.parametrize("changes, rule", [
+        ({"name": "../hole"}, "a name is one path component"),
+        ({"N": 100}, "power of two"),
+        ({"checks": ["prop21", "prop21"]}, re.escape("repeated checks ['prop21']")),
+        ({"s": 3.0, "checks": ["prop12"]}, "n = 2 regime"),
+    ], ids=["name", "N", "repeated_check", "hypothesis"])
+    def test_replace_validates(self, tmp_path, changes, rule):
+        from dataclasses import replace
+
+        from semirelax import run
+
+        (sc,) = load_config(write_config(tmp_path, GOOD))
+        with pytest.raises(ScenarioError, match=rule):
+            run(replace(sc, **changes), tmp_path / "out")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenarios.cfg"]
+
+    @pytest.mark.parametrize("changes, rule", [
+        ({"checks": ["nope"]}, re.escape("scenario 'x': unknown checks ['nope']")),
+        ({"p": 0.5}, "nonlinearity power must exceed 1, got 0.5"),
+        ({"p": 1.0}, "nonlinearity power must exceed 1, got 1.0"),
+        ({"solver": "radial-wave", "n": 3, "L": None, "M": 64, "R": 10.0},
+         re.escape("scenario 'x': solver = radial-wave ignores ['N']")),
+    ], ids=["unknown_check", "p_below_1", "p_1", "radial_wave_N"])
+    def test_hand_built_rejected(self, changes, rule):
+        values = dict(n=1, p=3.0, dt=1e-2, T=0.1, initial="gaussian(0.1, 1.0, 0.0)", N=64, L=20.0)
+        with pytest.raises(ScenarioError, match=rule):
+            Scenario("x", **{**values, **changes})
+
+    def test_replace_parses_its_own_initial_data(self, tmp_path):
+        from dataclasses import asdict, replace
+
+        (sc,) = load_config(write_config(tmp_path, GOOD))
+        assert sc.parsed_initial == ("gaussian", (0.5, 1.0, 0.0))
+        moved = replace(sc, initial="mode(3, 0.2)")
+        assert moved.parsed_initial == ("mode", (3.0, 0.2))
+        assert "defaulted" not in asdict(moved) and "parsed_initial" not in asdict(moved)
+
+
 WAVE_ONLY = """
 [scenario.wave_only]
 n = 3
