@@ -30,8 +30,8 @@ print("=== residuals of the two balance laws under dt refinement ===")
 res21, res22 = [], []
 for dt in dts:
     traj = evolve(u0, StepperConfig(p=3.0, dt=dt, T=T))
-    r21 = check_l2_identity(traj, 0.0, T).relative
-    r22 = check_h1_identity(traj, 0.0, T).relative
+    r21 = check_l2_identity(traj, 0.0, T)["relative"]
+    r22 = check_h1_identity(traj, 0.0, T)["relative"]
     res21.append(r21)
     res22.append(r22)
     print(f"dt = {dt:7.1e}   mass residual = {r21:.3e}   gradient residual = {r22:.3e}")
@@ -42,9 +42,9 @@ print(f"fitted orders: mass {fit_order(dts, res21):.3f}, "
 print("\n=== curvature inequality (cubic case) ===")
 traj = evolve(u0, StepperConfig(p=3.0, dt=1e-3, T=T))
 report = check_h2_inequality(traj, 0.0, T)
-print(f"lhs = {report.lhs:.8f}")
-print(f"rhs = {report.rhs:.8f}")
-print(f"slack = {report.notes['slack']:.8f}  (nonnegative)")
+print(f"lhs = {report['lhs']:.8f}")
+print(f"rhs = {report['rhs']:.8f}")
+print(f"slack = {report['notes']['slack']:.8f}  (nonnegative)")
 
 outdir = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(outdir, exist_ok=True)

@@ -36,9 +36,9 @@ for s in (0.5, 1.0, 1.5):
     rate = 1.0 / (p - 1.0) + s - g.n / 2.0
     for sigma in (0.5, 2.0):
         res = check_scaling_law(u0, sigma, s, p)
-        measured = res.lhs / (res.rhs / sigma**rate)
+        measured = res["lhs"] / (res["rhs"] / sigma**rate)
         print(f"s={s}: sigma={sigma}: measured sigma^e = {measured:10.6f} "
-              f"(predicted {sigma**rate:10.6f}, residual {res.relative:.1e})")
+              f"(predicted {sigma**rate:10.6f}, residual {res['relative']:.1e})")
 
 print("\n=== radial sup probe (weighted L^inf over homogeneous norm) ===")
 g3 = make_grid(3, 32, 16.0)

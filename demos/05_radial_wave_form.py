@@ -56,6 +56,6 @@ print(f"relative L^inf disagreement at T = {T}: {gap:.3e}")
 print("\n=== maximal-average bound probes ===")
 report = maximal_bound_check(prof, T=4.0)
 print(f"averaging kernel L2_t L^inf_r over radial L2: "
-      f"constant {report.empirical_constant:.5f}")
+      f"constant {report['empirical_constant']:.5f}")
 hardy = hardy_time_derivative_check(gauss)
-print(f"time-derivative Hardy probe: constant {hardy.empirical_constant:.5f}")
+print(f"time-derivative Hardy probe: constant {hardy['empirical_constant']:.5f}")

@@ -64,7 +64,6 @@ from .radial import (
     JEvaluator,
     RadialProfile,
     RadialTrajectory,
-    Report,
     duhamel_maximal_bound_check,
     maximal_bound_check,
     maximal_function,

@@ -63,13 +63,13 @@ def _balance(ctx, checker, base_tol: float) -> dict:
     traj = ctx.traj
     res = checker(traj, 0.0, float(traj.times[-1]))
     tol = _dt_scaled(base_tol, ctx.scenario.dt)
-    return {**res.as_dict(), "tolerance": tol, "t1_zero_extension": True}
+    return {**res, "tolerance": tol, "t1_zero_extension": True}
 
 
 def _scaling(ctx) -> dict:
     sc = ctx.scenario
     data = {
-        f"relative_sigma_{sigma}": diag.check_scaling_law(ctx.traj, sigma, sc.s, sc.p).relative
+        f"relative_sigma_{sigma}": diag.check_scaling_law(ctx.traj, sigma, sc.s, sc.p)["relative"]
         for sigma in (0.5, 2.0)
     }
     return {**data, "relative": max(data.values())}
@@ -113,11 +113,11 @@ CHECKS = {
         "relative", _tolerance, sweep="order",
     ),
     "prop23": Check(  # H^s growth bound
-        lambda ctx: diag.check_hs_growth(ctx.traj, ctx.scenario.s, C=1.0).as_dict(),
+        lambda ctx: diag.check_hs_growth(ctx.traj, ctx.scenario.s, C=1.0),
         "spectral", "empirical_constant", sweep="stability",
     ),
     "prop24": Check(  # curvature inequality
-        lambda ctx: diag.check_h2_inequality(ctx.traj, 0.0, float(ctx.traj.times[-1])).as_dict(),
+        lambda ctx: diag.check_h2_inequality(ctx.traj, 0.0, float(ctx.traj.times[-1])),
         "spectral", "lhs", lambda sc, d: d["rhs"] + 1e-12 * max(d["rhs"], 1.0), hessian=True,
     ),
     "scaling": Check(_scaling, "spectral", "relative", lambda sc, d: SCALING_TOL),  # rescaling
@@ -141,11 +141,11 @@ CHECKS = {
         "any", "worst_gap", lambda sc, d: MAXIMAL_TOL,
     ),
     "cor37": Check(  # radial average L^2_t L^inf bound
-        lambda ctx: maximal_bound_check(ctx.profile, T=ctx.scenario.T).as_dict(),
+        lambda ctx: maximal_bound_check(ctx.profile, T=ctx.scenario.T),
         "radial", "empirical_constant", sweep="stability",
     ),
     "cor39": Check(  # Hardy bound, time derivative of J
-        lambda ctx: diag.hardy_time_derivative_check(ctx.profile).as_dict(),
+        lambda ctx: diag.hardy_time_derivative_check(ctx.profile),
         "radial", "empirical_constant", sweep="stability",
     ),
     "duhamel": Check(  # integral-equation defect

@@ -12,9 +12,10 @@ memory at 64^3.
 A linear trajectory dissipates nothing: its balance laws are conservation
 of ||u||^2, ||grad u||^2.
 
-Each checker returns a radial.Report: for an exact balance law its two
-sides and their mismatch; for a one-sided estimate also the empirical
-constant (only it and its refinement stability are meaningful) and notes.
+Each checker returns the JSON payload of its check, built by
+radial._estimate: for an exact balance law its two sides and their
+mismatch; for a one-sided estimate also the empirical constant (only it and
+its refinement stability are meaningful) and notes.
 Space derivatives are always spectral multipliers, never finite
 differences, so the residuals isolate time-discretization error.
 """
@@ -30,7 +31,7 @@ from .grids import make_grid
 from .norms import SobolevSpec, _sample_radii, _sobolev_norms, _weighted_l2, space_time_norm
 from .propagator import Trajectory
 from .radial import (
-    REGULARIZATION_EPS, JEvaluator, RadialProfile, Report, _l2_sup, radial_sobolev_norm,
+    JEvaluator, RadialProfile, _estimate, _l2_sup, _relative, radial_sobolev_norm,
 )
 
 __all__ = [
@@ -168,10 +169,8 @@ def write_diagnostics_csv(traj: Trajectory, path, s: float = 1.0) -> np.ndarray:
         density = np.array([v**q for v in table["lpp1"].tolist()])
         budget = 2.0 * _cumtrapz(density, table["t"])
     gradient_budget = _cumtrapz(table["grad_term"] + table["modulus_term"], table["t"])
-    residuals = [  # Report.relative of each row
-        np.abs(lhs - rhs) / np.maximum(np.maximum(lhs, rhs), REGULARIZATION_EPS)
-        for lhs, rhs in ((l2sq + budget, l2sq[0]), (h1sq + gradient_budget, h1sq[0]))
-    ]
+    # the relative entry of check_l2/h1_identity's payload over [0, t] of each row
+    residuals = [_relative(l2sq + budget, l2sq[0]), _relative(h1sq + gradient_budget, h1sq[0])]
     columns = [table[name] for name in CSV_HEADER.split(",")[:6]]
     rows = np.column_stack([*columns, budget, *residuals])
     fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
@@ -189,7 +188,7 @@ def _cumtrapz(vals: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_l2_identity(traj: Trajectory, t1: float, t2: float) -> Report:
+def check_l2_identity(traj: Trajectory, t1: float, t2: float) -> dict:
     """Mass balance:  ||u(t2)||^2 + 2 ||u||^(p+1)_{L^(p+1)((t1,t2) x R^n)}
     against ||u(t1)||^2.
 
@@ -206,7 +205,7 @@ def check_l2_identity(traj: Trajectory, t1: float, t2: float) -> Report:
         window = slice(i1, i2 + 1)
         lpp1 = space_time_norm((table["t"][window], table["lpp1"][window]), q, float)
         lhs += 2.0 * lpp1**q
-    return Report(lhs=lhs, rhs=float(table["l2"][i1]) ** 2)
+    return _estimate(lhs, float(table["l2"][i1]) ** 2)
 
 
 def _validate_window(traj: Trajectory, t1: float, t2: float) -> tuple[int, int]:
@@ -215,7 +214,7 @@ def _validate_window(traj: Trajectory, t1: float, t2: float) -> tuple[int, int]:
     return _snapshot_index(traj, t1), _snapshot_index(traj, t2)
 
 
-def check_h1_identity(traj: Trajectory, t1: float, t2: float) -> Report:
+def check_h1_identity(traj: Trajectory, t1: float, t2: float) -> dict:
     """Gradient balance:
 
         ||grad u(t2)||^2 + 2 int || |u|^((p-1)/2) grad u ||^2
@@ -232,10 +231,10 @@ def check_h1_identity(traj: Trajectory, t1: float, t2: float) -> Report:
     dissipation = table["grad_term"][window] + table["modulus_term"][window]
     integral = float(np.trapezoid(dissipation, table["t"][window]))
     lhs = float(table["h1dot"][i2]) ** 2 + integral
-    return Report(lhs=lhs, rhs=float(table["h1dot"][i1]) ** 2)
+    return _estimate(lhs, float(table["h1dot"][i1]) ** 2)
 
 
-def check_hs_growth(traj: Trajectory, s: float, C: float) -> Report:
+def check_hs_growth(traj: Trajectory, s: float, C: float) -> dict:
     """Gronwall-type growth control of the homogeneous H^s norm:
 
         ||u(t2)||^2 <= ||u(t1)||^2 + C int ||u||_Linf^(p-1) ||u||_Hs^2 dt,
@@ -263,15 +262,12 @@ def check_hs_growth(traj: Trajectory, s: float, C: float) -> Report:
         c_star = max(c_star, float(np.max(gain[ok] / slack_int[ok], initial=0.0)))
     lhs = float(hs_sq[-1])
     rhs = float(hs_sq[0] + C * cum[-1])
-    return Report(
-        lhs=lhs,
-        rhs=rhs,
-        empirical_constant=c_star,
-        notes={"supplied_constant": C, "holds": bool(lhs <= rhs + 1e-12 * rhs)},
+    return _estimate(
+        lhs, rhs, c_star, {"supplied_constant": C, "holds": bool(lhs <= rhs + 1e-12 * rhs)}
     )
 
 
-def check_h2_inequality(traj: Trajectory, t1: float, t2: float) -> Report:
+def check_h2_inequality(traj: Trajectory, t1: float, t2: float) -> dict:
     """Curvature inequality for the cubic flow (p = 3):
 
         ||u(t2)||_{H2dot}^2 + 2 sum_{j,k} int || u d_j d_k u ||^2
@@ -294,12 +290,7 @@ def check_h2_inequality(traj: Trajectory, t1: float, t2: float) -> Report:
     majorant = np.array([a ** (4.0 - n) * b ** float(n) for a, b in zip(h1, h2)])
     lhs = h2[-1] ** 2 + 2.0 * float(np.trapezoid(cross, times))
     rhs = h2[0] ** 2 + 2.0 * n**2 * (n + 1) * float(np.trapezoid(majorant, times))
-    return Report(
-        lhs=lhs,
-        rhs=rhs,
-        empirical_constant=lhs / rhs if rhs > 0 else 0.0,
-        notes={"slack": rhs - lhs},
-    )
+    return _estimate(lhs, rhs, lhs / rhs if rhs > 0 else 0.0, {"slack": rhs - lhs})
 
 
 def _initial_row(f) -> tuple:
@@ -318,7 +309,7 @@ def _hdot_norm(grid, row, s: float, samples: np.ndarray) -> float:
     return float(_sobolev_norms(coeffs, grid, spec, m, row.weights)[0])
 
 
-def check_scaling_law(u0, sigma: float, s: float, p: float) -> Report:
+def check_scaling_law(u0, sigma: float, s: float, p: float) -> dict:
     """Rescaling invariance of homogeneous norms.
 
     Builds u_sigma(x) = sigma^(1/(p-1)) u0(sigma x) on the grid with period
@@ -336,7 +327,7 @@ def check_scaling_law(u0, sigma: float, s: float, p: float) -> Report:
     amp = sigma ** (1.0 / (p - 1.0))
     exponent = 1.0 / (p - 1.0) + s - grid.n / 2.0
     lhs = _hdot_norm(scaled_grid, row, s, amp * row.samples)
-    return Report(lhs=lhs, rhs=sigma**exponent * _hdot_norm(grid, row, s, row.samples))
+    return _estimate(lhs, sigma**exponent * _hdot_norm(grid, row, s, row.samples))
 
 
 def strauss_ratio(f, s: float = 1.0) -> float:
@@ -387,7 +378,7 @@ def weighted_strichartz_ratio(traj: Trajectory, delta: float, q1: float) -> floa
 
 def hardy_time_derivative_check(
     f: RadialProfile, T: float | None = None, n_t: int | None = None
-) -> Report:
+) -> dict:
     """Hardy-type probe for the time derivative of the radial average:
 
         || d/dt (1/2r) int_{|r-t|}^{r+t} lambda f(lambda) d lambda ||_{L^2_t L^inf_r}
@@ -403,5 +394,5 @@ def hardy_time_derivative_check(
     fprime = ev.point_derivative(f.r)
     rhs = float(np.sqrt(np.sum(np.abs(f.r * fprime) ** 2) * f.dr))
     if rhs <= 1e-14 * max(1.0, float(np.max(np.abs(f.values)))):
-        return Report(lhs, rhs, empirical_constant=math.inf, notes={"out_of_space": True})
-    return Report(lhs, rhs, empirical_constant=lhs / rhs)
+        return _estimate(lhs, rhs, math.inf, {"out_of_space": True})
+    return _estimate(lhs, rhs, lhs / rhs)

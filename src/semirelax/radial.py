@@ -18,14 +18,14 @@ scipy's CubicSpline, so no run loads scipy.interpolate.
 D and the Volterra march use the type-II sine series of v = r u~, where by
 Kirchhoff's formula r J[f](t) = sin(t xi)/xi v and r dJ/dt[f](t) = cos(t xi) v.
 
-Report, the result type of every estimate check in the package, is defined
-here next to the REGULARIZATION_EPS that its relative mismatch uses.
+Every estimate check in the package returns the JSON payload that _estimate
+builds here, next to the REGULARIZATION_EPS that its relative mismatch uses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -34,7 +34,6 @@ import scipy.fft
 from .propagator import StepperConfig
 
 __all__ = [
-    "Report",
     "RadialProfile",
     "RadialTrajectory",
     "profile_from_function",
@@ -55,38 +54,29 @@ DECAY_TOL = 1e-8
 _CHUNK = 8192  # points per pass of a spline evaluation
 
 
-@dataclass(frozen=True)
-class Report:
-    """The two sides of an a priori estimate: an identity lhs = rhs, or a
-    one-sided bound lhs <= C rhs with its empirical constant C, plus notes."""
+def _relative(lhs, rhs):
+    """The relative mismatch |lhs - rhs| / max(lhs, rhs, REGULARIZATION_EPS),
+    elementwise on arrays."""
+    return np.abs(lhs - rhs) / np.maximum(np.maximum(lhs, rhs), REGULARIZATION_EPS)
 
-    lhs: float
-    rhs: float
-    empirical_constant: float | None = None
-    notes: dict = field(default_factory=dict)
 
-    @property
-    def residual(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-    @property
-    def relative(self) -> float:
-        return self.residual / max(self.lhs, self.rhs, REGULARIZATION_EPS)
-
-    def as_dict(self) -> dict:
-        """lhs, rhs, residual and relative, plus empirical_constant when set
-        and notes when not empty."""
-        out = {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-            "relative": self.relative,
-        }
-        if self.empirical_constant is not None:
-            out["empirical_constant"] = self.empirical_constant
-        if self.notes:
-            out["notes"] = dict(self.notes)
-        return out
+def _estimate(
+    lhs: float, rhs: float, empirical_constant: float | None = None, notes: dict | None = None
+) -> dict:
+    """The payload of an a priori estimate, an identity lhs = rhs or a
+    one-sided bound lhs <= C rhs: lhs, rhs, residual and relative, plus the
+    empirical constant C when given and notes when not empty."""
+    out = {
+        "lhs": lhs,
+        "rhs": rhs,
+        "residual": abs(lhs - rhs),
+        "relative": float(_relative(lhs, rhs)),
+    }
+    if empirical_constant is not None:
+        out["empirical_constant"] = empirical_constant
+    if notes:
+        out["notes"] = notes
+    return out
 
 
 @dataclass
@@ -536,17 +526,17 @@ def _l2_sup(kernel, f: RadialProfile, T: float, n_t: int | None) -> float:
     return float(np.sqrt(np.trapezoid(sup**2, ts)))
 
 
-def maximal_bound_check(f: RadialProfile, T: float, n_t: int | None = None) -> Report:
+def maximal_bound_check(f: RadialProfile, T: float, n_t: int | None = None) -> dict:
     """Ratio probe for || J[f] ||_{L^2(0,T;L^inf)} <= C ||f||_{L^2, radial},
     reported with the empirical constant lhs/rhs."""
     lhs = _l2_sup(JEvaluator(f).j, f, T, n_t)
     rhs = radial_l2_norm(f)
-    return Report(lhs, rhs, lhs / rhs if rhs > 0 else 0.0)
+    return _estimate(lhs, rhs, lhs / rhs if rhs > 0 else 0.0)
 
 
 def duhamel_maximal_bound_check(
     f: RadialProfile, T: float, phi=None, n_t: int | None = None
-) -> Report:
+) -> dict:
     """Time-convolved variant: with h(t) = phi(t) f, probes
     || int_0^t J[h(s)](t - s) ds ||_{L^2(0,T;L^inf)} <= C ||h||_{L^1(0,T;L^2)}."""
     if phi is None:
@@ -563,4 +553,4 @@ def duhamel_maximal_bound_check(
         sup.append(np.max(np.abs(acc)))
     lhs = float(np.sqrt(np.trapezoid(np.asarray(sup) ** 2, ts)))
     rhs = float(np.trapezoid(np.abs(phi(ts)), ts)) * radial_l2_norm(f)
-    return Report(lhs, rhs, lhs / rhs if rhs > 0 else 0.0)
+    return _estimate(lhs, rhs, lhs / rhs if rhs > 0 else 0.0)

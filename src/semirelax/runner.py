@@ -29,9 +29,13 @@ __all__ = ["RunReport", "run", "sweep"]
 
 @dataclass
 class RunReport:
+    """One run, its fields named as report.json's keys: the scenario, each
+    check's payload with its verdict, the CSV path relative to the run
+    directory (None without a spectral solver) and the wall time."""
+
     scenario: dict
     checks: dict
-    csv_path: str | None
+    diagnostics_csv: str | None
     wall_time: float
 
     @property
@@ -39,13 +43,8 @@ class RunReport:
         return all(c["passed"] for c in self.checks.values())
 
     def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "checks": self.checks,
-            "diagnostics_csv": self.csv_path,
-            "wall_time": self.wall_time,
-            "passed": self.all_passed,
-        }
+        """report.json's content: the fields plus passed."""
+        return {**vars(self), "passed": self.all_passed}
 
 
 class _RunContext:
@@ -131,12 +130,7 @@ def run(
         if plots and csv_path:
             emit_plots(diag.CSV_HEADER.split(","), rows, os.path.join(run_dir, "plots"))
     wall = 0.0 if deterministic else time.perf_counter() - t0
-    report = RunReport(
-        scenario=asdict(scenario),
-        checks=results,
-        csv_path=csv_path,
-        wall_time=wall,
-    )
+    report = RunReport(asdict(scenario), results, csv_path, wall)
     with open(os.path.join(run_dir, "report.json"), "w") as fh:
         json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
     return report

@@ -32,7 +32,7 @@ import configparser
 import importlib.resources
 import math
 import re
-from dataclasses import MISSING, InitVar, dataclass, field, fields
+from dataclasses import MISSING, InitVar, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -69,7 +69,7 @@ class Scenario:
     initial: str
     s: float = 1.0
     solver: str = "spectral"
-    checks: list[str] = field(default_factory=list)
+    checks: tuple[str, ...] = ()
     N: int | None = None
     L: float | None = None
     M: int | None = None
@@ -80,6 +80,7 @@ class Scenario:
 
     def __post_init__(self, defaulted):  # a Scenario, however built, is one the loader accepts
         where = f"scenario {self.name!r}"
+        object.__setattr__(self, "checks", tuple(self.checks))  # frozen all the way down
         if self.name in ("", ".", "..") or "/" in self.name:  # a run writes outdir/<name>/
             raise ScenarioError(f"{where}: a name is one path component")
         if self.solver not in ("spectral", "radial-wave", "both"):
@@ -95,8 +96,12 @@ class Scenario:
         radial = self.solver != "spectral" or any(CHECKS[c].reads == "radial" for c in self.checks)
         read = () if self.solver == "radial-wave" else ("s", "snapshot_stride", "N", "L")
         read += ("M", "R") if radial else ()
-        keys = [*defaulted, *(k for k in ("N", "L", "M", "R") if getattr(self, k) is not None)]
-        ignored = [key for key in keys if key not in read]
+        # a key is set when the config names it or its value is not the default
+        default = {f.name: f.default for f in fields(self)}
+        ignored = [
+            key for key in ("s", "snapshot_stride", "N", "L", "M", "R")
+            if (key in defaulted or getattr(self, key) != default[key]) and key not in read
+        ]
         if ignored:
             raise ScenarioError(f"{where}: solver = {self.solver} ignores {ignored}")
         if self.solver in ("spectral", "both") and (self.N is None or self.L is None):
@@ -212,10 +217,10 @@ class Scenario:
 # `from __future__ import annotations`); checks is a comma-separated list
 _CASTS = {
     "int": int, "float": float, "str": str, "bool": bool,
-    "list[str]": lambda raw: [c.strip() for c in raw.split(",") if c.strip()],
+    "tuple[str, ...]": lambda raw: tuple(c.strip() for c in raw.split(",") if c.strip()),
 }
 KEYS = {f.name: _CASTS[f.type.removesuffix(" | None")] for f in fields(Scenario)[1:]}
-REQUIRED = [f.name for f in fields(Scenario)[1:] if f.default is MISSING is f.default_factory]
+REQUIRED = [f.name for f in fields(Scenario)[1:] if f.default is MISSING]
 
 
 def _get(section, name, key):

@@ -123,7 +123,7 @@ def test_criterion_1_unitarity():
 
 def test_criterion_2_l2_dissipation_identity(p11_runs):
     residuals = {
-        dt: check_l2_identity(traj, 0.0, 1.0).relative
+        dt: check_l2_identity(traj, 0.0, 1.0)["relative"]
         for dt, traj in p11_runs.items()
     }
     assert residuals[1e-3] < 1e-6
@@ -138,7 +138,7 @@ def test_criterion_2_l2_dissipation_identity(p11_runs):
 
 def test_criterion_3_h1_identity(p11_runs):
     residuals = {
-        dt: check_h1_identity(traj, 0.0, 1.0).relative
+        dt: check_h1_identity(traj, 0.0, 1.0)["relative"]
         for dt, traj in p11_runs.items()
     }
     assert residuals[1e-3] < 1e-5
@@ -159,15 +159,15 @@ def test_criterion_4_h2_inequality(p11_runs, runs_2d):
     slacks_1d = []
     for dt in (1e-3, 5e-4):
         rep = check_h2_inequality(p11_runs[dt], 0.0, 1.0)
-        assert rep.notes["slack"] >= 0
-        slacks_1d.append(rep.notes["slack"])
+        assert rep["notes"]["slack"] >= 0
+        slacks_1d.append(rep["notes"]["slack"])
     assert abs(slacks_1d[0] - slacks_1d[1]) <= 0.1 * max(slacks_1d)
     slacks_2d = []
     for dt in (2e-3, 1e-3):
         # 0.24 is a stored snapshot time at both refinement levels
         rep = check_h2_inequality(runs_2d[dt], 0.0, 0.24)
-        assert rep.notes["slack"] >= 0
-        slacks_2d.append(rep.notes["slack"])
+        assert rep["notes"]["slack"] >= 0
+        slacks_2d.append(rep["notes"]["slack"])
     assert abs(slacks_2d[0] - slacks_2d[1]) <= 0.1 * max(slacks_2d)
     _report(4, "curvature inequality slack nonnegative and refinement-stable (n=1,2)")
 
@@ -183,9 +183,9 @@ def test_criterion_5_scaling_law():
         for sigma in (0.5, 2.0):
             for s in (s_crit, 1.2):
                 res = check_scaling_law(u0, sigma, s, p)
-                assert res.relative < 1e-8
+                assert res["relative"] < 1e-8
             crit = check_scaling_law(u0, sigma, s_crit, p)
-            assert crit.lhs / crit.rhs == pytest.approx(1.0, abs=1e-8)
+            assert crit["lhs"] / crit["rhs"] == pytest.approx(1.0, abs=1e-8)
     _report(5, "rescaled homogeneous norms follow the rate law; ratio 1 at s_crit")
 
 
@@ -266,8 +266,8 @@ def _probe_family(level):
     )
     out["weighted_strichartz"] = weighted_strichartz_ratio(traj, 0.5, 4.0)
     prof = profile_from_function(lambda r: np.exp(-(r**2)), R=16.0, M=M)
-    out["cor37"] = maximal_bound_check(prof, T=4.0, n_t=256).empirical_constant
-    out["cor39"] = hardy_time_derivative_check(prof, T=12.0, n_t=256).empirical_constant
+    out["cor37"] = maximal_bound_check(prof, T=4.0, n_t=256)["empirical_constant"]
+    out["cor39"] = hardy_time_derivative_check(prof, T=12.0, n_t=256)["empirical_constant"]
     return out
 
 
@@ -286,7 +286,7 @@ def test_criterion_8_ratio_probe_stability():
 
 def test_criterion_9_gronwall_constant_stability(runs_2d):
     constants = [
-        check_hs_growth(runs_2d[dt], 1.5, C=1.0).empirical_constant
+        check_hs_growth(runs_2d[dt], 1.5, C=1.0)["empirical_constant"]
         for dt in RUN2D_DTS
     ]
     assert all(math.isfinite(c) for c in constants)

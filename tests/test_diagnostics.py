@@ -42,7 +42,7 @@ from semirelax.diagnostics import CSV_HEADER, TABLE_COLUMNS, _integral
 from semirelax.norms import space_time_norm, weighted_norm
 from semirelax.plotting import fit_order
 from semirelax.propagator import _Snapshots, duhamel_residual, linear_step
-from semirelax.radial import Report, profile_from_function
+from semirelax.radial import _estimate, profile_from_function
 from conftest import constant_field, mirror, random_field, symmetrized
 
 
@@ -161,8 +161,7 @@ def reference_h2_inequality(traj, i1, i2):
     majorant = np.array([a ** (4.0 - n) * b ** float(n) for a, b in zip(h1, h2)])
     lhs = h2[-1] ** 2 + 2.0 * float(np.trapezoid(cross, times))
     rhs = h2[0] ** 2 + 2.0 * n**2 * (n + 1) * float(np.trapezoid(majorant, times))
-    return Report(lhs=lhs, rhs=rhs, empirical_constant=lhs / rhs if rhs > 0 else 0.0,
-                  notes={"slack": rhs - lhs})
+    return _estimate(lhs, rhs, lhs / rhs if rhs > 0 else 0.0, {"slack": rhs - lhs})
 
 
 def reference_cross(traj, i1, i2):
@@ -229,14 +228,14 @@ def zero_trajectory():
 class TestL2Identity:
     def test_zero_trajectory(self, zero_trajectory):
         res = check_l2_identity(zero_trajectory, 0.0, 0.2)
-        assert res.residual == 0.0
-        assert res.relative == 0.0
+        assert res["residual"] == 0.0
+        assert res["relative"] == 0.0
 
     def test_small_residual_and_interior_window(self, cubic_1d_trajectory):
         res = check_l2_identity(cubic_1d_trajectory, 0.0, 0.25)
-        assert res.relative < 1e-7
+        assert res["relative"] < 1e-7
         interior = check_l2_identity(cubic_1d_trajectory, 0.05, 0.2)
-        assert interior.relative < 1e-7
+        assert interior["relative"] < 1e-7
 
     def test_rejects_non_snapshot_times(self, cubic_1d_trajectory):
         with pytest.raises(ValueError, match="not a snapshot time"):
@@ -250,14 +249,14 @@ class TestL2Identity:
         vals = []
         for dt in (1e-3, 5e-4):
             traj = evolve(u0, StepperConfig(p=3.0, dt=dt, T=0.25))
-            vals.append(check_l2_identity(traj, 0.0, 0.25).relative)
+            vals.append(check_l2_identity(traj, 0.0, 0.25)["relative"])
         assert 3.2 <= vals[0] / vals[1] <= 4.8
 
 
 class TestH1Identity:
     def test_zero_trajectory(self, zero_trajectory):
         res = check_h1_identity(zero_trajectory, 0.0, 0.2)
-        assert res.residual == 0.0
+        assert res["residual"] == 0.0
 
     def test_spectral_gradient_of_modulus_squared(self):
         # constant-phase gaussian: grad |u|^2 = -4 x a^2 exp(-2 x^2)
@@ -271,7 +270,7 @@ class TestH1Identity:
 
     def test_small_residual(self, cubic_1d_trajectory):
         res = check_h1_identity(cubic_1d_trajectory, 0.0, 0.25)
-        assert res.relative < 1e-6
+        assert res["relative"] < 1e-6
 
     def test_gradient_norm_monotone(self, cubic_1d_trajectory):
         spec = SobolevSpec(1.0, homogeneous=True)
@@ -282,8 +281,8 @@ class TestH1Identity:
         g = make_grid(1, 128, 30.0)
         traj = evolve(gaussian_field(g, 0.4), StepperConfig(p=2.0, dt=1e-3, T=0.05))
         res = check_h1_identity(traj, 0.0, 0.05)
-        assert math.isfinite(res.relative)
-        assert res.relative < 1e-4
+        assert math.isfinite(res["relative"])
+        assert res["relative"] < 1e-4
 
     @given(
         n=st.sampled_from([1, 2, 3]),
@@ -339,8 +338,8 @@ class TestH1Identity:
         u0 = gaussian_field(make_grid(n, 64, L), amplitude)
         dts = (0.01, 0.005, 0.0025)
         trajs = [evolve(u0, StepperConfig(p=p, dt=dt, T=0.1)) for dt in dts]
-        rel = [check_h1_identity(traj, 0.0, 0.1).relative for traj in trajs]
-        mass = [check_l2_identity(traj, 0.0, 0.1).relative for traj in trajs]
+        rel = [check_h1_identity(traj, 0.0, 0.1)["relative"] for traj in trajs]
+        mass = [check_l2_identity(traj, 0.0, 0.1)["relative"] for traj in trajs]
         assert 1.8 <= fit_order(dts, rel) <= 2.2
         assert 1.8 <= fit_order(dts, mass) <= 2.2
         if L == 20.0:
@@ -355,19 +354,19 @@ class TestHsGrowth:
         cfg = StepperConfig(p=3.0, dt=0.1, T=0.5)
         traj = stored_trajectory(cfg, 0.1 * np.arange(len(snaps)), snaps)
         report = check_hs_growth(traj, 1.5, C=1.0)
-        assert report.empirical_constant > 0
+        assert report["empirical_constant"] > 0
         table = diagnostics_table(traj, s=1.5)
         hs_sq = np.array([v**2 for v in table["hs"].tolist()])
         integrand = table["linf"] ** 2.0 * hs_sq
         seg = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(table["t"])
         cum = np.concatenate([[0.0], np.cumsum(seg)])
-        assert report.empirical_constant == reference_c_star(hs_sq, cum)
+        assert report["empirical_constant"] == reference_c_star(hs_sq, cum)
 
     def test_zero_trajectory_c_star_zero(self):
         g = make_grid(2, 16, 10.0)
         traj = evolve(constant_field(g, 0.0), StepperConfig(p=3.0, dt=0.05, T=0.15))
         report = check_hs_growth(traj, 1.5, C=1.0)
-        assert report.empirical_constant == 0.0
+        assert report["empirical_constant"] == 0.0
 
     def test_linear_trajectory_isometry(self):
         g = make_grid(2, 32, 10.0)
@@ -375,8 +374,8 @@ class TestHsGrowth:
         traj = evolve(u0, StepperConfig(p=3.0, dt=0.02, T=0.2, nonlinear=False))
         report = check_hs_growth(traj, 1.5, C=0.0)
         # the free flow preserves the norm: lhs = rhs at C = 0, C* = 0
-        assert report.lhs == pytest.approx(report.rhs, rel=1e-10)
-        assert report.empirical_constant <= 1e-10
+        assert report["lhs"] == pytest.approx(report["rhs"], rel=1e-10)
+        assert report["empirical_constant"] <= 1e-10
 
     def test_hypothesis_range_enforced(self, cubic_1d_trajectory):
         with pytest.raises(ValueError, match="n/2 < s < min"):
@@ -390,26 +389,26 @@ class TestHsGrowth:
         g = make_grid(2, 64, 20.0)
         traj = evolve(gaussian_field(g, 0.5), StepperConfig(p=3.0, dt=2e-3, T=0.2))
         report = check_hs_growth(traj, 1.5, C=1.0)
-        assert math.isfinite(report.empirical_constant)
-        assert report.notes["holds"]
+        assert math.isfinite(report["empirical_constant"])
+        assert report["notes"]["holds"]
 
 
 class TestH2Inequality:
     def test_zero_trajectory(self, zero_trajectory):
         report = check_h2_inequality(zero_trajectory, 0.0, 0.2)
-        assert report.lhs == 0.0 and report.rhs == 0.0
+        assert report["lhs"] == 0.0 and report["rhs"] == 0.0
 
     def test_linear_trajectory_slack_nonnegative(self):
         g = make_grid(1, 128, 30.0)
         traj = evolve(gaussian_field(g, 0.5), StepperConfig(p=3.0, dt=0.01, T=0.2, nonlinear=False))
         report = check_h2_inequality(traj, 0.0, 0.2)
         # free flow: curvature norm conserved, cross terms vanish, slack >= 0
-        assert report.notes["slack"] >= 0
+        assert report["notes"]["slack"] >= 0
 
     def test_cubic_gaussian_slack_positive(self, cubic_1d_trajectory):
         report = check_h2_inequality(cubic_1d_trajectory, 0.0, 0.25)
-        assert report.notes["slack"] > 0
-        assert report.lhs <= report.rhs
+        assert report["notes"]["slack"] > 0
+        assert report["lhs"] <= report["rhs"]
 
     def test_rejects_noncubic(self):
         g = make_grid(1, 64, 20.0)
@@ -474,7 +473,7 @@ def reference_strauss_ratio(u0: Field, s: float) -> float:
     return float(np.max(weighted)) / sobolev_norm(u0, SobolevSpec(s, homogeneous=True))
 
 
-def reference_scaling_law(u0: Field, sigma: float, s: float, p: float) -> Report:
+def reference_scaling_law(u0: Field, sigma: float, s: float, p: float) -> dict:
     """check_scaling_law on the full grid: u_sigma built as a Field on the
     grid of period L/sigma, both norms by sobolev_norm."""
     grid, spec = u0.grid, SobolevSpec(s, homogeneous=True)
@@ -482,7 +481,7 @@ def reference_scaling_law(u0: Field, sigma: float, s: float, p: float) -> Report
     u_sigma = Field(scaled, sigma ** (1.0 / (p - 1.0)) * to_physical(u0).values, "physical")
     exponent = 1.0 / (p - 1.0) + s - grid.n / 2.0
     lhs = sobolev_norm(u_sigma, spec)
-    return Report(lhs=lhs, rhs=sigma**exponent * sobolev_norm(u0, spec))
+    return _estimate(lhs, sigma**exponent * sobolev_norm(u0, spec))
 
 
 def reference_weighted_strichartz_ratio(traj, delta: float, q1: float) -> float:
@@ -539,8 +538,8 @@ class TestInitialRowReaders:
         for sigma, ref, field in zip((0.5, 2.0), refs, fields):
             res = check_scaling_law(traj, sigma, 1.0, 3.0)
             for got in (res, field):
-                assert got.lhs == pytest.approx(ref.lhs, rel=1e-12)
-                assert got.rhs == pytest.approx(ref.rhs, rel=1e-12)
+                assert got["lhs"] == pytest.approx(ref["lhs"], rel=1e-12)
+                assert got["rhs"] == pytest.approx(ref["rhs"], rel=1e-12)
 
     @pytest.mark.parametrize("n, center", DATA)
     def test_lemma34(self, monkeypatch, n, center):
@@ -568,7 +567,7 @@ class TestScalingLaw:
         g = make_grid(1, 64, 20.0)
         u0 = mode_field(g, 3)
         res = check_scaling_law(u0, 1.0, 1.0, 3.0)
-        assert res.relative < 1e-14
+        assert res["relative"] < 1e-14
 
     @pytest.mark.parametrize("n,p", [(1, 3.0), (2, 3.0), (3, 3.0)])
     def test_critical_index_ratio_one(self, n, p):
@@ -579,18 +578,18 @@ class TestScalingLaw:
         s_crit = n / 2.0 - 1.0 / (p - 1.0)
         for sigma in (0.5, 2.0):
             res = check_scaling_law(u0, sigma, s_crit, p)
-            assert res.relative < 1e-8
-            assert res.lhs / res.rhs == pytest.approx(1.0, abs=1e-8)
+            assert res["relative"] < 1e-8
+            assert res["lhs"] / res["rhs"] == pytest.approx(1.0, abs=1e-8)
 
     def test_explicit_rate(self):
         # n=1, p=3, s=1: rate 1/2 + 1 - 1/2 = 1, so sigma = 2 doubles the norm
         g = make_grid(1, 128, 25.0)
         u0 = gaussian_field(g, 0.5)
         res = check_scaling_law(u0, 2.0, 1.0, 3.0)
-        assert res.relative < 1e-9
+        assert res["relative"] < 1e-9
         spec = SobolevSpec(1.0, homogeneous=True)
         base = sobolev_norm(u0, spec)
-        assert res.lhs == pytest.approx(2.0 * base, rel=1e-9)
+        assert res["lhs"] == pytest.approx(2.0 * base, rel=1e-9)
 
     def test_rejects_nonpositive_sigma(self):
         g = make_grid(1, 64, 20.0)
@@ -706,8 +705,8 @@ class TestHardyCheck:
     def test_constant_profile_flagged(self):
         prof = profile_from_function(lambda r: np.ones_like(r), R=10.0, M=128)
         report = hardy_time_derivative_check(prof)
-        assert report.notes.get("out_of_space") is True
-        assert report.rhs == pytest.approx(0.0, abs=1e-12)
+        assert report["notes"].get("out_of_space") is True
+        assert report["rhs"] == pytest.approx(0.0, abs=1e-12)
 
     def test_gaussian_quadrature_oracle(self):
         import scipy.integrate
@@ -717,9 +716,9 @@ class TestHardyCheck:
         val, _ = scipy.integrate.quad(
             lambda r: (r * (-2 * r) * np.exp(-(r**2))) ** 2, 0, np.inf
         )
-        assert report.rhs == pytest.approx(np.sqrt(val), rel=1e-4)
-        assert math.isfinite(report.empirical_constant)
-        assert "out_of_space" not in report.notes
+        assert report["rhs"] == pytest.approx(np.sqrt(val), rel=1e-4)
+        assert math.isfinite(report["empirical_constant"])
+        assert "notes" not in report
 
     def test_closed_form_matches_finite_difference(self):
         from semirelax.radial import JEvaluator
@@ -864,8 +863,8 @@ def assert_checks_close(traj, i1, i2, h2, duhamel):
     1e-12 of ||u0||."""
     if h2 is not None:
         ref = reference_h2_inequality(traj, i1, i2)
-        assert h2.lhs == pytest.approx(ref.lhs, rel=1e-12, abs=0)
-        assert h2.rhs == pytest.approx(ref.rhs, rel=1e-12, abs=0)
+        assert h2["lhs"] == pytest.approx(ref["lhs"], rel=1e-12, abs=0)
+        assert h2["rhs"] == pytest.approx(ref["rhs"], rel=1e-12, abs=0)
     ref = reference_duhamel_residual(traj)
     assert abs(duhamel - ref) <= 1e-12 * l2_norm(traj.snapshots[0])
 
@@ -1156,8 +1155,8 @@ class TestDiagnosticsOutput:
         assert len(rows) == len(traj.snapshots)
         assert rows[0, 7] == rows[0, 8] == 0.0
         for t, res21, res22 in rows[1:, [0, 7, 8]]:
-            assert abs(res21 - check_l2_identity(traj, 0.0, t).relative) <= 1e-12
-            assert abs(res22 - check_h1_identity(traj, 0.0, t).relative) <= 1e-12
+            assert abs(res21 - check_l2_identity(traj, 0.0, t)["relative"]) <= 1e-12
+            assert abs(res22 - check_h1_identity(traj, 0.0, t)["relative"]) <= 1e-12
 
     def test_returns_the_written_rows(self, tmp_path, cubic_1d_trajectory):
         # --plots charts these rows: the CSV's %.17g reads back to the same bits

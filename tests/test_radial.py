@@ -26,7 +26,7 @@ from semirelax.diagnostics import hardy_time_derivative_check
 from semirelax.radial import (
     JEvaluator,
     RadialTrajectory,
-    Report,
+    _estimate,
     _from_sine,
     _halfwave_multiplier,
     _sine,
@@ -102,17 +102,17 @@ def reference_wave_evolve(
     return RadialTrajectory(times=np.asarray(times), profiles=profiles)
 
 
-def reference_maximal_bound_check(f: RadialProfile, T: float, n_t=None) -> Report:
+def reference_maximal_bound_check(f: RadialProfile, T: float, n_t=None) -> dict:
     """maximal_bound_check as one J call per time, t = 0 set to zero."""
     ev = JEvaluator(f)
     ts = np.linspace(0.0, T, (n_t or f.M // 2) + 1)
     sup = np.array([0.0] + [np.max(np.abs(ev.j(t, f.r))) for t in ts[1:]])
     lhs = float(np.sqrt(np.trapezoid(sup**2, ts)))
     rhs = radial_l2_norm(f)
-    return Report(lhs, rhs, lhs / rhs if rhs > 0 else 0.0)
+    return _estimate(lhs, rhs, lhs / rhs if rhs > 0 else 0.0)
 
 
-def reference_duhamel_maximal_bound_check(f: RadialProfile, T: float, n_t=None) -> Report:
+def reference_duhamel_maximal_bound_check(f: RadialProfile, T: float, n_t=None) -> dict:
     """duhamel_maximal_bound_check (phi = exp(-t)) from a list of per-time
     J calls whose t = 0 entry is set to zero."""
     ev = JEvaluator(f)
@@ -128,10 +128,10 @@ def reference_duhamel_maximal_bound_check(f: RadialProfile, T: float, n_t=None) 
         sup.append(np.max(np.abs(acc)))
     lhs = float(np.sqrt(np.trapezoid(np.asarray(sup) ** 2, ts)))
     rhs = float(np.trapezoid(np.abs(np.exp(-ts)), ts)) * radial_l2_norm(f)
-    return Report(lhs, rhs, lhs / rhs if rhs > 0 else 0.0)
+    return _estimate(lhs, rhs, lhs / rhs if rhs > 0 else 0.0)
 
 
-def reference_hardy_time_derivative_check(f: RadialProfile, T=None, n_t=None) -> Report:
+def reference_hardy_time_derivative_check(f: RadialProfile, T=None, n_t=None) -> dict:
     """hardy_time_derivative_check as one dJ/dt call per time."""
     ev = JEvaluator(f)
     T = T or 0.9 * f.R
@@ -143,7 +143,7 @@ def reference_hardy_time_derivative_check(f: RadialProfile, T=None, n_t=None) ->
     notes = {}
     if rhs <= 1e-14 * max(1.0, float(np.max(np.abs(f.values)))):
         notes["out_of_space"] = True
-    return Report(lhs, rhs, lhs / rhs if rhs > 0 else math.inf, notes)
+    return _estimate(lhs, rhs, lhs / rhs if rhs > 0 else math.inf, notes)
 
 
 def random_profile(seed: int, M: int = 128, R: float = 10.0) -> RadialProfile:
@@ -413,8 +413,8 @@ class TestTimeColumn:
         prof = random_profile(M, M=M, R=8.0)
         assert radial._CHUNK // M < 128
         ev = JEvaluator(prof)
-        cor37 = maximal_bound_check(prof, 4.0).lhs
-        cor39 = hardy_time_derivative_check(prof).lhs
+        cor37 = maximal_bound_check(prof, 4.0)["lhs"]
+        cor39 = hardy_time_derivative_check(prof)["lhs"]
         assert cor37 == blocked_l2_sup(ev.j, prof, 4.0, 128)
         assert cor39 == blocked_l2_sup(ev.dj_dt, prof, 0.9 * prof.R, 128)
 
@@ -437,8 +437,8 @@ class TestProbeHorizons:
 
     def test_zero_horizon_gives_zero(self):
         prof = gaussian_profile(M=128, R=10.0)
-        assert hardy_time_derivative_check(prof, T=0.0).lhs == 0.0
-        assert maximal_bound_check(prof, T=0.0).lhs == 0.0
+        assert hardy_time_derivative_check(prof, T=0.0)["lhs"] == 0.0
+        assert maximal_bound_check(prof, T=0.0)["lhs"] == 0.0
 
     @pytest.mark.parametrize(
         "probe", [maximal_bound_check, duhamel_maximal_bound_check, hardy_time_derivative_check]
@@ -837,7 +837,7 @@ class TestBoundChecks:
     def test_zero_profile_trivial(self):
         zero = profile_from_function(lambda r: np.zeros_like(r), R=8.0, M=64)
         report = maximal_bound_check(zero, T=2.0)
-        assert report.lhs == 0.0 and report.rhs == 0.0
+        assert report["lhs"] == 0.0 and report["rhs"] == 0.0
 
     def test_unit_ball_indicator_pinned(self):
         # f = 1 on [0, 1]: rhs = sqrt(4 pi / 3); oracle for the lhs is the
@@ -846,7 +846,7 @@ class TestBoundChecks:
             lambda r: (r <= 1.0).astype(float), R=8.0, M=2048
         )
         report = maximal_bound_check(prof, T=4.0)
-        assert report.rhs == pytest.approx(np.sqrt(4 * np.pi / 3), rel=1e-4)
+        assert report["rhs"] == pytest.approx(np.sqrt(4 * np.pi / 3), rel=1e-4)
 
         def j_closed(t, r):
             hi = np.minimum(r + t, 1.0)
@@ -857,12 +857,12 @@ class TestBoundChecks:
         ts = np.linspace(0.0, 4.0, 4001)
         sup = np.array([np.max(j_closed(t, r)) for t in ts])
         oracle = np.sqrt(np.trapezoid(sup**2, ts)) / np.sqrt(4 * np.pi / 3)
-        assert report.empirical_constant == pytest.approx(oracle, rel=2e-3)
+        assert report["empirical_constant"] == pytest.approx(oracle, rel=2e-3)
         # regression pin: first validated run at (M=2048, T=4)
-        assert report.empirical_constant == pytest.approx(0.3093746167, rel=1e-6)
+        assert report["empirical_constant"] == pytest.approx(0.3093746167, rel=1e-6)
 
     def test_duhamel_variant_finite(self):
         prof = gaussian_profile(M=256)
         report = duhamel_maximal_bound_check(prof, T=3.0, n_t=128)
-        assert math.isfinite(report.empirical_constant)
-        assert report.lhs <= report.rhs * 2.0
+        assert math.isfinite(report["empirical_constant"])
+        assert report["lhs"] <= report["rhs"] * 2.0

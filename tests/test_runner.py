@@ -846,7 +846,7 @@ class TestVerdictRule:
         assert set(entry) == CATALOG_CHECK_KEYS["prop14"]
         assert entry["initial_l2"] == radial_l2_norm(sc.initial_profile())
         assert 0 < entry["final_l2"] < entry["initial_l2"]
-        assert entry["passed"] is True and report.csv_path is None
+        assert entry["passed"] is True and report.diagnostics_csv is None
 
     def test_out_of_space_hardy_probe_fails_by_its_infinite_constant(self, tmp_path):
         # amplitude 1e-16 keeps the right side positive but below the flag's
@@ -856,8 +856,9 @@ class TestVerdictRule:
         body = RADIAL_WAVE.replace("gaussian(0.05", "gaussian(1e-16").replace("prop14", "cor39")
         (sc,) = load_config(write_config(tmp_path, body))
         report = hardy_time_derivative_check(sc.initial_profile())
-        assert 0 < report.rhs and report.lhs / report.rhs < math.inf
-        assert report.empirical_constant == math.inf and report.notes == {"out_of_space": True}
+        assert 0 < report["rhs"] and report["lhs"] / report["rhs"] < math.inf
+        assert report["empirical_constant"] == math.inf
+        assert report["notes"] == {"out_of_space": True}
         entry = run(sc, tmp_path / "out").checks["cor39"]
         assert entry["empirical_constant"] == "inf" and entry["passed"] is False
 

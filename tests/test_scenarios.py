@@ -40,7 +40,7 @@ class TestLoadConfig:
         (sc,) = load_config(write_config(tmp_path, GOOD))
         assert sc.name == "demo"
         assert sc.n == 1 and sc.p == 3.0 and sc.N == 64
-        assert sc.checks == ["prop21"]
+        assert sc.checks == ("prop21",)
         u0 = sc.initial_field()
         assert l2_norm(u0) > 0
 
@@ -147,7 +147,7 @@ checks = prop14, cor37, cor39
         (sc,) = load_config(write_config(tmp_path, body))
         report = run(sc, tmp_path / "out")
         assert report.all_passed
-        assert report.csv_path is None
+        assert report.diagnostics_csv is None
 
     def test_lemma36_reads_no_radial_grid(self, tmp_path):
         from semirelax.runner import run
@@ -230,6 +230,15 @@ class TestValidByConstruction:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "scenarios.cfg"]
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["demo"]
 
+    def test_checks_cannot_be_appended(self, tmp_path):
+        # a list once let sc.checks.append("nope") past the validation
+        (sc,) = load_config(write_config(tmp_path, GOOD))
+        with pytest.raises(AttributeError):
+            sc.checks.append("nope")
+        assert sc.checks == ("prop21",)
+        built = Scenario("x", 1, 3.0, 1e-2, 0.1, sc.initial, checks=["prop21"], N=64, L=20.0)
+        assert built.checks == ("prop21",)
+
     @pytest.mark.parametrize("changes, rule", [
         ({"name": "../hole"}, "a name is one path component"),
         ({"N": 100}, "power of two"),
@@ -299,6 +308,15 @@ class TestRadialWaveRejectsSpectralKeys:
             load_config(write_config(tmp_path, body))
         assert "ignores ['s', 'snapshot_stride', 'N', 'L']" in str(err.value)
 
+    def test_replace_names_them(self, tmp_path):
+        # a key not at its default is set, as if the config named it: this
+        # replace once ran with both keys ignored
+        from dataclasses import replace
+
+        (wave,) = load_config(write_config(tmp_path, WAVE_ONLY))
+        with pytest.raises(ScenarioError, match=re.escape("ignores ['s', 'snapshot_stride']")):
+            replace(wave, s=2.0, snapshot_stride=5)
+
     def test_solver_both_reads_them(self, tmp_path):
         body = WAVE_ONLY.replace("solver = radial-wave", "solver = both")
         (sc,) = load_config(write_config(tmp_path, body + "s = 1.2\nN = 16\nL = 10\n"))
@@ -337,32 +355,32 @@ CATALOG = {
     "p11_1d_cubic": dict(
         n=1, p=3.0, s=1.5, solver="spectral", dt=0.001, T=1.0,
         initial="gaussian(0.5, 1.0, 0.0)",
-        checks=["prop11", "prop21", "prop22", "prop24", "duhamel"],
+        checks=("prop11", "prop21", "prop22", "prop24", "duhamel"),
         N=256, L=40.0, M=None, R=None, snapshot_stride=1, nonlinear=True,
     ),
     "p11_1d_quintic": dict(
         n=1, p=5.0, s=1.5, solver="spectral", dt=0.001, T=1.0,
-        initial="gaussian(0.4, 1.0, 0.0)", checks=["prop11", "prop21"],
+        initial="gaussian(0.4, 1.0, 0.0)", checks=("prop11", "prop21"),
         N=256, L=40.0, M=None, R=None, snapshot_stride=1, nonlinear=True,
     ),
     "p12_2d_s15": dict(
         n=2, p=3.0, s=1.5, solver="spectral", dt=0.001, T=0.5,
-        initial="gaussian(0.5, 1.0, 0.0)", checks=["prop12", "prop21", "prop23", "prop24"],
+        initial="gaussian(0.5, 1.0, 0.0)", checks=("prop12", "prop21", "prop23", "prop24"),
         N=128, L=30.0, M=None, R=None, snapshot_stride=2, nonlinear=True,
     ),
     "p13_3d_subcritical": dict(
         n=3, p=2.5, s=1.0, solver="spectral", dt=0.002, T=0.5,
-        initial="gaussian(0.2, 1.0, 0.0)", checks=["prop13", "prop21", "lemma33"],
+        initial="gaussian(0.2, 1.0, 0.0)", checks=("prop13", "prop21", "lemma33"),
         N=64, L=20.0, M=None, R=None, snapshot_stride=10, nonlinear=True,
     ),
     "p14_3d_critical": dict(
         n=3, p=3.0, s=1.0, solver="both", dt=0.002, T=0.5,
-        initial="gaussian(0.1, 1.0, 0.0)", checks=["prop14", "prop21", "lemma35"],
+        initial="gaussian(0.1, 1.0, 0.0)", checks=("prop14", "prop21", "lemma35"),
         N=64, L=20.0, M=512, R=20.0, snapshot_stride=10, nonlinear=True,
     ),
     "lin_3d_probes": dict(
         n=3, p=3.0, s=1.0, solver="both", dt=0.05, T=4.0,
-        initial="gaussian(1.0, 1.0, 0.0)", checks=["lemma34", "lemma36", "cor37", "cor39"],
+        initial="gaussian(1.0, 1.0, 0.0)", checks=("lemma34", "lemma36", "cor37", "cor39"),
         N=64, L=20.0, M=512, R=20.0, snapshot_stride=1, nonlinear=False,
     ),
 }
@@ -385,13 +403,6 @@ R = 10
 snapshot_stride = 2
 nonlinear = false
 """
-
-
-def _default(f):
-    """A Scenario field's default; MISSING for a required key."""
-    from dataclasses import MISSING
-
-    return f.default if f.default_factory is MISSING else f.default_factory()
 
 
 class TestKeyTable:
@@ -424,12 +435,12 @@ class TestKeyTable:
         (sc,) = load_config(write_config(tmp_path, EVERY_KEY))
         assert asdict(sc) == dict(
             name="every_key", n=3, p=3.0, dt=0.01, T=0.05, initial="gaussian(0.1, 1.0, 0.0)",
-            s=0.5, solver="both", checks=["lemma36", "prop21"], N=16, L=10.0, M=64, R=10.0,
+            s=0.5, solver="both", checks=("lemma36", "prop21"), N=16, L=10.0, M=64, R=10.0,
             snapshot_stride=2, nonlinear=False,
         )
         for f in fields(Scenario)[1:]:
             assert f"\n{f.name} = " in EVERY_KEY
-            assert getattr(sc, f.name) != _default(f), f.name
+            assert getattr(sc, f.name) != f.default, f.name
 
     def test_catalog_values_pinned(self):
         from dataclasses import asdict
@@ -450,10 +461,10 @@ class TestKeyTable:
         lines = dict(re.findall(r"^    (\w+) = .*?# (.*)$", block, re.MULTILINE))
         assert list(lines) == [f.name for f in fields(Scenario)[1:]]
         for f in fields(Scenario)[1:]:
-            default, comment = _default(f), lines[f.name]
+            default, comment = f.default, lines[f.name]
             assert comment.startswith("optional") == (default is not MISSING), f.name
             stated = re.match(r"optional, default ([^\s:]+)", comment)
-            if default in (MISSING, None, []):  # required, or unset unless given
+            if default in (MISSING, None, ()):  # required, or unset unless given
                 assert stated is None, f.name
                 continue
             cast, word = scenarios.KEYS[f.name], stated.group(1)
@@ -790,8 +801,8 @@ class TestScenarioFuzz:
         except ScenarioError:
             return
         report = run(sc, tmp / "out")
-        if report.csv_path is not None:
-            table = np.genfromtxt(tmp / "out" / "fuzz" / report.csv_path,
+        if report.diagnostics_csv is not None:
+            table = np.genfromtxt(tmp / "out" / "fuzz" / report.diagnostics_csv,
                                   delimiter=",", names=True)
             assert all(np.isfinite(table[name]).all() for name in table.dtype.names)
             l2 = np.atleast_1d(table["l2"])
