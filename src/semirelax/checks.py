@@ -30,7 +30,8 @@ import numpy as np
 from . import diagnostics as diag
 from .propagator import Trajectory, duhamel_residual
 from .radial import (
-    RadialTrajectory, _Spline, maximal_bound_check, maximal_domination_gap, radial_l2_norm,
+    REGULARIZATION_EPS, RadialTrajectory, _Spline, maximal_bound_check,
+    maximal_domination_gap, radial_l2_norm,
 )
 
 # residual thresholds at the reference step dt = 1e-3
@@ -77,7 +78,8 @@ def _scaling(ctx) -> dict:
 
 def _duhamel(ctx) -> dict:
     value = duhamel_residual(ctx.traj)
-    scale = max(float(diag.diagnostics_table(ctx.traj, ctx.scenario.s)["l2"][0]), 1e-30)
+    l2_0 = float(diag.diagnostics_table(ctx.traj, ctx.scenario.s)["l2"][0])
+    scale = max(l2_0, REGULARIZATION_EPS)
     return {"residual": value, "relative": value / scale}
 
 

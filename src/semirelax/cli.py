@@ -9,17 +9,15 @@
 Exit code is 0 iff every requested check passed, 2 for a configuration
 error (including a bad --vary key or value, or a sweep member the loader
 would reject; no member runs then; a check-exponents --p or --s that is
-not a finite rational, or --p <= 1; and a SEMIRELAX_THREADS that is not a
-positive integer).  That variable, read here alone, sets the FFT workers of
-each run and the sweep members run at once (default 1); --deterministic
-runs one worker.  Library callers pass threads= to run and sweep instead.
+not a finite rational, or --p <= 1).  --deterministic zeroes the reports'
+wall time.  Every run uses one FFT worker and a sweep runs its members one
+after another; the environment is not read.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -78,11 +76,11 @@ def _select(scenarios, name):
     return chosen
 
 
-def _cmd_run(args, threads: int) -> int:
+def _cmd_run(args) -> int:
     scenarios = _select(load_config(args.config), args.scenario)
     all_ok = True
     for sc in scenarios:
-        report = run(sc, args.out, args.deterministic, args.plots, threads)
+        report = run(sc, args.out, args.deterministic, args.plots)
         for check, entry in report.checks.items():
             status = "pass" if entry["passed"] else "FAIL"
             print(f"{sc.name}: {check}: {status}")
@@ -102,14 +100,11 @@ def _parse_vary(items) -> dict:
     return vary
 
 
-def _cmd_sweep(args, threads: int) -> int:
+def _cmd_sweep(args) -> int:
     scenarios = _select(load_config(args.config), args.scenario)
     if len(scenarios) != 1:
         raise ScenarioError("sweep needs exactly one scenario; use --scenario")
-    aggregate = sweep(
-        scenarios[0], _parse_vary(args.vary), args.out,
-        deterministic=args.deterministic, threads=threads,
-    )
+    aggregate = sweep(scenarios[0], _parse_vary(args.vary), args.out, args.deterministic)
     ok = True
     for member in aggregate["members"]:
         if "error" in member:
@@ -172,14 +167,8 @@ def _cmd_check_exponents(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "check-exponents":
-            return _cmd_check_exponents(args)
-        raw = os.environ.get("SEMIRELAX_THREADS", "1")
-        if not (raw.isdecimal() and int(raw) > 0):
-            raise ScenarioError(f"SEMIRELAX_THREADS must be a positive integer, got {raw!r}")
-        if args.command == "run":
-            return _cmd_run(args, int(raw))
-        return _cmd_sweep(args, int(raw))
+        commands = {"run": _cmd_run, "sweep": _cmd_sweep, "check-exponents": _cmd_check_exponents}
+        return commands[args.command](args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,12 +10,10 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 from . import diagnostics as diag
 from .checks import CHECKS
@@ -76,59 +74,51 @@ class _RunContext:
         if not self.scenario.nonlinear:
             return self.traj
         stored = self.traj.snapshots  # the free flow from traj's stored row 0
-        return _march(stored.grid, stored.basis, self.scenario.stepper(nonlinear=False))
+        free = replace(self.scenario.stepper(), nonlinear=False)
+        return _march(stored.grid, stored.basis, free)
 
 
 def run(
-    scenario: Scenario,
-    outdir,
-    deterministic: bool = False,
-    plots: bool = False,
-    threads: int = 1,
+    scenario: Scenario, outdir, deterministic: bool = False, plots: bool = False
 ) -> RunReport:
     """Execute one scenario and write its reports under outdir/<name>/.
 
-    Transforms use ``threads`` FFT workers (scipy.fft.set_workers, local
-    to the calling thread; the environment is not read).  Deterministic
-    mode uses one worker and zeroes the wall-time field so repeated runs
-    produce byte-identical CSV/JSON output.
+    Deterministic mode zeroes the wall-time field so repeated runs produce
+    byte-identical CSV/JSON output.  Transforms use the caller's FFT
+    workers: scipy's default of one, or n inside scipy.fft.set_workers(n).
     """
     t0 = time.perf_counter()
     run_dir = os.path.join(outdir, scenario.name)
     os.makedirs(os.path.join(run_dir, "checks"), exist_ok=True)
-    with scipy.fft.set_workers(1 if deterministic else threads):
-        ctx = _RunContext(scenario)
-        csv_path = None
-        if scenario.solver in ("spectral", "both"):
-            # stored relative to the run directory so reports are
-            # byte-identical across output locations
-            csv_path = "diagnostics.csv"
-            try:
-                hessian = any(CHECKS[check].hessian for check in scenario.checks)
-                diag.diagnostics_table(ctx.traj, scenario.s, hessian)
-                rows = diag.write_diagnostics_csv(
-                    ctx.traj, os.path.join(run_dir, csv_path), s=scenario.s
-                )
-            except Exception as exc:  # solver errors carry scenario context
-                raise RuntimeError(
-                    f"solver failed for scenario {scenario.name!r}: {exc}"
-                ) from exc
-        results = {}
-        for check in scenario.checks:
-            try:
-                spec = CHECKS[check]
-                data = spec.evaluate(ctx)
-            except Exception as exc:  # surfaced with scenario context
-                raise RuntimeError(
-                    f"check {check!r} failed to run for scenario {scenario.name!r}: {exc}"
-                ) from exc
-            value = data[spec.value]  # every check's verdict: finite and at most its bound
-            passed = bool(math.isfinite(value) and value <= spec.bound(scenario, data))
-            results[check] = {"passed": passed, **_jsonable(data)}
-            with open(os.path.join(run_dir, "checks", f"{check}.json"), "w") as fh:
-                json.dump(results[check], fh, indent=2, sort_keys=True)
-        if plots and csv_path:
-            emit_plots(diag.CSV_HEADER.split(","), rows, os.path.join(run_dir, "plots"))
+    ctx = _RunContext(scenario)
+    csv_path = None
+    if scenario.solver in ("spectral", "both"):
+        # stored relative to the run directory so reports are
+        # byte-identical across output locations
+        csv_path = "diagnostics.csv"
+        try:
+            hessian = any(CHECKS[check].hessian for check in scenario.checks)
+            diag.diagnostics_table(ctx.traj, scenario.s, hessian)
+            path = os.path.join(run_dir, csv_path)
+            rows = diag.write_diagnostics_csv(ctx.traj, path, s=scenario.s)
+        except Exception as exc:  # solver errors carry scenario context
+            raise RuntimeError(f"solver failed for scenario {scenario.name!r}: {exc}") from exc
+    results = {}
+    for check in scenario.checks:
+        try:
+            spec = CHECKS[check]
+            data = spec.evaluate(ctx)
+        except Exception as exc:  # surfaced with scenario context
+            raise RuntimeError(
+                f"check {check!r} failed to run for scenario {scenario.name!r}: {exc}"
+            ) from exc
+        value = data[spec.value]  # every check's verdict: finite and at most its bound
+        passed = bool(math.isfinite(value) and value <= spec.bound(scenario, data))
+        results[check] = {"passed": passed, **_jsonable(data)}
+        with open(os.path.join(run_dir, "checks", f"{check}.json"), "w") as fh:
+            json.dump(results[check], fh, indent=2, sort_keys=True)
+    if plots and csv_path:
+        emit_plots(diag.CSV_HEADER.split(","), rows, os.path.join(run_dir, "plots"))
     wall = 0.0 if deterministic else time.perf_counter() - t0
     report = RunReport(asdict(scenario), results, csv_path, wall)
     with open(os.path.join(run_dir, "report.json"), "w") as fh:
@@ -176,24 +166,18 @@ def _variation(base: Scenario, key: str, value) -> dict:
     return {"initial": f"{kind}({', '.join(repr(a) for a in args)})"}
 
 
-def sweep(
-    base: Scenario,
-    vary: dict[str, list],
-    outdir,
-    deterministic: bool = False,
-    threads: int = 1,
-) -> dict:
+def sweep(base: Scenario, vary: dict[str, list], outdir, deterministic: bool = False) -> dict:
     """Run a parameter sweep and aggregate convergence and stability data.
 
-    Up to ``threads`` members run at once, one FFT worker each, so the
-    sweep uses no more threads than that; run-time failures are recorded
-    and do not abort the sweep, but an unknown key, a key with no values
-    or two equal ones, a non-numeric value, a sigma that is not finite and
-    positive, an amplitude sweep of file data or a member Scenario rejects
-    raises ScenarioError before any member runs.  When dt is varied, the
-    checks whose CHECKS entry has sweep role "order" get a fitted order of
-    their value and a refinement chart per group of members that share
-    every other swept value; "stability" ones get a max/min ratio.
+    The members run one after another, each through run; run-time failures
+    are recorded and do not abort the sweep, but an unknown key, a key with
+    no values or two equal ones, a non-numeric value, a sigma that is not
+    finite and positive, an amplitude sweep of file data or a member
+    Scenario rejects raises ScenarioError before any member runs.  When dt
+    is varied, the checks whose CHECKS entry has sweep role "order" get a
+    fitted order of their value and a refinement chart per group of members
+    that share every other swept value; "stability" ones get a max/min
+    ratio.
     """
     swept = {}  # key -> {value: raw}, in the order given
     for key, values in vary.items():
@@ -213,25 +197,12 @@ def sweep(
         ]
     # constructing a member validates it: a bad one stops the sweep before any runs
     members = [(replace(base, **changes), at) for changes, at in members]
-    results: list[RunReport | Exception] = [None] * len(members)
-
-    threads = 1 if deterministic else threads
-    concurrent = threads > 1 and len(members) > 1
-    # members running at once share the cores: one FFT worker each
-    workers = 1 if concurrent else threads
-
-    def _one(i: int):
+    results: list[RunReport | Exception] = []
+    for sc, _ in members:
         try:
-            results[i] = run(members[i][0], outdir, deterministic, threads=workers)
+            results.append(run(sc, outdir, deterministic))
         except Exception as exc:
-            results[i] = exc
-
-    if concurrent:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(_one, range(len(members))))
-    else:
-        for i in range(len(members)):
-            _one(i)
+            results.append(exc)
 
     aggregate = {"members": [], "orders": {}, "stability": {}}
     for (sc, _), res in zip(members, results):

@@ -172,10 +172,9 @@ class Scenario:
             raise ScenarioError(f"{where}: mode number k must be an integer")
         return kind, args
 
-    def stepper(self, nonlinear: bool | None = None) -> StepperConfig:
-        """The time-stepping parameters; nonlinear defaults to the scenario's."""
-        nonlinear = self.nonlinear if nonlinear is None else nonlinear
-        return StepperConfig(self.p, self.dt, self.T, self.snapshot_stride, nonlinear)
+    def stepper(self) -> StepperConfig:
+        """The time-stepping parameters."""
+        return StepperConfig(self.p, self.dt, self.T, self.snapshot_stride, self.nonlinear)
 
     def initial_field(self) -> Field:
         if self.N is None or self.L is None:

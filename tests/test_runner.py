@@ -22,9 +22,12 @@ from catalog_manifest import MANIFEST, drift, manifest
 from conftest import reference_passed
 
 
-# every scipy.fft transform of a 1-d run: the solve and its readers take the
-# single-axis pair, a Field read the n-axis one
-TRANSFORMS = ("fft", "ifft", "fftn", "ifftn")
+# every scipy.fft transform the package calls: the FFT basis takes the
+# single-axis and n-axis pairs, the octant basis the DCT/DST ones and the
+# radial wave form the DST pair
+TRANSFORMS = (
+    "fft", "ifft", "fftn", "ifftn", "dct", "idct", "dctn", "idctn", "idstn", "dst", "idst",
+)
 
 
 def write_config(tmp_path, body):
@@ -289,7 +292,8 @@ class TestRun:
         ).replace("M = 128\nR = 12\n", "").replace("gaussian(0.05, 1.0, 0.0)", initial)
         (sc,) = load_config(write_config(tmp_path, body))
         ctx = _RunContext(sc)
-        got, want = ctx.linear_traj, evolve(sc.initial_field(), sc.stepper(nonlinear=False))
+        want = evolve(sc.initial_field(), replace(sc.stepper(), nonlinear=False))
+        got = ctx.linear_traj
         assert got.linear and got.config == want.config
         assert np.array_equal(got.times, want.times)
         octant = initial.endswith("0.0)")
@@ -338,31 +342,50 @@ class TestRun:
             assert a == b, rel
 
 
-def spy_on_transforms(monkeypatch, seen):
-    """Record (thread, FFT workers) of every scipy.fft transform."""
+def spy_on_transforms(monkeypatch, seen, names=None):
+    """Record (thread, FFT workers) of every scipy.fft transform, and its
+    name in names if given."""
     for name in TRANSFORMS:
 
-        def spy(*args, _fn=getattr(scipy.fft, name), **kwargs):
+        def spy(*args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
             used = kwargs.get("workers") or scipy.fft.get_workers()
             seen.add((threading.get_ident(), used))
+            if names is not None:
+                names.add(_name)
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(scipy.fft, name, spy)
 
 
+def _tree_bytes(root):
+    return {
+        path.relative_to(root): path.read_bytes()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+
+
 class TestThreads:
-    @pytest.mark.parametrize("deterministic, workers", [(True, 1), (False, 2)])
-    def test_run_scopes_fft_workers(self, tmp_path, monkeypatch, deterministic, workers):
-        # the worker count reaches every transform and is scoped to the run
-        seen = set()
-        spy_on_transforms(monkeypatch, seen)
-        (sc,) = load_config(write_config(tmp_path, FAST))
-        run(sc, tmp_path / "out", deterministic=deterministic, threads=2)
-        assert seen and {used for _, used in seen} == {workers}
+    @pytest.mark.parametrize("body, transforms", [
+        (FAST, {"fft", "ifft"}),
+        (RADIAL, {"dct", "idct", "dctn", "idctn", "idstn", "dst", "idst"}),
+    ], ids=["fft_1d", "octant_3d"])
+    def test_run_takes_the_callers_fft_workers(self, tmp_path, monkeypatch, body, transforms):
+        # a caller's set_workers(2) reaches every transform of the run, on
+        # the calling thread, and the files are those of a default run
+        (sc,) = load_config(write_config(tmp_path, body))
+        run(sc, tmp_path / "default", deterministic=True)
+        seen, names = set(), set()
+        spy_on_transforms(monkeypatch, seen, names)
+        with scipy.fft.set_workers(2):
+            run(sc, tmp_path / "two", deterministic=True)
+        assert seen == {(threading.get_ident(), 2)}
+        assert names >= transforms, names
         assert scipy.fft.get_workers() == 1
+        default, two = _tree_bytes(tmp_path / "default"), _tree_bytes(tmp_path / "two")
+        assert default and default == two
 
     def test_run_and_sweep_ignore_the_environment(self, tmp_path, monkeypatch):
-        # the variable is the command line's: library callers pass threads=
+        # no module reads the environment, the old thread variable included
         monkeypatch.setenv("SEMIRELAX_THREADS", "4")
         seen = set()
         spy_on_transforms(monkeypatch, seen)
@@ -374,20 +397,26 @@ class TestThreads:
 
 
 class TestSweep:
-    def test_concurrent_members_use_one_fft_worker_each(self, tmp_path, monkeypatch):
-        # two members run at once on threads=2; with one FFT worker each
-        # the sweep asks for 2 workers in total, not 2 x 2
-        seen = set()
-        spy_on_transforms(monkeypatch, seen)
+    @pytest.mark.parametrize("vary, changes", [
+        ({"dt": ["5e-3", "4e-3"]}, {
+            "fast_1d__dt_5e-3": {"dt": 5e-3},
+            "fast_1d__dt_4e-3": {"dt": 4e-3},
+        }),
+        ({"amplitude": ["0.3", "0.2"]}, {
+            "fast_1d__amplitude_0.3": {"initial": "gaussian(0.3, 1.0, 0.0)"},
+            "fast_1d__amplitude_0.2": {"initial": "gaussian(0.2, 1.0, 0.0)"},
+        }),
+    ], ids=["dt", "amplitude"])
+    def test_members_match_standalone_runs(self, tmp_path, vary, changes):
+        # a sweep is run over its members: each member directory holds the
+        # bytes a standalone deterministic run of that member writes
         (sc,) = load_config(write_config(tmp_path, FAST))
-        aggregate = sweep(sc, {"dt": ["5e-3", "4e-3"]}, tmp_path / "sweep", threads=2)
-        assert all("error" not in m for m in aggregate["members"])
-        per_thread = {}
-        for ident, used in seen:
-            per_thread[ident] = max(per_thread.get(ident, 0), used)
-        assert {used for _, used in seen} == {1}
-        assert sum(per_thread.values()) <= 2
-        assert threading.get_ident() not in per_thread
+        aggregate = sweep(sc, vary, tmp_path / "sweep", deterministic=True)
+        assert [m["scenario"]["name"] for m in aggregate["members"]] == list(changes)
+        for name, fields in changes.items():
+            run(replace(sc, name=name, **fields), tmp_path / "alone", deterministic=True)
+            member = _tree_bytes(tmp_path / "sweep" / name)
+            assert member and member == _tree_bytes(tmp_path / "alone" / name), name
 
     def test_singleton_grid_matches_run(self, tmp_path):
         (sc,) = load_config(write_config(tmp_path, FAST))
@@ -603,8 +632,8 @@ checks = cor37
 """
 
 
-def _fresh_python(args, threads="1"):
-    env = {**os.environ, "PYTHONPATH": SRC, "SEMIRELAX_THREADS": threads}
+def _fresh_python(args):
+    env = {**os.environ, "PYTHONPATH": SRC}
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
     )
@@ -637,8 +666,8 @@ class TestImportFootprint:
         assert found == []
 
     def test_only_the_cli_reads_the_environment(self):
-        # the thread count reaches run and sweep as an argument, and the
-        # runner names no check: what a sweep reads is in checks.CHECKS
+        # no module reads the environment, and the runner names no check:
+        # what a sweep reads is in checks.CHECKS
         from semirelax.checks import CHECKS
 
         readers = []
@@ -650,7 +679,7 @@ class TestImportFootprint:
                     alias.name in ("environ", "getenv") for alias in node.names
                 ):
                     readers.append(f"{path.name}:{node.lineno}")
-        assert readers and {r.split(":")[0] for r in readers} == {"cli.py"}, readers
+        assert readers == []
         runner_src = Path(SRC, "semirelax", "runner.py").read_text()
         literals = {
             node.value for node in ast.walk(ast.parse(runner_src))
@@ -659,21 +688,21 @@ class TestImportFootprint:
         assert not literals & set(CHECKS)
 
     def test_radial_probes_inside_sweep_threads(self, tmp_path):
-        # each member builds its JEvaluator splines on a worker thread of a
-        # fresh process, and the threaded sweep agrees with the serial one
+        # each member builds its JEvaluator splines in a fresh process, and a
+        # default sweep agrees with a deterministic one
         path = write_config(tmp_path, COR37_ONLY)
         vary = ["--vary", "amplitude=0.05,0.1,0.15,0.2"]
         cmd = ["-m", "semirelax", "sweep", "--config", str(path), *vary]
-        proc = _fresh_python([*cmd, "--out", str(tmp_path / "threads")], threads="2")
+        proc = _fresh_python([*cmd, "--out", str(tmp_path / "default")])
         assert proc.returncode == 0, proc.stderr
-        proc = _fresh_python([*cmd, "--out", str(tmp_path / "serial"), "--deterministic"])
+        proc = _fresh_python([*cmd, "--out", str(tmp_path / "deterministic"), "--deterministic"])
         assert proc.returncode == 0, proc.stderr
-        members = json.loads((tmp_path / "threads" / "sweep.json").read_text())["members"]
+        members = json.loads((tmp_path / "default" / "sweep.json").read_text())["members"]
         assert len(members) == 4 and all(m["passed"] for m in members)
         for m in members:
             rel = Path(m["scenario"]["name"]) / "checks" / "cor37.json"
-            threaded = (tmp_path / "threads" / rel).read_bytes()
-            assert threaded == (tmp_path / "serial" / rel).read_bytes(), rel
+            default = (tmp_path / "default" / rel).read_bytes()
+            assert default == (tmp_path / "deterministic" / rel).read_bytes(), rel
 
 
 class TestErrorSurfacing:
