@@ -37,8 +37,10 @@ __all__ = [
 PHYSICAL = "physical"
 SPECTRAL = "spectral"
 
-# bytes per block of stacked snapshots
-_BLOCK_BYTES = 1 << 20
+# bytes per block of stored snapshots, counted in the rows a run stores (the
+# octant of an octant run): 256 KiB, so a block and the table's four or so
+# block-sized temporaries fit in a 2 MiB L2
+_BLOCK_BYTES = 1 << 18
 
 Symbol = Union[np.ndarray, Callable[[Sequence[np.ndarray]], np.ndarray]]
 

@@ -14,7 +14,10 @@ is a one-step run of it, ``lie_step`` the plain first-order composition.
 and U(dt/2) once per run with the 2/3 dealias mask (odd integer p <= 5)
 folded in, and merges the half-steps of adjacent steps, so a step costs two
 FFTs; a stored snapshot closes its half-step into a block of stored
-snapshots, inverse transformed once when the block is full.  The
+snapshots, inverse transformed once when the block is full.  A block holds
+max(1, fields._BLOCK_BYTES // bytes of the stored row) rows, the row being
+what the run stores (an octant or the full grid): 256 KiB, so the block and
+the four or so block-sized temporaries of a table pass fit in L2.  The
 per-step L^2 check uses Parseval on the coefficients.  Mirror-symmetric data
 with n >= 2 run and are stored on the (N/2+1)^n octant under a DCT-I pair
 (fields._basis), about a quarter of the cost at 64^3; 1-d data keep the FFT pair.
@@ -280,7 +283,7 @@ def _march(grid, basis: _Basis, cfg: StepperConfig) -> Trajectory:
     parseval = grid.cell_volume / grid.size
     norm0 = math.sqrt(parseval * _sum_squares(c, weights))
     tol = 1e-10 * norm0
-    size = max(1, _BLOCK_BYTES // (16 * grid.size))  # full-grid complex snapshots
+    size = max(1, _BLOCK_BYTES // (16 * state.size))  # rows as stored: octant or grid
     count = 1 + n_steps // cfg.snapshot_stride
     shape = state.shape
     blocks = [np.empty((min(size, count), *shape), complex)]

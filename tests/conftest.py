@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from semirelax import Field, make_grid
+from semirelax import Field, make_grid, to_physical
+from semirelax.fields import _basis
 
 
 @pytest.fixture
@@ -58,6 +59,13 @@ def symmetrized(f):
     for ax in range(v.ndim):
         v = (v + mirror(v, ax)) / 2
     return Field(f.grid, v)
+
+
+def stored_row_bytes(f):
+    """The bytes of one snapshot of f as evolve stores it, the unit of its
+    block budget: the (N/2+1)^n octant of mirror-symmetric data with
+    n >= 2, else the full grid."""
+    return _basis(to_physical(f).values, f.grid.n).samples.nbytes
 
 
 def reference_passed(check, sc, entry) -> bool:

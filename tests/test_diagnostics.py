@@ -43,17 +43,17 @@ from semirelax.norms import space_time_norm, weighted_norm
 from semirelax.plotting import fit_order
 from semirelax.propagator import _Snapshots, duhamel_residual, linear_step
 from semirelax.radial import _estimate, profile_from_function
-from conftest import constant_field, mirror, random_field, symmetrized
+from conftest import constant_field, mirror, random_field, stored_row_bytes, symmetrized
 
 
 def stored_trajectory(cfg, times, snaps, block_bytes=BLOCK_BYTES):
     """A Trajectory of hand-made Fields stored as evolve stores a run: one
     fields._basis over the whole stack, so one mirror test and one basis
-    per trajectory, cut into blocks of about block_bytes of full-grid
-    snapshots."""
+    per trajectory, cut into blocks of about block_bytes of stored rows
+    (octants of mirror-symmetric data)."""
     grid = snaps[0].grid
     basis = _basis(np.stack([to_physical(u).values for u in snaps]), grid.n)
-    size = max(1, block_bytes // snaps[0].values.nbytes)
+    size = max(1, block_bytes // basis.samples[0].nbytes)
     blocks = [basis.samples[i : i + size] for i in range(0, len(snaps), size)]
     return Trajectory(cfg, np.asarray(times), _Snapshots(grid, basis, blocks))
 
@@ -430,10 +430,10 @@ class TestHessianColumn:
     ], ids=["fft_1d", "fft_2d", "octant_2d", "octant_3d"])
     @pytest.mark.parametrize("nonlinear", [True, False])
     def test_matches_the_per_block_pass(self, monkeypatch, n, N, center, nonlinear):
-        # blocks of three snapshots: the window 2..11 starts and ends inside one
+        # blocks of three stored rows: the window 2..11 starts and ends inside one
         g = make_grid(n, N, 10.0)
         u0 = gaussian_field(g, 0.8, center=center)
-        monkeypatch.setattr(propagator, "_BLOCK_BYTES", 3 * u0.values.nbytes)
+        monkeypatch.setattr(propagator, "_BLOCK_BYTES", 3 * stored_row_bytes(u0))
         traj = evolve(u0, StepperConfig(p=3.0, dt=0.01, T=0.13, nonlinear=nonlinear))
         assert (traj.snapshots.basis.weights is None) == (n == 1 or center != 0)
         cross = diagnostics_table(traj, hessian=True)["cross"]
@@ -880,8 +880,8 @@ class TestBlockedPass:
         cfg = StepperConfig(p=3.0, dt=0.01, T=0.13, nonlinear=nonlinear)
         u0 = gaussian_field(g, 0.8, center=1.0)
         i1, i2 = 2, 11  # an interior window, split unevenly by blocks of 3
-        snapshot = u0.values.nbytes
-        settings = {1: [1] * 14, 3 * snapshot: [3, 3, 3, 3, 2], 1 << 40: [14]}
+        row = stored_row_bytes(u0)
+        settings = {1: [1] * 14, 3 * row: [3, 3, 3, 3, 2], 1 << 40: [14]}
         results = []
         for budget, sizes in settings.items():
             monkeypatch.setattr(propagator, "_BLOCK_BYTES", budget)
@@ -909,7 +909,7 @@ class TestBlockedPass:
         u0 = gaussian_field(g, 0.8)
         i1, i2 = 2, 11
         results = []
-        for budget in (1, 3 * u0.values.nbytes, 1 << 40):
+        for budget in (1, 3 * stored_row_bytes(u0), 1 << 40):
             monkeypatch.setattr(propagator, "_BLOCK_BYTES", budget)
             traj = evolve(u0, cfg)
             results.append((diagnostics_table(traj, 1.5), *octant_checks(traj, i1, i2)))
@@ -1005,26 +1005,27 @@ class TestBlockedPass:
             assert np.shares_memory(basis.samples, traj.snapshots.blocks[i])
 
     def test_table_frees_each_block_before_the_next(self):
-        # p11_1d_cubic's data: 1,001 rows of N = 256 in four 1 MiB blocks.
-        # A block's coefficients, moduli and dissipation densities go before
-        # the next block's forward transform, so the table peaks at most
-        # 4.2 MiB above the trajectory it reads (about 4.15 MiB)
+        # p11_1d_cubic's data: 1,001 rows of N = 256 in sixteen 256 KiB
+        # blocks.  A block's coefficients, moduli and dissipation densities go
+        # before the next block's forward transform, so the table peaks at
+        # most 1.3 MiB above the trajectory it reads (about 1.23 MiB; 4.15
+        # with 1 MiB blocks)
         g = make_grid(1, 256, 40.0)
         traj = evolve(gaussian_field(g, 0.5), StepperConfig(p=3.0, dt=1e-3, T=1.0))
-        assert [len(basis.samples) for _, basis in traj.blocks()] == [256, 256, 256, 233]
+        assert [len(basis.samples) for _, basis in traj.blocks()] == [64] * 15 + [41]
         tracemalloc.start()
         try:
             diagnostics_table(traj, 1.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4.2 * 2**20
+        assert peak <= 1.3 * 2**20
 
     def test_duhamel_frees_each_block_before_the_next(self):
         # the same data: |u|^(p-1) and the U(t_final - t_k) factor are formed
         # in place and a block's arrays go before the next block's transform,
-        # so the residual peaks at most 2.75 MiB above the trajectory (about
-        # 2.53 MiB; 4.03 when each block held three complex arrays at once)
+        # so the residual peaks at most 0.85 MiB above the trajectory (about
+        # 0.78 MiB; 2.53 with 1 MiB blocks)
         g = make_grid(1, 256, 40.0)
         traj = evolve(gaussian_field(g, 0.5), StepperConfig(p=3.0, dt=1e-3, T=1.0))
         tracemalloc.start()
@@ -1033,7 +1034,7 @@ class TestBlockedPass:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.75 * 2**20
+        assert peak <= 0.85 * 2**20
 
 
 def unfold(octant, N):

@@ -32,7 +32,7 @@ from semirelax import (
 from semirelax import fields, propagator
 from semirelax.fields import _BLOCK_BYTES as BLOCK_BYTES
 from semirelax.plotting import fit_order
-from conftest import constant_field, mirror, random_field, symmetrized
+from conftest import constant_field, mirror, random_field, stored_row_bytes, symmetrized
 
 
 def amplitude_ode_oracle(rho0: float, p: float, tau: float) -> float:
@@ -548,15 +548,16 @@ class TestDealiasCorner:
     @pytest.mark.parametrize("scheme", ["strang", "lie"])
     @pytest.mark.parametrize("n", [2, 3])
     def test_run_matches_the_full_pair(self, n, scheme, p, stride, monkeypatch):
-        # blocks of 3 rows, so several block inverses.  A Lie step is
-        # U(dt/2) S U(-dt/2) for the Strang step S, so the Lie march of u0 is
-        # the run from U(-dt/2) u0 (mirror-symmetric again) shifted by U(dt/2)
+        # blocks of 3 stored (octant) rows, so several block inverses.  A Lie
+        # step is U(dt/2) S U(-dt/2) for the Strang step S, so the Lie march of
+        # u0 is the run from U(-dt/2) u0 (mirror-symmetric again) shifted by
+        # U(dt/2)
         g = make_grid(n, {2: 32, 3: 16}[n], 8.0)
         u0 = symmetrized(random_field(g, np.random.default_rng(7)))
         cfg = StepperConfig(p=p, dt=0.02, T=0.3, snapshot_stride=stride)
         if scheme == "lie":
             u0, lie_u0 = symmetrized(to_physical(linear_step(u0, -cfg.dt / 2))), u0
-        monkeypatch.setattr(propagator, "_BLOCK_BYTES", 3 * u0.values.nbytes)
+        monkeypatch.setattr(propagator, "_BLOCK_BYTES", 3 * stored_row_bytes(u0))
         pruned = evolve(u0, cfg).snapshots
         if scheme == "lie":
             shifted = [linear_step(u, cfg.dt / 2) for u in pruned]
@@ -572,7 +573,8 @@ class TestDealiasCorner:
         monkeypatch.setattr(fields, "_corner_pair", full_pair)
         full = evolve(u0, cfg).snapshots
         assert built == [g.N // 3 + 1]
-        assert pruned.basis.weights is not None and len(pruned.blocks) > 1
+        assert pruned.basis.weights is not None
+        assert len(pruned.blocks) > 1 and len(pruned.blocks[0]) == 3
         assert [len(b) for b in pruned.blocks] == [len(b) for b in full.blocks]
         for a, b in zip(pruned.blocks, full.blocks):
             assert np.array_equal(a, b)
@@ -616,6 +618,44 @@ class TestBlockStorage:
         for a, b in zip(one, default):
             assert np.array_equal(a.values, b.values)
 
+    @given(
+        n=st.sampled_from([1, 2, 3]),
+        symmetric=st.booleans(),
+        stride=st.integers(1, 4),
+        budget=st.one_of(st.just(BLOCK_BYTES), st.integers(1, 1 << 14)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_rows_come_from_the_stored_row_property(
+        self, n, symmetric, stride, budget
+    ):
+        # a block holds as many rows as the budget has bytes of the row the
+        # run stores: the (N/2+1)^n octant of centred data with n >= 2, the
+        # full grid of off-centre data and of every 1-d run
+        g = make_grid(n, {1: 32, 2: 16, 3: 8}[n], 8.0)
+        u0 = gaussian_field(g, 0.8, center=0.0 if symmetric else 1.0)
+        cfg = StepperConfig(p=3.0, dt=0.02, T=0.3, snapshot_stride=stride)
+        propagator._BLOCK_BYTES = budget
+        try:
+            blocks = evolve(u0, cfg).snapshots.blocks
+        finally:
+            propagator._BLOCK_BYTES = BLOCK_BYTES
+        row = blocks[0][0]
+        side = g.N // 2 + 1 if symmetric and n >= 2 else g.N
+        assert row.shape == (side,) * n and row.dtype == np.complex128
+        rows = max(1, budget // row.nbytes)
+        *full, last = [len(block) for block in blocks]
+        assert full == [rows] * len(full) and 1 <= last <= rows
+        assert sum(full) + last == 1 + cfg.n_steps // stride
+
+    @pytest.mark.parametrize("n, N, rows", [(1, 256, 64), (2, 128, 3), (3, 64, 1)],
+                             ids=["p11", "p12", "octant_3d"])
+    def test_catalog_rows_per_block(self, n, N, rows):
+        # the default 256 KiB budget on the catalog's stored rows: 4 KiB in
+        # 1-d, the 65^2 and 33^3 octants of centred 2-d and 3-d data
+        u0 = gaussian_field(make_grid(n, N, 20.0), 0.5)
+        cfg = StepperConfig(p=3.0, dt=1e-3, T=rows * 1e-3)  # rows + 1 snapshots
+        assert [len(block) for block in evolve(u0, cfg).snapshots.blocks] == [rows, 1]
+
     @pytest.mark.parametrize("rows", [1, 3, None])
     def test_one_inverse_per_block(self, monkeypatch, rows):
         # a stride-1 Strang run of n steps: one inverse per step for the
@@ -623,7 +663,7 @@ class TestBlockStorage:
         # per-snapshot inverse makes 2n; 1-d data take the single-axis pair
         u0 = gaussian_field(make_grid(1, 64, 10.0), 0.5)
         if rows is not None:
-            monkeypatch.setattr(propagator, "_BLOCK_BYTES", rows * u0.values.nbytes)
+            monkeypatch.setattr(propagator, "_BLOCK_BYTES", rows * stored_row_bytes(u0))
         n = 10
         calls = []
         ifft = scipy.fft.ifft
@@ -677,6 +717,22 @@ class TestDuhamelResidual:
             for dt in (4e-3, 2e-3, 1e-3)
         ]
         assert not StepperConfig(p=p, dt=1e-3, T=1.0).dealias_active
+        assert all(math.log2(a / b) >= 1.9 for a, b in zip(vals, vals[1:])), vals
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 6: under the 2/3 mask the Duhamel defect loses its "
+        "order as dt shrinks (p = 5: 0.12, then 0.01; p = 3: 1.86, then 1.02)",
+    )
+    @pytest.mark.parametrize("p", [3.0, 5.0], ids=["p=3", "p=5"])
+    def test_second_order_masked_on_the_catalog_grid(self, p):
+        # the unmasked test above at the odd integer powers the mask applies to
+        g = make_grid(1, 256, 40.0)
+        vals = [
+            duhamel_residual(evolve(gaussian_field(g, 0.5), StepperConfig(p=p, dt=dt, T=1.0)))
+            for dt in (4e-3, 2e-3, 1e-3)
+        ]
+        assert StepperConfig(p=p, dt=1e-3, T=1.0).dealias_active
         assert all(math.log2(a / b) >= 1.9 for a, b in zip(vals, vals[1:])), vals
 
     def test_second_order_refinement_default_config(self):

@@ -19,7 +19,7 @@ from semirelax import runner
 from semirelax.checks import LEMMA35_TOL, spectral_vs_wave_disagreement
 from semirelax.radial import maximal_domination_gap
 from catalog_manifest import MANIFEST, drift, manifest
-from conftest import reference_passed
+from conftest import reference_passed, stored_row_bytes
 
 
 # every scipy.fft transform the package calls: the FFT basis takes the
@@ -145,10 +145,10 @@ class TestRun:
         # column a run without prop24 never forms
         from semirelax import evolve, propagator
 
-        monkeypatch.setattr(propagator, "_BLOCK_BYTES", 4 * N**n * 16)
         trajs, calls = [], []
 
-        def solve_then_count(u0, cfg):
+        def solve_then_count(u0, cfg):  # in blocks of four stored rows
+            monkeypatch.setattr(propagator, "_BLOCK_BYTES", 4 * stored_row_bytes(u0))
             trajs.append(evolve(u0, cfg))
             transform = getattr(scipy.fft, forward)
             monkeypatch.setattr(
@@ -162,6 +162,7 @@ class TestRun:
         (sc,) = load_config(write_config(tmp_path, body))
         run(sc, tmp_path / "out")
         (traj,) = trajs
+        assert len(traj.snapshots.blocks[0]) == 4
         assert len(calls) == len(list(traj.blocks())) > 1
         assert any("cross" in table for table in traj.tables.values()) == (checks == "prop24")
 
