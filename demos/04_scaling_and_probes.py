@@ -15,8 +15,11 @@ from semirelax import (
     evolve,
     gaussian_field,
     make_grid,
+    l2_norm,
     scaling_critical_exponent,
+    space_time_norm,
     strauss_ratio,
+    weighted_norm,
     weighted_strichartz_ratio,
 )
 
@@ -48,6 +51,10 @@ for s in (0.8, 1.0, 1.2):
 
 print("\n=== weighted space-time probe on the free flow ===")
 traj = evolve(f3, StepperConfig(p=3.0, dt=0.1, T=4.0, nonlinear=False))
-for delta, q1 in ((0.25, 4.0), (0.5, 4.0), (0.5, 2.0)):
-    ratio = weighted_strichartz_ratio(traj, delta, q1)
-    print(f"delta={delta}, q1={q1}: ratio = {ratio:.6f}")
+print(f"lemma34, delta=0.5, q1=4.0: ratio = {weighted_strichartz_ratio(traj):.6f}")
+# other weights from the norms themselves, each snapshot read as a Field
+for delta, q1 in ((0.25, 4.0), (0.5, 2.0)):
+    num = space_time_norm(
+        (traj.times, traj.snapshots), q1, lambda u: weighted_norm(u, delta, q1, sign=-1)
+    )
+    print(f"delta={delta}, q1={q1}: ratio = {num / l2_norm(f3):.6f}")

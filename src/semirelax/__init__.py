@@ -32,7 +32,6 @@ from .fields import (
     half_laplacian,
     load_field,
     mode_field,
-    save_field,
     second_derivative,
     to_physical,
     to_spectral,

@@ -128,7 +128,7 @@ CHECKS = {
         "spectral", "ratio", sweep="stability",
     ),
     "lemma34": Check(  # weighted space-time probe, free flow
-        lambda ctx: {"ratio": diag.weighted_strichartz_ratio(ctx.linear_traj, delta=0.5, q1=4.0)},
+        lambda ctx: {"ratio": diag.weighted_strichartz_ratio(ctx.linear_traj)},
         "spectral", "ratio", sweep="stability",
     ),
     "lemma35": Check(  # spectral vs wave-form cross-check

@@ -1,14 +1,14 @@
 """Residuals and ratio probes for the a priori structure of the flow.
 
 The CSV, the balance laws, the H^s growth bound, the curvature inequality
-(prop24) and the lemma33 and Duhamel scales read one per-snapshot table
-stored on the trajectory, built with one forward transform of each
-snapshot; the CSV's residuals are running trapezoid sums over it.  Every
-reader takes Trajectory.blocks, one transform and reduction per block,
-derivatives from fields._derivative on the block's basis, and folds no
-snapshot: on the (N/2+1)^n octant of an octant-resident trajectory its sums
-carry the DCT-I multiplicities, at about a sixth of the full-grid time and
-memory at 64^3.
+(prop24), the weighted space-time probe (lemma34) and the lemma33 and
+Duhamel scales read one per-snapshot table stored on the trajectory, built
+with one forward transform of each snapshot; the CSV's residuals are
+running trapezoid sums over it.  Every reader takes Trajectory.blocks, one
+transform and reduction per block, derivatives from fields._derivative on
+the block's basis, and folds no snapshot: on the (N/2+1)^n octant of an
+octant-resident trajectory its sums carry the DCT-I multiplicities, at
+about a sixth of the full-grid time and memory at 64^3.
 A linear trajectory dissipates nothing: its balance laws are conservation
 of ||u||^2, ||grad u||^2.
 
@@ -52,8 +52,12 @@ __all__ = [
 
 TABLE_COLUMNS = (
     "t", "l2", "h1dot", "h2dot", "hs", "linf", "lpp1", "grad_term", "modulus_term",
+    "weighted",
 )
 CSV_HEADER = "t,l2,h1dot,h2dot,hs,linf,lpp1_budget,res_prop21,res_prop22"
+
+# (delta, q1) of lemma34's weight [x]_delta^(-1/q1): the weighted column
+STRICHARTZ_WEIGHT = (0.5, 4.0)
 
 
 def _snapshot_index(traj: Trajectory, t: float) -> int:
@@ -70,13 +74,16 @@ def diagnostics_table(
     """Per-snapshot scalars of ``traj``, one array per TABLE_COLUMNS entry,
     built on first use and stored on the trajectory under s: the time t, the
     norms l2, h1dot, h2dot, hs (homogeneous, index s), linf and lpp1 (L^(p+1)),
-    and the two dissipation integrands of check_h1_identity, grad_term and
+    the two dissipation integrands of check_h1_identity, grad_term and
     modulus_term, zero for a linear trajectory and else both formed from the
-    same d_j u.  With hessian, one more column, cross, holds the Hessian
-    cross term sum_{j,k} ||u d_j d_k u||^2 of check_h2_inequality; a stored
-    table without it is built again whole.  The pass runs over
-    Trajectory.blocks: one forward transform (then one inverse per d_j u and
-    per d_j d_k u) and one reduction per block.
+    same d_j u, and weighted, the L^2 norm weighted by [x]_delta^(-1/q1) at
+    STRICHARTZ_WEIGHT that lemma34 integrates in time (norms._weighted_l2),
+    zero for a nonlinear trajectory.  With hessian, one more column, cross,
+    holds the Hessian cross term sum_{j,k} ||u d_j d_k u||^2 of
+    check_h2_inequality; a stored table without it is built again whole.
+    The pass runs over Trajectory.blocks, the only pass over a linear run's
+    rows: one forward transform (then one inverse per d_j u and per
+    d_j d_k u) and one reduction per block.
 
     An octant-resident trajectory is tabled on its stored octant arrays, with
     no fold and no second mirror test, under a DCT-I transform, its sums
@@ -94,11 +101,9 @@ def diagnostics_table(
     specs = [(name, SobolevSpec(r, homogeneous=True))
              for name, r in (("h1dot", 1.0), ("h2dot", 2.0), ("hs", s))]
     # (column, spec, |multiplier| at the modes), built once: on the octant
-    # from the k <= N/2 corner of |xi| alone
-    sobolev = None
+    # from the k <= N/2 corner of |xi| alone; so is lemma34's weight
+    sobolev = weighted = None
     for i, basis in traj.blocks():
-        # the last block's arrays go before this block's forward transform
-        coeffs = absu = nonzero = grad_sq = radial_sq = power = None
         samples, forward, weights = basis.samples, basis.forward, basis.weights
         rows = slice(i, i + len(samples))
         if sobolev is None:
@@ -106,6 +111,8 @@ def diagnostics_table(
                 (name, spec, np.abs(spec._at(grid.xi_norm_at(basis.modes))))
                 for name, spec in specs
             ]
+            if traj.linear:
+                weighted = _weighted_l2(grid, *STRICHARTZ_WEIGHT, sign=-1, weights=weights)
         coeffs = forward(samples)
         coeffs *= dV
         for name, spec, m in sobolev:
@@ -121,19 +128,23 @@ def diagnostics_table(
             table["cross"][rows] += _integral(np.abs(samples * djk) ** 2, weights, grid)
             del djk  # one second derivative held at a time
         if traj.linear:
-            continue
-        nonzero, grad_sq, radial_sq = absu > 0, 0.0, 0.0
-        for j in range(grid.n):
-            d = _derivative(basis, coeffs, grid, (j,))
-            grad_sq += np.abs(d) ** 2
-            # Re(conj(u) d_j u) / |u| = (grad |u|^2)_j / (2|u|), 0 where u is
-            re = d.real * samples.real + d.imag * samples.imag
-            radial_sq += np.divide(re, absu, out=re, where=nonzero) ** 2
-            del d, re  # one derivative held at a time
-        power = absu ** (p - 1.0)
-        table["grad_term"][rows] = 2.0 * _integral(power * grad_sq, weights, grid)
-        radial_sq *= power
-        table["modulus_term"][rows] = 2.0 * (p - 1.0) * _integral(radial_sq, weights, grid)
+            table["weighted"][rows] = weighted(absu)
+        else:
+            nonzero, grad_sq, radial_sq = absu > 0, 0.0, 0.0
+            for j in range(grid.n):
+                d = _derivative(basis, coeffs, grid, (j,))
+                grad_sq += np.abs(d) ** 2
+                # Re(conj(u) d_j u) / |u| = (grad |u|^2)_j / (2|u|), 0 where u is
+                re = d.real * samples.real + d.imag * samples.imag
+                radial_sq += np.divide(re, absu, out=re, where=nonzero) ** 2
+                del d, re  # one derivative held at a time
+            power = absu ** (p - 1.0)
+            table["grad_term"][rows] = 2.0 * _integral(power * grad_sq, weights, grid)
+            radial_sq *= power
+            table["modulus_term"][rows] = 2.0 * (p - 1.0) * _integral(radial_sq, weights, grid)
+        # this block's arrays go before the next block is read (and, for a
+        # linear run, rebuilt)
+        basis = samples = coeffs = absu = nonzero = grad_sq = radial_sq = power = None
     traj.tables[s] = table
     return table
 
@@ -354,26 +365,24 @@ def strauss_ratio(f, s: float = 1.0) -> float:
     return float(np.max(radii ** (n / 2.0 - s) * vals)) / denom
 
 
-def weighted_strichartz_ratio(traj: Trajectory, delta: float, q1: float) -> float:
-    """Weighted space-time probe for the free flow:
+def weighted_strichartz_ratio(traj: Trajectory) -> float:
+    """Weighted space-time probe for the free flow, (delta, q1) =
+    STRICHARTZ_WEIGHT = (1/2, 4):
 
         || [x]_delta^(-1/q1) u(t) ||_{L^q1(0,T;L^2)} / ||u(0)||_{L^2}.
 
     Only trajectories generated by the linear propagator are accepted.
-    Returns 0 for zero data.  Both norms sum over the stored rows.
+    Returns 0 for zero data.  Both norms are table columns: the weighted
+    one in time by the trapezoid rule, over l2 of row 0.
     """
     if not traj.linear:
         raise ValueError("weighted space-time probe requires a linear trajectory")
-    if q1 < 2:
-        raise ValueError(f"time exponent must satisfy q1 >= 2, got {q1}")
-    grid, first = _initial_row(traj)
-    denom = math.sqrt(float(_integral(np.abs(first.samples) ** 2, first.weights, grid)[0]))
+    table = _any_table(traj)
+    denom = float(table["l2"][0])
     if denom == 0:
         return 0.0
-    weighted = _weighted_l2(grid, delta, q1, sign=-1, weights=first.weights)
-    rows = [row for _, basis in traj.blocks() for row in basis.samples]
-    num = space_time_norm((traj.times, rows), q1, weighted)
-    return num / denom
+    q1 = STRICHARTZ_WEIGHT[1]
+    return space_time_norm((table["t"], table["weighted"]), q1, float) / denom
 
 
 def hardy_time_derivative_check(

@@ -30,7 +30,6 @@ __all__ = [
     "second_derivative",
     "gaussian_field",
     "mode_field",
-    "save_field",
     "load_field",
 ]
 
@@ -322,17 +321,10 @@ def mode_field(grid: Grid, k: int, amplitude: complex = 1.0) -> Field:
     return Field(grid, amplitude * np.exp(1j * xi * x), PHYSICAL)
 
 
-def save_field(f: Field, path) -> None:
-    """Write a field snapshot: header 'n N L representation', then one
-    're im' line per value (17 significant digits, row-major order)."""
-    with open(path, "w") as fh:
-        fh.write(f"{f.grid.n} {f.grid.N} {f.grid.L:.17g} {f.representation}\n")
-        for v in f.values.reshape(-1):
-            fh.write(f"{v.real:.17g} {v.imag:.17g}\n")
-
-
 def load_field(path) -> Field:
-    """Read a field snapshot written by save_field."""
+    """Read a field snapshot: a header line 'n N L representation', then
+    N^n lines 're im', the values in row-major order (17 significant digits
+    keep every bit)."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 4:

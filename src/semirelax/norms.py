@@ -231,7 +231,7 @@ def weighted_norm(f, delta: float, q: float, sign: int) -> float:
     continuum integral.
     """
     samples = to_physical(f).values if isinstance(f, Field) else f.values
-    return _weighted_l2(f.grid if isinstance(f, Field) else f, delta, q, sign)(samples)
+    return float(_weighted_l2(f.grid if isinstance(f, Field) else f, delta, q, sign)(samples))
 
 
 def _sample_radii(grid: Grid, weights: np.ndarray | None) -> np.ndarray:
@@ -247,7 +247,8 @@ def _weighted_l2(where, delta: float, q: float, sign: int,
                  weights: np.ndarray | None = None) -> Callable:
     """The map samples -> weighted_norm of the samples on the Grid ``where``
     (on its octant, given the multiplicities of fields._basis) or at the
-    radii of the profile ``where``, with the weight built once."""
+    radii of the profile ``where``, with the weight built once; the norm of
+    each row of a (B, ...) stack of samples, B of them."""
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if q < 1:
@@ -261,13 +262,14 @@ def _weighted_l2(where, delta: float, q: float, sign: int,
         radii, measure = where.r, 4.0 * np.pi * where.r**2 * where.dr
     with np.errstate(divide="ignore", invalid="ignore"):
         w = weight_bracket(radii, delta) ** (sign / q)
-    ok = np.isfinite(w)
-    w = w[ok]
+    w[~np.isfinite(w)] = 0.0  # dropped: the origin carries no measure
+    axes = tuple(range(-w.ndim, 0))
 
-    def norm(samples) -> float:
-        vals = np.abs(samples)
-        integrand = np.zeros_like(vals)
-        integrand[ok] = (w * vals[ok]) ** 2
-        return float(np.sqrt(np.sum(integrand * measure)))
+    def norm(samples) -> np.ndarray:
+        integrand = np.abs(samples)  # the one temporary, worked in place
+        integrand *= w
+        np.square(integrand, out=integrand)
+        integrand *= measure
+        return np.sqrt(np.sum(integrand, axis=axes))
 
     return norm

@@ -17,8 +17,12 @@ FFTs; a stored snapshot closes its half-step into a block of stored
 snapshots, inverse transformed once when the block is full.  A block holds
 max(1, fields._BLOCK_BYTES // bytes of the stored row) rows, the row being
 what the run stores (an octant or the full grid): 256 KiB, so the block and
-the four or so block-sized temporaries of a table pass fit in L2.  The
-per-step L^2 check uses Parseval on the coefficients.  Mirror-symmetric data
+the four or so block-sized temporaries of a table pass fit in L2.  A linear
+run stores no rows: each is the last times U(dt), so it keeps row 0's
+samples, their coefficients and U(dt), and is replayed on read, each block
+rebuilt by the same multiplies and inverse with the same bits, and only
+the blocks a reader asks for.  The per-step L^2 check uses Parseval on the
+coefficients.  Mirror-symmetric data
 with n >= 2 run and are stored on the (N/2+1)^n octant under a DCT-I pair
 (fields._basis), about a quarter of the cost at 64^3; 1-d data keep the FFT pair.
 The run keeps no other copy of u0 and builds |xi| and the mask only at the
@@ -34,6 +38,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import reduce
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,32 +109,95 @@ class StepperConfig:
         return float(self.p).is_integer() and int(self.p) % 2 == 1 and self.p <= 5
 
 
-class _Snapshots(Sequence):
-    """The snapshots of a run of evolve on ``grid``: rows 0, 1, ... of the
-    (B, *shape) ``blocks`` are their samples under ``basis`` (fields._basis
-    of u0), and they are the only copy of the run's data, u0 included.
-    Item k is its row folded to a full-grid Field (a view unless
-    octant-resident), item 0 like every other."""
+class _FreeFlow(NamedTuple):
+    """What a linear run keeps in place of stored rows, beside row 0's
+    samples: row 0's unscaled coefficients, U(dt) at the basis modes, the
+    snapshot stride, the rows per block and the snapshot count."""
 
-    def __init__(self, grid, basis: _Basis, blocks: list[np.ndarray]):
-        self.grid, self.basis, self.blocks = grid, basis, blocks
+    coeffs: np.ndarray
+    full: np.ndarray
+    stride: int
+    size: int
+    count: int
+
+
+class _Snapshots(Sequence):
+    """The snapshots of a run of evolve on ``grid``: basis.samples is row 0,
+    the samples of u0 under ``basis`` (fields._basis of u0) and the run's
+    only copy of them.  A nonlinear run stores its rows as the (B, *shape)
+    ``blocks``, row 0 their first; a linear run stores none (``free``) and
+    rebuilds each block on read, with the bits _march would have stored.
+    Item k is its row folded to a full-grid Field (a view unless
+    octant-resident), item 0 like every other; a linear run rebuilds k's
+    block for it."""
+
+    def __init__(self, grid, basis: _Basis, blocks: Sequence[np.ndarray] = (),
+                 free: _FreeFlow | None = None):
+        self.grid, self.basis, self.blocks, self.free = grid, basis, blocks, free
 
     def __len__(self) -> int:
-        return sum(map(len, self.blocks))
+        return self.free.count if self.free else sum(map(len, self.blocks))
 
     def __getitem__(self, k: int) -> Field:
-        k, size = range(len(self))[k], len(self.blocks[0])
-        return Field(self.grid, self.blocks[k // size][k % size][self.basis.fold])
+        k = range(len(self))[k]
+        (_, rows), = self.rows(k, k + 1)
+        return Field(self.grid, rows[0][self.basis.fold])
+
+    def __iter__(self):  # block by block: item by item would replay from row 0 each time
+        for _, rows in self.rows():
+            yield from (Field(self.grid, row[self.basis.fold]) for row in rows)
+
+    def rows(self, start: int = 0, stop: int | None = None):
+        """Yield (i, rows) over snapshots start..stop-1, rows the samples of
+        snapshots i, i+1, ... as one (B, *shape) array, a view of one block;
+        a linear run builds only these blocks and stops after stop."""
+        stop = len(self) if stop is None else min(stop, len(self))
+        if self.free is None:
+            blocks = zip(accumulate(map(len, self.blocks), initial=0), self.blocks)
+        else:
+            blocks = self._replay(start, stop)
+        for i, block in blocks:
+            if i >= stop:
+                return
+            if start < i + len(block):
+                yield max(i, start), block[max(start - i, 0) : stop - i]
+
+    def _replay(self, start: int, stop: int):
+        """(i, block) for each block of a linear run that meets snapshots
+        start..stop-1, built as _march builds a stored block: c *= U(dt) in
+        place every step from row 0's coefficients, a row a copy of c, then
+        one inverse per block.  A block before start costs its multiplies."""
+        coeffs, full, stride, size, count = self.free
+        c = coeffs.copy()
+        for i in range(0, stop, size):
+            rows = min(size, count - i)
+            block = np.empty((rows, *c.shape), complex) if start < i + rows else None
+            for j in range(1 if i == 0 else 0, rows):  # row 0 is u0's samples
+                for _ in range(stride):
+                    c *= full
+                if block is not None:
+                    block[j] = c
+            if block is not None:
+                if i == 0:
+                    block[0] = self.basis.samples
+                _to_samples(block[1 if i == 0 else 0 :], self.basis.inverse)
+                yield i, block
+
+
+def _to_samples(coeffs: np.ndarray, inverse) -> None:
+    """A block's rows of coefficients to samples, by one in-place inverse."""
+    if len(coeffs) and not np.may_share_memory(out := inverse(coeffs, overwrite_x=True), coeffs):
+        coeffs[...] = out  # scipy.fft did not transform in place
 
 
 @dataclass
 class Trajectory:
     """Uniformly sampled (time, Field) snapshots from one evolution; ``tables``
     caches diagnostics.diagnostics_table by Sobolev index.  snapshots are
-    the _Snapshots evolve stores, which own the initial data: snapshot 0 is
-    the fold of its stored row, equal to u0 (up to the sign of a mirrored
-    zero).  Only indexing snapshots folds: every reader of a run reads the
-    stored rows through blocks() or the table, and grid is the stored grid."""
+    the _Snapshots evolve returns, which own the initial data: snapshot 0 is
+    the fold of row 0, equal to u0 (up to the sign of a mirrored zero).
+    Only reading snapshots as Fields folds: every reader of a run reads the
+    rows through blocks() or the table, and grid is the stored grid."""
 
     config: StepperConfig
     times: np.ndarray
@@ -144,16 +213,13 @@ class Trajectory:
         return not self.config.nonlinear
 
     def blocks(self, start: int = 0, stop: int | None = None):
-        """Yield (i, basis) over stored snapshots start..stop-1, basis.samples
-        the samples of snapshots i, i+1, ... as one (B, ...) array, a view of
-        a block evolve stored.  Callers never write into the samples."""
+        """Yield (i, basis) over snapshots start..stop-1, basis.samples the
+        samples of snapshots i, i+1, ... as one (B, ...) array, a view of a
+        block evolve stored or, for a linear run, rebuilt (_Snapshots.rows).
+        Callers never write into the samples."""
         stored = self.snapshots
-        i, stop = 0, len(stored) if stop is None else stop
-        for block in stored.blocks:
-            if start < i + len(block) and i < stop:
-                rows = block[max(start - i, 0) : stop - i]
-                yield max(i, start), stored.basis._replace(samples=rows)
-            i += len(block)
+        for i, rows in stored.rows(start, stop):
+            yield i, stored.basis._replace(samples=rows)
 
 
 def linear_step(f: Field, tau: float) -> Field:
@@ -235,7 +301,11 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
     closes one.  Multipliers are built once per run.  Snapshots are stored
     in blocks (_Snapshots), each allocated with its first row; a row takes
     its snapshot's coefficients, and one in-place inverse per full block
-    makes them samples.
+    makes them samples.  A linear run (nonlinear = False) stores no rows:
+    it keeps row 0's samples, their coefficients and U(dt), three rows in
+    all whatever the snapshot count, and _Snapshots replays the run on
+    read, rebuilding only the blocks read, each with the bits it would
+    have had stored.
 
     Both substeps keep mirror symmetry, so for mirror-symmetric data with
     n >= 2 (a centred gaussian) the loop runs on the DCT-I octant of
@@ -285,11 +355,14 @@ def _march(grid, basis: _Basis, cfg: StepperConfig) -> Trajectory:
     tol = 1e-10 * norm0
     size = max(1, _BLOCK_BYTES // (16 * state.size))  # rows as stored: octant or grid
     count = 1 + n_steps // cfg.snapshot_stride
-    shape = state.shape
-    blocks = [np.empty((min(size, count), *shape), complex)]
-    blocks[0][0] = state
-    basis = basis._replace(samples=blocks[0][0])  # row 0: u0's only copy from here
-    del state
+    if cfg.nonlinear:
+        blocks = [np.empty((min(size, count), *state.shape), complex)]
+        blocks[0][0] = state
+        snapshots = _Snapshots(grid, basis._replace(samples=blocks[0][0]), blocks)
+    else:  # no rows: U(dt) replays them from row 0's coefficients on read
+        free = _FreeFlow(c.copy(), full, cfg.snapshot_stride, size, count)
+        snapshots = _Snapshots(grid, basis._replace(samples=state.copy()), free=free)
+    del state, basis  # row 0: u0's only copy from here
     times = [0.0]
     prev_norm = norm0
     for k in range(1, n_steps + 1):
@@ -299,7 +372,7 @@ def _march(grid, basis: _Basis, cfg: StepperConfig) -> Trajectory:
             del v  # the step's samples go before a row is stored
             c = w * full  # a new array: a stored row reads w * close
         else:
-            c *= full  # in place: a stored row is a copy of c
+            c *= full  # in place, as _Snapshots replays it
         norm = math.sqrt(parseval * _sum_squares(c, weights))
         if not math.isfinite(norm):
             raise FloatingPointError(
@@ -311,17 +384,17 @@ def _march(grid, basis: _Basis, cfg: StepperConfig) -> Trajectory:
                 f"L^2 norm increased at step {k}: {prev_norm!r} -> {norm!r}"
             )
         prev_norm = norm
-        if k % cfg.snapshot_stride == 0:
+        if k % cfg.snapshot_stride:
+            continue
+        if cfg.nonlinear:
             j = len(times) % size
             if j == 0:
-                blocks.append(np.empty((min(size, count - len(times)), *shape), complex))
-            times.append(k * cfg.dt)
-            blocks[-1][j] = w * close if cfg.nonlinear else c
+                blocks.append(np.empty((min(size, count - len(times)), *c.shape), complex))
+            blocks[-1][j] = w * close
             if j + 1 == len(blocks[-1]):  # full: rows after u0 to samples
-                coeffs = blocks[-1][1 if len(blocks) == 1 else 0 :]
-                if not np.may_share_memory(out := cinv(coeffs, overwrite_x=True), coeffs):
-                    coeffs[...] = out  # scipy.fft did not transform in place
-    return Trajectory(cfg, np.asarray(times), _Snapshots(grid, basis, blocks))
+                _to_samples(blocks[-1][1 if len(blocks) == 1 else 0 :], cinv)
+        times.append(k * cfg.dt)
+    return Trajectory(cfg, np.asarray(times), snapshots)
 
 
 def duhamel_residual(traj: Trajectory) -> float:

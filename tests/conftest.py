@@ -68,6 +68,22 @@ def stored_row_bytes(f):
     return _basis(to_physical(f).values, f.grid.n).samples.nbytes
 
 
+def block_rows(traj):
+    """The (B, *shape) sample blocks of traj as its readers get them from
+    Trajectory.blocks: stored by a nonlinear run, rebuilt by a linear one."""
+    return [basis.samples for _, basis in traj.blocks()]
+
+
+def write_field(f, path):
+    """Write f in the field format load_field reads: a header line
+    'n N L representation', then one 're im' line per value in row-major
+    order, each number to 17 significant digits."""
+    with open(path, "w") as fh:
+        fh.write(f"{f.grid.n} {f.grid.N} {f.grid.L:.17g} {f.representation}\n")
+        for v in f.values.reshape(-1):
+            fh.write(f"{v.real:.17g} {v.imag:.17g}\n")
+
+
 def reference_passed(check, sc, entry) -> bool:
     """The verdict of each check as its own evaluator once computed it, in
     one of four ways, read from the JSON entry a run wrote for the check

@@ -260,7 +260,7 @@ def _probe_family(level):
         gaussian_field(g, 1.0),
         StepperConfig(p=3.0, dt=0.1, T=4.0, nonlinear=False),
     )
-    out["weighted_strichartz"] = weighted_strichartz_ratio(traj, 0.5, 4.0)
+    out["weighted_strichartz"] = weighted_strichartz_ratio(traj)
     prof = profile_from_function(lambda r: np.exp(-(r**2)), R=16.0, M=M)
     out["cor37"] = maximal_bound_check(prof, T=4.0, n_t=256)["empirical_constant"]
     out["cor39"] = hardy_time_derivative_check(prof, T=12.0, n_t=256)["empirical_constant"]

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from semirelax.cli import main
+from conftest import write_field
 
 
 FAST = """
@@ -63,10 +64,10 @@ class TestRunCommand:
         assert a == b
 
     def test_file_data_off_the_scenario_grid_exits_2(self, tmp_path, capsys):
-        from semirelax import gaussian_field, make_grid, save_field
+        from semirelax import gaussian_field, make_grid
 
         # 1-d N = 64, L = 20 data under a 2-d N = 16, L = 10 scenario
-        save_field(gaussian_field(make_grid(1, 64, 20.0), 0.3), tmp_path / "u0.txt")
+        write_field(gaussian_field(make_grid(1, 64, 20.0), 0.3), tmp_path / "u0.txt")
         config = tmp_path / "file.cfg"
         config.write_text(
             FAST.replace("n = 1", "n = 2").replace("N = 64", "N = 16")

@@ -43,7 +43,9 @@ from semirelax.norms import space_time_norm, weighted_norm
 from semirelax.plotting import fit_order
 from semirelax.propagator import _Snapshots, duhamel_residual, linear_step
 from semirelax.radial import _estimate, profile_from_function
-from conftest import constant_field, mirror, random_field, stored_row_bytes, symmetrized
+from conftest import (
+    block_rows, constant_field, mirror, random_field, stored_row_bytes, symmetrized,
+)
 
 
 def stored_trajectory(cfg, times, snaps, block_bytes=BLOCK_BYTES):
@@ -103,8 +105,9 @@ def spectral_modulus_terms(traj):
 
 
 def reference_table(traj, s):
-    """The snapshot table one snapshot at a time: the norm functions, and the
-    dissipation integrands of reference_dissipation_terms when nonlinear."""
+    """The snapshot table one snapshot at a time: the norm functions, the
+    dissipation integrands of reference_dissipation_terms when nonlinear,
+    and lemma34's weighted_norm when linear."""
     p = traj.config.p
     specs = [SobolevSpec(r, homogeneous=True) for r in (1.0, 2.0, s)]
     rows = [
@@ -115,7 +118,10 @@ def reference_table(traj, s):
     dissipation = np.zeros((len(rows), 2))
     if not traj.linear:
         dissipation = reference_dissipation_terms(traj)
-    columns = np.hstack([np.array(rows, dtype=float), dissipation]).T
+    weighted = np.zeros((len(rows), 1))
+    if traj.linear:
+        weighted[:, 0] = [weighted_norm(u, 0.5, 4.0, sign=-1) for u in traj.snapshots]
+    columns = np.hstack([np.array(rows, dtype=float), dissipation, weighted]).T
     return dict(zip(TABLE_COLUMNS, columns))
 
 
@@ -484,11 +490,11 @@ def reference_scaling_law(u0: Field, sigma: float, s: float, p: float) -> dict:
     return _estimate(lhs, sigma**exponent * sobolev_norm(u0, spec))
 
 
-def reference_weighted_strichartz_ratio(traj, delta: float, q1: float) -> float:
-    """lemma34 on the full grid: weighted_norm of every folded snapshot over
-    the L^2 norm of the folded u0."""
+def reference_weighted_strichartz_ratio(traj) -> float:
+    """lemma34 on the full grid: weighted_norm (delta = 1/2, q1 = 4) of every
+    folded snapshot over the L^2 norm of the folded u0."""
     num = space_time_norm(
-        (traj.times, traj.snapshots), q1, lambda u: weighted_norm(u, delta, q1, sign=-1)
+        (traj.times, traj.snapshots), 4.0, lambda u: weighted_norm(u, 0.5, 4.0, sign=-1)
     )
     return num / l2_norm(traj.snapshots[0])
 
@@ -544,9 +550,9 @@ class TestInitialRowReaders:
     @pytest.mark.parametrize("n, center", DATA)
     def test_lemma34(self, monkeypatch, n, center):
         traj = self.trajectory(n, center, nonlinear=False)
-        ref = reference_weighted_strichartz_ratio(traj, 0.5, 4.0)
+        ref = reference_weighted_strichartz_ratio(traj)
         self.no_fold(monkeypatch)
-        assert weighted_strichartz_ratio(traj, 0.5, 4.0) == pytest.approx(ref, rel=1e-12)
+        assert weighted_strichartz_ratio(traj) == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("n, center", DATA)
     def test_duhamel_scale(self, monkeypatch, n, center):
@@ -666,10 +672,10 @@ class TestWeightedStrichartzRatio:
     def test_zero_data(self):
         g = make_grid(3, 16, 12.0)
         traj = evolve(constant_field(g, 0.0), StepperConfig(p=3.0, dt=0.1, T=0.5, nonlinear=False))
-        assert weighted_strichartz_ratio(traj, 0.5, 4.0) == 0.0
+        assert weighted_strichartz_ratio(traj) == 0.0
 
     def test_finite_ratio(self, linear_traj):
-        ratio = weighted_strichartz_ratio(linear_traj, 0.5, 4.0)
+        ratio = weighted_strichartz_ratio(linear_traj)
         assert math.isfinite(ratio) and ratio > 0
 
     def test_unimodular_invariance(self, linear_traj):
@@ -677,28 +683,29 @@ class TestWeightedStrichartzRatio:
         phase = np.exp(1j * 1.234)
         u0 = Field(g, phase * linear_traj.snapshots[0].values, "physical")
         traj2 = evolve(u0, linear_traj.config)
-        a = weighted_strichartz_ratio(linear_traj, 0.5, 4.0)
-        b = weighted_strichartz_ratio(traj2, 0.5, 4.0)
+        a = weighted_strichartz_ratio(linear_traj)
+        b = weighted_strichartz_ratio(traj2)
         assert a == pytest.approx(b, rel=1e-10)
 
     def test_matches_per_snapshot_weighted_norm(self):
-        # the weight is built once per call; the numerator is the per-snapshot
-        # weighted_norm, which rebuilds it every time, bit for bit, over the
-        # octant L^2 norm of row 0 (the table's; TestInitialRowReaders holds
-        # it against the full grid)
+        # the weight is built once per table; the numerator integrates the
+        # table's weighted column, the per-snapshot weighted_norm, which
+        # rebuilds it every time, bit for bit, over the octant L^2 norm of
+        # row 0 (the table's; TestInitialRowReaders holds it against the
+        # full grid)
         g = make_grid(3, 16, 12.0)
         cfg = StepperConfig(p=3.0, dt=0.1, T=0.5, nonlinear=False)
         traj = evolve(gaussian_field(g, 0.5), cfg)
         ref = space_time_norm(
             (traj.times, traj.snapshots), 4.0, lambda u: weighted_norm(u, 0.5, 4.0, sign=-1)
         ) / diagnostics_table(traj)["l2"][0]
-        assert weighted_strichartz_ratio(traj, 0.5, 4.0) == ref
+        assert weighted_strichartz_ratio(traj) == ref
 
     def test_rejects_nonlinear_trajectory(self):
         g = make_grid(3, 16, 12.0)
         traj = evolve(gaussian_field(g, 0.1), StepperConfig(p=3.0, dt=0.1, T=0.3))
         with pytest.raises(ValueError, match="linear trajectory"):
-            weighted_strichartz_ratio(traj, 0.5, 4.0)
+            weighted_strichartz_ratio(traj)
 
 
 class TestHardyCheck:
@@ -1074,7 +1081,7 @@ class TestOctantResident:
             u0 = symmetrized(random_field(g, np.random.default_rng(seed)))
         cfg = StepperConfig(p=3.0, dt=0.02, T=0.12, snapshot_stride=stride, nonlinear=nonlinear)
         traj = evolve(u0, cfg)
-        octants = np.concatenate(traj.snapshots.blocks)
+        octants = np.concatenate(block_rows(traj))
         first = traj.snapshots[0].values
         assert np.array_equal(first, u0.values) and first.dtype == u0.values.dtype
         for k in range(len(octants)):
@@ -1086,7 +1093,7 @@ class TestOctantResident:
             assert np.array_equal(table[name], ref[name]), name
         linear = replace(cfg, nonlinear=False)
         ratio, by_hand = (
-            weighted_strichartz_ratio(replace(t, config=linear), 0.5, 4.0)
+            weighted_strichartz_ratio(replace(t, config=linear))
             for t in (traj, hand)
         )
         full = space_time_norm(

@@ -19,13 +19,12 @@ from semirelax import (
     load_field,
     make_grid,
     mode_field,
-    save_field,
     second_derivative,
     to_physical,
     to_spectral,
 )
 from semirelax.fields import _basis, _corner_pair, _derivative
-from conftest import constant_field, random_field, symmetrized
+from conftest import constant_field, random_field, symmetrized, write_field
 
 
 class TestTransforms:
@@ -289,22 +288,23 @@ class TestGaussianField:
 
 
 class TestSnapshotFormat:
+    """load_field reads the documented format: a header 'n N L
+    representation', then N^n 're im' lines in row-major order."""
+
     def test_round_trip(self, tmp_path, grid_2d, rng):
         f = random_field(grid_2d, rng)
         path = tmp_path / "field.txt"
-        save_field(f, path)
+        write_field(f, path)
         g = load_field(path)
         assert g.grid == f.grid
         assert g.representation == f.representation
         assert np.array_equal(g.values, f.values)
 
     def test_header_format(self, tmp_path):
-        g = make_grid(1, 8, 2.5)
-        save_field(constant_field(g), tmp_path / "f.txt")
-        lines = (tmp_path / "f.txt").read_text().splitlines()
-        assert lines[0] == "1 8 2.5 physical"
-        assert len(lines) == 1 + 8
-        assert lines[1].split() == ["1", "0"]
+        (tmp_path / "f.txt").write_text("1 8 2.5 physical\n" + "1 0\n" * 8)
+        f = load_field(tmp_path / "f.txt")
+        assert f.grid == make_grid(1, 8, 2.5) and f.representation == "physical"
+        assert np.array_equal(f.values, constant_field(f.grid).values)
 
     def test_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -320,10 +320,10 @@ class TestSnapshotFormat:
             load_field(path)
 
     def test_literal_bytes(self, tmp_path):
+        # 17 significant digits read back to the same bits, -0 included
         vals = np.array([0.1 + 0.2j, -1 / 3, 1e-300j, 2.5, 0, 1e16, 0.5 - 0.5j, 7j])
         vals.real[4] = -0.0
-        save_field(Field(make_grid(1, 8, 2.5), vals, "spectral"), tmp_path / "f.txt")
-        assert (tmp_path / "f.txt").read_bytes() == (
+        (tmp_path / "f.txt").write_bytes(
             b"1 8 2.5 spectral\n"
             b"0.10000000000000001 0.20000000000000001\n"
             b"-0.33333333333333331 0\n"
@@ -334,6 +334,9 @@ class TestSnapshotFormat:
             b"0.5 -0.5\n"
             b"0 7\n"
         )
+        f = load_field(tmp_path / "f.txt")
+        assert f.grid == make_grid(1, 8, 2.5) and f.representation == "spectral"
+        assert np.array_equal(f.values.view(np.uint64), vals.view(np.uint64))
 
     @given(data=st.data(), n=st.integers(1, 3), spectral=st.booleans(),
            L=st.floats(1e-3, 1e3))
@@ -346,7 +349,7 @@ class TestSnapshotFormat:
         vals.real, vals.imag = parts
         f = Field(make_grid(n, N, L), vals, "spectral" if spectral else "physical")
         path = tmp_path_factory.getbasetemp() / "field_round_trip.txt"
-        save_field(f, path)
+        write_field(f, path)
         g = load_field(path)
         assert g.grid == f.grid and g.representation == f.representation
         assert np.array_equal(g.values.view(np.uint64), f.values.view(np.uint64))

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.fft
 import scipy.integrate
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,9 +32,13 @@ from semirelax import (
     to_spectral,
 )
 from semirelax import fields, propagator
-from semirelax.fields import _BLOCK_BYTES as BLOCK_BYTES
+from semirelax.diagnostics import diagnostics_table
+from semirelax.fields import _BLOCK_BYTES as BLOCK_BYTES, _basis
+from semirelax.norms import _sample_radii
 from semirelax.plotting import fit_order
-from conftest import constant_field, mirror, random_field, stored_row_bytes, symmetrized
+from conftest import (
+    block_rows, constant_field, mirror, random_field, stored_row_bytes, symmetrized,
+)
 
 
 def amplitude_ode_oracle(rho0: float, p: float, tau: float) -> float:
@@ -489,14 +495,14 @@ class TestOctantPath:
     def test_unmasked_octant_runs_keep_the_full_pair(self, case, monkeypatch):
         # without the 2/3 mask no coefficient is known to vanish: the
         # nonlinear runs make 5 dctn (u0 and 4 steps) and 5 idctn (4 steps
-        # and the block), the free flow one of each
+        # and the block), the free flow one dctn and, storing no rows, no idctn
         u0 = gaussian_field(make_grid(3, 16, 10.0), 0.5)
         cfg = StepperConfig(p=2.5 if case == "p2.5" else 3.0, dt=0.05, T=0.2,
                             nonlinear=case != "linear")
         assert not (cfg.nonlinear and cfg.dealias_active)
         dct, fft = self.family_calls(u0, cfg, monkeypatch)
         k = 1 if case == "linear" else 5
-        assert dct == {"dct": 0, "idct": 0, "dctn": k, "idctn": k}
+        assert dct == {"dct": 0, "idct": 0, "dctn": k, "idctn": 0 if case == "linear" else k}
         assert fft == {"fft": 0, "ifft": 0, "fftn": 0, "ifftn": 0}
 
     @pytest.mark.parametrize("case", ["1d", "off_centre", "mode", "one_sample"])
@@ -611,10 +617,11 @@ class TestBlockStorage:
             finally:
                 propagator._BLOCK_BYTES = BLOCK_BYTES
         one, default = (traj.snapshots for traj in runs)
-        assert [len(block) for block in one.blocks] == [1] * len(one)
-        assert [len(block) for block in default.blocks] == [len(default)]
+        ones, defaults = (block_rows(traj) for traj in runs)
+        assert [len(block) for block in ones] == [1] * len(one)
+        assert [len(block) for block in defaults] == [len(default)]
         assert np.array_equal(runs[0].times, runs[1].times)
-        assert np.array_equal(np.concatenate(one.blocks), np.concatenate(default.blocks))
+        assert np.array_equal(np.concatenate(ones), np.concatenate(defaults))
         for a, b in zip(one, default):
             assert np.array_equal(a.values, b.values)
 
@@ -677,6 +684,163 @@ class TestBlockStorage:
         assert len(calls) <= n + math.ceil(len(snaps) / size)
         if rows is None:
             assert len(calls) == n + 1
+
+
+def reference_free_flow(u0, cfg, size):
+    """The blocks of size rows that a linear run of evolve stored before it
+    replayed them: c *= U(dt) in place every step from the coefficients of
+    u0's samples, a stored row a copy of c, and one in-place inverse per
+    full block (in the first block, of the rows after u0)."""
+    g = u0.grid
+    state, fwd, inv, modes = _basis(to_physical(u0).values, g.n)[:4]
+    full = np.exp(-1j * cfg.dt * g.xi_norm_at(modes))
+    c = fwd(state)
+    count = 1 + cfg.n_steps // cfg.snapshot_stride
+    blocks = [np.empty((min(size, count), *state.shape), complex)]
+    blocks[0][0] = state
+    stored = 1
+    for k in range(1, cfg.n_steps + 1):
+        c *= full
+        if k % cfg.snapshot_stride == 0:
+            j = stored % size
+            if j == 0:
+                blocks.append(np.empty((min(size, count - stored), *c.shape), complex))
+            blocks[-1][j] = c
+            stored += 1
+            if j + 1 == len(blocks[-1]):
+                coeffs = blocks[-1][1 if len(blocks) == 1 else 0 :]
+                if not np.may_share_memory(out := inv(coeffs, overwrite_x=True), coeffs):
+                    coeffs[...] = out
+    return blocks
+
+
+def free_space_gaussian_3d(r, t, a=1.0, w=1.0):
+    """e^{-it|D|} of the 3-d gaussian a exp(-|x|^2 / w^2) on R^3, at radii
+    r > 0.  v = r u evolves by the 1-d half-wave group: with v0(x) =
+    a x exp(-x^2 / w^2) and its Hilbert transform Hv0(x) = a w (2y D(y) - 1)
+    / sqrt(pi), y = x / w and D Dawson's function,
+    v(t) = (v0(r - t) + v0(r + t)) / 2 - i (Hv0(r + t) - Hv0(r - t)) / 2."""
+    v0 = lambda x: a * x * np.exp(-((x / w) ** 2))
+    hv0 = lambda x: a * w * (2.0 * (x / w) * scipy.special.dawsn(x / w) - 1.0) / np.sqrt(np.pi)
+    v = 0.5 * (v0(r - t) + v0(r + t)) - 0.5j * (hv0(r + t) - hv0(r - t))
+    return v / r
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestFreeFlowReplay:
+    """A linear run stores no rows: every read rebuilds the blocks it
+    returns from row 0's coefficients and U(dt), with the bits a stored
+    run had, and memory does not grow with the number of snapshots."""
+
+    @given(
+        n=st.sampled_from([1, 2, 3]),
+        centred=st.booleans(),
+        stride=st.integers(1, 3),
+        rows=st.integers(1, 4),
+        steps=st.integers(0, 12),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_the_stored_march_property(
+        self, n, centred, stride, rows, steps, data
+    ):
+        # centred data with n >= 2 run on the octant, the rest on the FFT
+        # pair; blocks of `rows` stored rows
+        g = make_grid(n, {1: 32, 2: 16, 3: 8}[n], 8.0)
+        u0 = gaussian_field(g, 0.8, center=0.0 if centred else 1.0)
+        cfg = StepperConfig(p=3.0, dt=0.05, T=steps * 0.05, snapshot_stride=stride,
+                            nonlinear=False)
+        propagator._BLOCK_BYTES = rows * stored_row_bytes(u0)
+        try:
+            traj = evolve(u0, cfg)
+        finally:
+            propagator._BLOCK_BYTES = BLOCK_BYTES
+        snaps = traj.snapshots
+        assert (snaps.basis.weights is not None) == (centred and n >= 2)
+        want = reference_free_flow(u0, cfg, rows)
+        got = block_rows(traj)
+        assert [len(b) for b in got] == [len(b) for b in want]
+        want = np.concatenate(want)
+        assert len(snaps) == len(traj.times) == len(want)
+        assert np.array_equal(bits(np.concatenate(got)), bits(want))
+        start = data.draw(st.integers(0, len(want) - 1), label="start")
+        stop = data.draw(st.integers(start + 1, len(want)), label="stop")
+        for window in ((start, stop), (start, None)):
+            got = list(traj.blocks(*window))
+            assert got[0][0] == start
+            rows_got = np.concatenate([basis.samples for _, basis in got])
+            assert np.array_equal(bits(rows_got), bits(want[slice(*window)]))
+        for k in range(len(want)):
+            assert np.array_equal(bits(snaps[k].values), bits(want[k][snaps.basis.fold]))
+
+    @pytest.mark.parametrize("n", [1, 3], ids=["fft_1d", "octant_3d"])
+    def test_reads_inverse_only_the_blocks_they_return(self, monkeypatch, n):
+        # the rows duhamel, strauss, scaling and lemma35 read, out of 31 rows
+        # in 11 blocks of 3: at most one inverse each, where a replay of
+        # every block makes 11
+        g = make_grid(n, 64 if n == 1 else 16, 10.0)
+        u0 = gaussian_field(g, 0.5)
+        monkeypatch.setattr(propagator, "_BLOCK_BYTES", 3 * stored_row_bytes(u0))
+        traj = evolve(u0, StepperConfig(p=3.0, dt=0.02, T=0.6, nonlinear=False))
+        calls = []
+        for name in ("ifft", "ifftn", "idct", "idctn"):
+            fn = getattr(scipy.fft, name)
+            monkeypatch.setattr(
+                scipy.fft, name, lambda *a, _fn=fn, **kw: calls.append(1) or _fn(*a, **kw)
+            )
+        last = len(traj.times) - 1
+        reads = [
+            lambda: list(traj.blocks(0, 1)),
+            lambda: list(traj.blocks(last)),
+            *(lambda k=k: traj.snapshots[k] for k in (0, 1, 17, last, -1)),
+        ]
+        for read in reads:
+            calls.clear()
+            read()
+            assert len(calls) <= 1
+        # a whole pass, over blocks or over Fields, rebuilds each block once
+        calls.clear()
+        assert len(list(traj.blocks())) == len(calls) == 11
+        calls.clear()
+        assert len(list(traj.snapshots)) == 31 and len(calls) == 11
+
+    def test_memory_does_not_grow_with_T(self):
+        # evolve and the table of a 3-d octant run (17^3 rows, 3 to a
+        # block) peak the same at T and 4T: nothing is held per snapshot
+        # but the table's scalars.  Storing the rows costs 12 rows more.
+        u0 = gaussian_field(make_grid(3, 32, 10.0), 0.5)
+        row = stored_row_bytes(u0)
+
+        def peak(T):
+            cfg = StepperConfig(p=3.0, dt=0.05, T=T, nonlinear=False)
+            tracemalloc.start()
+            try:
+                diagnostics_table(evolve(u0, cfg))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(0.2)  # the grid's cached arrays
+        short, long = peak(0.2), peak(0.8)
+        assert abs(long - short) < row, (short, long, row)
+
+    def test_free_space_oracle_at_the_catalog_geometry(self):
+        # lin_3d_probes' grid and data at t = 0.5: the periodic box's images
+        # keep the replayed free flow 6.7e-5 from the R^3 solution over the
+        # stored octant (6.3e-5 on the positive axis)
+        g = make_grid(3, 64, 20.0)
+        traj = evolve(gaussian_field(g, 1.0, 1.0, 0.0),
+                      StepperConfig(p=3.0, dt=0.05, T=0.5, nonlinear=False))
+        (_, last), = traj.blocks(len(traj.times) - 1)
+        assert last.weights is not None and traj.times[-1] == 0.5
+        radii = _sample_radii(g, last.weights)
+        away = radii > 0
+        want = free_space_gaussian_3d(radii[away], 0.5)
+        error = np.max(np.abs(last.samples[-1][away] - want)) / np.max(np.abs(want))
+        assert error <= 2 * 6.3e-5, error
 
 
 class TestDuhamelResidual:

@@ -19,7 +19,7 @@ from semirelax import runner
 from semirelax.checks import LEMMA35_TOL, spectral_vs_wave_disagreement
 from semirelax.radial import maximal_domination_gap
 from catalog_manifest import MANIFEST, drift, manifest
-from conftest import reference_passed, stored_row_bytes
+from conftest import block_rows, reference_passed, stored_row_bytes, write_field
 
 
 # every scipy.fft transform the package calls: the FFT basis takes the
@@ -226,9 +226,9 @@ class TestRun:
     def test_file_data_parsed_once_per_run(self, tmp_path, monkeypatch):
         # the nonlinear solve, lemma34's linear solve and the scaling check
         # read one initial field: the file is parsed at load and once more
-        from semirelax import gaussian_field, make_grid, save_field, scenarios
+        from semirelax import gaussian_field, make_grid, scenarios
 
-        save_field(gaussian_field(make_grid(1, 64, 20.0), 0.3), tmp_path / "u0.txt")
+        write_field(gaussian_field(make_grid(1, 64, 20.0), 0.3), tmp_path / "u0.txt")
         body = FAST.replace("gaussian(0.3, 1.0, 0.0)", f"file({tmp_path / 'u0.txt'})")
         body = body.replace("scaling, duhamel", "scaling, lemma34")
         parses = []
@@ -249,14 +249,14 @@ class TestRun:
     def test_u0_is_snapshot_zero(self, tmp_path, monkeypatch, initial):
         # the trajectory owns the initial data: no reference to the field
         # evolve received survives it, and snapshot 0 has its bits
-        from semirelax import gaussian_field, make_grid, save_field, scenarios
+        from semirelax import gaussian_field, make_grid, scenarios
         from semirelax.runner import _RunContext
 
         body = RADIAL if initial == "gaussian_3d" else FAST
         if initial == "mode":
             body = FAST.replace("gaussian(0.3, 1.0, 0.0)", "mode(3, 0.2)")
         elif initial == "file":
-            save_field(gaussian_field(make_grid(1, 64, 20.0), 0.3 - 0.1j, 1.5, 0.25),
+            write_field(gaussian_field(make_grid(1, 64, 20.0), 0.3 - 0.1j, 1.5, 0.25),
                        tmp_path / "u0.txt")
             body = FAST.replace("gaussian(0.3, 1.0, 0.0)", f"file({tmp_path / 'u0.txt'})")
         (sc,) = load_config(write_config(tmp_path, body))
@@ -300,7 +300,7 @@ class TestRun:
         octant = initial.endswith("0.0)")
         assert (want.snapshots.basis.weights is not None) == octant
         assert (got.snapshots.basis.weights is not None) == octant
-        for a, b in zip(got.snapshots.blocks, want.snapshots.blocks, strict=True):
+        for a, b in zip(block_rows(got), block_rows(want), strict=True):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
     def test_radial_profile_built_once_per_run(self, tmp_path, monkeypatch):
@@ -563,10 +563,10 @@ checks = prop13
         {"dt": ["0.01", "1e-2"]}, {"N": ["64", "064"]},  # equal as numbers
     ])
     def test_rejected_before_any_member_runs(self, tmp_path, vary):
-        from semirelax import gaussian_field, make_grid, save_field
+        from semirelax import gaussian_field, make_grid
 
         # file data has no amplitude to vary; each case must fail up front
-        save_field(gaussian_field(make_grid(1, 64, 20.0), 0.3), tmp_path / "u0.txt")
+        write_field(gaussian_field(make_grid(1, 64, 20.0), 0.3), tmp_path / "u0.txt")
         body = FAST.replace(
             "initial = gaussian(0.3, 1.0, 0.0)", f"initial = file({tmp_path}/u0.txt)"
         )
@@ -711,12 +711,12 @@ class TestErrorSurfacing:
     def test_solver_error_carries_scenario_context(self, tmp_path):
         import numpy as np
 
-        from semirelax import Field, make_grid, save_field
+        from semirelax import Field, make_grid
 
         g = make_grid(1, 64, 20.0)
         vals = np.ones(64, dtype=complex)
         vals[5] = np.inf
-        save_field(Field(g, vals, "physical"), tmp_path / "bad.txt")
+        write_field(Field(g, vals, "physical"), tmp_path / "bad.txt")
         body = FAST.replace(
             "initial = gaussian(0.3, 1.0, 0.0)", f"initial = file({tmp_path}/bad.txt)"
         ).replace("checks = prop11, prop21, prop22, prop24, scaling, duhamel",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from semirelax import Scenario, ScenarioError, default_catalog_path, load_config
 from semirelax.norms import l2_norm
-from conftest import reference_passed
+from conftest import reference_passed, write_field
 
 
 def write_config(tmp_path, body):
@@ -178,10 +178,10 @@ checks = prop14, cor37, cor39
         assert np.count_nonzero(spec_mass > 1e-9 * spec_mass.max()) == 1
 
     def test_file_initial_data(self, tmp_path):
-        from semirelax import gaussian_field, make_grid, save_field
+        from semirelax import gaussian_field, make_grid
 
         f = gaussian_field(make_grid(1, 64, 20.0), 0.3)
-        save_field(f, tmp_path / "u0.txt")
+        write_field(f, tmp_path / "u0.txt")
         body = GOOD.replace("gaussian(0.5, 1.0, 0.0)", f"file({tmp_path}/u0.txt)")
         (sc,) = load_config(write_config(tmp_path, body))
         assert np.allclose(sc.initial_field().values, f.values)
@@ -189,9 +189,9 @@ checks = prop14, cor37, cor39
     def test_percent_in_a_value_is_literal(self, tmp_path):
         # '%' once started configparser's interpolation: 50%.txt raised a
         # traceback instead of loading
-        from semirelax import gaussian_field, make_grid, run, save_field
+        from semirelax import gaussian_field, make_grid, run
 
-        save_field(gaussian_field(make_grid(1, 64, 20.0), 0.3), tmp_path / "50%.txt")
+        write_field(gaussian_field(make_grid(1, 64, 20.0), 0.3), tmp_path / "50%.txt")
         body = GOOD.replace("gaussian(0.5, 1.0, 0.0)", f"file({tmp_path}/50%.txt)")
         (sc,) = load_config(write_config(tmp_path, body))
         assert sc.initial == f"file({tmp_path}/50%.txt)"
@@ -585,13 +585,13 @@ class TestSolverRulesAtLoad:
     def test_negative_s_nonlinear_needs_mode_data(self, tmp_path, capsys):
         # mean-free at t = 0, but |u|^(p-1) u makes a mean: this once loaded
         # and then failed mid-run with a RuntimeError and exit 1
-        from semirelax import make_grid, run, save_field
+        from semirelax import make_grid, run
         from semirelax.cli import main
         from semirelax.fields import PHYSICAL, Field
 
         grid = make_grid(1, 64, 20.0)
         kx = 2 * np.pi / 20 * grid.coordinate_arrays[0]
-        save_field(Field(grid, 0.8 * (np.sin(kx) + np.cos(2 * kx)) + 0j, PHYSICAL),
+        write_field(Field(grid, 0.8 * (np.sin(kx) + np.cos(2 * kx)) + 0j, PHYSICAL),
                    tmp_path / "u0.txt")
         body = GOOD.replace("s = 1.5", "s = -0.5").replace(
             "gaussian(0.5, 1.0, 0.0)", f"file({tmp_path / 'u0.txt'})")
@@ -629,17 +629,17 @@ class TestSolverRulesAtLoad:
         "other_L",
     ])
     def test_file_data_rejected_at_load(self, tmp_path, capsys, content, rule):
-        from semirelax import gaussian_field, make_grid, save_field
+        from semirelax import gaussian_field, make_grid
         from semirelax.cli import main
 
         data = tmp_path / "u0.txt"
         body = GOOD.replace("gaussian(0.5, 1.0, 0.0)", f"file({data})")
         if content == "1d":
-            save_field(gaussian_field(make_grid(1, 64, 20.0), 0.3), data)
+            write_field(gaussian_field(make_grid(1, 64, 20.0), 0.3), data)
             body = body.replace("n = 1", "n = 2").replace("N = 64", "N = 16").replace(
                 "L = 20", "L = 10")
         elif content == "L":
-            save_field(gaussian_field(make_grid(1, 64, 10.0), 0.3), data)
+            write_field(gaussian_field(make_grid(1, 64, 10.0), 0.3), data)
         elif content == "dir":
             data.mkdir()
         elif isinstance(content, bytes):
