@@ -28,11 +28,11 @@ print("=== cubic flow, dt = 1e-3, T = 1 ===")
 traj = evolve(u0, StepperConfig(p=3.0, dt=1e-3, T=1.0, snapshot_stride=100))
 h1 = SobolevSpec(1.0, homogeneous=True)
 print(f"{'t':>5} {'L2':>12} {'H1dot':>12} {'Linf':>12}")
-for t, u in zip(traj.times, traj.snapshots):
+for t, u in zip(traj.times, traj):
     print(f"{t:5.2f} {l2_norm(u):12.8f} {sobolev_norm(u, h1):12.8f} "
           f"{lp_norm(u, np.inf):12.8f}")
 
-norms = [l2_norm(u) for u in traj.snapshots]
+norms = [l2_norm(u) for u in traj]
 drop = norms[0] - norms[-1]
 print(f"\nmass dissipated over [0, 1]: {drop:.6f} (monotone at every step)")
 
@@ -44,7 +44,7 @@ dts = [5e-3, 2.5e-3, 1.25e-3]
 def final_state(dt):
     n_steps = round(T / dt)
     cfg = StepperConfig(p=3.0, dt=dt, T=T, snapshot_stride=n_steps)
-    return evolve(u0, cfg).snapshots[-1].values
+    return evolve(u0, cfg)[-1].values
 
 
 ref = final_state(dts[-1] / 8)

@@ -55,6 +55,6 @@ print(f"lemma34, delta=0.5, q1=4.0: ratio = {weighted_strichartz_ratio(traj):.6f
 # other weights from the norms themselves, each snapshot read as a Field
 for delta, q1 in ((0.25, 4.0), (0.5, 2.0)):
     num = space_time_norm(
-        (traj.times, traj.snapshots), q1, lambda u: weighted_norm(u, delta, q1, sign=-1)
+        (traj.times, traj), q1, lambda u: weighted_norm(u, delta, q1, sign=-1)
     )
     print(f"delta={delta}, q1={q1}: ratio = {num / l2_norm(f3):.6f}")

@@ -77,10 +77,10 @@ def _scaling(ctx) -> dict:
 
 
 def _duhamel(ctx) -> dict:
-    value = duhamel_residual(ctx.traj)
+    data = duhamel_residual(ctx.traj)
     l2_0 = float(diag.diagnostics_table(ctx.traj, ctx.scenario.s)["l2"][0])
     scale = max(l2_0, REGULARIZATION_EPS)
-    return {"residual": value, "relative": value / scale}
+    return {**data, "relative": data["residual"] / scale}
 
 
 def _tolerance(sc, payload) -> float:
@@ -212,8 +212,13 @@ def broken_hypothesis(sc, check: str) -> str | None:
 
 
 def spectral_vs_wave_disagreement(traj: Trajectory, rtraj: RadialTrajectory) -> float:
-    """Relative L^inf gap at the final common time between the 3-d spectral
-    solution along the positive first axis and the wave-form profile."""
+    """Relative L^inf gap at the final time between the 3-d spectral
+    solution along the positive first axis and the wave-form profile, whose
+    last times must agree to 1e-12 relative."""
+    t, t_wave = float(traj.times[-1]), float(rtraj.times[-1])
+    if abs(t - t_wave) > 1e-12 * max(t, t_wave):
+        raise ValueError(
+            f"the last spectral time {t!r} is not the wave form's last time {t_wave!r}")
     grid = traj.grid
     half = grid.N // 2
     (_, last), = traj.blocks(len(traj.times) - 1)

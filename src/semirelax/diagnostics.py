@@ -95,7 +95,7 @@ def diagnostics_table(
     grid, p = traj.grid, traj.config.p
     dV, axes = grid.cell_volume, _stack_axes(grid)
     columns = (*TABLE_COLUMNS, "cross") if hessian else TABLE_COLUMNS
-    table = {name: np.zeros(len(traj.snapshots)) for name in columns}
+    table = {name: np.zeros(len(traj)) for name in columns}
     second_axes = [(j, k) for j in range(grid.n) for k in range(grid.n)] if hessian else []
     table["t"][:] = traj.times
     specs = [(name, SobolevSpec(r, homogeneous=True))

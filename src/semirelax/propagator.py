@@ -10,6 +10,7 @@ never increases regardless of the step size.
 
 ``evolve`` is the one stepping kernel, and it runs Strang; ``strang_step``
 is a one-step run of it, ``lie_step`` the plain first-order composition.
+``evolve`` returns a Trajectory, the sequence of its snapshots as Fields.
 ``evolve`` keeps the state as unscaled spectral coefficients, builds U(dt)
 and U(dt/2) once per run with the 2/3 dealias mask (odd integer p <= 5)
 folded in, and merges the half-steps of adjacent steps, so a step costs two
@@ -52,6 +53,7 @@ from .fields import (
     _multiply_spectral,
     to_physical,
 )
+from .grids import Grid
 
 __all__ = [
     "StepperConfig",
@@ -111,69 +113,82 @@ class StepperConfig:
 
 class _FreeFlow(NamedTuple):
     """What a linear run keeps in place of stored rows, beside row 0's
-    samples: row 0's unscaled coefficients, U(dt) at the basis modes, the
-    snapshot stride, the rows per block and the snapshot count."""
+    samples: their unscaled coefficients, U(dt) and the rows per block."""
 
     coeffs: np.ndarray
     full: np.ndarray
-    stride: int
     size: int
-    count: int
 
 
-class _Snapshots(Sequence):
-    """The snapshots of a run of evolve on ``grid``: basis.samples is row 0,
-    the samples of u0 under ``basis`` (fields._basis of u0) and the run's
-    only copy of them.  A nonlinear run stores its rows as the (B, *shape)
-    ``blocks``, row 0 their first; a linear run stores none (``free``) and
-    rebuilds each block on read, with the bits _march would have stored.
-    Item k is its row folded to a full-grid Field (a view unless
-    octant-resident), item 0 like every other; a linear run rebuilds k's
-    block for it."""
+@dataclass(eq=False)
+class Trajectory(Sequence):
+    """The snapshots of one run of evolve on ``grid``, one per entry of
+    ``times``.  basis.samples is row 0, the samples of u0 under ``basis``
+    (fields._basis of u0) and the run's only copy of them.  A nonlinear run
+    stores its rows as the (B, *shape) blocks ``stored``, row 0 their first;
+    a linear run stores none (``free``) and rebuilds each block on read, with
+    the bits _march would have stored.  Item k is row k folded to a
+    full-grid Field (a view unless octant-resident); no reader of a run
+    folds, all read blocks() or the table, which ``tables`` caches by s."""
 
-    def __init__(self, grid, basis: _Basis, blocks: Sequence[np.ndarray] = (),
-                 free: _FreeFlow | None = None):
-        self.grid, self.basis, self.blocks, self.free = grid, basis, blocks, free
+    config: StepperConfig
+    times: np.ndarray
+    grid: Grid
+    basis: _Basis
+    stored: Sequence[np.ndarray] = ()
+    free: _FreeFlow | None = None
+    tables: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        rows = len(self.times) if self.free else sum(map(len, self.stored))
+        if rows != len(self.times):
+            raise ValueError(f"{rows} stored rows for {len(self.times)} snapshot times")
+
+    @property
+    def linear(self) -> bool:
+        return not self.config.nonlinear
 
     def __len__(self) -> int:
-        return self.free.count if self.free else sum(map(len, self.blocks))
+        return len(self.times)
 
     def __getitem__(self, k: int) -> Field:
         k = range(len(self))[k]
-        (_, rows), = self.rows(k, k + 1)
-        return Field(self.grid, rows[0][self.basis.fold])
+        (_, row), = self.blocks(k, k + 1)
+        return Field(self.grid, row.samples[0][self.basis.fold])
 
     def __iter__(self):  # block by block: item by item would replay from row 0 each time
-        for _, rows in self.rows():
-            yield from (Field(self.grid, row[self.basis.fold]) for row in rows)
+        for _, rows in self.blocks():
+            yield from (Field(self.grid, row[self.basis.fold]) for row in rows.samples)
 
-    def rows(self, start: int = 0, stop: int | None = None):
-        """Yield (i, rows) over snapshots start..stop-1, rows the samples of
-        snapshots i, i+1, ... as one (B, *shape) array, a view of one block;
-        a linear run builds only these blocks and stops after stop."""
+    def blocks(self, start: int = 0, stop: int | None = None):
+        """Yield (i, basis) over snapshots start..stop-1, basis.samples the
+        samples of snapshots i, i+1, ... as one (B, ...) array, a view of a
+        stored block or of a linear run's block, rebuilt only if read.
+        Callers never write into the samples."""
         stop = len(self) if stop is None else min(stop, len(self))
         if self.free is None:
-            blocks = zip(accumulate(map(len, self.blocks), initial=0), self.blocks)
+            blocks = zip(accumulate(map(len, self.stored), initial=0), self.stored)
         else:
             blocks = self._replay(start, stop)
         for i, block in blocks:
             if i >= stop:
                 return
             if start < i + len(block):
-                yield max(i, start), block[max(start - i, 0) : stop - i]
+                rows = block[max(start - i, 0) : stop - i]
+                yield max(i, start), self.basis._replace(samples=rows)
 
     def _replay(self, start: int, stop: int):
         """(i, block) for each block of a linear run that meets snapshots
         start..stop-1, built as _march builds a stored block: c *= U(dt) in
         place every step from row 0's coefficients, a row a copy of c, then
         one inverse per block.  A block before start costs its multiplies."""
-        coeffs, full, stride, size, count = self.free
+        coeffs, full, size = self.free
         c = coeffs.copy()
         for i in range(0, stop, size):
-            rows = min(size, count - i)
+            rows = min(size, len(self) - i)
             block = np.empty((rows, *c.shape), complex) if start < i + rows else None
             for j in range(1 if i == 0 else 0, rows):  # row 0 is u0's samples
-                for _ in range(stride):
+                for _ in range(self.config.snapshot_stride):
                     c *= full
                 if block is not None:
                     block[j] = c
@@ -188,38 +203,6 @@ def _to_samples(coeffs: np.ndarray, inverse) -> None:
     """A block's rows of coefficients to samples, by one in-place inverse."""
     if len(coeffs) and not np.may_share_memory(out := inverse(coeffs, overwrite_x=True), coeffs):
         coeffs[...] = out  # scipy.fft did not transform in place
-
-
-@dataclass
-class Trajectory:
-    """Uniformly sampled (time, Field) snapshots from one evolution; ``tables``
-    caches diagnostics.diagnostics_table by Sobolev index.  snapshots are
-    the _Snapshots evolve returns, which own the initial data: snapshot 0 is
-    the fold of row 0, equal to u0 (up to the sign of a mirrored zero).
-    Only reading snapshots as Fields folds: every reader of a run reads the
-    rows through blocks() or the table, and grid is the stored grid."""
-
-    config: StepperConfig
-    times: np.ndarray
-    snapshots: _Snapshots
-    tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def grid(self):
-        return self.snapshots.grid
-
-    @property
-    def linear(self) -> bool:
-        return not self.config.nonlinear
-
-    def blocks(self, start: int = 0, stop: int | None = None):
-        """Yield (i, basis) over snapshots start..stop-1, basis.samples the
-        samples of snapshots i, i+1, ... as one (B, ...) array, a view of a
-        block evolve stored or, for a linear run, rebuilt (_Snapshots.rows).
-        Callers never write into the samples."""
-        stored = self.snapshots
-        for i, rows in stored.rows(start, stop):
-            yield i, stored.basis._replace(samples=rows)
 
 
 def linear_step(f: Field, tau: float) -> Field:
@@ -275,7 +258,7 @@ def _sum_squares(coeffs: np.ndarray, weights: np.ndarray | None = None) -> float
 def strang_step(f: Field, cfg: StepperConfig) -> Field:
     """One Strang step: U(dt/2), then the exact nonlinear flow over dt,
     then U(dt/2).  With the nonlinearity disabled this is exactly U(dt)."""
-    return evolve(f, replace(cfg, T=cfg.dt, snapshot_stride=1)).snapshots[-1]
+    return evolve(f, replace(cfg, T=cfg.dt, snapshot_stride=1))[-1]
 
 
 def lie_step(f: Field, cfg: StepperConfig) -> Field:
@@ -298,14 +281,15 @@ def evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
     multiply by U(dt) with the 2/3 mask folded in; the linear flow needs no
     FFT at all.  The two half-steps U(dt/2) of adjacent steps are merged
     into that U(dt): the run opens with a half-step, and a stored snapshot
-    closes one.  Multipliers are built once per run.  Snapshots are stored
-    in blocks (_Snapshots), each allocated with its first row; a row takes
-    its snapshot's coefficients, and one in-place inverse per full block
-    makes them samples.  A linear run (nonlinear = False) stores no rows:
-    it keeps row 0's samples, their coefficients and U(dt), three rows in
-    all whatever the snapshot count, and _Snapshots replays the run on
-    read, rebuilding only the blocks read, each with the bits it would
-    have had stored.
+    closes one.  Multipliers are built once per run.  The Trajectory
+    returned holds the snapshots, one per time in its ``times``, in blocks,
+    each allocated with its first row; a row takes its snapshot's
+    coefficients, and one in-place inverse per full block makes them
+    samples.  A linear run (nonlinear = False) stores no rows: it keeps row
+    0's samples, their coefficients and U(dt), three rows in all whatever
+    the snapshot count, and the Trajectory replays the run on read,
+    rebuilding only the blocks read, each with the bits it would have had
+    stored.
 
     Both substeps keep mirror symmetry, so for mirror-symmetric data with
     n >= 2 (a centred gaussian) the loop runs on the DCT-I octant of
@@ -354,16 +338,15 @@ def _march(grid, basis: _Basis, cfg: StepperConfig) -> Trajectory:
     norm0 = math.sqrt(parseval * _sum_squares(c, weights))
     tol = 1e-10 * norm0
     size = max(1, _BLOCK_BYTES // (16 * state.size))  # rows as stored: octant or grid
-    count = 1 + n_steps // cfg.snapshot_stride
+    times = cfg.dt * np.arange(0, n_steps + 1, cfg.snapshot_stride)  # k dt, as a step has it
     if cfg.nonlinear:
-        blocks = [np.empty((min(size, count), *state.shape), complex)]
+        blocks, free = [np.empty((min(size, len(times)), *state.shape), complex)], None
         blocks[0][0] = state
-        snapshots = _Snapshots(grid, basis._replace(samples=blocks[0][0]), blocks)
+        basis = basis._replace(samples=blocks[0][0])
     else:  # no rows: U(dt) replays them from row 0's coefficients on read
-        free = _FreeFlow(c.copy(), full, cfg.snapshot_stride, size, count)
-        snapshots = _Snapshots(grid, basis._replace(samples=state.copy()), free=free)
-    del state, basis  # row 0: u0's only copy from here
-    times = [0.0]
+        blocks, free = (), _FreeFlow(c.copy(), full, size)
+        basis = basis._replace(samples=state.copy())
+    del state  # row 0: u0's only copy from here
     prev_norm = norm0
     for k in range(1, n_steps + 1):
         if cfg.nonlinear:
@@ -372,7 +355,7 @@ def _march(grid, basis: _Basis, cfg: StepperConfig) -> Trajectory:
             del v  # the step's samples go before a row is stored
             c = w * full  # a new array: a stored row reads w * close
         else:
-            c *= full  # in place, as _Snapshots replays it
+            c *= full  # in place, as Trajectory replays it
         norm = math.sqrt(parseval * _sum_squares(c, weights))
         if not math.isfinite(norm):
             raise FloatingPointError(
@@ -384,33 +367,33 @@ def _march(grid, basis: _Basis, cfg: StepperConfig) -> Trajectory:
                 f"L^2 norm increased at step {k}: {prev_norm!r} -> {norm!r}"
             )
         prev_norm = norm
-        if k % cfg.snapshot_stride:
-            continue
-        if cfg.nonlinear:
-            j = len(times) % size
-            if j == 0:
-                blocks.append(np.empty((min(size, count - len(times)), *c.shape), complex))
-            blocks[-1][j] = w * close
-            if j + 1 == len(blocks[-1]):  # full: rows after u0 to samples
+        if cfg.nonlinear and k % cfg.snapshot_stride == 0:
+            i = k // cfg.snapshot_stride  # the row stored
+            if i % size == 0:
+                blocks.append(np.empty((min(size, len(times) - i), *c.shape), complex))
+            blocks[-1][i % size] = w * close
+            if i % size + 1 == len(blocks[-1]):  # full: rows after u0 to samples
                 _to_samples(blocks[-1][1 if len(blocks) == 1 else 0 :], cinv)
-        times.append(k * cfg.dt)
-    return Trajectory(cfg, np.asarray(times), snapshots)
+    return Trajectory(cfg, times, grid, basis, blocks, free)
 
 
-def duhamel_residual(traj: Trajectory) -> float:
+def duhamel_residual(traj: Trajectory) -> dict:
     """L^2 defect of the integral form at the final time.
 
-    Computes || u(t) - U(t) u0 + int_0^t U(t-s) |u(s)|^(p-1) u(s) ds ||_L2
+    ``residual`` is || u(t) - U(t) u0 + int_0^t U(t-s) P(|u(s)|^(p-1) u(s)) ds ||_L2
     with the integral discretized by the trapezoid rule over the stored
-    snapshots and the propagator applied spectrally at each node.  The sum
-    runs on the coefficients of Trajectory.blocks: on the octant of mirror
-    data, since |u|^(p-1) u keeps the symmetry and U(t) is radial, with the
-    L^2 sum weighted by the mode multiplicities.  The defect shrinks at
-    second order under dt refinement when the 2/3 mask is off; under it
-    the order falls as dt shrinks (p = 3 on a 1-d N = 256, L = 40 grid:
-    1.86, then 1.02 from dt = 2e-3 to 1e-3).
+    snapshots and the propagator applied spectrally at each node.  P is the
+    2/3 mask of a nonlinear run where it is active, so the defect is that of
+    the projected equation the masked scheme solves, else the identity;
+    ``offmask`` is the L^2 norm of the integral outside the mask, what the
+    truncation drops (0 without one).  The sum runs on the coefficients of
+    Trajectory.blocks: on the octant of mirror data, since |u|^(p-1) u keeps
+    the symmetry and U(t) is radial, with the L^2 sums weighted by the mode
+    multiplicities.  The defect shrinks at second order under dt refinement,
+    masked or not (1-d N = 256, L = 40, p = 3 and 5: 2.00 from dt = 4e-3 to
+    5e-4).
     """
-    if len(traj.snapshots) < 3:
+    if len(traj) < 3:
         raise ValueError("duhamel residual needs at least 3 snapshots")
     p, grid, dV = traj.config.p, traj.grid, traj.grid.cell_volume
     times = np.asarray(traj.times)
@@ -420,6 +403,7 @@ def duhamel_residual(traj: Trajectory) -> float:
     xi_norm = grid.xi_norm_at(first.modes)
     acc = last.forward(last.samples[-1]) * dV
     acc -= first.forward(first.samples[0]) * dV * np.exp(-1j * t_final * xi_norm)
+    base = acc.copy()
     if traj.config.nonlinear:
         h = np.diff(times)
         w = np.zeros(len(times))
@@ -437,7 +421,13 @@ def duhamel_residual(traj: Trajectory) -> float:
             terms *= np.exp(phase, out=phase)
             for k, term in enumerate(terms, start=i):
                 acc += w[k] * term
-    power = np.abs(acc) ** 2
-    if first.weights is not None:
-        power *= first.weights
-    return float(np.sqrt(np.sum(power) / grid.L**grid.n))
+    masked = traj.config.nonlinear and traj.config.dealias_active
+    outside = ~_dealias_mask(grid, first.modes) if masked else False
+    # P: outside the mask acc keeps base, the bits of masking each term
+    off, acc = np.where(outside, acc - base, 0.0), np.where(outside, base, acc)
+    weights = 1.0 if first.weights is None else first.weights
+
+    def l2(coeffs):  # Parseval: coeffs are dV times the unscaled coefficients
+        return float(np.sqrt(np.sum(np.abs(coeffs) ** 2 * weights) / grid.L**grid.n))
+
+    return {"residual": l2(acc), "offmask": l2(off)}

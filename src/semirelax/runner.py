@@ -73,9 +73,8 @@ class _RunContext:
     def linear_traj(self) -> Trajectory:
         if not self.scenario.nonlinear:
             return self.traj
-        stored = self.traj.snapshots  # the free flow from traj's stored row 0
         free = replace(self.scenario.stepper(), nonlinear=False)
-        return _march(stored.grid, stored.basis, free)
+        return _march(self.traj.grid, self.traj.basis, free)  # from traj's stored row 0
 
 
 def run(

@@ -110,7 +110,10 @@ class Scenario:
         try:  # the solvers' own rules, checked by the code that enforces them
             if self.solver in ("spectral", "both"):
                 make_grid(self.n, self.N, self.L)
-                self.stepper()
+                steps = self.stepper().n_steps
+                if steps % self.snapshot_stride:  # the last stored row is the final time
+                    raise ScenarioError(f"{where}: snapshot_stride = {self.snapshot_stride} does "
+                                        f"not divide the {steps} steps to T, so T is not stored")
                 if kind == "file":  # read now: a missing or foreign file is a config error
                     self.initial_field()
                 if self.s < 0:  # the table's homogeneous H^s norm needs mean-free data

@@ -41,7 +41,7 @@ from semirelax.fields import _BLOCK_BYTES as BLOCK_BYTES, _basis, _derivative
 from semirelax.diagnostics import CSV_HEADER, TABLE_COLUMNS, _integral
 from semirelax.norms import space_time_norm, weighted_norm
 from semirelax.plotting import fit_order
-from semirelax.propagator import _Snapshots, duhamel_residual, linear_step
+from semirelax.propagator import _dealias_mask, duhamel_residual, linear_step
 from semirelax.radial import _estimate, profile_from_function
 from conftest import (
     block_rows, constant_field, mirror, random_field, stored_row_bytes, symmetrized,
@@ -57,7 +57,8 @@ def stored_trajectory(cfg, times, snaps, block_bytes=BLOCK_BYTES):
     basis = _basis(np.stack([to_physical(u).values for u in snaps]), grid.n)
     size = max(1, block_bytes // basis.samples[0].nbytes)
     blocks = [basis.samples[i : i + size] for i in range(0, len(snaps), size)]
-    return Trajectory(cfg, np.asarray(times), _Snapshots(grid, basis, blocks))
+    row0 = basis._replace(samples=basis.samples[0])
+    return Trajectory(cfg, np.asarray(times), grid, row0, blocks)
 
 
 def gradient_squared_modulus(u: Field) -> list[np.ndarray]:
@@ -72,8 +73,8 @@ def reference_dissipation_terms(traj):
     sum_j (Re(conj(u) d_j u) / |u|)^2 (0 where u = 0); the table's columns
     must equal them bit for bit."""
     p, dV = traj.config.p, traj.grid.cell_volume
-    out = np.zeros((len(traj.snapshots), 2))
-    for i, u in enumerate(traj.snapshots):
+    out = np.zeros((len(traj), 2))
+    for i, u in enumerate(traj):
         v = to_physical(u).values
         absu = np.abs(v)
         grads = [to_physical(g).values for g in gradient(to_physical(u))]
@@ -93,8 +94,8 @@ def spectral_modulus_terms(traj):
     snapshot by snapshot, with grad |u|^2 taken spectrally from a transform
     of |u|^2; points where u = 0 are left out."""
     p, dV = traj.config.p, traj.grid.cell_volume
-    out = np.zeros(len(traj.snapshots))
-    for i, u in enumerate(traj.snapshots):
+    out = np.zeros(len(traj))
+    for i, u in enumerate(traj):
         phys = to_physical(u)
         absu = np.abs(phys.values)
         gm2_sq = sum(np.abs(g) ** 2 for g in gradient_squared_modulus(phys))
@@ -113,14 +114,14 @@ def reference_table(traj, s):
     rows = [
         [t, l2_norm(u), *(sobolev_norm(u, spec) for spec in specs),
          lp_norm(u, math.inf), lp_norm(u, p + 1.0)]
-        for t, u in zip(traj.times, traj.snapshots)
+        for t, u in zip(traj.times, traj)
     ]
     dissipation = np.zeros((len(rows), 2))
     if not traj.linear:
         dissipation = reference_dissipation_terms(traj)
     weighted = np.zeros((len(rows), 1))
     if traj.linear:
-        weighted[:, 0] = [weighted_norm(u, 0.5, 4.0, sign=-1) for u in traj.snapshots]
+        weighted[:, 0] = [weighted_norm(u, 0.5, 4.0, sign=-1) for u in traj]
     columns = np.hstack([np.array(rows, dtype=float), dissipation, weighted]).T
     return dict(zip(TABLE_COLUMNS, columns))
 
@@ -156,7 +157,7 @@ def reference_h2_inequality(traj, i1, i2):
     times = table["t"][window]
     h1, h2 = table["h1dot"][window].tolist(), table["h2dot"][window].tolist()
     cross = np.zeros(len(times))
-    for m, u in enumerate(traj.snapshots[i] for i in range(i1, i2 + 1)):
+    for m, u in enumerate(traj[i] for i in range(i1, i2 + 1)):
         phys, coeffs = to_physical(u), to_spectral(u)
         total = 0.0
         for j in range(n):
@@ -190,21 +191,38 @@ def reference_cross(traj, i1, i2):
 
 def reference_duhamel_residual(traj):
     """duhamel_residual snapshot by snapshot: each nonlinear term transformed,
-    propagated by linear_step and added in snapshot order."""
-    p = traj.config.p
+    propagated by linear_step, its part outside the 2/3 mask (when the mask
+    is active) moved to a sum of its own, and added in snapshot order."""
+    p, grid = traj.config.p, traj.grid
     t_final = float(traj.times[-1])
-    acc = to_spectral(traj.snapshots[-1]).values.copy()
-    acc -= linear_step(to_spectral(traj.snapshots[0]), t_final).values
+    acc = to_spectral(traj[-1]).values.copy()
+    acc -= linear_step(to_spectral(traj[0]), t_final).values
+    off = np.zeros_like(acc)
+    outside = ~_dealias_mask(grid) if traj.config.dealias_active else None
     if traj.config.nonlinear:
         h = np.diff(np.asarray(traj.times))
-        w = np.zeros(len(traj.snapshots))
+        w = np.zeros(len(traj))
         w[:-1] += h / 2.0
         w[1:] += h / 2.0
-        for k, (t_k, u_k) in enumerate(zip(traj.times, traj.snapshots)):
+        for k, (t_k, u_k) in enumerate(zip(traj.times, traj)):
             phys = to_physical(u_k).values
-            nl = Field(traj.grid, np.abs(phys) ** (p - 1.0) * phys, "physical")
-            acc += w[k] * linear_step(to_spectral(nl), t_final - float(t_k)).values
-    return l2_norm(Field(traj.grid, acc, "spectral"))
+            nl = Field(grid, np.abs(phys) ** (p - 1.0) * phys, "physical")
+            term = w[k] * linear_step(to_spectral(nl), t_final - float(t_k)).values
+            if outside is not None:
+                off[outside] += term[outside]
+                term[outside] = 0.0
+            acc += term
+    return {
+        "residual": l2_norm(Field(grid, acc, "spectral")),
+        "offmask": l2_norm(Field(grid, off, "spectral")),
+    }
+
+
+def assert_duhamel_matches(got, ref):
+    """The residual bit for bit and its out-of-mask part, read off the
+    unprojected sum, within 1e-9 relative."""
+    assert got["residual"] == ref["residual"]
+    assert got["offmask"] == pytest.approx(ref["offmask"], rel=1e-9, abs=1e-300)
 
 
 def reference_c_star(hs_sq, cum):
@@ -280,7 +298,7 @@ class TestH1Identity:
 
     def test_gradient_norm_monotone(self, cubic_1d_trajectory):
         spec = SobolevSpec(1.0, homogeneous=True)
-        vals = [sobolev_norm(u, spec) for u in cubic_1d_trajectory.snapshots]
+        vals = [sobolev_norm(u, spec) for u in cubic_1d_trajectory]
         assert all(b <= a * (1 + 1e-8) for a, b in zip(vals, vals[1:]))
 
     def test_subcubic_power_stays_finite(self):
@@ -441,7 +459,7 @@ class TestHessianColumn:
         u0 = gaussian_field(g, 0.8, center=center)
         monkeypatch.setattr(propagator, "_BLOCK_BYTES", 3 * stored_row_bytes(u0))
         traj = evolve(u0, StepperConfig(p=3.0, dt=0.01, T=0.13, nonlinear=nonlinear))
-        assert (traj.snapshots.basis.weights is None) == (n == 1 or center != 0)
+        assert (traj.basis.weights is None) == (n == 1 or center != 0)
         cross = diagnostics_table(traj, hessian=True)["cross"]
         for i1, i2 in ((0, len(traj.times) - 1), (2, 11)):
             assert np.array_equal(cross[i1 : i2 + 1], reference_cross(traj, i1, i2))
@@ -494,9 +512,9 @@ def reference_weighted_strichartz_ratio(traj) -> float:
     """lemma34 on the full grid: weighted_norm (delta = 1/2, q1 = 4) of every
     folded snapshot over the L^2 norm of the folded u0."""
     num = space_time_norm(
-        (traj.times, traj.snapshots), 4.0, lambda u: weighted_norm(u, 0.5, 4.0, sign=-1)
+        (traj.times, traj), 4.0, lambda u: weighted_norm(u, 0.5, 4.0, sign=-1)
     )
-    return num / l2_norm(traj.snapshots[0])
+    return num / l2_norm(traj[0])
 
 
 class TestInitialRowReaders:
@@ -516,7 +534,7 @@ class TestInitialRowReaders:
         g = make_grid(n, 16 if n == 3 else 64, 10.0)
         cfg = StepperConfig(p=3.0, dt=0.02, T=0.1, nonlinear=nonlinear)
         traj = evolve(gaussian_field(g, 0.5, 1.0, center), cfg)
-        assert (traj.snapshots.basis.weights is not None) == (n == 3 and center == 0.0)
+        assert (traj.basis.weights is not None) == (n == 3 and center == 0.0)
         return traj
 
     @staticmethod
@@ -524,12 +542,12 @@ class TestInitialRowReaders:
         def fold(store, k):
             raise AssertionError("folds no snapshot")
 
-        monkeypatch.setattr(_Snapshots, "__getitem__", fold)
+        monkeypatch.setattr(Trajectory, "__getitem__", fold)
 
     @pytest.mark.parametrize("n, center", [p for p in DATA if p.values[0] >= 2])
     def test_lemma33(self, monkeypatch, n, center):
         traj = self.trajectory(n, center)
-        u0, ref = traj.snapshots[0], reference_strauss_ratio(traj.snapshots[0], 1.0)
+        u0, ref = traj[0], reference_strauss_ratio(traj[0], 1.0)
         assert strauss_ratio(u0, s=1.0) == pytest.approx(ref, rel=1e-12)
         self.no_fold(monkeypatch)
         assert strauss_ratio(traj, s=1.0) == pytest.approx(ref, rel=1e-12)
@@ -537,7 +555,7 @@ class TestInitialRowReaders:
     @pytest.mark.parametrize("n, center", DATA)
     def test_scaling(self, monkeypatch, n, center):
         traj = self.trajectory(n, center)
-        u0 = traj.snapshots[0]
+        u0 = traj[0]
         refs = [reference_scaling_law(u0, sigma, 1.0, 3.0) for sigma in (0.5, 2.0)]
         fields = [check_scaling_law(u0, sigma, 1.0, 3.0) for sigma in (0.5, 2.0)]
         self.no_fold(monkeypatch)
@@ -561,7 +579,7 @@ class TestInitialRowReaders:
         from semirelax.checks import CHECKS
 
         traj = self.trajectory(n, center)
-        ref = duhamel_residual(traj) / l2_norm(traj.snapshots[0])
+        ref = duhamel_residual(traj)["residual"] / l2_norm(traj[0])
         ctx = SimpleNamespace(traj=traj, scenario=SimpleNamespace(s=1.0, dt=0.02))
         self.no_fold(monkeypatch)
         data = CHECKS["duhamel"].evaluate(ctx)
@@ -681,7 +699,7 @@ class TestWeightedStrichartzRatio:
     def test_unimodular_invariance(self, linear_traj):
         g = linear_traj.grid
         phase = np.exp(1j * 1.234)
-        u0 = Field(g, phase * linear_traj.snapshots[0].values, "physical")
+        u0 = Field(g, phase * linear_traj[0].values, "physical")
         traj2 = evolve(u0, linear_traj.config)
         a = weighted_strichartz_ratio(linear_traj)
         b = weighted_strichartz_ratio(traj2)
@@ -697,7 +715,7 @@ class TestWeightedStrichartzRatio:
         cfg = StepperConfig(p=3.0, dt=0.1, T=0.5, nonlinear=False)
         traj = evolve(gaussian_field(g, 0.5), cfg)
         ref = space_time_norm(
-            (traj.times, traj.snapshots), 4.0, lambda u: weighted_norm(u, 0.5, 4.0, sign=-1)
+            (traj.times, traj), 4.0, lambda u: weighted_norm(u, 0.5, 4.0, sign=-1)
         ) / diagnostics_table(traj)["l2"][0]
         assert weighted_strichartz_ratio(traj) == ref
 
@@ -766,8 +784,8 @@ class TestSnapshotTable:
         check_l2_identity(traj, 0.0, 0.2)
         check_h1_identity(traj, 0.0, 0.2)
         check_hs_growth(traj, 1.5, C=1.0)
-        assert sum(transformed) == len(traj.snapshots)
-        assert len(traj.snapshots) == 11
+        assert sum(transformed) == len(traj)
+        assert len(traj) == 11
 
     @pytest.mark.parametrize("center,absent", [
         (0.0, ("fftn", "ifftn")), (1.5, ("dctn", "idctn", "idst")),
@@ -788,8 +806,8 @@ class TestSnapshotTable:
         table = diagnostics_table(traj, s=0.75)
         p = traj.config.p
         h1, h2 = (SobolevSpec(r, homogeneous=True) for r in (1.0, 2.0))
-        for i in (0, len(traj.snapshots) - 1):
-            u = traj.snapshots[i]
+        for i in (0, len(traj) - 1):
+            u = traj[i]
             assert table["t"][i] == traj.times[i]
             assert table["l2"][i] == l2_norm(u)
             assert table["h1dot"][i] == sobolev_norm(u, h1)
@@ -873,7 +891,8 @@ def assert_checks_close(traj, i1, i2, h2, duhamel):
         assert h2["lhs"] == pytest.approx(ref["lhs"], rel=1e-12, abs=0)
         assert h2["rhs"] == pytest.approx(ref["rhs"], rel=1e-12, abs=0)
     ref = reference_duhamel_residual(traj)
-    assert abs(duhamel - ref) <= 1e-12 * l2_norm(traj.snapshots[0])
+    assert abs(duhamel["residual"] - ref["residual"]) <= 1e-12 * l2_norm(traj[0])
+    assert abs(duhamel["offmask"] - ref["offmask"]) <= 1e-12 * l2_norm(traj[0])
 
 
 class TestBlockedPass:
@@ -904,7 +923,7 @@ class TestBlockedPass:
             for name in TABLE_COLUMNS:
                 assert np.array_equal(table[name], ref_table[name]), name
             assert report == ref_report
-            assert duhamel == ref_duhamel
+            assert_duhamel_matches(duhamel, ref_duhamel)
 
     @pytest.mark.parametrize("nonlinear", [True, False])
     @pytest.mark.parametrize("n", [2, 3])
@@ -943,7 +962,7 @@ class TestBlockedPass:
     def test_asymmetric_trajectory_duhamel_matches_reference(self):
         # the Duhamel sum spans blocks, so it needs one basis per trajectory
         traj = asymmetric_trajectory()
-        assert duhamel_residual(traj) == reference_duhamel_residual(traj)
+        assert_duhamel_matches(duhamel_residual(traj), reference_duhamel_residual(traj))
 
     @given(
         n=st.sampled_from([2, 3]),
@@ -1009,7 +1028,7 @@ class TestBlockedPass:
         assert [i for i, _ in blocks] == [0, 1, 2]
         for i, basis in blocks:
             assert basis.samples.shape == (1, 9, 9)
-            assert np.shares_memory(basis.samples, traj.snapshots.blocks[i])
+            assert np.shares_memory(basis.samples, traj.stored[i])
 
     def test_table_frees_each_block_before_the_next(self):
         # p11_1d_cubic's data: 1,001 rows of N = 256 in sixteen 256 KiB
@@ -1082,11 +1101,11 @@ class TestOctantResident:
         cfg = StepperConfig(p=3.0, dt=0.02, T=0.12, snapshot_stride=stride, nonlinear=nonlinear)
         traj = evolve(u0, cfg)
         octants = np.concatenate(block_rows(traj))
-        first = traj.snapshots[0].values
+        first = traj[0].values
         assert np.array_equal(first, u0.values) and first.dtype == u0.values.dtype
         for k in range(len(octants)):
-            assert np.array_equal(traj.snapshots[k].values, unfold(octants[k], g.N))
-        fields = list(traj.snapshots)
+            assert np.array_equal(traj[k].values, unfold(octants[k], g.N))
+        fields = list(traj)
         hand = stored_trajectory(cfg, traj.times, fields, budget)
         table, ref = diagnostics_table(traj, 1.5), diagnostics_table(hand, 1.5)
         for name in TABLE_COLUMNS:
@@ -1111,7 +1130,7 @@ class TestOctantResident:
         def no_fold(store, k):
             raise AssertionError("folds no snapshot")
 
-        monkeypatch.setattr(_Snapshots, "__getitem__", no_fold)
+        monkeypatch.setattr(Trajectory, "__getitem__", no_fold)
         calls = count_calls(monkeypatch, ("fftn", "ifftn", "dctn"))
         check_h2_inequality(traj, 0.0, 0.1)
         duhamel_residual(traj)
@@ -1126,7 +1145,7 @@ class TestOctantResident:
         diagnostics_table(traj, 1.5)
         check_h2_inequality(traj, 0.0, 0.1)
         duhamel_residual(traj)
-        assert traj.snapshots.basis.weights is not None
+        assert traj.basis.weights is not None
         assert "xi_norm" not in g.__dict__
 
     def test_stored_snapshots_stay_on_the_octant(self):
@@ -1142,14 +1161,14 @@ class TestOctantResident:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(traj.snapshots) == 20
-        assert peak < len(traj.snapshots) * 16 * g.size / 3
+        assert len(traj) == 20
+        assert peak < len(traj) * 16 * g.size / 3
 
 
 class TestDiagnosticsOutput:
     def test_table_fields(self, cubic_1d_trajectory):
         table = diagnostics_table(cubic_1d_trajectory, s=1.5)
-        assert len(table["l2"]) == len(cubic_1d_trajectory.snapshots)
+        assert len(table["l2"]) == len(cubic_1d_trajectory)
         for name in ("l2", "h1dot", "h2dot", "hs", "linf", "lpp1"):
             value = table[name][0]
             assert math.isfinite(value) and value >= 0
@@ -1160,7 +1179,7 @@ class TestDiagnosticsOutput:
         traj = cubic_1d_trajectory
         write_diagnostics_csv(traj, tmp_path / "diag.csv")
         rows = np.loadtxt(tmp_path / "diag.csv", delimiter=",", skiprows=1)
-        assert len(rows) == len(traj.snapshots)
+        assert len(rows) == len(traj)
         assert rows[0, 7] == rows[0, 8] == 0.0
         for t, res21, res22 in rows[1:, [0, 7, 8]]:
             assert abs(res21 - check_l2_identity(traj, 0.0, t)["relative"]) <= 1e-12
@@ -1171,7 +1190,7 @@ class TestDiagnosticsOutput:
         path = tmp_path / "diag.csv"
         rows = write_diagnostics_csv(cubic_1d_trajectory, path, s=1.5)
         parsed = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert rows.shape == parsed.shape == (len(cubic_1d_trajectory.snapshots), 9)
+        assert rows.shape == parsed.shape == (len(cubic_1d_trajectory), 9)
         assert np.array_equal(rows.view(np.int64), parsed.view(np.int64))
 
     def test_csv_format(self, tmp_path, cubic_1d_trajectory):
@@ -1179,7 +1198,7 @@ class TestDiagnosticsOutput:
         write_diagnostics_csv(cubic_1d_trajectory, path, s=1.5)
         lines = path.read_text().splitlines()
         assert lines[0] == CSV_HEADER
-        assert len(lines) == 1 + len(cubic_1d_trajectory.snapshots)
+        assert len(lines) == 1 + len(cubic_1d_trajectory)
         row = lines[1].split(",")
         assert len(row) == 9
         assert float(row[0]) == 0.0

@@ -32,6 +32,7 @@ from semirelax import (
     to_spectral,
 )
 from semirelax import fields, propagator
+from semirelax.propagator import Trajectory
 from semirelax.diagnostics import diagnostics_table
 from semirelax.fields import _BLOCK_BYTES as BLOCK_BYTES, _basis
 from semirelax.norms import _sample_radii
@@ -220,7 +221,7 @@ class TestStrangStep:
 def _final_field(u0, T, dt):
     n_steps = round(T / dt)
     cfg = StepperConfig(p=3.0, dt=dt, T=T, snapshot_stride=n_steps)
-    return evolve(u0, cfg).snapshots[-1].values
+    return evolve(u0, cfg)[-1].values
 
 
 class TestLieStep:
@@ -252,23 +253,23 @@ class TestEvolve:
     def test_T_zero_keeps_initial_only(self, grid_1d):
         u0 = gaussian_field(grid_1d)
         traj = evolve(u0, StepperConfig(p=3.0, dt=0.1, T=0.0))
-        assert len(traj.snapshots) == 1
-        assert np.array_equal(traj.snapshots[0].values, u0.values)
+        assert len(traj) == 1
+        assert np.array_equal(traj[0].values, u0.values)
 
     def test_zero_data_zero_trajectory(self, grid_1d):
         traj = evolve(constant_field(grid_1d, 0.0), StepperConfig(p=3.0, dt=0.05, T=0.2))
-        assert all(np.all(u.values == 0) for u in traj.snapshots)
+        assert all(np.all(u.values == 0) for u in traj)
 
     def test_l2_monotone(self, grid_1d):
         traj = evolve(gaussian_field(grid_1d, 0.5), StepperConfig(p=3.0, dt=1e-2, T=0.5))
-        norms = [l2_norm(u) for u in traj.snapshots]
+        norms = [l2_norm(u) for u in traj]
         assert all(b <= a * (1 + 1e-10) for a, b in zip(norms, norms[1:]))
         assert norms[-1] < norms[0]
 
     def test_gradient_norm_monotone(self, grid_1d):
         traj = evolve(gaussian_field(grid_1d, 0.5), StepperConfig(p=3.0, dt=1e-3, T=0.2))
         spec = SobolevSpec(1.0, homogeneous=True)
-        vals = [sobolev_norm(u, spec) for u in traj.snapshots]
+        vals = [sobolev_norm(u, spec) for u in traj]
         assert all(b <= a * (1 + 1e-8) for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -286,7 +287,7 @@ class TestEvolve:
         cfg = StepperConfig(p=3.0, dt=0.01, T=0.1, snapshot_stride=5)
         traj = evolve(gaussian_field(grid_1d), cfg)
         assert np.allclose(np.diff(traj.times), 0.05)
-        assert len(traj.snapshots) == 3
+        assert len(traj) == 3
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -327,8 +328,8 @@ class TestInitialData:
         traj = evolve(u0, StepperConfig(p=3.0, dt=0.05, T=0.2, nonlinear=nonlinear))
         del u0
         assert field_ref() is None and values_ref() is None
-        assert (traj.snapshots.basis.weights is not None) == (case == "octant")
-        first = traj.snapshots[0]
+        assert (traj.basis.weights is not None) == (case == "octant")
+        first = traj[0]
         assert np.array_equal(first.values, kept) and first.values.dtype == kept.dtype
 
     @pytest.mark.parametrize("case", ["octant", "1d"])
@@ -381,7 +382,7 @@ class TestFusedStepper:
                             snapshot_stride=3, nonlinear=nonlinear)
         assert cfg.dealias_active == dealias
         if scheme == "strang":
-            assert_matches_reference(evolve(u0, cfg).snapshots, u0, cfg)
+            assert_matches_reference(evolve(u0, cfg), u0, cfg)
         else:
             assert_matches_reference(march(lie_step, u0, cfg), u0, cfg, reference_lie_step)
 
@@ -389,7 +390,7 @@ class TestFusedStepper:
     def test_matches_reference_default_dealias(self, p, grid_2d):
         u0 = gaussian_field(grid_2d, 1.5, width=0.7)
         cfg = StepperConfig(p=p, dt=0.02, T=1.0, snapshot_stride=7)
-        assert_matches_reference(evolve(u0, cfg).snapshots, u0, cfg)
+        assert_matches_reference(evolve(u0, cfg), u0, cfg)
 
     def test_single_steps_are_one_step_runs(self, grid_2d, rng):
         f = random_field(grid_2d, rng)
@@ -424,7 +425,7 @@ class TestFusedStepper:
         if symmetric:
             u0 = symmetrized(u0)
         cfg = StepperConfig(p=p, dt=dt, T=8 * dt, snapshot_stride=stride, nonlinear=nonlinear)
-        assert_matches_reference(evolve(u0, cfg).snapshots, u0, cfg)
+        assert_matches_reference(evolve(u0, cfg), u0, cfg)
 
     @given(
         n=st.sampled_from([1, 2, 3]),
@@ -438,9 +439,9 @@ class TestFusedStepper:
         g = make_grid(n, 32 if n == 1 else 16, 10.0)
         u0 = gaussian_field(g, amplitude)
         cfg = StepperConfig(p=p, dt=dt, T=10 * dt)
-        norms = [l2_norm(u) for u in evolve(u0, cfg).snapshots]
+        norms = [l2_norm(u) for u in evolve(u0, cfg)]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
-        free = evolve(u0, replace(cfg, nonlinear=False)).snapshots
+        free = evolve(u0, replace(cfg, nonlinear=False))
         assert all(
             abs(l2_norm(u) - norms[0]) <= 1e-12 * norms[0] for u in free
         )
@@ -540,7 +541,7 @@ class TestOctantPath:
     def test_snapshots_are_mirror_symmetric(self):
         g = make_grid(3, 16, 10.0)
         cfg = StepperConfig(p=3.0, dt=0.05, T=0.5, snapshot_stride=2)
-        snaps = evolve(gaussian_field(g, 0.8), cfg).snapshots
+        snaps = evolve(gaussian_field(g, 0.8), cfg)
         assert len(snaps) == 6
         for u in snaps:
             assert all(np.array_equal(u.values, mirror(u.values, ax)) for ax in range(3))
@@ -564,7 +565,7 @@ class TestDealiasCorner:
         if scheme == "lie":
             u0, lie_u0 = symmetrized(to_physical(linear_step(u0, -cfg.dt / 2))), u0
         monkeypatch.setattr(propagator, "_BLOCK_BYTES", 3 * stored_row_bytes(u0))
-        pruned = evolve(u0, cfg).snapshots
+        pruned = evolve(u0, cfg)
         if scheme == "lie":
             shifted = [linear_step(u, cfg.dt / 2) for u in pruned]
             assert_matches_reference(shifted, lie_u0, cfg, reference_lie_step)
@@ -577,12 +578,12 @@ class TestDealiasCorner:
                     lambda x, **kw: scipy.fft.idctn(x, type=1, axes=axes, **kw))
 
         monkeypatch.setattr(fields, "_corner_pair", full_pair)
-        full = evolve(u0, cfg).snapshots
+        full = evolve(u0, cfg)
         assert built == [g.N // 3 + 1]
         assert pruned.basis.weights is not None
-        assert len(pruned.blocks) > 1 and len(pruned.blocks[0]) == 3
-        assert [len(b) for b in pruned.blocks] == [len(b) for b in full.blocks]
-        for a, b in zip(pruned.blocks, full.blocks):
+        assert len(pruned.stored) > 1 and len(pruned.stored[0]) == 3
+        assert [len(b) for b in pruned.stored] == [len(b) for b in full.stored]
+        for a, b in zip(pruned.stored, full.stored):
             assert np.array_equal(a, b)
 
 
@@ -616,7 +617,7 @@ class TestBlockStorage:
                 runs.append(evolve(u0, cfg))
             finally:
                 propagator._BLOCK_BYTES = BLOCK_BYTES
-        one, default = (traj.snapshots for traj in runs)
+        one, default = runs
         ones, defaults = (block_rows(traj) for traj in runs)
         assert [len(block) for block in ones] == [1] * len(one)
         assert [len(block) for block in defaults] == [len(default)]
@@ -643,7 +644,7 @@ class TestBlockStorage:
         cfg = StepperConfig(p=3.0, dt=0.02, T=0.3, snapshot_stride=stride)
         propagator._BLOCK_BYTES = budget
         try:
-            blocks = evolve(u0, cfg).snapshots.blocks
+            blocks = evolve(u0, cfg).stored
         finally:
             propagator._BLOCK_BYTES = BLOCK_BYTES
         row = blocks[0][0]
@@ -661,7 +662,7 @@ class TestBlockStorage:
         # 1-d, the 65^2 and 33^3 octants of centred 2-d and 3-d data
         u0 = gaussian_field(make_grid(n, N, 20.0), 0.5)
         cfg = StepperConfig(p=3.0, dt=1e-3, T=rows * 1e-3)  # rows + 1 snapshots
-        assert [len(block) for block in evolve(u0, cfg).snapshots.blocks] == [rows, 1]
+        assert [len(block) for block in evolve(u0, cfg).stored] == [rows, 1]
 
     @pytest.mark.parametrize("rows", [1, 3, None])
     def test_one_inverse_per_block(self, monkeypatch, rows):
@@ -677,9 +678,9 @@ class TestBlockStorage:
         monkeypatch.setattr(
             scipy.fft, "ifft", lambda *a, **kw: calls.append(1) or ifft(*a, **kw)
         )
-        snaps = evolve(u0, StepperConfig(p=3.0, dt=0.01, T=n * 0.01)).snapshots
+        snaps = evolve(u0, StepperConfig(p=3.0, dt=0.01, T=n * 0.01))
         monkeypatch.undo()
-        size = len(snaps.blocks[0])
+        size = len(snaps.stored[0])
         assert len(snaps) == n + 1 and size == (rows or n + 1)
         assert len(calls) <= n + math.ceil(len(snaps) / size)
         if rows is None:
@@ -730,6 +731,30 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
+class TestTrajectory:
+    """One trajectory type: a Sequence of full-grid Fields whose times are
+    the one snapshot count."""
+
+    def test_stored_rows_must_number_the_times(self):
+        g = make_grid(1, 16, 10.0)
+        traj = evolve(gaussian_field(g, 0.5), StepperConfig(p=3.0, dt=0.1, T=0.3))
+        assert len(traj) == len(traj.times) == sum(map(len, traj.stored)) == 4
+        with pytest.raises(ValueError, match="4 stored rows for 3 snapshot times"):
+            Trajectory(traj.config, traj.times[:-1], g, traj.basis, traj.stored)
+        with pytest.raises(ValueError, match="0 stored rows for 4 snapshot times"):
+            Trajectory(traj.config, traj.times, g, traj.basis)
+
+    def test_a_linear_run_counts_its_times(self):
+        # the free flow keeps no count and no stride: the times and the
+        # config hold them
+        g = make_grid(1, 16, 10.0)
+        cfg = StepperConfig(p=3.0, dt=0.1, T=0.6, snapshot_stride=2, nonlinear=False)
+        traj = evolve(gaussian_field(g, 0.5), cfg)
+        assert traj.free._fields == ("coeffs", "full", "size") and not traj.stored
+        assert len(traj) == len(list(traj)) == len(traj.times) == 4
+        assert traj.times.tolist() == [k * 0.1 for k in (0, 2, 4, 6)]  # k dt, as the wave form
+
+
 class TestFreeFlowReplay:
     """A linear run stores no rows: every read rebuilds the blocks it
     returns from row 0's coefficients and U(dt), with the bits a stored
@@ -758,13 +783,12 @@ class TestFreeFlowReplay:
             traj = evolve(u0, cfg)
         finally:
             propagator._BLOCK_BYTES = BLOCK_BYTES
-        snaps = traj.snapshots
-        assert (snaps.basis.weights is not None) == (centred and n >= 2)
+        assert (traj.basis.weights is not None) == (centred and n >= 2)
         want = reference_free_flow(u0, cfg, rows)
         got = block_rows(traj)
         assert [len(b) for b in got] == [len(b) for b in want]
         want = np.concatenate(want)
-        assert len(snaps) == len(traj.times) == len(want)
+        assert len(traj) == len(traj.times) == len(want)
         assert np.array_equal(bits(np.concatenate(got)), bits(want))
         start = data.draw(st.integers(0, len(want) - 1), label="start")
         stop = data.draw(st.integers(start + 1, len(want)), label="stop")
@@ -774,7 +798,7 @@ class TestFreeFlowReplay:
             rows_got = np.concatenate([basis.samples for _, basis in got])
             assert np.array_equal(bits(rows_got), bits(want[slice(*window)]))
         for k in range(len(want)):
-            assert np.array_equal(bits(snaps[k].values), bits(want[k][snaps.basis.fold]))
+            assert np.array_equal(bits(traj[k].values), bits(want[k][traj.basis.fold]))
 
     @pytest.mark.parametrize("n", [1, 3], ids=["fft_1d", "octant_3d"])
     def test_reads_inverse_only_the_blocks_they_return(self, monkeypatch, n):
@@ -795,7 +819,7 @@ class TestFreeFlowReplay:
         reads = [
             lambda: list(traj.blocks(0, 1)),
             lambda: list(traj.blocks(last)),
-            *(lambda k=k: traj.snapshots[k] for k in (0, 1, 17, last, -1)),
+            *(lambda k=k: traj[k] for k in (0, 1, 17, last, -1)),
         ]
         for read in reads:
             calls.clear()
@@ -805,7 +829,7 @@ class TestFreeFlowReplay:
         calls.clear()
         assert len(list(traj.blocks())) == len(calls) == 11
         calls.clear()
-        assert len(list(traj.snapshots)) == 31 and len(calls) == 11
+        assert len(list(traj)) == 31 and len(calls) == 11
 
     def test_memory_does_not_grow_with_T(self):
         # evolve and the table of a 3-d octant run (17^3 rows, 3 to a
@@ -846,12 +870,13 @@ class TestFreeFlowReplay:
 class TestDuhamelResidual:
     def test_zero_trajectory(self, grid_1d):
         traj = evolve(constant_field(grid_1d, 0.0), StepperConfig(p=3.0, dt=0.05, T=0.2))
-        assert duhamel_residual(traj) == 0.0
+        assert duhamel_residual(traj) == {"residual": 0.0, "offmask": 0.0}
 
     def test_linear_trajectory_exact(self, grid_1d, rng):
         f = random_field(grid_1d, rng)
         traj = evolve(f, StepperConfig(p=3.0, dt=0.05, T=0.5, nonlinear=False))
-        assert duhamel_residual(traj) < 1e-12 * l2_norm(f)
+        got = duhamel_residual(traj)
+        assert got["residual"] < 1e-12 * l2_norm(f) and got["offmask"] == 0.0
 
     def test_needs_three_snapshots(self, grid_1d):
         traj = evolve(gaussian_field(grid_1d), StepperConfig(p=3.0, dt=0.1, T=0.1))
@@ -859,54 +884,58 @@ class TestDuhamelResidual:
             duhamel_residual(traj)
 
     def test_second_order_refinement(self):
-        # p = 4 is not dealiased: the 2/3-rule truncation otherwise leaves a
-        # ~1e-8 defect floor that masks the quadrature order at small dt
+        # p = 4 is not dealiased
         g = make_grid(1, 256, 40.0)
         u0 = gaussian_field(g, 0.5)
         vals = []
         for dt in (2e-3, 1e-3):
             traj = evolve(u0, StepperConfig(p=4.0, dt=dt, T=0.25))
-            vals.append(duhamel_residual(traj))
+            vals.append(duhamel_residual(traj)["residual"])
         ratio = vals[0] / vals[1]
         assert 3.2 <= ratio <= 4.8
 
     @pytest.mark.parametrize("p", [2.5, 4.0])
     def test_second_order_unmasked_on_the_catalog_grid(self, p):
         # p11_1d_cubic's grid and data over [0, 1]: with no 2/3 mask the
-        # defect keeps order 2 from dt = 4e-3 to 1e-3; p = 3, which runs
-        # masked, falls to order 1.02 over the last halving
+        # defect keeps order 2 from dt = 4e-3 to 1e-3, and nothing is outside
         g = make_grid(1, 256, 40.0)
-        vals = [
+        runs = [
             duhamel_residual(evolve(gaussian_field(g, 0.5), StepperConfig(p=p, dt=dt, T=1.0)))
             for dt in (4e-3, 2e-3, 1e-3)
         ]
+        vals = [run["residual"] for run in runs]
         assert not StepperConfig(p=p, dt=1e-3, T=1.0).dealias_active
         assert all(math.log2(a / b) >= 1.9 for a, b in zip(vals, vals[1:])), vals
+        assert all(run["offmask"] == 0.0 for run in runs)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 6: under the 2/3 mask the Duhamel defect loses its "
-        "order as dt shrinks (p = 5: 0.12, then 0.01; p = 3: 1.86, then 1.02)",
-    )
     @pytest.mark.parametrize("p", [3.0, 5.0], ids=["p=3", "p=5"])
     def test_second_order_masked_on_the_catalog_grid(self, p):
-        # the unmasked test above at the odd integer powers the mask applies to
+        # the unmasked test above at the odd integer powers the mask applies
+        # to: the defect of the projected equation keeps order 2 (2.00 at
+        # both powers); the unprojected one fell to 1.02 (p = 3) and 0.01
+        # (p = 5) over the last halving, stalled at the out-of-mask part of
+        # the integral, which does not depend on dt (3.38e-8 and 1.914e-7)
         g = make_grid(1, 256, 40.0)
-        vals = [
+        runs = [
             duhamel_residual(evolve(gaussian_field(g, 0.5), StepperConfig(p=p, dt=dt, T=1.0)))
             for dt in (4e-3, 2e-3, 1e-3)
         ]
+        vals, off = [run["residual"] for run in runs], [run["offmask"] for run in runs]
         assert StepperConfig(p=p, dt=1e-3, T=1.0).dealias_active
         assert all(math.log2(a / b) >= 1.9 for a, b in zip(vals, vals[1:])), vals
+        assert off == pytest.approx([{3.0: 3.381e-8, 5.0: 1.914e-7}[p]] * 3, rel=1e-3)
+        # outside the mask u(t) is 0 and U(t) u0 a gaussian tail of 1e-20, so
+        # the two parts add in quadrature to the unprojected defect at 1e-3
+        unprojected = {3.0: 3.795e-8, 5.0: 1.915e-7}[p]
+        assert math.hypot(vals[-1], off[-1]) == pytest.approx(unprojected, rel=1e-3)
 
     def test_second_order_refinement_default_config(self):
-        # with the default 2/3 truncation the order-2 window sits at coarser
-        # steps, above the truncation floor
+        # with the default 2/3 truncation, at coarser steps
         g = make_grid(1, 256, 40.0)
         u0 = gaussian_field(g, 0.5)
         vals = []
         for dt in (8e-3, 4e-3):
             traj = evolve(u0, StepperConfig(p=3.0, dt=dt, T=0.25))
-            vals.append(duhamel_residual(traj))
+            vals.append(duhamel_residual(traj)["residual"])
         ratio = vals[0] / vals[1]
         assert 3.2 <= ratio <= 4.8

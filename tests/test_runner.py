@@ -162,7 +162,7 @@ class TestRun:
         (sc,) = load_config(write_config(tmp_path, body))
         run(sc, tmp_path / "out")
         (traj,) = trajs
-        assert len(traj.snapshots.blocks[0]) == 4
+        assert len(traj.stored[0]) == 4
         assert len(calls) == len(list(traj.blocks())) > 1
         assert any("cross" in table for table in traj.tables.values()) == (checks == "prop24")
 
@@ -273,10 +273,10 @@ class TestRun:
         ctx.traj
         assert len(refs) == 1 and refs[0]() is None
         monkeypatch.undo()
-        want, got = sc.initial_field().values, ctx.traj.snapshots[0].values
+        want, got = sc.initial_field().values, ctx.traj[0].values
         assert got.dtype == want.dtype == np.complex128
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        octant = ctx.traj.snapshots.basis.weights is not None
+        octant = ctx.traj.basis.weights is not None
         assert octant == (initial == "gaussian_3d")
 
     @pytest.mark.parametrize("initial", ["gaussian(0.05, 1.0, 0.0)", "gaussian(0.05, 1.0, 1.0)"])
@@ -298,8 +298,8 @@ class TestRun:
         assert got.linear and got.config == want.config
         assert np.array_equal(got.times, want.times)
         octant = initial.endswith("0.0)")
-        assert (want.snapshots.basis.weights is not None) == octant
-        assert (got.snapshots.basis.weights is not None) == octant
+        assert (want.basis.weights is not None) == octant
+        assert (got.basis.weights is not None) == octant
         for a, b in zip(block_rows(got), block_rows(want), strict=True):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
@@ -747,7 +747,7 @@ CATALOG_CHECK_KEYS = {
     "lemma36": {"passed", "worst_gap"},
     "cor37": _BOUND_KEYS,
     "cor39": _BOUND_KEYS,
-    "duhamel": {"passed", "relative", "residual"},
+    "duhamel": {"offmask", "passed", "relative", "residual"},
 }
 
 
@@ -758,10 +758,10 @@ def _no_fold(store, k):
 def _run_unfolded(path, out):
     """Run every scenario of ``path`` deterministically into ``out`` with a spy
     on the snapshot fold that raises; return each scenario with its report."""
-    from semirelax.propagator import _Snapshots
+    from semirelax.propagator import Trajectory
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_Snapshots, "__getitem__", _no_fold)
+        mp.setattr(Trajectory, "__getitem__", _no_fold)
         return [(sc, run(sc, out, deterministic=True)) for sc in load_config(path)]
 
 
@@ -907,7 +907,7 @@ class TestHelpers:
         ctx = _RunContext(sc)
         traj, rtraj = ctx.traj, ctx.radial_traj
         # the value through JEvaluator.point, as the check computed it before
-        u3 = to_physical(traj.snapshots[-1]).values
+        u3 = to_physical(traj[-1]).values
         half = traj.grid.N // 2
         axis_vals, radii = u3[half + 1 :, half, half], traj.grid.axis[half + 1 :]
         prof = rtraj.profiles[-1]
@@ -926,15 +926,15 @@ class TestHelpers:
         # octant, with no fold: the samples of the full-grid line
         from scipy.interpolate import CubicSpline
 
-        from semirelax.propagator import _Snapshots
+        from semirelax.propagator import Trajectory
         from semirelax.runner import _RunContext
 
         (sc,) = load_config(write_config(tmp_path, RADIAL))
         ctx = _RunContext(sc)
         traj, rtraj = ctx.traj, ctx.radial_traj
-        assert traj.snapshots.basis.weights is not None
+        assert traj.basis.weights is not None
         g, half, prof = traj.grid, traj.grid.N // 2, rtraj.profiles[-1]
-        line = to_physical(traj.snapshots[-1]).values[half + 1 :, half, half]
+        line = to_physical(traj[-1]).values[half + 1 :, half, half]
         radii = g.axis[half + 1 :]
         keep = radii <= prof.r[-1]
         wave = CubicSpline(prof.r, prof.values, bc_type="not-a-knot")(radii[keep])
@@ -943,8 +943,23 @@ class TestHelpers:
         def no_fold(store, k):
             raise AssertionError("lemma35 folds no snapshot")
 
-        monkeypatch.setattr(_Snapshots, "__getitem__", no_fold)
+        monkeypatch.setattr(Trajectory, "__getitem__", no_fold)
         assert spectral_vs_wave_disagreement(traj, rtraj) == expected
+
+    def test_disagreement_needs_one_final_time(self):
+        # p14's data at dt = 4e-3 with stride 10, past the loader's stride
+        # rule: the last stored row of the 125 steps is at t = 0.48, the wave
+        # form's last profile at t = 0.5; the gap between them once read 4.4e-2
+        from semirelax import StepperConfig, default_catalog_path, evolve, wave_evolve
+
+        sc = {sc.name: sc for sc in load_config(default_catalog_path())}["p14_3d_critical"]
+        cfg = StepperConfig(sc.p, 4e-3, sc.T, sc.snapshot_stride)
+        traj = evolve(sc.initial_field(), cfg)
+        rtraj = wave_evolve(sc.initial_profile(), sc.p, cfg.dt, sc.T)
+        assert (sc.snapshot_stride, cfg.n_steps) == (10, 125)
+        wrong = r"last spectral time 0\.48 is not the wave form's last time 0\.5$"
+        with pytest.raises(ValueError, match=wrong):
+            spectral_vs_wave_disagreement(traj, rtraj)
 
     def test_disagreement_zero_for_zero_fields(self, tmp_path):
         (sc,) = load_config(write_config(tmp_path, RADIAL.replace("0.05", "0.0")))

@@ -400,7 +400,7 @@ N = 16
 L = 10
 M = 64
 R = 10
-snapshot_stride = 2
+snapshot_stride = 5
 nonlinear = false
 """
 
@@ -436,7 +436,7 @@ class TestKeyTable:
         assert asdict(sc) == dict(
             name="every_key", n=3, p=3.0, dt=0.01, T=0.05, initial="gaussian(0.1, 1.0, 0.0)",
             s=0.5, solver="both", checks=("lemma36", "prop21"), N=16, L=10.0, M=64, R=10.0,
-            snapshot_stride=2, nonlinear=False,
+            snapshot_stride=5, nonlinear=False,
         )
         for f in fields(Scenario)[1:]:
             assert f"\n{f.name} = " in EVERY_KEY
@@ -488,13 +488,15 @@ class TestSolverRulesAtLoad:
         (GOOD.replace("dt = 1e-2", "dt = 0.5"), "exceeds final time"),
         (GOOD.replace("T = 0.1", "T = -0.1"), "final time must be nonnegative"),
         (GOOD + "snapshot_stride = 0\n", "snapshot_stride must be a positive"),
+        # the last stored row is the final time: 10 steps, every third stored
+        (GOOD + "snapshot_stride = 3\n", "snapshot_stride = 3 does not divide the 10 steps"),
         (WAVE_ONLY.replace("T = 0.05", "T = 10"), "radial boundary"),
         (GOOD.replace("p = 3", "p = 1"), "power must exceed 1"),
         (WAVE_ONLY.replace("p = 3", "p = 4").replace("prop14", "cor37"), "1 < p <= 3"),
         (WAVE_ONLY.replace("M = 64", "M = 8"), "at least 16 samples"),
         (GOOD.replace("T = 0.1", "T = 0"), "needs 2 stored snapshots, got 1"),
         (
-            GOOD.replace("checks = prop21", "checks = duhamel\nsnapshot_stride = 6"),
+            GOOD.replace("checks = prop21", "checks = duhamel\nsnapshot_stride = 10"),
             "needs 3 stored snapshots, got 2",
         ),
         (GOOD.replace("checks = prop21", "checks = lemma35"), r"solver = both"),
@@ -557,6 +559,7 @@ class TestSolverRulesAtLoad:
          re.escape("'demo': repeated checks ['prop21', 'prop22']")),
     ], ids=[
         "N_100", "L_negative", "dt_negative", "dt_above_T", "T_negative", "stride_0",
+        "stride_not_dividing",
         "radial_T_at_R", "p_1", "radial_p_4", "radial_M_8", "T_0_prop21",
         "duhamel_two_snapshots", "lemma35_spectral", "cor37_mode_data", "cor39_M_8",
         "cor37_off_centre", "cor37_n_1", "lemma33_mode_data", "radial_dt_above_T",
@@ -674,6 +677,54 @@ class TestShippedCatalog:
             assert sc.checks
             if sc.solver in ("spectral", "both"):
                 assert sc.initial_field() is not None
+
+    def test_p14_at_a_coarser_dt_exits_2(self, tmp_path, capsys):
+        # at dt = 4e-3, p14's stride 10 would store its last row at t = 0.48
+        # of 125 steps, and lemma35 failed comparing it with the wave form
+        # at t = 0.5 (a gap of 4.37e-2 against the 1e-2 tolerance)
+        from semirelax.cli import main
+
+        head, p14 = open(default_catalog_path()).read().split("[scenario.p14_3d_critical]")
+        p14, tail = p14.split("\n[", 1)
+        assert "dt = 2e-3\n" in p14
+        body = f"{head}[scenario.p14_3d_critical]{p14.replace('dt = 2e-3', 'dt = 4e-3')}\n[{tail}"
+        path = write_config(tmp_path, body)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario 'p14_3d_critical': snapshot_stride = 10 ")
+        assert "does not divide the 125 steps" in err
+        assert not (tmp_path / "out").exists()
+
+    @given(
+        dt=st.floats(1e-3, 0.05),
+        steps=st.floats(1.0, 40.0),
+        stride=st.integers(1, 12),
+        nonlinear=st.booleans(),
+    )
+    @example(dt=4e-3, steps=125.0, stride=10, nonlinear=True)  # p14 at dt = 4e-3
+    @example(dt=2e-3, steps=250.0, stride=10, nonlinear=True)  # the shipped p14
+    @settings(max_examples=40, deadline=None)
+    def test_last_stored_time_is_the_final_time(self, dt, steps, stride, nonlinear):
+        # for T = steps dt the config is rejected naming snapshot_stride, or
+        # the last stored time is n_steps dt, the wave form's last time too
+        from semirelax import evolve, wave_evolve
+
+        T = steps * dt
+        fields = dict(n=3, p=3.0, dt=dt, T=T, initial="gaussian(0.1, 1.0, 0.0)",
+                      solver="both", N=8, L=10.0, M=16, R=20.0, snapshot_stride=stride,
+                      nonlinear=nonlinear)
+        n_steps = math.ceil(T / dt - 1e-12)
+        if n_steps % stride:
+            with pytest.raises(ScenarioError, match=f"snapshot_stride = {stride} does not "
+                               f"divide the {n_steps} steps"):
+                Scenario("stride", **fields)
+            return
+        sc = Scenario("stride", **fields)
+        traj = evolve(sc.initial_field(), sc.stepper())
+        rtraj = wave_evolve(sc.initial_profile(), sc.p, dt, T, nonlinear=nonlinear)
+        assert sc.stepper().n_steps == n_steps
+        assert traj.times[-1] == n_steps * dt == rtraj.times[-1]
+        assert len(traj) == len(traj.times) == 1 + n_steps // stride
 
 
 def _spectral_body(n, N, L, M, R, p, s, dt, T, stride, initial, checks):
